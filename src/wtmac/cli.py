@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -86,14 +85,6 @@ def _load_channel(path: str) -> WiretapMAC:
 
 def _load_input(path: str, mac: WiretapMAC) -> FactoredInput:
     return FactoredInput.from_json_dict(_load_json(path, "input"), mac)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("WTMAC_THREADS", "")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
 
 
 def _cmd_info(args) -> dict:
@@ -371,9 +362,7 @@ def run(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return 2
-    artifact = {"command": args.command,
-                "threads_cap": _thread_cap(),
-                **artifact}
+    artifact = {"command": args.command, **artifact}
     text = json.dumps(_round_floats(artifact), indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

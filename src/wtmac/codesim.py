@@ -41,8 +41,6 @@ from .probkit import (
     entropy_bits,
     mutual_information,
     sample_typical,
-    typical_membership,
-    zip_sequences,
 )
 from .regions import CaseLabel, InfoProfile, elementary_region, info_profile
 
@@ -283,6 +281,11 @@ class WiretapCode:
             for ls in _product_l(fams):
                 yield k, ls
 
+    @cached_property
+    def decode_plan(self) -> "_DecodePlan":
+        """Codeword data for joint-typicality decoding, built once per code."""
+        return _DecodePlan.build(self)
+
     def codeword_pair(self, k, ls) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated (x, y) sequences for one full index tuple."""
         xs, ys = [], []
@@ -490,6 +493,123 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
 # Decoding and error
 # ---------------------------------------------------------------------------
 
+# Count cells per bincount block; bounds the transient arrays of a decode
+# over many outputs to about 128 kB each.
+_BLOCK_CELLS = 1 << 14
+
+
+@dataclass(frozen=True)
+class _FamilyCodewords:
+    """One family's decode data, one column c per (message, l-tuple) codeword.
+
+    Each codeword position carries the base symbol (u*|X| + x)*|Y| + y.
+    ``positions[c]`` is each position's offset (c*D + rank)*|T|, with rank
+    the base's rank among codeword c's distinct bases and D the most
+    distinct bases of any codeword; ``rows[c]`` holds the decode law's
+    masses on (distinct base, t), zero-padded to D bases; ``absent[c]`` is
+    the largest law mass on a base the codeword never uses, which every
+    output counts 0 times.
+    """
+
+    start: int
+    n: int
+    positions: np.ndarray  # (columns, n)
+    rows: np.ndarray  # (columns, D, |T|)
+    absent: np.ndarray  # (columns,)
+
+
+@dataclass(frozen=True)
+class _DecodePlan:
+    """The per-code half of joint-typicality decoding, fixed at build time.
+
+    ``tuples`` lists the index tuples in :meth:`WiretapCode.index_tuples`
+    order; ``columns[i, f]`` is tuple i's codeword column in family f and
+    ``message_ids[i]`` the position of its message triple.
+    """
+
+    tuples: list
+    message_ids: np.ndarray
+    columns: np.ndarray
+    families: tuple[_FamilyCodewords, ...]
+
+    @staticmethod
+    def build(code: "WiretapCode") -> "_DecodePlan":
+        mac = code.chain.mac
+        x_size, y_size = mac.x_alphabet.size, mac.y_alphabet.size
+        t_size = mac.t_alphabet.size
+        law = code.chain.decode_law.mass.reshape(-1, t_size)
+        messages = list(code.messages())
+        families = []
+        start = 0
+        for fam in code.families:
+            words = [fam.codeword(k, l) for k in messages for l in fam.l_tuples()]
+            bases, ranks, absent = [], [], []
+            for u, x, y in words:
+                distinct, rank = np.unique((u * x_size + x) * y_size + y,
+                                           return_inverse=True)
+                bases.append(distinct)
+                ranks.append(rank.reshape(-1))
+                others = np.delete(law, distinct, axis=0)
+                absent.append(float(others.max()) if others.size else 0.0)
+            depth = max(len(d) for d in bases)
+            rows = np.zeros((len(words), depth, t_size))
+            for c, distinct in enumerate(bases):
+                rows[c, :len(distinct)] = law[distinct]
+            positions = (np.arange(len(words))[:, None] * depth
+                         + np.array(ranks)) * t_size
+            families.append(_FamilyCodewords(start, fam.n, positions, rows,
+                                             np.array(absent)))
+            start += fam.n
+        l_counts = [len(fam.absent) // len(messages) for fam in families]
+        grid = np.indices((len(messages), *l_counts)).reshape(
+            1 + len(families), -1)
+        columns = np.stack([grid[0] * count + grid[1 + f]
+                            for f, count in enumerate(l_counts)], axis=1)
+        return _DecodePlan(list(code.index_tuples()), grid[0], columns,
+                           tuple(families))
+
+
+def _typical_matrix(code: WiretapCode, delta: float,
+                    outputs: np.ndarray) -> np.ndarray:
+    """Joint typicality of each output sequence (rows) with each index tuple
+    (columns); concatenated codes need every segment typical.
+
+    Per segment this is :func:`~wtmac.probkit.typical_membership` of the
+    zipped (u, x, y, t) sequence under the decode law, with the same
+    arithmetic ``|count/n - P| <= delta``, so every decision matches it bit
+    for bit.  Only (distinct base, t) pairs of a codeword are counted; a
+    base the codeword never uses passes iff its law mass is <= delta, and
+    the zero padding passes as 0 <= delta.
+    """
+    if delta <= 0:
+        raise ValidationError("typicality needs delta > 0")
+    plan = code.decode_plan
+    count = outputs.shape[0]
+    typical = np.ones((count, len(plan.tuples)), dtype=bool)
+    for fam, columns in zip(plan.families, plan.columns.T):
+        width = fam.rows.size
+        step = max(_BLOCK_CELLS // width, 1)
+        hits = np.empty((count, len(fam.absent)), dtype=bool)
+        for lo in range(0, count, step):
+            segment = outputs[lo:lo + step, fam.start:fam.start + fam.n]
+            m = segment.shape[0]
+            offsets = np.arange(0, m * width, width)[:, None, None]
+            flat = (segment[:, None, :] + fam.positions + offsets).ravel()
+            counts = np.bincount(flat, minlength=m * width)
+            dev = counts.reshape(m, *fam.rows.shape) / fam.n
+            np.subtract(dev, fam.rows, out=dev)
+            np.abs(dev, out=dev)
+            hits[lo:lo + m] = np.all(dev <= delta, axis=(2, 3))
+        hits &= fam.absent <= delta
+        typical &= hits[:, columns]
+    return typical
+
+
+def _unique_hits(typical: np.ndarray) -> np.ndarray:
+    """Per row, the only typical column; -1 on a miss or a tie."""
+    return np.where(typical.sum(axis=1) == 1, typical.argmax(axis=1), -1)
+
+
 def joint_typicality_decode(code: WiretapCode, delta: float, t_seq):
     """Decode an output sequence to the unique jointly typical index tuple.
 
@@ -497,32 +617,21 @@ def joint_typicality_decode(code: WiretapCode, delta: float, t_seq):
     concatenated codes require every segment to be typical.
     """
     t_seq = np.asarray(t_seq, dtype=np.int64)
-    if t_seq.shape[0] != code.n_total:
+    if t_seq.ndim != 1 or t_seq.shape[0] != code.n_total:
         raise ValidationError(
-            f"output length {t_seq.shape[0]} != blocklength {code.n_total}")
-    chain = code.chain
-    law = chain.decode_law
-    sizes = [chain.p_u.alphabet.size, chain.mac.x_alphabet.size,
-             chain.mac.y_alphabet.size, chain.mac.t_alphabet.size]
-    segments = []
-    at = 0
-    for fam in code.families:
-        segments.append(t_seq[at:at + fam.n])
-        at += fam.n
-    hit = None
-    for k, ls in code.index_tuples():
-        ok = True
-        for fam, l, seg in zip(code.families, ls, segments):
-            useq, xseq, yseq = fam.codeword(k, l)
-            zipped, _ = zip_sequences(useq, xseq, yseq, seg, sizes)
-            if not typical_membership(law, zipped, delta):
-                ok = False
-                break
-        if ok:
-            if hit is not None:
-                return None  # ambiguity decodes to failure
-            hit = (k, ls)
-    return hit
+            f"output shape {t_seq.shape} != ({code.n_total},)")
+    t_size = code.chain.mac.t_alphabet.size
+    if t_seq.min() < 0 or t_seq.max() >= t_size:
+        raise ValidationError(f"output symbols must lie in 0..{t_size - 1}")
+    hit = _unique_hits(_typical_matrix(code, delta, t_seq[None, :]))[0]
+    return None if hit < 0 else code.decode_plan.tuples[hit]
+
+
+def _decode_all(code: WiretapCode, delta: float) -> np.ndarray:
+    """Decoded tuple index of every output sequence, lexicographic; -1 on a
+    miss or a tie."""
+    seqs = all_sequences(code.chain.mac.t_alphabet.size, code.n_total)
+    return _unique_hits(_typical_matrix(code, delta, seqs))
 
 
 def _channel_row(matrix: np.ndarray, xseq: np.ndarray, yseq: np.ndarray,
@@ -534,11 +643,21 @@ def _channel_row(matrix: np.ndarray, xseq: np.ndarray, yseq: np.ndarray,
     return row
 
 
-def _bob_rows(code: WiretapCode, w_b: Channel | None) -> tuple[list, np.ndarray]:
+def _bob_matrix(code: WiretapCode, w_b: Channel | None) -> np.ndarray:
+    """Bob's channel matrix; it must map the MAC's input pairs to its |T|."""
     mac = code.chain.mac
     matrix = (w_b or mac.bob).matrix
-    t_size = matrix.shape[1]
-    count = t_size ** code.n_total
+    want = (mac.x_alphabet.size * mac.y_alphabet.size, mac.t_alphabet.size)
+    if matrix.shape != want:
+        raise ValidationError(
+            f"Bob's channel has shape {matrix.shape}; the code decodes {want}")
+    return matrix
+
+
+def _bob_rows(code: WiretapCode, w_b: Channel | None) -> tuple[list, np.ndarray]:
+    mac = code.chain.mac
+    matrix = _bob_matrix(code, w_b)
+    count = matrix.shape[1] ** code.n_total
     tuples = list(code.index_tuples())
     if count * len(tuples) > CELL_BUDGET:
         raise ResourceBudgetError(
@@ -574,23 +693,21 @@ def average_error(code: WiretapCode, w_b: Channel | None = None,
     delta = code.delta if decode_delta is None else decode_delta
     if mode == "exact":
         tuples, rows = _bob_rows(code, w_b)
-        t_size = (w_b or code.chain.mac.bob).matrix.shape[1]
-        decoded = _decode_all(code, delta, t_size)
+        decoded = _decode_all(code, delta)
+        message_ids = code.decode_plan.message_ids
+        decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
         tuple_err = 0.0
         msg_err = 0.0
         weight = 1.0 / len(tuples)
-        for i, (k, ls) in enumerate(tuples):
-            wrong_tuple = np.array([decoded[t] != (k, ls) for t in range(rows.shape[1])])
-            wrong_msg = np.array([decoded[t] is None or decoded[t][0] != k
-                                  for t in range(rows.shape[1])])
-            tuple_err += weight * float(rows[i] @ wrong_tuple)
-            msg_err += weight * float(rows[i] @ wrong_msg)
+        for i in range(len(tuples)):
+            tuple_err += weight * float(rows[i] @ (decoded != i))
+            msg_err += weight * float(rows[i] @ (decoded_msg != message_ids[i]))
         return ErrorEstimate(tuple_err, msg_err, "exact")
     if mode != "mc":
         raise ValidationError("mode must be 'exact' or 'mc'")
     rng = np.random.default_rng(seed)
     mac = code.chain.mac
-    matrix = (w_b or mac.bob).matrix
+    matrix = _bob_matrix(code, w_b)
     tuples = list(code.index_tuples())
     hits = 0
     msg_hits = 0
@@ -615,12 +732,6 @@ def average_error(code: WiretapCode, w_b: Channel | None = None,
                          (max(center - half, 0.0), min(center + half, 1.0)))
 
 
-def _decode_all(code: WiretapCode, delta: float, t_size: int) -> list:
-    count = t_size ** code.n_total
-    seqs = all_sequences(t_size, code.n_total)
-    return [joint_typicality_decode(code, delta, seqs[t]) for t in range(count)]
-
-
 def mac_average_error(code: WiretapCode, w_b: Channel | None = None,
                       decode_delta: float | None = None) -> float:
     """Average error of the deterministic code over the full index tuples.
@@ -630,12 +741,10 @@ def mac_average_error(code: WiretapCode, w_b: Channel | None = None,
     """
     delta = code.delta if decode_delta is None else decode_delta
     tuples, rows = _bob_rows(code, w_b)
-    t_size = (w_b or code.chain.mac.bob).matrix.shape[1]
-    decoded = _decode_all(code, delta, t_size)
+    decoded = _decode_all(code, delta)
     err = 0.0
-    for i, (k, ls) in enumerate(tuples):
-        wrong = np.array([decoded[t] != (k, ls) for t in range(rows.shape[1])])
-        err += float(rows[i] @ wrong)
+    for i in range(len(tuples)):
+        err += float(rows[i] @ (decoded != i))
     return err / len(tuples)
 
 

@@ -389,13 +389,13 @@ def _hull_with_origin(cloud: np.ndarray, dim: int) -> np.ndarray:
     pts = np.unique(np.round(pts, 12), axis=0)
     if pts.shape[0] <= dim + 1:
         return pts
-    try:
-        from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
+    try:
         hull = ConvexHull(pts, qhull_options="QJ")
-        return pts[hull.vertices]
-    except Exception:
+    except QhullError:
         return pts
+    return pts[hull.vertices]
 
 
 def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:

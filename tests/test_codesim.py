@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from _support import constant_eve_mac, random_mac
 from wtmac.codesim import (
     CodeChain,
+    CodebookFamily,
     WiretapCode,
+    _bob_rows,
+    _decode_all,
     average_error,
     build_wiretap_code,
     chernoff_bound,
@@ -24,6 +29,7 @@ from wtmac.codesim import (
 from wtmac.errors import (
     BlocklengthTooSmallError,
     PreconditionError,
+    ValidationError,
 )
 from wtmac.probkit import (
     Channel,
@@ -31,6 +37,7 @@ from wtmac.probkit import (
     WiretapMAC,
     all_sequences,
     typical_membership,
+    zip_sequences,
 )
 from wtmac.regions import CaseLabel
 
@@ -51,6 +58,48 @@ def noiseless_bob_mac(eve_rows=None):
 def coupled_chain(mac, p0=0.5):
     return CodeChain(Dist.from_mass([p0, 1 - p0]), Channel.identity(2),
                      Channel.identity(2), mac)
+
+
+def reference_decode(code, delta, t_seq):
+    """Per-tuple decode: zip each segment's (u, x, y, t) and test it with
+    typical_membership; the first hit wins unless a second one ties."""
+    chain = code.chain
+    sizes = [chain.p_u.alphabet.size, chain.mac.x_alphabet.size,
+             chain.mac.y_alphabet.size, chain.mac.t_alphabet.size]
+    segments, at = [], 0
+    for fam in code.families:
+        segments.append(t_seq[at:at + fam.n])
+        at += fam.n
+    hit = None
+    for k, ls in code.index_tuples():
+        ok = True
+        for fam, l, seg in zip(code.families, ls, segments):
+            zipped, _ = zip_sequences(*fam.codeword(k, l), seg, sizes)
+            if not typical_membership(chain.decode_law, zipped, delta):
+                ok = False
+                break
+        if ok:
+            if hit is not None:
+                return None
+            hit = (k, ls)
+    return hit
+
+
+def reference_errors(code, delta, w_b=None):
+    """Per-output reference decodes, then the tuple, message and MAC errors
+    from per-output tuple comparisons."""
+    tuples, rows = _bob_rows(code, w_b)
+    seqs = all_sequences(code.chain.mac.t_alphabet.size, code.n_total)
+    decoded = [reference_decode(code, delta, t) for t in seqs]
+    tuple_err = msg_err = mac_err = 0.0
+    weight = 1.0 / len(tuples)
+    for i, (k, ls) in enumerate(tuples):
+        wrong_tuple = np.array([d != (k, ls) for d in decoded])
+        wrong_msg = np.array([d is None or d[0] != k for d in decoded])
+        tuple_err += weight * float(rows[i] @ wrong_tuple)
+        msg_err += weight * float(rows[i] @ wrong_msg)
+        mac_err += float(rows[i] @ wrong_tuple)
+    return decoded, tuple_err, msg_err, mac_err / len(tuples)
 
 
 class TestSampling:
@@ -230,8 +279,6 @@ class TestDecode:
             [1, 1, 0, 0, 1, 1, 0, 0],
         ], dtype=np.int64)[:k0 * l0].reshape(k0, l0, 8)
         chain = coupled_chain(mac)
-        from wtmac.codesim import CodebookFamily
-
         return CodebookFamily(chain, 8, (k0, 1, 1), (l0, 1, 1), 0.15, 0,
                               words, words[:, :, None, None, :],
                               words[:, :, None, None, :])
@@ -259,8 +306,6 @@ class TestDecode:
         x[0, 1] = x[0, 0]
         y = fam.y.copy()
         y[0, 1] = y[0, 0]
-        from wtmac.codesim import CodebookFamily
-
         forced = CodebookFamily(dup, 8, (1, 1, 1), (2, 1, 1), 0.25, 12, u, x, y)
         code = WiretapCode(CaseLabel.CASE3, 2.0, 0.25, 0.25, None, (forced,),
                            (0.0, 0.0, 0.0))
@@ -305,6 +350,179 @@ class TestDecode:
 
         for t_seq in all_sequences(2, 5):
             assert joint_typicality_decode(code, delta, t_seq) == oracle(t_seq)
+
+
+class TestReferenceDecode:
+    """The vectorized decode against the per-output reference, exactly."""
+
+    @staticmethod
+    def noisy_mac(seed):
+        return random_mac(np.random.default_rng(seed), t=4, bob_quality=0.7)
+
+    def one_family_case3(self, seed=101):
+        chain = coupled_chain(self.noisy_mac(seed))
+        fam = sample_codebook_family(chain, 5, (2, 1, 1), 0.3, seed=seed,
+                                     k_sizes=(2, 1, 1))
+        return WiretapCode(CaseLabel.CASE3, 2.0, 0.3, 0.25, None, (fam,),
+                           (0.0, 0.0, 0.0))
+
+    def two_family(self, seed=103):
+        chain = CodeChain(Dist.from_mass([0.6, 0.4]),
+                          Channel.from_matrix([[0.8, 0.2], [0.3, 0.7]]),
+                          Channel.from_matrix([[0.7, 0.3], [0.25, 0.75]]),
+                          self.noisy_mac(seed))
+        fam1 = sample_codebook_family(chain, 3, (2, 1, 1), 0.35, seed=seed,
+                                      k_sizes=(2, 1, 1))
+        fam2 = sample_codebook_family(chain, 2, (1, 2, 1), 0.45,
+                                      seed=seed + 1, k_sizes=(2, 1, 1))
+        return WiretapCode(CaseLabel.CASE1, 2.0, 0.45, 0.25, 0.6,
+                           (fam1, fam2), (0.0, 0.0, 0.0))
+
+    def duplicate_tie(self, seed=105):
+        chain = coupled_chain(self.noisy_mac(seed))
+        fam = sample_codebook_family(chain, 5, (3, 1, 1), 0.3, seed=seed)
+        u, x, y = fam.u.copy(), fam.x.copy(), fam.y.copy()
+        u[0, 2], x[0, 2], y[0, 2] = u[0, 0], x[0, 0], y[0, 0]
+        forced = CodebookFamily(chain, 5, (1, 1, 1), (3, 1, 1), 0.3, seed,
+                                u, x, y)
+        return WiretapCode(CaseLabel.CASE3, 2.0, 0.3, 0.25, None, (forced,),
+                           (0.0, 0.0, 0.0))
+
+    def assert_matches(self, code, decode_delta=None, w_b=None):
+        delta = code.delta if decode_delta is None else decode_delta
+        decoded, tuple_err, msg_err, mac_err = reference_errors(code, delta,
+                                                                w_b)
+        tuples = list(code.index_tuples())
+        assert [None if i < 0 else tuples[i]
+                for i in _decode_all(code, delta)] == decoded
+        est = average_error(code, w_b, decode_delta=decode_delta)
+        assert est.tuple_error == tuple_err
+        assert est.message_error == msg_err
+        assert mac_average_error(code, w_b, decode_delta=decode_delta) == mac_err
+        return decoded
+
+    def test_one_family_case3(self):
+        decoded = self.assert_matches(self.one_family_case3())
+        assert any(d is not None for d in decoded)
+
+    def test_two_family_time_sharing(self):
+        code = self.two_family()
+        decoded = self.assert_matches(code)
+        assert any(d is not None for d in decoded)
+        for t_seq in all_sequences(4, code.n_total)[::7]:
+            assert joint_typicality_decode(code, code.delta, t_seq) \
+                == reference_decode(code, code.delta, t_seq)
+
+    def test_duplicate_codeword_tie(self):
+        code = self.duplicate_tie()
+        decoded = self.assert_matches(code)
+        dup = ((0, 0, 0), ((0, 0, 0),))
+        assert dup not in decoded  # its twin is typical wherever it is
+        assert any(d is not None for d in decoded)
+
+    def test_decode_delta_differs_from_code_delta(self):
+        code = self.one_family_case3(seed=107)
+        for delta in (0.2, 0.45):
+            self.assert_matches(code, decode_delta=delta)
+
+    def test_noisy_bob_channel(self):
+        code = self.one_family_case3(seed=109)
+        rng = np.random.default_rng(110)
+        w_b = Channel.from_matrix(0.6 * code.chain.mac.bob.matrix
+                                  + 0.4 * rng.dirichlet(np.ones(4), size=4))
+        self.assert_matches(code, w_b=w_b)
+
+
+    def test_counts_split_across_output_blocks(self, monkeypatch):
+        from wtmac import codesim
+
+        monkeypatch.setattr(codesim, "_BLOCK_CELLS", 100)
+        self.assert_matches(self.two_family(seed=111))
+
+    def test_absent_base_on_the_boundary(self):
+        # the all-zero codeword never uses base (1, 1, 1), whose law mass
+        # is 0.25; every present (base, t) deviates by at most 1/8, so the
+        # absent base alone decides at delta = 0.25
+        chain = coupled_chain(noiseless_bob_mac(), p0=0.75)
+        zeros = np.zeros((1, 1, 1, 1, 8), dtype=np.int64)
+        fam = CodebookFamily(chain, 8, (1, 1, 1), (1, 1, 1), 0.25, 0,
+                             zeros[0, 0], zeros, zeros)
+        code = WiretapCode(CaseLabel.CASE3, 2.0, 0.25, 0.25, None, (fam,),
+                           (0.0, 0.0, 0.0))
+        t_seq = np.array([0, 0, 0, 0, 0, 0, 1, 2])
+        for delta, want in ((0.25, ((0, 0, 0), ((0, 0, 0),))),
+                            (np.nextafter(0.25, 0.0), None)):
+            assert reference_decode(code, delta, t_seq) == want
+            assert joint_typicality_decode(code, delta, t_seq) == want
+
+
+class TestBobChannelShape:
+    @pytest.mark.parametrize("t_out", [3, 5])
+    def test_mis_sized_channel_rejected(self, t_out):
+        code = TestReferenceDecode().one_family_case3()
+        w_b = Channel.from_matrix(np.full((4, t_out), 1.0 / t_out))
+        with pytest.raises(ValidationError):
+            average_error(code, w_b, mode="exact")
+        with pytest.raises(ValidationError):
+            average_error(code, w_b, mode="mc", trials=5)
+        with pytest.raises(ValidationError):
+            mac_average_error(code, w_b)
+
+    def test_out_of_alphabet_output_rejected(self):
+        code = TestReferenceDecode().one_family_case3()
+        with pytest.raises(ValidationError):
+            joint_typicality_decode(code, 0.3, np.array([0, 1, 2, 3, 4]))
+
+
+@st.composite
+def random_codes(draw):
+    """A random binary chain, one or two codebook families of arbitrary
+    (not necessarily typical) codewords at n <= 5, and a decode delta."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(2, 3))
+    mac = random_mac(rng, t=t, bob_quality=draw(st.floats(0.0, 0.9)))
+    chain = CodeChain(Dist.from_mass(rng.dirichlet([2, 2])),
+                      Channel.from_matrix(rng.dirichlet([2, 2], size=2)),
+                      Channel.from_matrix(rng.dirichlet([2, 2], size=2)), mac)
+    k = (draw(st.integers(1, 2)), draw(st.integers(1, 2)), 1)
+    lengths = draw(st.sampled_from([(2,), (3,), (4,), (5,), (2, 2), (3, 2)]))
+    families = []
+    for n in lengths:
+        l = (draw(st.integers(1, 2)), draw(st.integers(1, 2)), 1)
+        families.append(CodebookFamily(
+            chain, n, k, l, 0.3, 0,
+            rng.integers(0, 2, (k[0], l[0], n)),
+            rng.integers(0, 2, (k[0], l[0], k[1], l[1], n)),
+            rng.integers(0, 2, (k[0], l[0], k[2], l[2], n))))
+    code = WiretapCode(CaseLabel.CASE3, 2.0, 0.3, 0.25, None,
+                       tuple(families), (0.0, 0.0, 0.0))
+    if draw(st.booleans()):
+        return code, draw(st.floats(0.02, 0.8))
+    # a delta exactly on the typicality boundary of one (codeword, output)
+    # pair of the first family, where the comparison's arithmetic decides
+    fam = families[0]
+    word = fam.codeword((0, 0, 0), (0, 0, 0))
+    seg = rng.integers(0, t, fam.n)
+    zipped, size = zip_sequences(*word, seg, [2, 2, 2, t])
+    freq = np.bincount(zipped, minlength=size).astype(float) / fam.n
+    delta = float(np.max(np.abs(freq - chain.decode_law.mass)))
+    return code, delta
+
+
+class TestDecodeProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(random_codes())
+    def test_decode_equals_reference_on_every_output(self, drawn):
+        code, delta = drawn
+        t_size = code.chain.mac.t_alphabet.size
+        tuples = list(code.index_tuples())
+        seqs = all_sequences(t_size, code.n_total)
+        reference = [reference_decode(code, delta, t) for t in seqs]
+        assert [joint_typicality_decode(code, delta, t) for t in seqs] \
+            == reference
+        assert [None if i < 0 else tuples[i]
+                for i in _decode_all(code, delta)] == reference
 
 
 class TestAverageError:
