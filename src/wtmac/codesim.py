@@ -560,7 +560,7 @@ class _DecodePlan:
             families.append(_FamilyCodewords(start, fam.n, positions, rows,
                                              np.array(absent)))
             start += fam.n
-        l_counts = [len(fam.absent) // len(messages) for fam in families]
+        l_counts = [math.prod(fam.l_sizes) for fam in code.families]
         grid = np.indices((len(messages), *l_counts)).reshape(
             1 + len(families), -1)
         columns = np.stack([grid[0] * count + grid[1 + f]
