@@ -634,13 +634,24 @@ def _decode_all(code: WiretapCode, delta: float) -> np.ndarray:
     return _unique_hits(_typical_matrix(code, delta, seqs))
 
 
-def _channel_row(matrix: np.ndarray, xseq: np.ndarray, yseq: np.ndarray,
-                 y_size: int) -> np.ndarray:
-    """W^(x)n row over all output sequences for one input pair."""
-    row = np.ones(1)
-    for xi, yi in zip(xseq, yseq):
-        row = np.kron(row, matrix[xi * y_size + yi])
-    return row
+def _channel_rows(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                  y_size: int) -> np.ndarray:
+    """Memoryless channel rows over all output sequences (lexicographic), one
+    per input pair; the (m, n) or (n,) arrays ``xs`` and ``ys`` broadcast
+    against each other."""
+    bases = np.atleast_2d(np.asarray(xs) * y_size + ys)
+    rows = np.ones((bases.shape[0], 1))
+    for col in bases.T:
+        step = matrix[col]
+        rows = (rows[:, :, None] * step[:, None, :]).reshape(len(col), -1)
+    return rows
+
+
+def _codeword_pairs(code: WiretapCode) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked x and y codewords of every index tuple, in
+    :meth:`WiretapCode.index_tuples` order (message-major)."""
+    pairs = [code.codeword_pair(k, ls) for k, ls in code.index_tuples()]
+    return np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
 
 
 def _bob_matrix(code: WiretapCode, w_b: Channel | None) -> np.ndarray:
@@ -662,11 +673,8 @@ def _bob_rows(code: WiretapCode, w_b: Channel | None) -> tuple[list, np.ndarray]
     if count * len(tuples) > CELL_BUDGET:
         raise ResourceBudgetError(
             f"exact error needs {count} x {len(tuples)} likelihoods")
-    rows = np.empty((len(tuples), count))
-    for i, (k, ls) in enumerate(tuples):
-        xseq, yseq = code.codeword_pair(k, ls)
-        rows[i] = _channel_row(matrix, xseq, yseq, mac.y_alphabet.size)
-    return tuples, rows
+    return tuples, _channel_rows(matrix, *_codeword_pairs(code),
+                                 mac.y_alphabet.size)
 
 
 @dataclass(frozen=True)
@@ -705,6 +713,8 @@ def average_error(code: WiretapCode, w_b: Channel | None = None,
         return ErrorEstimate(tuple_err, msg_err, "exact")
     if mode != "mc":
         raise ValidationError("mode must be 'exact' or 'mc'")
+    if trials < 1:
+        raise ValidationError(f"Monte Carlo mode needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     mac = code.chain.mac
     matrix = _bob_matrix(code, w_b)
@@ -762,13 +772,14 @@ def eavesdropper_conditionals(code: WiretapCode,
     if z_count * len(messages) > CELL_BUDGET:
         raise ResourceBudgetError(
             f"exact leakage needs {len(messages)} x {z_count} entries")
-    out = np.zeros((len(messages), z_count))
-    for i, k in enumerate(messages):
-        rows = []
-        for ls in _product_l(code.families):
-            xseq, yseq = code.codeword_pair(k, ls)
-            rows.append(_channel_row(matrix, xseq, yseq, mac.y_alphabet.size))
-        out[i] = np.mean(rows, axis=0)
+    # one message's l-tuples at a time, so that the rows held at once are one
+    # message's, not every index tuple's
+    xs, ys = (a.reshape(len(messages), -1, code.n_total)
+              for a in _codeword_pairs(code))
+    out = np.empty((len(messages), z_count))
+    for i in range(len(messages)):
+        out[i] = _channel_rows(matrix, xs[i], ys[i],
+                               mac.y_alphabet.size).mean(axis=0)
     return out
 
 

@@ -27,6 +27,7 @@ from .codesim import (
     CodebookFamily,
     DEFAULT_SLACK,
     DEFAULT_TAIL_EXPONENT,
+    _channel_rows,
     sample_codebook_family,
 )
 from .errors import PreconditionError, ResourceBudgetError
@@ -34,8 +35,8 @@ from .probkit import (
     Alphabet,
     Channel,
     Dist,
-    all_sequences,
     mutual_information,
+    truncated_typical_dist,
     typical_mask,
     typical_membership,
     zip_sequences,
@@ -91,7 +92,6 @@ class _Workspace:
         self.delta = delta
         self.eps = eps
         self.slack = slack
-        self.c_exp = tail_exponent
         mac = chain.mac
         self.nx = mac.x_alphabet.size
         self.ny = mac.y_alphabet.size
@@ -100,56 +100,40 @@ class _Workspace:
         if self.nz ** n > 1 << 20:
             raise ResourceBudgetError(f"|Z|^{n} output space too large")
         joint = chain.joint  # axes (U, X, Y, T, Z)
-        self.h_z_xy = joint.entropy({1, 2, 4}) - joint.entropy({1, 2})
+        h_z_xy = joint.entropy({1, 2, 4}) - joint.entropy({1, 2})
         self.i_z_x_yu = mutual_information(joint, {4}, {1}, {2, 0})
         self.i_z_y_u = mutual_information(joint, {4}, {2}, {0})
         self.i_z_xy = mutual_information(joint, {4}, {1, 2})
         self.i_z_u = mutual_information(joint, {4}, {0})
         self.i_z_yu = mutual_information(joint, {4}, {2, 0})
         self.we = mac.eve.matrix
+        # probability cap of the E1 outputs and typical-draw success floor
+        self.cap = 2.0 ** (-n * (h_z_xy - slack))
+        self.mu = 1.0 - 2.0 * 2.0 ** (-n * tail_exponent * delta ** 2)
 
-        # conditional laws for typicality tests
-        x_rows = np.zeros((self.ny * self.nu, self.nx))
-        for yy in range(self.ny):
-            for uu in range(self.nu):
-                x_rows[yy * self.nu + uu] = chain.x_given_u.matrix[uu]
-        self.x_given_yu = Channel(Alphabet(self.ny * self.nu),
-                                  Alphabet(self.nx), x_rows)
-        z_rows = np.zeros((self.ny * self.nu, self.nz))
-        for yy in range(self.ny):
-            for uu in range(self.nu):
-                z_rows[yy * self.nu + uu] = (
-                    chain.x_given_u.matrix[uu] @ self.we.reshape(
-                        self.nx, self.ny, self.nz)[:, yy, :])
-        self.z_given_yu = Channel(Alphabet(self.ny * self.nu),
-                                  Alphabet(self.nz), z_rows)
+        # conditional laws for typicality tests, context symbol y*|U| + u
+        pair = Alphabet(self.ny * self.nu)
+        self.x_given_yu = Channel(pair, Alphabet(self.nx),
+                                  np.tile(chain.x_given_u.matrix, (self.ny, 1)))
+        we3 = self.we.reshape(self.nx, self.ny, self.nz)
+        z_rows = np.array([chain.x_given_u.matrix[uu] @ we3[:, yy, :]
+                           for yy in range(self.ny) for uu in range(self.nu)])
+        self.z_given_yu = Channel(pair, Alphabet(self.nz), z_rows)
         zu_rows = np.einsum("ux,uy,xyz->uz", chain.x_given_u.matrix,
-                            chain.y_given_u.matrix,
-                            self.we.reshape(self.nx, self.ny, self.nz))
+                            chain.y_given_u.matrix, we3)
         self.z_given_u = Channel(Alphabet(self.nu), Alphabet(self.nz), zu_rows)
-        self.p_z = Dist(Alphabet(self.nz),
-                        joint.marginal_mass({4}))
+        p_z = Dist(Alphabet(self.nz), joint.marginal_mass({4}))
         self._row_cache: dict = {}
-        self._typ_x_cache: dict = {}
-        self._typ_y_cache: dict = {}
+        self._typ_cache: dict = {}
+        self._mask_cache: dict = {}
         self._uy_cache: dict = {}
         self._u_cache: dict = {}
-        self.z_seqs = all_sequences(self.nz, n)
         # plain typical-Z count at delta (threshold denominators)
-        self.t_z_plain = int(typical_mask(self.p_z, delta, n).sum())
+        self.t_z_plain = int(typical_mask(p_z, delta, n).sum())
         big = 4 * self.ny * self.nx * self.nu * delta
-        self.t_z_big_mask = typical_mask(self.p_z, big, n)
+        self.t_z_big_mask = typical_mask(p_z, big, n)
 
     # -- sequence-level pieces ------------------------------------------------
-
-    def batch_rows(self, xs: np.ndarray, yseq: np.ndarray) -> np.ndarray:
-        """Channel-output rows over all output sequences, one per x in the batch."""
-        xs = np.atleast_2d(xs)
-        out = np.ones((xs.shape[0], 1))
-        for i in range(self.n):
-            step = self.we[xs[:, i] * self.ny + yseq[i]]  # (m, nz)
-            out = (out[:, :, None] * step[:, None, :]).reshape(xs.shape[0], -1)
-        return out
 
     def we_row(self, xseq: np.ndarray, yseq: np.ndarray) -> np.ndarray:
         key = (xseq.tobytes(), yseq.tobytes())
@@ -157,110 +141,140 @@ class _Workspace:
         if row is None:
             if len(self._row_cache) > 20000:
                 self._row_cache.clear()
-            row = self.batch_rows(xseq[None, :], yseq)[0]
+            row = _channel_rows(self.we, xseq, yseq, self.ny)[0]
             self._row_cache[key] = row
         return row
 
-    def typical_x_given(self, useq: np.ndarray):
-        key = useq.tobytes()
-        out = self._typ_x_cache.get(key)
+    def typical_given(self, law, useq: np.ndarray | None = None):
+        """Support of ``law``'s truncated typical law (given ``useq`` for a
+        channel) and its masses, both in lexicographic order."""
+        key = (id(law), None if useq is None else useq.tobytes())
+        out = self._typ_cache.get(key)
         if out is None:
-            from .probkit import truncated_typical_dist
-
-            sd = truncated_typical_dist(self.chain.x_given_u, self.n,
-                                        self.delta, useq)
-            sup = sd.support()
-            probs = np.array([sd.prob(s) for s in sup])
-            out = (sup, probs)
-            self._typ_x_cache[key] = out
-        return out
-
-    def typical_y_given(self, useq: np.ndarray):
-        key = useq.tobytes()
-        out = self._typ_y_cache.get(key)
-        if out is None:
-            from .probkit import truncated_typical_dist
-
-            sd = truncated_typical_dist(self.chain.y_given_u, self.n,
-                                        self.delta, useq)
-            sup = sd.support()
-            probs = np.array([sd.prob(s) for s in sup])
-            out = (sup, probs)
-            self._typ_y_cache[key] = out
+            sd = truncated_typical_dist(law, self.n, self.delta, useq)
+            out = (sd.support(), sd.mass[sd.mass > 0.0])
+            self._typ_cache[key] = out
         return out
 
     def e1_mask(self, useq, xseq, yseq) -> np.ndarray:
         """Output-sequence mask: conditionally typical and probability-capped."""
-        zy_mask = self._z_given_yu_mask(useq, yseq)
-        cap = 2.0 ** (-self.n * (self.h_z_xy - self.slack))
-        return zy_mask & (self.we_row(xseq, yseq) <= cap)
+        return (self._z_given_yu_mask(useq, yseq)
+                & (self.we_row(xseq, yseq) <= self.cap))
 
     def _z_given_yu_mask(self, useq, yseq) -> np.ndarray:
-        key = (useq.tobytes(), yseq.tobytes(), "zyu")
-        mask = self._uy_cache.get(key)
+        key = (useq.tobytes(), yseq.tobytes())
+        mask = self._mask_cache.get(key)
         if mask is None:
             ctx, _ = zip_sequences(yseq, useq, [self.ny, self.nu])
             mask = typical_mask(self.z_given_yu, 2 * self.nx * self.delta,
                                 self.n, ctx)
-            self._uy_cache[key] = mask
+            self._mask_cache[key] = mask
         return mask
 
     def theta_uy(self, useq, yseq):
-        """Exact reference measure given (u, y) and its support threshold."""
+        """Exact reference measure given (u, y), cut to its support, and
+        that support."""
         key = (useq.tobytes(), yseq.tobytes())
         out = self._uy_cache.get(key)
         if out is None:
-            xs, probs = self.typical_x_given(useq)
-            rows = self.batch_rows(xs, yseq)
+            xs, probs = self.typical_given(self.chain.x_given_u, useq)
+            rows = _channel_rows(self.we, xs, yseq, self.ny)
             zy_mask = self._z_given_yu_mask(useq, yseq)
-            cap = 2.0 ** (-self.n * (self.h_z_xy - self.slack))
-            masks = zy_mask[None, :] & (rows <= cap)
+            masks = zy_mask[None, :] & (rows <= self.cap)
             theta = probs @ (rows * masks)
             count = max(int(zy_mask.sum()), 1)
             f1 = zy_mask & (theta >= self.eps / count)
-            theta_hat = theta * f1
-            out = (theta, theta_hat, f1)
+            out = (theta * f1, f1)
             self._uy_cache[key] = out
         return out
 
+    def inner_rows(self, useq, xs, yseq) -> np.ndarray:
+        """Output rows of the inner sequences ``xs`` given (u, y), zeroed
+        off E2: typical given (y, u), probability-capped, on the support of
+        the (u, y) reference."""
+        _, f1 = self.theta_uy(useq, yseq)
+        rows = _channel_rows(self.we, xs, yseq, self.ny)
+        e2 = ((self._z_given_yu_mask(useq, yseq) & f1)[None, :]
+              & (rows <= self.cap))
+        return rows * e2
+
+    def inner_mean(self, useq, xs, yseq):
+        """Average E2 row of ``xs`` and the (u, y) reference it concentrates
+        around."""
+        return (self.inner_rows(useq, xs, yseq).mean(axis=0),
+                self.theta_uy(useq, yseq)[0])
+
     def theta_u(self, useq):
-        """Exact reference measure given u alone (pairs enumerated)."""
+        """Exact reference measure given u alone (pairs enumerated), cut to
+        its support, and that support."""
         key = useq.tobytes()
         out = self._u_cache.get(key)
         if out is None:
-            xs, xp = self.typical_x_given(useq)
-            ys, yp = self.typical_y_given(useq)
-            cap = 2.0 ** (-self.n * (self.h_z_xy - self.slack))
+            xs, xp = self.typical_given(self.chain.x_given_u, useq)
+            ys, yp = self.typical_given(self.chain.y_given_u, useq)
             theta = np.zeros(self.nz ** self.n)
             for yseq, pyv in zip(ys, yp):
-                _, _, f1 = self.theta_uy(useq, yseq)
-                zy_mask = self._z_given_yu_mask(useq, yseq)
-                rows = self.batch_rows(xs, yseq)
-                e2 = (zy_mask & f1)[None, :] & (rows <= cap)
-                theta += pyv * (xp @ (rows * e2))
+                theta += pyv * (xp @ self.inner_rows(useq, xs, yseq))
             ctx = np.asarray(useq, dtype=np.int64)
             zmask = typical_mask(self.z_given_u,
                                  3 * self.ny * self.nx * self.delta,
                                  self.n, ctx)
             count = max(int(zmask.sum()), 1)
             f2 = zmask & (theta >= self.eps / count)
-            out = (theta, theta * f2, f2)
+            out = (theta * f2, f2)
             self._u_cache[key] = out
         return out
 
+    def pair_mean(self, fam: CodebookFamily, a: int):
+        """Average E0 row over the (x, y) pairs of shared index ``a`` and the
+        per-u reference it concentrates around."""
+        _, l1, l2 = fam.l_sizes
+        useq = fam.u[0, a]
+        theta_hat_u, f2 = self.theta_u(useq)
+        mean = np.zeros_like(theta_hat_u)
+        for b in range(l1):
+            for c in range(l2):
+                xseq = fam.x[0, a, 0, b]
+                yseq = fam.y[0, a, 0, c]
+                _, f1 = self.theta_uy(useq, yseq)
+                e0 = self.e1_mask(useq, xseq, yseq) & f1 & f2
+                mean += self.we_row(xseq, yseq) * e0
+        mean /= l1 * l2
+        return mean, theta_hat_u
+
+    # -- bound formulas -------------------------------------------------------
+
+    def tail(self, size: int, info: float, denom: float) -> float:
+        """One-sided corridor tail of a mean over ``size`` draws whose
+        output information is ``info``."""
+        return math.exp(-size * self.eps ** 3
+                        * 2.0 ** (-self.n * (info + 2 * self.slack))
+                        / (denom * LN2))
+
     def typical_fraction_threshold(self, size: int) -> float:
-        mu = 1.0 - 2.0 * 2.0 ** (-self.n * self.c_exp * self.delta ** 2)
-        return (1.0 - self.eps) * mu * size
+        return (1.0 - self.eps) * self.mu * size
 
     def star_bound(self, size: int) -> float:
-        mu = 1.0 - 2.0 * 2.0 ** (-self.n * self.c_exp * self.delta ** 2)
-        if mu <= 0.0:
+        if self.mu <= 0.0:
             return 1.0
-        return min(math.exp(-size * self.eps ** 2 * mu / (2.0 * LN2)), 1.0)
+        return min(math.exp(-size * self.eps ** 2 * self.mu / (2.0 * LN2)), 1.0)
 
 
-def _three_sigma(freq: float, events: int) -> float:
-    return 3.0 * math.sqrt(max(freq * (1.0 - freq), 1e-12) / max(events, 1))
+def _check(name: str, bound: float, freq: float, events: int,
+           note: str = "") -> LemmaCheck:
+    """A vacuous bound (>= 1) is never exceeded; any other is exceeded when
+    the frequency beats it by more than three binomial standard deviations."""
+    sigma3 = 3.0 * math.sqrt(max(freq * (1.0 - freq), 1e-12) / max(events, 1))
+    return LemmaCheck(name=name, bound=bound, empirical=freq, events=events,
+                      vacuous=bound >= 1.0,
+                      exceeded=bound < 1.0 and freq - sigma3 > bound,
+                      note=note)
+
+
+def _outside(mean: np.ndarray, ref: np.ndarray, width: float) -> np.ndarray:
+    """Outputs where ``mean`` leaves the (1 +/- width) corridor of ``ref``."""
+    return ((mean > (1.0 + width) * ref + 1e-15)
+            | (mean < (1.0 - width) * ref - 1e-15))
 
 
 def concentration_report(family: CodebookFamily, eps: float, *,
@@ -283,6 +297,8 @@ def concentration_report(family: CodebookFamily, eps: float, *,
         raise PreconditionError("the eavesdropper channel must match the chain")
     if not 0.0 < eps < 0.5:
         raise PreconditionError(f"need 0 < eps < 1/2, got {eps}")
+    if resamples < 1:
+        raise PreconditionError(f"need at least one resample, got {resamples}")
     chain = family.chain
     n = family.n
     l0, l1, l2 = family.l_sizes
@@ -300,27 +316,19 @@ def concentration_report(family: CodebookFamily, eps: float, *,
     fams = [sample_codebook_family(chain, n, family.l_sizes, family.delta,
                                    seed + 7919 * i) for i in range(resamples)]
 
-    checks: list[LemmaCheck] = []
-    notes: list[str] = []
-
     if l1 == 1 and l2 == 1:
-        checks += _case3_checks(ws, fams, l0)
-    elif l2 == 1:
-        checks += _pair_typicality_check(ws, fams, inner="x")
-        checks += _mean_corridor_check(ws, fams, inner="x")
-        checks += _outer_mean_check_case2(ws, fams)
-        notes.append("outer reference measure estimated from the resamples")
+        return ConcentrationReport(_case3_checks(ws, fams, l0), params)
+    checks = [_pair_typicality_check(ws, fams), _mean_corridor_check(ws, fams)]
+    if l2 == 1:
+        checks.append(_outer_mean_check_case2(ws, fams))
     else:
-        checks += _pair_typicality_check(ws, fams, inner="x")
-        checks += _mean_corridor_check(ws, fams, inner="x")
-        checks += _joint_mean_check(ws, fams)
-        checks += _outer_mean_check_case1(ws, fams)
-        notes.append("outer reference measure estimated from the resamples")
-
-    return ConcentrationReport(checks, params, notes=tuple(notes))
+        checks += [_joint_mean_check(ws, fams), _outer_mean_check_case1(ws, fams)]
+    return ConcentrationReport(
+        checks, params,
+        notes=("outer reference measure estimated from the resamples",))
 
 
-def _pair_typicality_check(ws: _Workspace, fams, inner: str) -> list:
+def _pair_typicality_check(ws: _Workspace, fams) -> LemmaCheck:
     """Fraction of inner sequences jointly typical with each partner sequence."""
     l0, l1, l2 = fams[0].l_sizes
     threshold = ws.typical_fraction_threshold(l1)
@@ -339,229 +347,121 @@ def _pair_typicality_check(ws: _Workspace, fams, inner: str) -> list:
                 events += 1
                 if good < threshold:
                     failures += 1
-    freq = failures / events
-    bound = ws.star_bound(l1)
-    return [LemmaCheck(
-        name="typical-fraction (inner sequences vs partner)",
-        bound=bound, empirical=freq, events=events,
-        vacuous=bound >= 1.0,
-        exceeded=bound < 1.0 and freq - _three_sigma(freq, events) > bound,
-    )]
+    return _check("typical-fraction (inner sequences vs partner)",
+                  ws.star_bound(l1), failures / events, events)
 
 
-def _mean_corridor_check(ws: _Workspace, fams, inner: str) -> list:
+def _mean_corridor_check(ws: _Workspace, fams) -> LemmaCheck:
     """Per-output concentration of the inner empirical channel average."""
     l0, l1, l2 = fams[0].l_sizes
-    bound = min(2.0 * math.exp(
-        -l1 * ws.eps ** 3
-        * 2.0 ** (-ws.n * (ws.i_z_x_yu + 2 * ws.slack)) / (2.0 * LN2)), 1.0)
-    worst = 0.0
     events = 0
     fail_by_z = np.zeros(ws.nz ** ws.n)
     for fam in fams:
         for a in range(l0):
-            useq = fam.u[0, a]
             for c in range(l2):
-                yseq = fam.y[0, a, 0, c]
-                _, theta_hat, f1 = ws.theta_uy(useq, yseq)
-                rows = ws.batch_rows(fam.x[0, a, 0, :, :], yseq)
-                cap = 2.0 ** (-ws.n * (ws.h_z_xy - ws.slack))
-                zy_mask = ws._z_given_yu_mask(useq, yseq)
-                e2 = (zy_mask & f1)[None, :] & (rows <= cap)
-                mean = (rows * e2).mean(axis=0)
-                bad = (mean > (1.0 + ws.eps) * theta_hat + 1e-15) | \
-                      (mean < (1.0 - ws.eps) * theta_hat - 1e-15)
-                fail_by_z += bad
+                fail_by_z += _outside(*ws.inner_mean(fam.u[0, a], fam.x[0, a, 0],
+                                                     fam.y[0, a, 0, c]), ws.eps)
                 events += 1
-    freq = float(fail_by_z.max()) / events
-    return [LemmaCheck(
-        name="inner-mean corridor (per output sequence)",
-        bound=bound, empirical=freq, events=events,
-        vacuous=bound >= 1.0,
-        exceeded=bound < 1.0 and freq - _three_sigma(freq, events) > bound,
-    )]
+    return _check("inner-mean corridor (per output sequence)",
+                  min(2.0 * ws.tail(l1, ws.i_z_x_yu, 2.0), 1.0),
+                  float(fail_by_z.max()) / events, events)
 
 
-def _joint_mean_check(ws: _Workspace, fams) -> list:
+def _joint_mean_check(ws: _Workspace, fams) -> LemmaCheck:
     """Concentration of the pair-averaged output law around the per-u reference."""
     l0, l1, l2 = fams[0].l_sizes
-    bound = min(
-        2.0 * ws.ny ** ws.n * math.exp(
-            -l1 * ws.eps ** 3
-            * 2.0 ** (-ws.n * (ws.i_z_x_yu + 2 * ws.slack)) / (2.0 * LN2))
-        + 2.0 * math.exp(
-            -l2 * ws.eps ** 3
-            * 2.0 ** (-ws.n * (ws.i_z_y_u + 2 * ws.slack)) / (4.0 * LN2)),
-        1.0)
+    bound = min(2.0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
+                + 2.0 * ws.tail(l2, ws.i_z_y_u, 4.0), 1.0)
     fail_by_z = np.zeros(ws.nz ** ws.n)
     events = 0
     for fam in fams:
         for a in range(l0):
-            useq = fam.u[0, a]
-            _, theta_hat_u, f2 = ws.theta_u(useq)
-            mean = np.zeros_like(theta_hat_u)
-            for b in range(l1):
-                for c in range(l2):
-                    xseq = fam.x[0, a, 0, b]
-                    yseq = fam.y[0, a, 0, c]
-                    _, _, f1 = ws.theta_uy(useq, yseq)
-                    e0 = ws.e1_mask(useq, xseq, yseq) & f1 & f2
-                    mean += ws.we_row(xseq, yseq) * e0
-            mean /= l1 * l2
-            bad = (mean > (1.0 + 3 * ws.eps) * theta_hat_u + 1e-15) | \
-                  (mean < (1.0 - 3 * ws.eps) * theta_hat_u - 1e-15)
-            fail_by_z += bad
+            fail_by_z += _outside(*ws.pair_mean(fam, a), 3 * ws.eps)
             events += 1
-    freq = float(fail_by_z.max()) / events
-    return [LemmaCheck(
-        name="pair-mean corridor (per shared sequence)",
-        bound=bound, empirical=freq, events=events,
-        vacuous=bound >= 1.0,
-        exceeded=bound < 1.0 and freq - _three_sigma(freq, events) > bound,
-    )]
+    return _check("pair-mean corridor (per shared sequence)", bound,
+                  float(fail_by_z.max()) / events, events)
 
 
-def _family_mean_case1(ws: _Workspace, fam) -> tuple[np.ndarray, np.ndarray]:
-    """Family-wide averaged output measure and the all-shared success mask."""
-    l0, l1, l2 = fam.l_sizes
-    total = np.zeros(ws.nz ** ws.n)
-    ok = np.ones(ws.nz ** ws.n, dtype=bool)
-    theta_first = None
-    for a in range(l0):
-        useq = fam.u[0, a]
-        _, theta_hat_u, f2 = ws.theta_u(useq)
-        mean = np.zeros_like(theta_hat_u)
-        for b in range(l1):
-            for c in range(l2):
-                xseq = fam.x[0, a, 0, b]
-                yseq = fam.y[0, a, 0, c]
-                _, _, f1 = ws.theta_uy(useq, yseq)
-                e0 = ws.e1_mask(useq, xseq, yseq) & f1 & f2
-                mean += ws.we_row(xseq, yseq) * e0
-        mean /= l1 * l2
-        ok &= (mean <= (1.0 + 3 * ws.eps) * theta_hat_u + 1e-15) & \
-              (mean >= (1.0 - 3 * ws.eps) * theta_hat_u - 1e-15)
-        total += mean
-        if a == 0:
-            theta_first = theta_hat_u
-    return total / l0, ok, theta_first
-
-
-def _outer_mean_check_case1(ws: _Workspace, fams) -> list:
-    l0, l1, l2 = fams[0].l_sizes
-    bound = min(
-        2.0 * l0 * ws.ny ** ws.n * math.exp(
-            -l1 * ws.eps ** 3
-            * 2.0 ** (-ws.n * (ws.i_z_x_yu + 2 * ws.slack)) / (2.0 * LN2))
-        + 2.0 * l0 * math.exp(
-            -l2 * ws.eps ** 3
-            * 2.0 ** (-ws.n * (ws.i_z_y_u + 2 * ws.slack)) / (4.0 * LN2))
-        + 2.0 * math.exp(
-            -l0 * ws.eps ** 3
-            * 2.0 ** (-ws.n * (ws.i_z_u + 2 * ws.slack)) / (4.0 * LN2)),
-        1.0)
-    per_fam = [_family_mean_case1(ws, fam) for fam in fams]
-    # estimated conditional reference: average first-u measure over successes
-    acc = np.zeros(ws.nz ** ws.n)
-    cnt = np.zeros(ws.nz ** ws.n)
-    for _, ok, theta_first in per_fam:
-        acc += np.where(ok, theta_first, 0.0)
-        cnt += ok
-    theta_est = np.divide(acc, np.maximum(cnt, 1.0))
-    support = ws.t_z_big_mask & (theta_est >= 1.0 /
-                                 max(int(ws.t_z_big_mask.sum()), 1))
-    theta_hat = theta_est * support
-    fail_by_z = np.zeros(ws.nz ** ws.n)
-    for mean, _, _ in per_fam:
-        bad = support & ((mean > (1.0 + 5 * ws.eps) * theta_hat + 1e-15)
-                         | (mean < (1.0 - 5 * ws.eps) * theta_hat - 1e-15))
-        fail_by_z += bad
-    freq = float(fail_by_z.max()) / len(fams)
-    return [LemmaCheck(
-        name="family-mean corridor (common index, estimated reference)",
-        bound=bound, empirical=freq, events=len(fams),
-        vacuous=bound >= 1.0,
-        exceeded=bound < 1.0 and freq - _three_sigma(freq, len(fams)) > bound,
-        note="reference measure estimated from resamples",
-    )]
-
-
-def _outer_mean_check_case2(ws: _Workspace, fams) -> list:
-    l0, l1, _ = fams[0].l_sizes
-    bound = min(
-        2.0 * l0 * math.exp(
-            -l1 * ws.eps ** 3
-            * 2.0 ** (-ws.n * (ws.i_z_x_yu + 2 * ws.slack)) / (2.0 * LN2))
-        + 2.0 * math.exp(
-            -l0 * ws.eps ** 3
-            * 2.0 ** (-ws.n * (ws.i_z_yu + 2 * ws.slack)) / (4.0 * LN2)),
-        1.0)
-    per_fam = []
-    cap = 2.0 ** (-ws.n * (ws.h_z_xy - ws.slack))
+def _family_means(ws: _Workspace, fams, mean_of, width: float) -> list:
+    """Per family: the average over shared indices a of ``mean_of(fam, a)``'s
+    means, the outputs where every one of them stays within ``width`` of its
+    reference, and index 0's reference."""
+    out = []
     for fam in fams:
+        l0 = fam.l_sizes[0]
         total = np.zeros(ws.nz ** ws.n)
         ok = np.ones(ws.nz ** ws.n, dtype=bool)
-        theta_first = None
         for a in range(l0):
-            useq = fam.u[0, a]
-            yseq = fam.y[0, a, 0, 0]
-            _, theta_hat_uy, f1 = ws.theta_uy(useq, yseq)
-            zy_mask = ws._z_given_yu_mask(useq, yseq)
-            rows = ws.batch_rows(fam.x[0, a, 0, :, :], yseq)
-            e2 = (zy_mask & f1)[None, :] & (rows <= cap)
-            mean = (rows * e2).mean(axis=0)
-            ok &= (mean <= (1.0 + ws.eps) * theta_hat_uy + 1e-15) & \
-                  (mean >= (1.0 - ws.eps) * theta_hat_uy - 1e-15)
+            mean, ref = mean_of(fam, a)
+            ok &= ~_outside(mean, ref, width)
             total += mean
             if a == 0:
-                theta_first = theta_hat_uy
-        per_fam.append((total / l0, ok, theta_first))
+                first = ref
+        out.append((total / l0, ok, first))
+    return out
+
+
+def _estimated_reference_check(ws: _Workspace, per_fam, floor: float,
+                               width: float, name: str,
+                               bound: float) -> LemmaCheck:
+    """Corridor check of the family means around a reference estimated as the
+    average index-0 reference over the families whose indices all passed,
+    kept where it reaches ``floor`` on the enlarged typical output set."""
     acc = np.zeros(ws.nz ** ws.n)
     cnt = np.zeros(ws.nz ** ws.n)
-    for _, ok, theta_first in per_fam:
-        acc += np.where(ok, theta_first, 0.0)
+    for _, ok, first in per_fam:
+        acc += np.where(ok, first, 0.0)
         cnt += ok
     theta_est = np.divide(acc, np.maximum(cnt, 1.0))
-    support = ws.t_z_big_mask & (theta_est >= ws.eps / max(ws.t_z_plain, 1))
+    support = ws.t_z_big_mask & (theta_est >= floor)
     theta_hat = theta_est * support
     fail_by_z = np.zeros(ws.nz ** ws.n)
     for mean, _, _ in per_fam:
-        bad = support & ((mean > (1.0 + 3 * ws.eps) * theta_hat + 1e-15)
-                         | (mean < (1.0 - 3 * ws.eps) * theta_hat - 1e-15))
-        fail_by_z += bad
-    freq = float(fail_by_z.max()) / len(fams)
-    return [LemmaCheck(
-        name="family-mean corridor (single partner, estimated reference)",
-        bound=bound, empirical=freq, events=len(fams),
-        vacuous=bound >= 1.0,
-        exceeded=bound < 1.0 and freq - _three_sigma(freq, len(fams)) > bound,
-        note="reference measure estimated from resamples",
-    )]
+        fail_by_z += support & _outside(mean, theta_hat, width)
+    return _check(name, bound, float(fail_by_z.max()) / len(per_fam),
+                  len(per_fam), note="reference measure estimated from resamples")
+
+
+def _outer_mean_check_case1(ws: _Workspace, fams) -> LemmaCheck:
+    l0, l1, l2 = fams[0].l_sizes
+    bound = min(2.0 * l0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
+                + 2.0 * l0 * ws.tail(l2, ws.i_z_y_u, 4.0)
+                + 2.0 * ws.tail(l0, ws.i_z_u, 4.0), 1.0)
+    per_fam = _family_means(ws, fams, ws.pair_mean, 3 * ws.eps)
+    return _estimated_reference_check(
+        ws, per_fam, 1.0 / max(int(ws.t_z_big_mask.sum()), 1), 5 * ws.eps,
+        "family-mean corridor (common index, estimated reference)", bound)
+
+
+def _outer_mean_check_case2(ws: _Workspace, fams) -> LemmaCheck:
+    l0, l1, _ = fams[0].l_sizes
+    bound = min(2.0 * l0 * ws.tail(l1, ws.i_z_x_yu, 2.0)
+                + 2.0 * ws.tail(l0, ws.i_z_yu, 4.0), 1.0)
+    per_fam = _family_means(
+        ws, fams,
+        lambda fam, a: ws.inner_mean(fam.u[0, a], fam.x[0, a, 0],
+                                     fam.y[0, a, 0, 0]),
+        ws.eps)
+    return _estimated_reference_check(
+        ws, per_fam, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,
+        "family-mean corridor (single partner, estimated reference)", bound)
 
 
 def _case3_checks(ws: _Workspace, fams, l0: int) -> list:
-    threshold = ws.typical_fraction_threshold(l0)
-    star_fail = 0
-    cap = 2.0 ** (-ws.n * (ws.h_z_xy - ws.slack))
     # exact reference over the full typical triple enumeration
     theta = np.zeros(ws.nz ** ws.n)
-    from .probkit import truncated_typical_dist
-
-    u_law = truncated_typical_dist(ws.chain.p_u, ws.n, ws.delta)
-    for useq in u_law.support():
-        pu = u_law.prob(useq)
-        xs, xp = ws.typical_x_given(useq)
-        ys, yp = ws.typical_y_given(useq)
+    for useq, pu in zip(*ws.typical_given(ws.chain.p_u)):
+        xs, xp = ws.typical_given(ws.chain.x_given_u, useq)
+        ys, yp = ws.typical_given(ws.chain.y_given_u, useq)
         for yseq, pyv in zip(ys, yp):
             for xseq, pxv in zip(xs, xp):
                 row = ws.we_row(xseq, yseq)
-                e3 = ws.t_z_big_mask & (row <= cap)
+                e3 = ws.t_z_big_mask & (row <= ws.cap)
                 theta += pu * pxv * pyv * row * e3
     f3 = ws.t_z_big_mask & (theta >= ws.eps / max(ws.t_z_plain, 1))
     theta_hat = theta * f3
-    mean_bound = min(2.0 * math.exp(
-        -l0 * ws.eps ** 3
-        * 2.0 ** (-ws.n * (ws.i_z_xy + 2 * ws.slack)) / (2.0 * LN2)), 1.0)
+    threshold = ws.typical_fraction_threshold(l0)
+    star_fail = 0
     fail_by_z = np.zeros(ws.nz ** ws.n)
     for fam in fams:
         good = 0
@@ -574,29 +474,16 @@ def _case3_checks(ws: _Workspace, fams, l0: int) -> list:
             if typical_membership(ws.x_given_yu, xseq, ws.delta, ctx):
                 good += 1
             row = ws.we_row(xseq, yseq)
-            mean += row * (ws.t_z_big_mask & (row <= cap))
+            mean += row * (ws.t_z_big_mask & (row <= ws.cap))
         if good < threshold:
             star_fail += 1
         mean /= l0
-        bad = f3 & ((mean > (1.0 + ws.eps) * theta_hat + 1e-15)
-                    | (mean < (1.0 - ws.eps) * theta_hat - 1e-15))
-        fail_by_z += bad
-    star_freq = star_fail / len(fams)
-    star_bound = ws.star_bound(l0)
-    mean_freq = float(fail_by_z.max()) / len(fams)
+        fail_by_z += f3 & _outside(mean, theta_hat, ws.eps)
+    events = len(fams)
     return [
-        LemmaCheck(
-            name="typical-fraction (shared-index pairs)",
-            bound=star_bound, empirical=star_freq, events=len(fams),
-            vacuous=star_bound >= 1.0,
-            exceeded=star_bound < 1.0
-            and star_freq - _three_sigma(star_freq, len(fams)) > star_bound,
-        ),
-        LemmaCheck(
-            name="family-mean corridor (exact reference)",
-            bound=mean_bound, empirical=mean_freq, events=len(fams),
-            vacuous=mean_bound >= 1.0,
-            exceeded=mean_bound < 1.0
-            and mean_freq - _three_sigma(mean_freq, len(fams)) > mean_bound,
-        ),
+        _check("typical-fraction (shared-index pairs)", ws.star_bound(l0),
+               star_fail / events, events),
+        _check("family-mean corridor (exact reference)",
+               min(2.0 * ws.tail(l0, ws.i_z_xy, 2.0), 1.0),
+               float(fail_by_z.max()) / events, events),
     ]

@@ -29,16 +29,13 @@ from .regions import (
     CaseLabel,
     InfoProfile,
     RatePolytope,
+    _pos,
     alpha_bounds_case2,
     classify_profile,
     elementary_region,
     info_profile,
     region_common,
 )
-
-
-def _pos(x: float) -> float:
-    return x if x > 0.0 else 0.0
 
 
 @dataclass(frozen=True)

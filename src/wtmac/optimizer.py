@@ -263,14 +263,20 @@ def _achievable_polytopes(p: FactoredInput, mode) -> list[tuple[CaseLabel, objec
     return out
 
 
+def _case_vertices(p: FactoredInput, mode):
+    """(case, vertices) of each achievable region of p; a union region
+    stacks its pieces' vertices."""
+    for case, region in _achievable_polytopes(p, mode):
+        if isinstance(region, RatePolytope):
+            yield case, region.vertices()
+        else:
+            yield case, np.vstack([poly.vertices() for _, poly in region.pieces])
+
+
 def _best_along(p: FactoredInput, mode, weights: np.ndarray):
     """Best weighted rate achieved by p, with the witnessing case and vertex."""
     best = (0.0, None, None)
-    for case, region in _achievable_polytopes(p, mode):
-        if isinstance(region, RatePolytope):
-            verts = region.vertices()
-        else:
-            verts = np.vstack([poly.vertices() for _, poly in region.pieces])
+    for case, verts in _case_vertices(p, mode):
         if verts.shape[0] == 0:
             continue
         scores = verts @ weights
@@ -322,14 +328,8 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
             break
         evaluations += 1
         p = par.build(params)
-        vertex_sets = []
-        for case, region in _achievable_polytopes(p, mode):
-            if isinstance(region, RatePolytope):
-                verts = region.vertices()
-            else:
-                verts = np.vstack([poly.vertices() for _, poly in region.pieces])
-            if verts.shape[0]:
-                vertex_sets.append(verts)
+        vertex_sets = [verts for _, verts in _case_vertices(p, mode)
+                       if verts.shape[0]]
         if not vertex_sets:
             continue
         all_verts = np.vstack(vertex_sets)

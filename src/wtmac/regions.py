@@ -371,11 +371,6 @@ class RatePolytope:
         )
 
 
-def polytope_contains(poly: RatePolytope, point, tol: float = 1e-9) -> bool:
-    """Membership of a rate point, all constraints and nonnegativity within tol."""
-    return poly.contains(point, tol)
-
-
 def _resolve(p_or_prof, u_independent):
     if isinstance(p_or_prof, FactoredInput):
         return info_profile(p_or_prof), p_or_prof.u_independent()

@@ -166,3 +166,25 @@ class TestResourceExit:
                     "--delta", "0.45", "--slack", "0.25"])
         assert code == 2
         assert "budget" in capsys.readouterr().err
+
+
+class TestInvalidArgumentExit:
+    def test_mc_without_trials_exits_one(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        mac = constant_eve_mac(rng, t=4)
+        ch = tmp_path / "ch.json"
+        ch.write_text(mac.to_json())
+        p = {"P_U": [0.5, 0.5],
+             "P_V1_given_U": [[1, 0], [0, 1]],
+             "P_V2_given_U": [[1, 0], [0, 1]],
+             "P_X_given_V1": [[1, 0], [0, 1]],
+             "P_Y_given_V2": [[1, 0], [0, 1]]}
+        pp = tmp_path / "p.json"
+        pp.write_text(json.dumps(p))
+        code = run(["simulate", "--channel", str(ch), "--p", str(pp),
+                    "--case", "3", "--hc", "2.0", "--n", "4",
+                    "--delta", "0.3", "--slack", "0.25",
+                    "--mc", "--trials", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") for line in err.splitlines())

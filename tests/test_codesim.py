@@ -11,6 +11,7 @@ from wtmac.codesim import (
     CodebookFamily,
     WiretapCode,
     _bob_rows,
+    _channel_rows,
     _decode_all,
     average_error,
     build_wiretap_code,
@@ -36,9 +37,11 @@ from wtmac.probkit import (
     Dist,
     WiretapMAC,
     all_sequences,
+    truncated_typical_dist,
     typical_membership,
     zip_sequences,
 )
+from wtmac.concentration import _Workspace, _check
 from wtmac.regions import CaseLabel
 
 
@@ -100,6 +103,15 @@ def reference_errors(code, delta, w_b=None):
         msg_err += weight * float(rows[i] @ wrong_msg)
         mac_err += float(rows[i] @ wrong_tuple)
     return decoded, tuple_err, msg_err, mac_err / len(tuples)
+
+
+def reference_channel_row(matrix, xseq, yseq, y_size):
+    """W^(x)n row over all output sequences for one input pair, one
+    Kronecker factor per position."""
+    row = np.ones(1)
+    for xi, yi in zip(xseq, yseq):
+        row = np.kron(row, matrix[xi * y_size + yi])
+    return row
 
 
 class TestSampling:
@@ -576,6 +588,66 @@ class TestAverageError:
                                                 abs=1e-12)
 
 
+class TestTrialCount:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_non_positive_trials_rejected_in_mc_mode(self, trials):
+        code = TestAverageError().build_tiny_code()
+        with pytest.raises(ValidationError):
+            average_error(code, mode="mc", trials=trials)
+        with pytest.raises(ValidationError):
+            simulate_report(code, mode="mc", trials=trials)
+
+    def test_exact_mode_ignores_trials(self):
+        code = TestAverageError().build_tiny_code()
+        assert average_error(code, mode="exact", trials=0) \
+            == average_error(code, mode="exact")
+
+
+class TestChannelRows:
+    """The batched row kernel against the per-pair Kronecker reference."""
+
+    def code(self):
+        rng = np.random.default_rng(121)
+        chain = chain_for(random_mac(rng, t=3, z=3))
+        fam1 = sample_codebook_family(chain, 3, (2, 2, 1), 0.4, seed=122,
+                                      k_sizes=(2, 1, 1))
+        fam2 = sample_codebook_family(chain, 2, (1, 1, 2), 0.5, seed=123,
+                                      k_sizes=(2, 1, 1))
+        return WiretapCode(CaseLabel.CASE1, 2.0, 0.4, 0.25, 0.6, (fam1, fam2),
+                           (0.0, 0.0, 0.0))
+
+    def test_rows_equal_reference(self):
+        rng = np.random.default_rng(124)
+        matrix = rng.dirichlet(np.ones(3), size=6)  # |X| = 3, |Y| = 2
+        xs = rng.integers(0, 3, (7, 4))
+        ys = rng.integers(0, 2, (7, 4))
+        rows = _channel_rows(matrix, xs, ys, 2)
+        assert rows.shape == (7, 3 ** 4)
+        for x, y, row in zip(xs, ys, rows):
+            assert np.array_equal(row, reference_channel_row(matrix, x, y, 2))
+        # one y broadcast against many x, and a single pair
+        shared = _channel_rows(matrix, xs, ys[0], 2)
+        for x, row in zip(xs, shared):
+            assert np.array_equal(row, reference_channel_row(matrix, x, ys[0], 2))
+        assert np.array_equal(_channel_rows(matrix, xs[3], ys[3], 2)[0],
+                              reference_channel_row(matrix, xs[3], ys[3], 2))
+
+    def test_bob_and_eve_rows_equal_reference(self):
+        code = self.code()
+        mac = code.chain.mac
+        tuples, rows = _bob_rows(code, None)
+        want = [reference_channel_row(mac.bob.matrix, *code.codeword_pair(k, ls),
+                                      mac.y_alphabet.size) for k, ls in tuples]
+        assert np.array_equal(rows, np.array(want))
+        cond = eavesdropper_conditionals(code)
+        for i, k in enumerate(code.messages()):
+            per_l = [reference_channel_row(mac.eve.matrix,
+                                           *code.codeword_pair(k2, ls),
+                                           mac.y_alphabet.size)
+                     for k2, ls in tuples if k2 == k]
+            assert np.array_equal(cond[i], np.mean(per_l, axis=0))
+
+
 class TestLeakage:
     def test_constant_eve_zero(self):
         rng = np.random.default_rng(31)
@@ -751,6 +823,80 @@ class TestConcentration:
         obj = concentration_report(fam, eps=0.3, resamples=15,
                                    seed=65).to_json_dict()
         assert obj["params"]["n"] == 4 and isinstance(obj["checks"], list)
+
+
+class TestConcentrationContract:
+    """Check names, event counts and notes of each family shape, derived from
+    the L sizes and the resample count."""
+
+    INNER = "typical-fraction (inner sequences vs partner)"
+    CORRIDOR = "inner-mean corridor (per output sequence)"
+    ESTIMATED = "outer reference measure estimated from the resamples"
+
+    def report(self, l_sizes, resamples):
+        chain = TestConcentration().chain(seed=131)
+        fam = sample_codebook_family(chain, 4, l_sizes, 0.45, seed=132)
+        return concentration_report(fam, eps=0.3, resamples=resamples, seed=133)
+
+    def expected(self, l_sizes, r):
+        l0, _, l2 = l_sizes
+        if l_sizes[1:] == (1, 1):
+            return ([("typical-fraction (shared-index pairs)", r, ""),
+                     ("family-mean corridor (exact reference)", r, "")], ())
+        inner = [(self.INNER, r * l0 * l2, ""), (self.CORRIDOR, r * l0 * l2, "")]
+        estimated = "reference measure estimated from resamples"
+        if l2 == 1:
+            outer = [("family-mean corridor (single partner, estimated "
+                      "reference)", r, estimated)]
+        else:
+            outer = [("pair-mean corridor (per shared sequence)", r * l0, ""),
+                     ("family-mean corridor (common index, estimated "
+                      "reference)", r, estimated)]
+        return inner + outer, (self.ESTIMATED,)
+
+    @pytest.mark.parametrize("l_sizes", [(3, 1, 1), (2, 3, 1), (3, 2, 2)])
+    @pytest.mark.parametrize("resamples", [1, 4])
+    def test_checks_events_and_notes(self, l_sizes, resamples):
+        rep = self.report(l_sizes, resamples)
+        checks, notes = self.expected(l_sizes, resamples)
+        assert [(c.name, c.events, c.note) for c in rep.checks] == checks
+        assert rep.notes == notes and not rep.partial
+        for c in rep.checks:
+            assert c.vacuous == (c.bound >= 1.0)
+            sigma3 = 3.0 * math.sqrt(
+                max(c.empirical * (1.0 - c.empirical), 1e-12) / c.events)
+            assert c.exceeded == (c.bound < 1.0
+                                  and c.empirical - sigma3 > c.bound)
+
+    def test_exceeded_only_beyond_three_sigma(self):
+        # 3 sigma at freq 0.2 over 10 events is 0.379; over 10^4 it is 0.012
+        assert not _check("c", 0.1, 0.2, 10).exceeded
+        assert _check("c", 0.1, 0.2, 10_000).exceeded
+        assert not _check("c", 0.19, 0.2, 10_000).exceeded
+        vacuous = _check("c", 1.0, 1.0, 10_000)
+        assert vacuous.vacuous and not vacuous.exceeded
+
+    @pytest.mark.parametrize("l_sizes", [(3, 1, 1), (2, 3, 1), (3, 2, 2)])
+    @pytest.mark.parametrize("resamples", [0, -2])
+    def test_non_positive_resamples_rejected(self, l_sizes, resamples):
+        with pytest.raises(PreconditionError):
+            self.report(l_sizes, resamples)
+
+    def test_typical_supports_match_truncated_laws(self):
+        chain = TestConcentration().chain(seed=134)
+        n, delta = 5, 0.35
+        ws = _Workspace(chain, n, delta, 0.3, 0.05, 2.0)
+        useqs, pu = ws.typical_given(chain.p_u)
+        law = truncated_typical_dist(chain.p_u, n, delta)
+        assert len(useqs) == int((law.mass > 0).sum())
+        assert [float(m) for m in pu] == [law.prob(s) for s in useqs]
+        for useq in useqs:
+            for given in (chain.x_given_u, chain.y_given_u):
+                seqs, masses = ws.typical_given(given, useq)
+                law = truncated_typical_dist(given, n, delta, useq)
+                assert len(seqs) == int((law.mass > 0).sum())
+                assert [float(m) for m in masses] \
+                    == [law.prob(s) for s in seqs]
 
 
 class TestSimReport:

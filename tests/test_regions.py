@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtmac.errors import PreconditionError
 from wtmac.probkit import Channel, Dist, FactoredInput, WiretapMAC
@@ -14,7 +16,6 @@ from wtmac.regions import (
     classify_profile,
     elementary_region,
     info_profile,
-    polytope_contains,
     random_hull_instance,
     random_union_instance,
     region_common,
@@ -99,6 +100,60 @@ class TestInfoProfile:
             prof = info_profile(random_factored(rng, random_mac(rng)))
             assert prof.iz_v12_u + prof.iz_u == pytest.approx(prof.iz_v12, abs=1e-9)
             assert prof.iz_v1_u + prof.iz_u == pytest.approx(prof.iz_v1u, abs=1e-9)
+
+
+@st.composite
+def random_inputs(draw):
+    """A random factored input on a random MAC whose T and Z outputs need not
+    be conditionally independent; |X|, |Y|, |T|, |Z| in 2..3 and auxiliary
+    alphabets in 1..3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y, t, z = (draw(st.integers(2, 3)) for _ in range(4))
+    mac = WiretapMAC.from_rows(rng.dirichlet(np.ones(t * z), size=x * y),
+                               x, y, t, z)
+    u, v1, v2 = (draw(st.integers(1, 3)) for _ in range(3))
+    return random_factored(rng, mac, u=u, v1=v1, v2=v2)
+
+
+def sender_swapped(p):
+    """The same physical input with the senders exchanged: the factor chains
+    trade places and the MAC's X and Y axes are transposed."""
+    mac = p.mac
+    x, y = mac.x_alphabet.size, mac.y_alphabet.size
+    t, z = mac.t_alphabet.size, mac.z_alphabet.size
+    rows = mac.tensor.transpose(1, 0, 2, 3).reshape(y * x, t * z)
+    return FactoredInput(p.p_u, p.v2_given_u, p.v1_given_u, p.y_given_v2,
+                         p.x_given_v1, WiretapMAC.from_rows(rows, y, x, t, z))
+
+
+PROPERTY_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
+                             database=None)
+
+
+class TestInfoProfileProperties:
+    @PROPERTY_SETTINGS
+    @given(random_inputs())
+    def test_sender_swap_equivariance(self, p):
+        want = info_profile(p).swapped().to_json_dict()
+        got = info_profile(sender_swapped(p)).to_json_dict()
+        for name, value in want.items():
+            assert abs(got[name] - value) <= 1e-12, name
+
+    @PROPERTY_SETTINGS
+    @given(random_inputs())
+    def test_chain_rules(self, p):
+        prof = info_profile(p)
+        for out in ("it", "iz"):
+            f = {name[3:]: value for name, value in prof.to_json_dict().items()
+                 if name.startswith(out + "_")}
+            pairs = [(f["v12_u"], f["v1_v2u"] + f["v2_u"]),
+                     (f["v12_u"], f["v2_v1u"] + f["v1_u"]),
+                     (f["v12"], f["v12_u"] + f["u"])]
+            if out == "iz":
+                pairs += [(f["v1u"], f["v1_u"] + f["u"]),
+                          (f["v2u"], f["v2_u"] + f["u"])]
+            for whole, parts in pairs:
+                assert abs(whole - parts) <= 1e-12, (out, whole, parts)
 
 
 class TestClassify:
@@ -374,12 +429,12 @@ class TestPolytopeOps:
     def test_origin_with_nonneg_rhs(self):
         poly = RatePolytope(3, np.array([[0, 1, 0], [1, 1, 1]], dtype=float),
                             np.array([0.5, 1.0]))
-        assert polytope_contains(poly, [0, 0, 0], 1e-12)
+        assert poly.contains([0, 0, 0], 1e-12)
 
     def test_violation_detected(self):
         poly = RatePolytope(2, np.array([[1.0, 0.0]]), np.array([1.0]))
-        assert not polytope_contains(poly, [1.0 + 2e-6, 0.0], 1e-6)
-        assert polytope_contains(poly, [1.0 + 0.5e-6, 0.0], 1e-6)
+        assert not poly.contains([1.0 + 2e-6, 0.0], 1e-6)
+        assert poly.contains([1.0 + 0.5e-6, 0.0], 1e-6)
 
     def test_matches_direct_reevaluation(self):
         rng = np.random.default_rng(19)
@@ -391,7 +446,7 @@ class TestPolytopeOps:
             pt = rng.uniform(-0.1, 1.5, size=3)
             direct = (all(float(coeffs[i] @ pt) <= rhs[i] + 1e-9 for i in range(4))
                       and all(pt >= -1e-9))
-            assert polytope_contains(poly, pt, 1e-9) == direct
+            assert poly.contains(pt, 1e-9) == direct
 
     def test_vertices_of_simplex(self):
         poly = RatePolytope(2, np.array([[1.0, 1.0]]), np.array([1.0]))
