@@ -29,6 +29,7 @@ from .regions import (
     CaseLabel,
     InfoProfile,
     RatePolytope,
+    _case1_bounds,
     _pos,
     alpha_bounds_case2,
     classify_profile,
@@ -36,6 +37,11 @@ from .regions import (
     info_profile,
     region_common,
 )
+
+# The shape of every conferencing region over (R1, R2).
+CONF_COEFFS = np.array([[1, 0], [0, 1], [1, 1]], dtype=float)
+CONF_COEFFS.setflags(write=False)
+CONF_NAMES = ("R1 bound", "R2 bound", "R1+R2 bound")
 
 
 @dataclass(frozen=True)
@@ -114,14 +120,11 @@ def elementary_conf_region(prof: InfoProfile, case: CaseLabel, alpha: float,
     total = prof.it_v12 - prof.iz_v12
     if case == CaseLabel.CASE1:
         j0 = prof.iz_u
-        b1 = (prof.it_v1_v2u - prof.iz_v1_u
-              - _pos(prof.iz_v2_v1u - prof.it_v2_v1u) - beta * j0 + c1)
-        b2 = (prof.it_v2_v1u - prof.iz_v2_u
-              - _pos(prof.iz_v1_v2u - prof.it_v1_v2u) - (1.0 - beta) * j0 + c2)
+        r1, r2 = _case1_bounds(prof)
+        b1 = r1 - beta * j0 + c1
+        b2 = r2 - (1.0 - beta) * j0 + c2
         s = min(prof.it_v12_u - prof.iz_v12_u - j0 + c1 + c2, total)
-        return RatePolytope(2, np.array([[1, 0], [0, 1], [1, 1]], dtype=float),
-                            np.array([b1, b2, s]),
-                            ("R1 bound", "R2 bound", "R1+R2 bound"))
+        return RatePolytope(2, CONF_COEFFS, np.array([b1, b2, s]), CONF_NAMES)
     if case == CaseLabel.CASE2:
         j0 = j0_alpha(prof, case, alpha)
         a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
@@ -138,9 +141,7 @@ def elementary_conf_region(prof: InfoProfile, case: CaseLabel, alpha: float,
         b1 = prof.it_v1_v2u + c1 - beta * j0
         b2 = prof.it_v2_v1u + c2 - (1.0 - beta) * j0
         s = min(prof.it_v12_u + c1 + c2 - j0, total)
-        return RatePolytope(2, np.array([[1, 0], [0, 1], [1, 1]], dtype=float),
-                            np.array([b1, b2, s]),
-                            ("R1 bound", "R2 bound", "R1+R2 bound"))
+        return RatePolytope(2, CONF_COEFFS, np.array([b1, b2, s]), CONF_NAMES)
     raise PreconditionError("conferencing regions exist for Cases 1-3 only")
 
 
@@ -212,8 +213,13 @@ def region_conferencing(p_or_prof, c1: float, c2: float, case: CaseLabel, *,
     Classification runs against the combined bound H_C = c1 + c2.  Case 2 is
     a union over the time-sharing fraction, materialized on a grid (101
     points by default) with the hull of the union's vertices attached.
+    Every piece raises the R1 and R2 bounds (r1, r2) of the matching
+    common-message region by the link capacities, less the part of the
+    randomness cost j0 that the other link cannot carry, under one sum bound.
     """
     caps = ConferencingCapacities(c1, c2)
+    if alpha_points < 1:
+        raise ValidationError(f"alpha_points={alpha_points} must be >= 1")
     if isinstance(p_or_prof, FactoredInput):
         prof = info_profile(p_or_prof)
     else:
@@ -226,52 +232,35 @@ def region_conferencing(p_or_prof, c1: float, c2: float, case: CaseLabel, *,
             raise PreconditionError(
                 f"input does not classify as {case.name} at H_C=C1+C2={hc}"
             )
-    total = prof.it_v12 - prof.iz_v12
     if case == CaseLabel.CASE1:
-        b1 = (prof.it_v1_v2u - prof.iz_v1_u
-              - _pos(prof.iz_v2_v1u - prof.it_v2_v1u)
-              + c1 - _pos(prof.iz_u - c2))
-        b2 = (prof.it_v2_v1u - prof.iz_v2_u
-              - _pos(prof.iz_v1_v2u - prof.it_v1_v2u)
-              + c2 - _pos(prof.iz_u - c1))
-        s = min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
-        poly = RatePolytope(2, np.array([[1, 0], [0, 1], [1, 1]], dtype=float),
-                            np.array([b1, b2, s]),
-                            ("R1 bound", "R2 bound", "R1+R2 bound"))
-        return ConferencingRegion(case, ((None, poly),), poly.vertices())
-    if case == CaseLabel.CASE3:
-        j0 = prof.iz_v12
-        b1 = prof.it_v1_v2u + c1 - _pos(j0 - c2)
-        b2 = prof.it_v2_v1u + c2 - _pos(j0 - c1)
-        s = min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
-        poly = RatePolytope(2, np.array([[1, 0], [0, 1], [1, 1]], dtype=float),
-                            np.array([b1, b2, s]),
-                            ("R1 bound", "R2 bound", "R1+R2 bound"))
-        return ConferencingRegion(case, ((None, poly),), poly.vertices())
-    if case != CaseLabel.CASE2:
-        raise PreconditionError("conferencing regions exist for Cases 1-3 only")
-    ab = alpha_bounds_case2(prof, hc)
-    if ab.degenerate:
-        alphas = [0.0]
-    else:
-        if ab.alpha0 > ab.alpha1:
-            raise PreconditionError("Case-2 time-sharing interval is empty")
-        alphas = np.linspace(ab.alpha0, ab.alpha1, alpha_points)
-    pieces = []
-    cloud = []
-    for alpha in alphas:
-        j0 = j0_alpha(prof, case, alpha)
+        bounds = [(None, *_case1_bounds(prof), prof.iz_u)]
+    elif case == CaseLabel.CASE3:
+        bounds = [(None, prof.it_v1_v2u, prof.it_v2_v1u, prof.iz_v12)]
+    elif case == CaseLabel.CASE2:
+        ab = alpha_bounds_case2(prof, hc)
+        if ab.degenerate:
+            alphas = [0.0]
+        else:
+            if ab.alpha0 > ab.alpha1:
+                raise PreconditionError("Case-2 time-sharing interval is empty")
+            alphas = np.linspace(ab.alpha0, ab.alpha1, alpha_points)
         a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
-        b1 = prof.it_v1_v2u - alpha * a + c1 - _pos(j0 - c2)
-        b2 = prof.it_v2_v1u - (1.0 - alpha) * b + c2 - _pos(j0 - c1)
-        s1 = min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
-        poly = RatePolytope(2, np.array([[1, 0], [0, 1], [1, 1]], dtype=float),
-                            np.array([b1, b2, s1]),
-                            ("R1 bound", "R2 bound", "R1+R2 bound"))
-        pieces.append((float(alpha), poly))
-        cloud.append(poly.vertices())
-    hull = _hull_2d(np.vstack(cloud)) if cloud else np.zeros((0, 2))
-    return ConferencingRegion(case, tuple(pieces), hull)
+        bounds = [(float(alpha), prof.it_v1_v2u - alpha * a,
+                   prof.it_v2_v1u - (1.0 - alpha) * b, j0_alpha(prof, case, alpha))
+                  for alpha in alphas]
+    else:
+        raise PreconditionError("conferencing regions exist for Cases 1-3 only")
+    s = min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
+    pieces = tuple(
+        (alpha, RatePolytope(2, CONF_COEFFS,
+                             np.array([r1 + c1 - _pos(j0 - c2),
+                                       r2 + c2 - _pos(j0 - c1), s]),
+                             CONF_NAMES))
+        for alpha, r1, r2, j0 in bounds)
+    if case != CaseLabel.CASE2:
+        return ConferencingRegion(case, pieces, pieces[0][1].vertices())
+    hull = _hull_2d(np.vstack([poly.vertices() for _, poly in pieces]))
+    return ConferencingRegion(case, pieces, hull)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,11 @@ from .regions import (
 )
 from .conferencing import region_conferencing
 
+# Local refinement: the initial Gaussian step and its shrink factor after
+# each rejected trial.
+STEP_INIT = 0.35
+STEP_DECAY = 0.85
+
 
 def prefix_channel(mac: WiretapMAC, x_given_v1: Channel,
                    y_given_v2: Channel) -> WiretapMAC:
@@ -83,12 +88,9 @@ class SearchConfig:
     v2_size: int | None = None
     restarts: int = 30
     refine_iters: int = 40
-    step_init: float = 0.35
-    step_decay: float = 0.85
     directions: int = 16
     seed: int = 0
     independent_only: bool = False
-    structured_starts: bool = True
     max_evaluations: int | None = None
 
     def sizes_for(self, mac: WiretapMAC) -> tuple[int, int, int]:
@@ -313,9 +315,7 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
     budget = cfg.max_evaluations if cfg.max_evaluations is not None else math.inf
     partial = False
 
-    candidates: list[np.ndarray] = []
-    if cfg.structured_starts:
-        candidates.extend(par.structured())
+    candidates = par.structured()
     for _ in range(cfg.restarts):
         candidates.append(par.random(rng))
 
@@ -345,7 +345,7 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
         score, params = per_dir[d]
         if params is None:
             continue
-        step = cfg.step_init
+        step = STEP_INIT
         for it in range(cfg.refine_iters):
             if evaluations >= budget:
                 partial = True
@@ -356,7 +356,7 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
             if t_score > score:
                 score, params = t_score, trial
             else:
-                step *= cfg.step_decay
+                step *= STEP_DECAY
         final_score, case, vert = _best_along(par.build(params), mode, w)
         if vert is not None:
             points.append(AchievablePoint(vert, case, params, d))
@@ -413,7 +413,7 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
 
     best_val, best_params = 0.0, None
     starts: list[np.ndarray] = []
-    if cfg.structured_starts and not cfg.independent_only:
+    if not cfg.independent_only:
         starts.extend(par.structured())
     for _ in range(cfg.restarts):
         starts.append(par.random(rng))
@@ -423,7 +423,7 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
             best_val, best_params = val, params
     if best_params is None:
         return 0.0
-    step = cfg.step_init
+    step = STEP_INIT
     val, params = best_val, best_params
     for _ in range(cfg.refine_iters):
         trial = params + step * rng.standard_normal(par.length)
@@ -431,5 +431,5 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
         if t_val > val:
             val, params = t_val, trial
         else:
-            step *= cfg.step_decay
+            step *= STEP_DECAY
     return float(max(val, 0.0))

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import combinations
 
 import numpy as np
 
@@ -33,6 +34,12 @@ from .probkit import (
 )
 
 EQUALITY_TOL = 1e-12
+
+# The constraint shape every case region over (R0, R1, R2) shares; the
+# decomposition lemmas only move its right-hand side.
+RATE_COEFFS = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float)
+RATE_COEFFS.setflags(write=False)
+RATE_NAMES = ("R1 bound", "R2 bound", "R1+R2 bound", "R0+R1+R2 bound")
 
 
 def _pos(x: float) -> float:
@@ -287,33 +294,23 @@ class RatePolytope:
     def contains_origin(self, tol: float = 1e-9) -> bool:
         return bool(np.all(self.rhs >= -tol))
 
-    def ray_hit(self, direction) -> float:
-        """Largest t >= 0 with t * direction feasible (inf if unbounded)."""
-        d = np.asarray(direction, dtype=float)
-        proj = self.coeffs @ d
-        with np.errstate(divide="ignore"):
-            limits = np.where(proj > 0.0, self.rhs / np.where(proj > 0, proj, 1.0),
-                              np.inf)
-        t = float(np.min(limits)) if limits.size else np.inf
-        return max(t, 0.0)
-
     def vertices(self, tol: float = 1e-9) -> np.ndarray:
-        """All vertices, by enumerating active-constraint subsets (dim <= 3)."""
+        """All vertices, by enumerating active-constraint subsets (dim <= 3).
+
+        Every nonsingular subset of ``dim`` constraints, nonnegativity
+        included, is solved in one batch.
+        """
         rows = np.vstack([self.coeffs, -np.eye(self.dim)])
         vals = np.concatenate([self.rhs, np.zeros(self.dim)])
-        from itertools import combinations
-
-        found = []
-        for combo in combinations(range(rows.shape[0]), self.dim):
-            a = rows[list(combo)]
-            if abs(np.linalg.det(a)) < 1e-12:
-                continue
-            x = np.linalg.solve(a, vals[list(combo)])
-            if np.all(x >= -tol) and np.all(self.coeffs @ x <= self.rhs + tol):
-                found.append(np.clip(x, 0.0, None))
-        if not found:
+        combos = np.array(list(combinations(range(rows.shape[0]), self.dim)))
+        mats = rows[combos]
+        regular = np.abs(np.linalg.det(mats)) >= 1e-12
+        xs = np.linalg.solve(mats[regular], vals[combos[regular]][..., None])[..., 0]
+        feasible = (np.all(xs >= -tol, axis=1)
+                    & np.all(xs @ self.coeffs.T <= self.rhs + tol, axis=1))
+        if not feasible.any():
             return np.zeros((0, self.dim))
-        pts = np.array(found)
+        pts = np.clip(xs[feasible], 0.0, None)
         # dedupe
         order = np.lexsort(pts.T)
         pts = pts[order]
@@ -330,22 +327,11 @@ class RatePolytope:
             raise PreconditionError("empty polytope has no maximum")
         return float(np.max(verts @ np.asarray(weights, dtype=float)))
 
-    def sample(self, rng: np.random.Generator, count: int,
-               boundary_fraction: float = 0.5) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Random points: boundary ray hits plus scaled interior points."""
         if not self.contains_origin():
             return np.zeros((0, self.dim))
-        dirs = np.abs(rng.standard_normal((count, self.dim))) + 1e-12
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = np.empty((count, self.dim))
-        n_boundary = int(round(boundary_fraction * count))
-        for i, d in enumerate(dirs):
-            t = self.ray_hit(d)
-            if not np.isfinite(t):
-                t = 1.0
-            scale = 1.0 if i < n_boundary else rng.uniform(0.0, 1.0)
-            pts[i] = np.clip(t * scale * d, 0.0, None)
-        return pts
+        return _ray_points(rng, self.coeffs, self.rhs, count, self.dim)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -398,46 +384,40 @@ def region_common(p_or_prof, hc: float, case: CaseLabel, *,
             )
     total = prof.it_v12 - prof.iz_v12
     if case == CaseLabel.CASE0:
-        b1 = prof.it_v1_v2u - prof.iz_v1_u - _pos(prof.iz_v2_v1u - prof.it_v2_v1u)
-        b2 = prof.it_v2_v1u - prof.iz_v2_u - _pos(prof.iz_v1_v2u - prof.it_v1_v2u)
-        return RatePolytope(
-            3,
-            np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]], dtype=float),
-            np.array([0.0, b1, b2, total]),
-            ("R0 = 0", "R1 bound", "R2 bound", "R1+R2 bound"),
-        )
+        b1, b2 = _case1_bounds(prof)
+        return RatePolytope(3, np.vstack([[1, 0, 0], RATE_COEFFS[:3]]),
+                            np.array([0.0, b1, b2, total]),
+                            ("R0 = 0",) + RATE_NAMES[:3])
     if case == CaseLabel.CASE1:
-        b1 = prof.it_v1_v2u - prof.iz_v1_u - _pos(prof.iz_v2_v1u - prof.it_v2_v1u)
-        b2 = prof.it_v2_v1u - prof.iz_v2_u - _pos(prof.iz_v1_v2u - prof.it_v1_v2u)
-        return RatePolytope(
-            3,
-            np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float),
-            np.array([b1, b2, prof.it_v12_u - prof.iz_v12_u, total]),
-            ("R1 bound", "R2 bound", "R1+R2 bound", "R0+R1+R2 bound"),
-        )
+        b1, b2 = _case1_bounds(prof)
+        return RatePolytope(3, RATE_COEFFS,
+                            np.array([b1, b2, prof.it_v12_u - prof.iz_v12_u, total]),
+                            RATE_NAMES)
     if case == CaseLabel.CASE2:
         return _case2_region(prof, hc, total)
     if case == CaseLabel.CASE3:
         return RatePolytope(
-            3,
-            np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float),
+            3, RATE_COEFFS,
             np.array([prof.it_v1_v2u, prof.it_v2_v1u, prof.it_v12_u, total]),
-            ("R1 bound", "R2 bound", "R1+R2 bound", "R0+R1+R2 bound"),
-        )
+            RATE_NAMES)
     raise PreconditionError(f"unknown case {case!r}")
+
+
+def _case1_bounds(prof: InfoProfile) -> tuple[float, float]:
+    """The Case-0/1 R1 and R2 bounds: each sender's information given the
+    other and U, less its leakage given U and the other's excess leakage."""
+    return (prof.it_v1_v2u - prof.iz_v1_u - _pos(prof.iz_v2_v1u - prof.it_v2_v1u),
+            prof.it_v2_v1u - prof.iz_v2_u - _pos(prof.iz_v1_v2u - prof.it_v1_v2u))
 
 
 def _case2_region(prof: InfoProfile, hc: float, total: float) -> RatePolytope:
     a = prof.iz_v1_v2u
     b = prof.iz_v2_v1u
     if abs(a - b) <= EQUALITY_TOL:
-        return RatePolytope(
-            3,
-            np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float),
-            np.array([prof.it_v1_v2u, prof.it_v2_v1u,
-                      prof.it_v12_u - a, total]),
-            ("R1 bound", "R2 bound", "R1+R2 bound", "R0+R1+R2 bound"),
-        )
+        return RatePolytope(3, RATE_COEFFS,
+                            np.array([prof.it_v1_v2u, prof.it_v2_v1u,
+                                      prof.it_v12_u - a, total]),
+                            RATE_NAMES)
     if a < b:
         # Roles of the senders are exchanged; the swap is an involution.
         sw = _case2_region(prof.swapped(), hc, total)
@@ -455,15 +435,13 @@ def _case2_region(prof: InfoProfile, hc: float, total: float) -> RatePolytope:
     wsum_rhs = r12 * b + r2 * (a - b) - a * b
     return RatePolytope(
         3,
-        np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1], [0, b, a], [1, 1, 1]],
-                 dtype=float),
+        np.insert(RATE_COEFFS, 3, [0, b, a], axis=0),
         np.array([r1 - a0 * a,
                   r2 - (1.0 - a1) * b,
                   r12 - a0 * a - (1.0 - a0) * b,
                   wsum_rhs,
                   total]),
-        ("R1 bound", "R2 bound", "R1+R2 bound", "weighted bound",
-         "R0+R1+R2 bound"),
+        RATE_NAMES[:3] + ("weighted bound",) + RATE_NAMES[3:],
     )
 
 
@@ -514,15 +492,11 @@ def elementary_region(p_or_prof, case: CaseLabel, alpha: float,
               - (1.0 - alpha) * prof.iz_v1_u)
         b2 = (prof.it_v2_v1u - alpha * prof.iz_v2_u
               - (1.0 - alpha) * prof.iz_v2_v1u)
-        coeffs = [[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]]
         rhs = [b1, b2, prof.it_v12_u - prof.iz_v12_u, total]
-        names = ["R1 bound", "R2 bound", "R1+R2 bound", "R0+R1+R2 bound"]
         if case == CaseLabel.CASE0:
-            coeffs.append([1, 0, 0])
-            rhs.append(0.0)
-            names.append("R0 = 0")
-        return RatePolytope(3, np.array(coeffs, dtype=float),
-                            np.array(rhs), tuple(names))
+            return RatePolytope(3, np.vstack([RATE_COEFFS, [1, 0, 0]]),
+                                np.array(rhs + [0.0]), RATE_NAMES + ("R0 = 0",))
+        return RatePolytope(3, RATE_COEFFS, np.array(rhs), RATE_NAMES)
     if case == CaseLabel.CASE2:
         if check_range:
             if hc is None:
@@ -538,14 +512,12 @@ def elementary_region(p_or_prof, case: CaseLabel, alpha: float,
                 )
         a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
         return RatePolytope(
-            3,
-            np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float),
+            3, RATE_COEFFS,
             np.array([prof.it_v1_v2u - alpha * a,
                       prof.it_v2_v1u - (1.0 - alpha) * b,
                       prof.it_v12_u - alpha * a - (1.0 - alpha) * b,
                       total]),
-            ("R1 bound", "R2 bound", "R1+R2 bound", "R0+R1+R2 bound"),
-        )
+            RATE_NAMES)
     if case == CaseLabel.CASE3:
         return region_common(prof, hc if hc is not None else math.inf,
                              CaseLabel.CASE3, check_membership=False)
@@ -647,8 +619,6 @@ def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
     k_rhs = np.array([r1 - alpha0 * a1 - (1.0 - alpha0) * b1,
                       r2 - alpha1 * a2 - (1.0 - alpha1) * b2,
                       s12, s012])
-    coeffs = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float)
-
     member_rhs = np.stack([bound1, bound2], axis=1)  # (G, 2)
     empty_alpha = np.any(member_rhs < -tol, axis=1) | (min(s12, s012) < -tol)
     k_empty = np.any(k_rhs < -tol)
@@ -663,7 +633,7 @@ def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
     # K -> union direction.  Grid membership first; points whose feasible
     # alpha-window is narrower than the grid spacing are resolved exactly
     # (the window endpoints are linear in alpha, so it is two divisions).
-    pts = _ray_points(rng, coeffs, k_rhs, samples)
+    pts = _ray_points(rng, RATE_COEFFS, k_rhs, samples)
     ok1 = pts[:, 1:2] <= bound1[None, :] + tol
     ok2 = pts[:, 2:3] <= bound2[None, :] + tol
     covered = np.any(ok1 & ok2, axis=1)
@@ -683,8 +653,8 @@ def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
     stride = max(len(grid) // 20, 1)
     for alpha_idx in range(0, len(grid), stride):
         rhs_a = np.array([bound1[alpha_idx], bound2[alpha_idx], s12, s012])
-        sub = _ray_points(rng, coeffs, rhs_a, max(samples // 20, 4))
-        inside = np.all(sub @ coeffs.T <= k_rhs[None, :] + tol, axis=1)
+        sub = _ray_points(rng, RATE_COEFFS, rhs_a, max(samples // 20, 4))
+        inside = np.all(sub @ RATE_COEFFS.T <= k_rhs[None, :] + tol, axis=1)
         report.checked += sub.shape[0]
         for idx in np.nonzero(~inside)[0]:
             report.counterexamples.append(
@@ -695,49 +665,16 @@ def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
     return report
 
 
-def _decompose_witness(x: np.ndarray, lam: float, rhs0: np.ndarray,
-                       rhs1: np.ndarray, tol: float):
-    """Split x = u + v with u in lam*K0 and v in (1-lam)*K1 (laminar intervals)."""
-    if lam <= tol:
-        return np.zeros(3), x.copy()
-    if lam >= 1.0 - tol:
-        return x.copy(), np.zeros(3)
-    a1, a2, a12, a012 = lam * rhs0
-    b1, b2, b12, b012 = (1.0 - lam) * rhs1
-    x0, x1, x2 = x
-    xt = x0 + x1 + x2
-    h1, l1 = min(a1, x1), max(0.0, x1 - b1)
-    h2, l2 = min(a2, x2), max(0.0, x2 - b2)
-    ls = max(0.0, x1 + x2 - b12, l1 + l2, xt - b012 - x0)
-    us = min(a12, h1 + h2, a012)
-    if ls > us + tol:
-        return None
-    s = min(max(0.5 * (ls + us), ls), us)
-    lo1, hi1 = max(l1, s - h2), min(h1, s - l2)
-    if lo1 > hi1 + tol:
-        return None
-    u1 = 0.5 * (lo1 + hi1)
-    u2 = s - u1
-    lt = max(s, xt - b012)
-    ut = min(a012, s + x0)
-    if lt > ut + tol:
-        return None
-    u0 = 0.5 * (lt + ut) - s
-    u = np.array([max(u0, 0.0), max(u1, 0.0), max(u2, 0.0)])
-    return u, x - u
-
-
 def _lp_witness(x: np.ndarray, rhs0: np.ndarray, rhs1: np.ndarray, tol: float):
     """LP fallback: find (u, v, lam) with u + v = x, u in lam*K0, v in (1-lam)*K1."""
     from scipy.optimize import linprog
 
-    coeffs = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float)
     # variables: u (3), v (3), lam
     a_ub = np.zeros((8, 7))
     b_ub = np.zeros(8)
-    a_ub[:4, :3] = coeffs
+    a_ub[:4, :3] = RATE_COEFFS
     a_ub[:4, 6] = -rhs0
-    a_ub[4:, 3:6] = coeffs
+    a_ub[4:, 3:6] = RATE_COEFFS
     a_ub[4:, 6] = rhs1
     b_ub[4:] = rhs1
     a_eq = np.zeros((3, 7))
@@ -763,9 +700,8 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     Direction two certifies sampled closed-form points as members of the
     family: the feasible alpha-window of each point is located by interval
     arithmetic (it can have zero width at an interior alpha, which a grid
-    cannot hit) and the single-alpha membership is returned as the witness,
-    together with an explicit endpoint decomposition whenever one exists;
-    an LP decomposition is the fallback.
+    cannot hit) and the single-alpha membership is returned as the witness;
+    an LP decomposition over the endpoint sets is the fallback.
     """
     for name, v in dict(r1=r1, r2=r2, r12=r12, r012=r012, a=a, b=b, c=c).items():
         if v < 0:
@@ -786,7 +722,6 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
                                     "nonemptiness hypothesis fails")
 
     rng = np.random.default_rng(seed)
-    coeffs4 = np.array([[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=float)
     rhs0 = alpha_rhs(alpha0)
     rhs1 = alpha_rhs(alpha1)
 
@@ -797,22 +732,18 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     else:
         conv23 = r12 - alpha0 * a - (1.0 - alpha0) * b
         conv24 = r12 * b + r2 * (a - b) - a * b
-    k_coeffs = [[0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 1, 1]]
-    k_rhs = [rhs0[0], rhs1[1], conv23, r012 - c]
-    k_names = ["conv21", "conv22", "conv23", "conv25"]
+    k_coeffs = RATE_COEFFS
+    k_rhs = np.array([rhs0[0], rhs1[1], conv23, r012 - c])
     if a > 0 or b > 0:
-        k_coeffs.insert(3, [0, b, a])
-        k_rhs.insert(3, conv24)
-        k_names.insert(3, "conv24")
-    k_coeffs = np.array(k_coeffs, dtype=float)
-    k_rhs = np.array(k_rhs)
+        k_coeffs = np.insert(k_coeffs, 3, [0, b, a], axis=0)
+        k_rhs = np.insert(k_rhs, 3, conv24)
 
     report = LemmaReport("convex-hull-of-alpha-family", True, 0)
 
     # conv(K_a0 u K_a1) -> K.
     n_combo = samples
-    p_pts = _ray_points(rng, coeffs4, rhs0, n_combo)
-    q_pts = _ray_points(rng, coeffs4, rhs1, n_combo)
+    p_pts = _ray_points(rng, RATE_COEFFS, rhs0, n_combo)
+    q_pts = _ray_points(rng, RATE_COEFFS, rhs1, n_combo)
     lam = rng.uniform(0.0, 1.0, size=n_combo)
     lam[:3] = (0.0, 1.0, 0.5)
     combos = lam[:, None] * p_pts + (1.0 - lam)[:, None] * q_pts
@@ -825,7 +756,7 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
 
     # Sampled interior alphas stay inside K as well.
     for alpha in grid[:: max(len(grid) // 10, 1)]:
-        sub = _ray_points(rng, coeffs4, alpha_rhs(alpha), max(samples // 20, 4))
+        sub = _ray_points(rng, RATE_COEFFS, alpha_rhs(alpha), max(samples // 20, 4))
         ok = np.all(sub @ k_coeffs.T <= k_rhs[None, :] + tol, axis=1)
         report.checked += sub.shape[0]
         for idx in np.nonzero(~ok)[0]:
@@ -839,11 +770,9 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     # boundary point of K may need one exact interior alpha -- its feasible
     # alpha-window can have zero width, which no grid can hit.  We therefore
     # locate the window by interval arithmetic and return the single-alpha
-    # membership as the witness; an endpoint decomposition is attached too
-    # whenever one exists.
+    # membership as the witness.
     x_pts = _ray_points(rng, k_coeffs, k_rhs, samples)
     total_rhs = r012 - c
-    big = 1e18
     for x in x_pts:
         report.checked += 1
         lo, hi = alpha0, alpha1
@@ -867,36 +796,32 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
         witness = None
         if feasible and lo <= hi:
             alpha_star = min(max(0.5 * (lo + hi), alpha0), alpha1)
-            margin = alpha_rhs(alpha_star) - coeffs4 @ x
+            margin = alpha_rhs(alpha_star) - RATE_COEFFS @ x
             if margin.min() >= -tol:
                 witness = {"point": x.tolist(), "alpha": float(alpha_star)}
         if witness is None:
             lp = _lp_witness(x, rhs0, rhs1, tol)
             if lp is not None and _witness_valid(x, lp[0], lp[1], lp[2],
-                                                 coeffs4, rhs0, rhs1, tol):
+                                                 rhs0, rhs1, tol):
                 witness = {"point": x.tolist(), "lambda": lp[2]}
         if witness is None:
             report.counterexamples.append(
                 {"direction": "closed-form point not reachable by the family",
                  "point": x.tolist()})
         else:
-            parts = _decompose_witness(x, 0.5, rhs0, rhs1, tol)
-            if parts is not None and _witness_valid(x, parts[0], parts[1], 0.5,
-                                                    coeffs4, rhs0, rhs1, tol):
-                witness["endpoint_split"] = [parts[0].tolist(), parts[1].tolist()]
             report.witnesses.append(witness)
 
     report.passed = not report.counterexamples
     return report
 
 
-def _witness_valid(x, u, v, lam, coeffs4, rhs0, rhs1, tol) -> bool:
+def _witness_valid(x, u, v, lam, rhs0, rhs1, tol) -> bool:
     if np.any(u < -tol) or np.any(v < -tol):
         return False
     if np.max(np.abs(u + v - x)) > 1e-7:
         return False
-    ok0 = np.all(coeffs4 @ u <= lam * rhs0 + tol)
-    ok1 = np.all(coeffs4 @ v <= (1.0 - lam) * rhs1 + tol)
+    ok0 = np.all(RATE_COEFFS @ u <= lam * rhs0 + tol)
+    ok1 = np.all(RATE_COEFFS @ v <= (1.0 - lam) * rhs1 + tol)
     return bool(ok0 and ok1)
 
 

@@ -169,6 +169,14 @@ class TestResourceExit:
 
 
 class TestInvalidArgumentExit:
+    def test_conf_region_zero_alpha_points_exits_one(self, artifacts, capsys):
+        tmp, ch, pp = artifacts
+        code = run(["conf-region", "--channel", ch, "--p", pp,
+                    "--c1", "0.2", "--c2", "0.2", "--alpha-points", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") for line in err.splitlines())
+
     def test_mc_without_trials_exits_one(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         mac = constant_eve_mac(rng, t=4)

@@ -23,8 +23,15 @@ from wtmac.errors import (
     CardinalityOverflowError,
     PreconditionError,
     ReductionInfeasibleError,
+    ValidationError,
 )
-from wtmac.regions import CaseLabel, info_profile, region_common
+from wtmac.regions import (
+    CaseLabel,
+    _pos,
+    alpha_bounds_case2,
+    info_profile,
+    region_common,
+)
 
 
 class TestJ0:
@@ -234,6 +241,74 @@ class TestRegions:
         tiny = region_conferencing(prof, 0.01, 0.01, CaseLabel.CASE3)
         assert tiny.polytope.contains((0.009, 0.009), tol=1e-12)
         assert tiny.polytope.max_weighted((1.0, 1.0)) <= 0.02 + 1e-12
+
+
+def reference_conf_pieces(prof, c1, c2, case, alpha_points):
+    """(alpha, rhs) of every conferencing piece, with one formula per case:
+    the reference for the single piece formula of ``region_conferencing``."""
+    if case == CaseLabel.CASE1:
+        b1 = (prof.it_v1_v2u - prof.iz_v1_u
+              - _pos(prof.iz_v2_v1u - prof.it_v2_v1u)
+              + c1 - _pos(prof.iz_u - c2))
+        b2 = (prof.it_v2_v1u - prof.iz_v2_u
+              - _pos(prof.iz_v1_v2u - prof.it_v1_v2u)
+              + c2 - _pos(prof.iz_u - c1))
+        s = min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
+        return [(None, [b1, b2, s])]
+    if case == CaseLabel.CASE3:
+        j0 = prof.iz_v12
+        b1 = prof.it_v1_v2u + c1 - _pos(j0 - c2)
+        b2 = prof.it_v2_v1u + c2 - _pos(j0 - c1)
+        s = min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
+        return [(None, [b1, b2, s])]
+    ab = alpha_bounds_case2(prof, c1 + c2)
+    alphas = ([0.0] if ab.degenerate
+              else np.linspace(ab.alpha0, ab.alpha1, alpha_points))
+    out = []
+    for alpha in alphas:
+        j0 = alpha * prof.iz_v2u + (1.0 - alpha) * prof.iz_v1u
+        a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
+        b1 = prof.it_v1_v2u - alpha * a + c1 - _pos(j0 - c2)
+        b2 = prof.it_v2_v1u - (1.0 - alpha) * b + c2 - _pos(j0 - c1)
+        s1 = min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
+        out.append((float(alpha), [b1, b2, s1]))
+    return out
+
+
+class TestPieceFormula:
+    def test_matches_per_case_reference(self):
+        rng = np.random.default_rng(30)
+        compared = {case: 0 for case in (1, 2, 3)}
+        for _ in range(60):
+            mac = random_mac(rng, bob_quality=rng.uniform(0.0, 0.9))
+            prof = info_profile(random_factored(rng, mac,
+                                                u=int(rng.integers(1, 4))))
+            top = max(prof.iz_v12, 1e-3)
+            c1, c2 = rng.uniform(0.0, top, size=2)
+            points = int(rng.integers(1, 30))
+            for case in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3):
+                try:
+                    region = region_conferencing(prof, c1, c2, case,
+                                                 alpha_points=points,
+                                                 check_membership=False)
+                except PreconditionError:
+                    ab = alpha_bounds_case2(prof, c1 + c2)
+                    assert case == CaseLabel.CASE2 and ab.alpha0 > ab.alpha1
+                    continue
+                want = reference_conf_pieces(prof, c1, c2, case, points)
+                assert [a for a, _ in region.pieces] == [a for a, _ in want]
+                for (_, poly), (_, rhs) in zip(region.pieces, want):
+                    assert poly.rhs.tolist() == rhs
+                compared[case] += len(want)
+        assert min(compared.values()) >= 50, compared
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_alpha_points_below_one_rejected(self, points):
+        prof = info_profile(example62_input())
+        for case in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3):
+            with pytest.raises(ValidationError, match="alpha_points"):
+                region_conferencing(prof, 0.2, 0.2, case, alpha_points=points,
+                                    check_membership=False)
 
 
 class TestRateSplit:

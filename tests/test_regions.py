@@ -1,11 +1,17 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from wtmac.casestudy import discussion_channels, example62_channels
+from wtmac.conferencing import CONF_COEFFS, region_conferencing
 from wtmac.errors import PreconditionError
 from wtmac.probkit import Channel, Dist, FactoredInput, WiretapMAC
 from wtmac.regions import (
+    RATE_COEFFS,
     AlphaBounds,
     CaseLabel,
     RatePolytope,
@@ -461,6 +467,108 @@ class TestPolytopeOps:
         again = RatePolytope.from_json_dict(poly.to_json_dict())
         assert np.allclose(again.coeffs, poly.coeffs)
         assert np.allclose(again.rhs, poly.rhs)
+
+
+def reference_vertices(poly, tol=1e-9):
+    """Vertices by solving each active-constraint subset in turn: the
+    reference for the batched enumeration of ``RatePolytope.vertices``."""
+    rows = np.vstack([poly.coeffs, -np.eye(poly.dim)])
+    vals = np.concatenate([poly.rhs, np.zeros(poly.dim)])
+    found = []
+    for combo in combinations(range(rows.shape[0]), poly.dim):
+        a = rows[list(combo)]
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        x = np.linalg.solve(a, vals[list(combo)])
+        if np.all(x >= -tol) and np.all(poly.coeffs @ x <= poly.rhs + tol):
+            found.append(np.clip(x, 0.0, None))
+    if not found:
+        return np.zeros((0, poly.dim))
+    pts = np.array(found)
+    order = np.lexsort(pts.T)
+    pts = pts[order]
+    keep = [0]
+    for i in range(1, pts.shape[0]):
+        if np.max(np.abs(pts[i] - pts[keep[-1]])) > 1e-9:
+            keep.append(i)
+    return pts[keep]
+
+
+def swept_polytopes(rng, count):
+    """Every region of ``count`` random inputs on the additive, Example 6.2
+    and random channels: the case regions (Cases 0-3), the elementary
+    regions at three alphas and the conferencing pieces."""
+    fixed = (discussion_channels(), example62_channels())
+    for i in range(count):
+        mac = fixed[i % 3] if i % 3 < 2 else random_mac(
+            rng, t=int(rng.integers(2, 4)), z=int(rng.integers(2, 4)),
+            bob_quality=rng.uniform(0.0, 0.9))
+        prof = info_profile(random_factored(rng, mac, u=int(rng.integers(1, 4))))
+        top = max(prof.iz_v12, 1e-3)
+        hc = rng.uniform(0.0, 1.3 * top)
+        c1, c2 = rng.uniform(0.0, top, size=2)
+        for case in CaseLabel:
+            try:
+                yield region_common(prof, hc, case, check_membership=False)
+            except PreconditionError:
+                pass  # empty Case-2 time-sharing interval
+            for alpha in (0.0, rng.uniform(), 1.0):
+                yield elementary_region(prof, case, alpha, hc, check_range=False)
+            if case == CaseLabel.CASE0:
+                continue
+            try:
+                region = region_conferencing(prof, c1, c2, case, alpha_points=5,
+                                             check_membership=False)
+            except PreconditionError:
+                continue
+            for _, poly in region.pieces:
+                yield poly
+
+
+class TestBatchedVertices:
+    def test_matches_reference_on_swept_regions(self):
+        rng = np.random.default_rng(29)
+        polys = list(swept_polytopes(rng, 60))
+        assert len(polys) > 1000
+        assert any(p.coeffs.shape[0] == 5 for p in polys)  # Case-2 weighted row
+        assert any(p.vertices().shape[0] == 0 for p in polys)
+        for poly in polys:
+            assert np.array_equal(poly.vertices(), reference_vertices(poly))
+
+    def test_empty_polytope(self):
+        poly = RatePolytope(3, RATE_COEFFS, np.array([-0.5, 1.0, 1.0, 2.0]))
+        assert poly.vertices().shape == (0, 3)
+        assert np.array_equal(poly.vertices(), reference_vertices(poly))
+
+    def test_duplicated_constraint_row(self):
+        coeffs = np.vstack([RATE_COEFFS, RATE_COEFFS[2]])
+        for extra in (0.75, 0.5):
+            poly = RatePolytope(3, coeffs, np.array([0.5, 0.5, 0.75, 1.0, extra]))
+            assert np.array_equal(poly.vertices(), reference_vertices(poly))
+
+
+@st.composite
+def shaped_polytopes(draw):
+    """A polytope of one of the two shared constraint shapes with a
+    nonnegative right-hand side, and nonnegative weights."""
+    coeffs = draw(st.sampled_from([RATE_COEFFS, CONF_COEFFS]))
+    k, dim = coeffs.shape
+    amounts = st.floats(0.0, 4.0, allow_subnormal=False)
+    rhs = np.array([draw(amounts) for _ in range(k)])
+    weights = np.array([draw(st.floats(0.0, 1.0, allow_subnormal=False))
+                        for _ in range(dim)])
+    return RatePolytope(dim, coeffs, rhs), weights
+
+
+class TestMaxWeightedProperties:
+    @PROPERTY_SETTINGS
+    @given(shaped_polytopes())
+    def test_matches_linprog_optimum(self, drawn):
+        poly, weights = drawn
+        res = linprog(-weights, A_ub=poly.coeffs, b_ub=poly.rhs,
+                      bounds=[(0, None)] * poly.dim, method="highs")
+        assert res.status == 0
+        assert abs(poly.max_weighted(weights) + res.fun) <= 1e-9
 
 
 class TestUnionLemma:
