@@ -195,7 +195,11 @@ class AchievablePoint:
 
 @dataclass
 class RegionEstimate:
-    """Point cloud of certified achievable rate tuples plus its convex closure."""
+    """Point cloud of certified achievable rate tuples plus its convex closure.
+
+    ``evaluations`` is the number of inputs the search scored, the count
+    that ``SearchConfig.max_evaluations`` bounds; it is not written to JSON.
+    """
 
     mode: object
     dim: int
@@ -206,6 +210,7 @@ class RegionEstimate:
     partial: bool
     seed: int
     aux_sizes: tuple
+    evaluations: int
 
     def max_sum_rate(self) -> float:
         if self.points.shape[0] == 0:
@@ -380,7 +385,7 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
         cases=[pt.case for pt in certified] or [CaseLabel.CASE0],
         generators=[par.build(pt.params) for pt in certified],
         hull_vertices=hull, partial=partial, seed=cfg.seed,
-        aux_sizes=par.sizes,
+        aux_sizes=par.sizes, evaluations=evaluations,
     )
 
 

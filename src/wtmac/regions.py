@@ -259,6 +259,8 @@ class RatePolytope:
     coeffs: np.ndarray  # (k, dim)
     rhs: np.ndarray     # (k,)
     names: tuple[str, ...] = ()
+    _vertices: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         co = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -297,9 +299,18 @@ class RatePolytope:
     def vertices(self, tol: float = 1e-9) -> np.ndarray:
         """All vertices, by enumerating active-constraint subsets (dim <= 3).
 
-        Every nonsingular subset of ``dim`` constraints, nonnegativity
-        included, is solved in one batch.
+        Memoized per instance and tolerance (the polytope is immutable), so
+        the array returned is read-only.
         """
+        verts = self._vertices.get(tol)
+        if verts is None:
+            verts = self._vertices[tol] = self._enumerate_vertices(tol)
+            verts.setflags(write=False)
+        return verts
+
+    def _enumerate_vertices(self, tol: float) -> np.ndarray:
+        """Every nonsingular subset of ``dim`` constraints, nonnegativity
+        included, solved in one batch."""
         rows = np.vstack([self.coeffs, -np.eye(self.dim)])
         vals = np.concatenate([self.rhs, np.zeros(self.dim)])
         combos = np.array(list(combinations(range(rows.shape[0]), self.dim)))
@@ -690,6 +701,63 @@ def _lp_witness(x: np.ndarray, rhs0: np.ndarray, rhs1: np.ndarray, tol: float):
     return u, v, float(lam)
 
 
+def _k_to_union(x_pts: np.ndarray, rhs0: np.ndarray, rhs1: np.ndarray,
+                r1, r2, r12, a, b, alpha0, alpha1, tol: float):
+    """Certify each point of ``x_pts`` as a member of some K_alpha.
+
+    Returns (witnesses, counterexamples), both in point order.  The window
+    arithmetic runs over all points at once; only the points it misses go
+    to the LP decomposition over the endpoint sets K_alpha0, K_alpha1.
+    """
+    x1, x2 = x_pts[:, 1], x_pts[:, 2]
+    lo = np.full(x_pts.shape[0], alpha0, dtype=float)
+    hi = np.full(x_pts.shape[0], alpha1, dtype=float)
+    feasible = x_pts.sum(axis=1) <= rhs0[3] + tol
+    # A window update keeps the old bound unless the new one is strictly
+    # tighter, as the builtin min/max do: a tie or a NaN keeps the old bound.
+    if a > 0:
+        bound = (r1 - x1) / a + tol / a
+        hi = np.where(bound < hi, bound, hi)
+    else:
+        feasible &= x1 <= r1 + tol
+    if b > 0:
+        bound = 1.0 - (r2 - x2) / b - tol / b
+        lo = np.where(bound > lo, bound, lo)
+    else:
+        feasible &= x2 <= r2 + tol
+    slope = b - a
+    x12 = x1 + x2
+    if abs(slope) <= 1e-15:
+        feasible &= x12 <= r12 - a + tol
+    else:
+        bound = (x12 - r12 + b) / slope - tol / slope
+        if slope > 0:
+            lo = np.where(bound > lo, bound, lo)
+        else:
+            hi = np.where(bound < hi, bound, hi)
+    mid = 0.5 * (lo + hi)
+    alpha_star = np.where(alpha0 > mid, alpha0, mid)
+    alpha_star = np.where(alpha1 < alpha_star, alpha1, alpha_star)
+    star_rhs = np.stack([r1 - alpha_star * a, r2 - (1.0 - alpha_star) * b,
+                         r12 - alpha_star * a - (1.0 - alpha_star) * b,
+                         np.full_like(alpha_star, rhs0[3])], axis=1)
+    margin = star_rhs - x_pts @ RATE_COEFFS.T
+    hit = feasible & (lo <= hi) & (margin.min(axis=1) >= -tol)
+    witnesses, misses = [], []
+    for x, ok, alpha in zip(x_pts, hit, alpha_star):
+        if ok:
+            witnesses.append({"point": x.tolist(), "alpha": float(alpha)})
+            continue
+        lp = _lp_witness(x, rhs0, rhs1, tol)
+        if lp is not None and _witness_valid(x, lp[0], lp[1], lp[2],
+                                             rhs0, rhs1, tol):
+            witnesses.append({"point": x.tolist(), "lambda": lp[2]})
+        else:
+            misses.append({"direction": "closed-form point not reachable by the family",
+                           "point": x.tolist()})
+    return witnesses, misses
+
+
 def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
                             samples: int = 200, *, grid_step: float = 1e-3,
                             tol: float = 1e-9, seed: int = 0) -> LemmaReport:
@@ -772,44 +840,11 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     # locate the window by interval arithmetic and return the single-alpha
     # membership as the witness.
     x_pts = _ray_points(rng, k_coeffs, k_rhs, samples)
-    total_rhs = r012 - c
-    for x in x_pts:
-        report.checked += 1
-        lo, hi = alpha0, alpha1
-        feasible = x.sum() <= total_rhs + tol
-        if a > 0:
-            hi = min(hi, (r1 - x[1]) / a + tol / a)
-        else:
-            feasible &= x[1] <= r1 + tol
-        if b > 0:
-            lo = max(lo, 1.0 - (r2 - x[2]) / b - tol / b)
-        else:
-            feasible &= x[2] <= r2 + tol
-        slope = b - a
-        x12 = x[1] + x[2]
-        if abs(slope) <= 1e-15:
-            feasible &= x12 <= r12 - a + tol
-        elif slope > 0:
-            lo = max(lo, (x12 - r12 + b) / slope - tol / slope)
-        else:
-            hi = min(hi, (x12 - r12 + b) / slope - tol / slope)
-        witness = None
-        if feasible and lo <= hi:
-            alpha_star = min(max(0.5 * (lo + hi), alpha0), alpha1)
-            margin = alpha_rhs(alpha_star) - RATE_COEFFS @ x
-            if margin.min() >= -tol:
-                witness = {"point": x.tolist(), "alpha": float(alpha_star)}
-        if witness is None:
-            lp = _lp_witness(x, rhs0, rhs1, tol)
-            if lp is not None and _witness_valid(x, lp[0], lp[1], lp[2],
-                                                 rhs0, rhs1, tol):
-                witness = {"point": x.tolist(), "lambda": lp[2]}
-        if witness is None:
-            report.counterexamples.append(
-                {"direction": "closed-form point not reachable by the family",
-                 "point": x.tolist()})
-        else:
-            report.witnesses.append(witness)
+    report.checked += x_pts.shape[0]
+    witnesses, misses = _k_to_union(x_pts, rhs0, rhs1, r1, r2, r12, a, b,
+                                    alpha0, alpha1, tol)
+    report.witnesses.extend(witnesses)
+    report.counterexamples.extend(misses)
 
     report.passed = not report.counterexamples
     return report

@@ -96,6 +96,20 @@ class TestRegionEstimate:
                            max_evaluations=5)
         est = achievable_region_estimate(mac, CommonMode(0.2), cfg)
         assert est.partial
+        assert est.evaluations == 5
+
+    def test_unbudgeted_evaluation_count(self):
+        # two structured starts and the restarts, then every direction's
+        # refinement steps
+        rng = np.random.default_rng(9)
+        mac = random_mac(rng)
+        cfg = SearchConfig(restarts=7, refine_iters=5, directions=4, seed=1,
+                           u_size=3)
+        for mode in (CommonMode(0.2), ConferencingMode(0.1, 0.1)):
+            est = achievable_region_estimate(mac, mode, cfg)
+            assert not est.partial
+            assert est.evaluations == 2 + 7 + 4 * 5
+            assert "evaluations" not in est.to_json_dict()
 
     def test_prefix_consistency(self):
         # estimating the prefixed channel cannot beat the original estimate's

@@ -6,6 +6,7 @@ from wtmac.errors import (
     ResourceBudgetError,
     ValidationError,
 )
+from wtmac import probkit
 from wtmac.probkit import (
     AX_T,
     AX_U,
@@ -113,7 +114,36 @@ class TestMutualInformation:
             assert mutual_information(j, {AX_T}, {AX_V1}, {AX_V2, AX_U}) >= -1e-12
 
 
+class TestEntropyMemo:
+    def test_key_ignores_axis_order_and_duplicates(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        j = random_factored(rng, random_mac(rng)).joint
+        computed = []
+        entropy_bits = probkit.entropy_bits
+
+        def counted(mass):
+            computed.append(mass.shape)
+            return entropy_bits(mass)
+
+        monkeypatch.setattr(probkit, "entropy_bits", counted)
+        values = {j.entropy([1, 0]), j.entropy({0, 1}), j.entropy((0, 1, 1, 0))}
+        assert computed == [(2, 2)]
+        assert values == {entropy_bits(j.marginal_mass({0, 1}))}
+        assert j.entropy() == j.entropy(reversed(range(j.ndim))) == entropy_bits(j.mass)
+        assert len(computed) == 2
+
+
 class TestJointFromFactors:
+    def test_planned_contraction_matches_einsum(self):
+        rng = np.random.default_rng(8)
+        for u, v1, v2 in ((1, 2, 2), (3, 2, 3), (9, 2, 2), (3, 2, 3)):
+            p = random_factored(rng, random_mac(rng, t=3), u=u, v1=v1, v2=v2)
+            direct = np.einsum("u,ua,ub,ax,by,xytz->uabxytz", p.p_u.mass,
+                               p.v1_given_u.matrix, p.v2_given_u.matrix,
+                               p.x_given_v1.matrix, p.y_given_v2.matrix,
+                               p.mac.tensor, optimize=True)
+            assert np.array_equal(p.joint.mass, direct)
+
     def test_deterministic_chain_is_point_mass(self):
         mac = WiretapMAC.from_marginals(np.array([[1.0, 0], [0, 1], [0, 1], [1, 0]]),
                                         np.array([[1.0, 0], [1, 0], [1, 0], [1, 0]]))

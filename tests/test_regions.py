@@ -7,9 +7,23 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from wtmac.casestudy import discussion_channels, example62_channels
+from wtmac import regions
 from wtmac.conferencing import CONF_COEFFS, region_conferencing
 from wtmac.errors import PreconditionError
-from wtmac.probkit import Channel, Dist, FactoredInput, WiretapMAC
+from wtmac.optimizer import ConferencingMode, SearchConfig, achievable_region_estimate
+from wtmac.probkit import (
+    AX_T,
+    AX_U,
+    AX_V1,
+    AX_V2,
+    AX_Z,
+    Channel,
+    Dist,
+    FactoredInput,
+    JointDist,
+    WiretapMAC,
+    mutual_information,
+)
 from wtmac.regions import (
     RATE_COEFFS,
     AlphaBounds,
@@ -160,6 +174,33 @@ class TestInfoProfileProperties:
                           (f["v2u"], f["v2_u"] + f["u"])]
             for whole, parts in pairs:
                 assert abs(whole - parts) <= 1e-12, (out, whole, parts)
+
+
+# Each profile field as (A, B, C) of I(A ; B | C).
+PROFILE_TERMS = {
+    f"{out}_{name}": ({ax}, b, c)
+    for out, ax in (("it", AX_T), ("iz", AX_Z))
+    for name, b, c in (
+        ("v1_v2u", {AX_V1}, {AX_V2, AX_U}), ("v2_v1u", {AX_V2}, {AX_V1, AX_U}),
+        ("v12_u", {AX_V1, AX_V2}, {AX_U}), ("v12", {AX_V1, AX_V2}, set()),
+        ("v1_u", {AX_V1}, {AX_U}), ("v2_u", {AX_V2}, {AX_U}), ("u", {AX_U}, set()),
+        ("v1u", {AX_V1, AX_U}, set()), ("v2u", {AX_V2, AX_U}, set()))
+    if (out, name) not in (("it", "v1u"), ("it", "v2u"))
+}
+
+
+class TestInfoProfileMemo:
+    @PROPERTY_SETTINGS
+    @given(random_inputs())
+    def test_matches_one_mutual_information_per_field(self, p):
+        # info_profile reads one shared entropy table; each reference MI is
+        # taken of a fresh joint, which has no memoized entropies.
+        j = p.joint
+        prof = info_profile(p).to_json_dict()
+        assert prof.keys() == PROFILE_TERMS.keys()
+        for name, (a, b, c) in PROFILE_TERMS.items():
+            assert prof[name] == mutual_information(JointDist(j.axes, j.mass),
+                                                    a, b, c), name
 
 
 class TestClassify:
@@ -535,6 +576,33 @@ class TestBatchedVertices:
         for poly in polys:
             assert np.array_equal(poly.vertices(), reference_vertices(poly))
 
+    def test_repeat_calls_reuse_the_enumeration(self, monkeypatch):
+        # A conferencing search asks for the vertices of every piece twice:
+        # once for the region's hull and once to score the input.
+        calls, enumerated = [], []
+        vertices, enumerate_vertices = (RatePolytope.vertices,
+                                        RatePolytope._enumerate_vertices)
+
+        def counted_vertices(poly, *args, **kw):
+            calls.append(poly)
+            return vertices(poly, *args, **kw)
+
+        def counted_enumeration(poly, tol):
+            enumerated.append(poly)
+            return enumerate_vertices(poly, tol)
+
+        monkeypatch.setattr(RatePolytope, "vertices", counted_vertices)
+        monkeypatch.setattr(RatePolytope, "_enumerate_vertices", counted_enumeration)
+        cfg = SearchConfig(u_size=2, restarts=3, refine_iters=3, directions=3, seed=1)
+        achievable_region_estimate(example62_channels(), ConferencingMode(0.2, 0.2), cfg)
+        distinct = {id(poly): poly for poly in calls}
+        assert len(calls) > len(distinct)
+        assert sorted(map(id, enumerated)) == sorted(distinct)
+        for poly in distinct.values():
+            verts = poly.vertices()
+            assert not verts.flags.writeable
+            assert np.array_equal(verts, reference_vertices(poly))
+
     def test_empty_polytope(self):
         poly = RatePolytope(3, RATE_COEFFS, np.array([-0.5, 1.0, 1.0, 2.0]))
         assert poly.vertices().shape == (0, 3)
@@ -599,6 +667,135 @@ class TestUnionLemma:
         inst["a1"], inst["b1"] = inst["b1"], inst["a1"]  # break a1 > b1
         with pytest.raises(PreconditionError):
             verify_union_lemma(**inst, samples=10)
+
+
+def reference_k_to_union(x_pts, rhs0, rhs1, r1, r2, r12, a, b, alpha0, alpha1,
+                         tol):
+    """Each point's feasible alpha-window in turn, then the LP fallback: the
+    reference for the vectorized certification of ``regions._k_to_union``."""
+    def alpha_rhs(alpha):
+        return np.array([r1 - alpha * a, r2 - (1.0 - alpha) * b,
+                         r12 - alpha * a - (1.0 - alpha) * b, rhs0[3]])
+
+    witnesses, misses = [], []
+    for x in x_pts:
+        lo, hi = alpha0, alpha1
+        feasible = x.sum() <= rhs0[3] + tol
+        if a > 0:
+            hi = min(hi, (r1 - x[1]) / a + tol / a)
+        else:
+            feasible &= x[1] <= r1 + tol
+        if b > 0:
+            lo = max(lo, 1.0 - (r2 - x[2]) / b - tol / b)
+        else:
+            feasible &= x[2] <= r2 + tol
+        slope = b - a
+        x12 = x[1] + x[2]
+        if abs(slope) <= 1e-15:
+            feasible &= x12 <= r12 - a + tol
+        elif slope > 0:
+            lo = max(lo, (x12 - r12 + b) / slope - tol / slope)
+        else:
+            hi = min(hi, (x12 - r12 + b) / slope - tol / slope)
+        witness = None
+        if feasible and lo <= hi:
+            alpha_star = min(max(0.5 * (lo + hi), alpha0), alpha1)
+            margin = alpha_rhs(alpha_star) - RATE_COEFFS @ x
+            if margin.min() >= -tol:
+                witness = {"point": x.tolist(), "alpha": float(alpha_star)}
+        if witness is None:
+            lp = regions._lp_witness(x, rhs0, rhs1, tol)
+            if lp is not None and regions._witness_valid(x, lp[0], lp[1], lp[2],
+                                                         rhs0, rhs1, tol):
+                witness = {"point": x.tolist(), "lambda": lp[2]}
+        if witness is None:
+            misses.append({"direction": "closed-form point not reachable by the family",
+                           "point": x.tolist()})
+        else:
+            witnesses.append(witness)
+    return witnesses, misses
+
+
+def k_to_union_args(inst, tol=1e-9):
+    """``_k_to_union``'s arguments after the points, for a hull instance."""
+    r1, r2, r12, a, b = (inst[k] for k in ("r1", "r2", "r12", "a", "b"))
+    alpha0, alpha1 = inst["alpha0"], inst["alpha1"]
+
+    def alpha_rhs(alpha):
+        return np.array([r1 - alpha * a, r2 - (1.0 - alpha) * b,
+                         r12 - alpha * a - (1.0 - alpha) * b, inst["r012"] - inst["c"]])
+
+    return (alpha_rhs(alpha0), alpha_rhs(alpha1), r1, r2, r12, a, b,
+            alpha0, alpha1, tol)
+
+
+def hull_points(rng, args, per_alpha=12):
+    """Boundary and interior points of K_alpha at five alphas, plus two points
+    past the R0 + R1 + R2 bound that only the LP fallback can rule on."""
+    rhs0, _, r1, r2, r12, a, b, alpha0, alpha1, _ = args
+    pts = [regions._ray_points(rng, RATE_COEFFS,
+                               np.array([r1 - al * a, r2 - (1.0 - al) * b,
+                                         r12 - al * a - (1.0 - al) * b, rhs0[3]]),
+                               per_alpha)
+           for al in np.linspace(alpha0, alpha1, 5)]
+    pts.append([[rhs0[3] + 1e-8, 0.0, 0.0], [rhs0[3] + 1.0, 0.0, 0.0]])
+    return np.vstack(pts)
+
+
+@st.composite
+def hull_instances(draw):
+    """A random hull instance, or one with a = 0, b = 0 or a = b.  Lowering a
+    or b only loosens every K_alpha, so the hypotheses keep holding."""
+    inst = random_hull_instance(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    variant = draw(st.sampled_from(["random", "a = 0", "b = 0", "a = b"]))
+    if variant == "a = 0":
+        inst["a"] = 0.0
+    elif variant == "b = 0":
+        inst["b"] = 0.0
+    elif variant == "a = b":
+        inst["a"] = inst["b"] = min(inst["a"], inst["b"])
+    return inst
+
+
+class TestKToUnion:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(hull_instances(), st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, inst, seed):
+        args = k_to_union_args(inst)
+        pts = hull_points(np.random.default_rng(seed), args)
+        assert regions._k_to_union(pts, *args) == reference_k_to_union(pts, *args)
+
+    def test_lp_fallback_only_on_misses(self, monkeypatch):
+        inst = random_hull_instance(np.random.default_rng(30))
+        args = k_to_union_args(inst)
+        pts = hull_points(np.random.default_rng(31), args)
+        lp_points = []
+        lp_witness = regions._lp_witness
+
+        def counted(x, *rest):
+            lp_points.append(x.tolist())
+            return lp_witness(x, *rest)
+
+        monkeypatch.setattr(regions, "_lp_witness", counted)
+        witnesses, misses = regions._k_to_union(pts, *args)
+        assert [m["point"] for m in misses] == pts[-2:].tolist()
+        assert lp_points == pts[-2:].tolist()
+        assert len(witnesses) == pts.shape[0] - 2
+        assert all("alpha" in w for w in witnesses)
+
+    def test_verifier_certifies_its_samples_like_the_reference(self, monkeypatch):
+        inst = random_hull_instance(np.random.default_rng(32))
+        drawn = []
+        ray_points = regions._ray_points
+
+        def recorded(*args, **kw):
+            drawn.append(ray_points(*args, **kw))
+            return drawn[-1]
+
+        monkeypatch.setattr(regions, "_ray_points", recorded)
+        rep = verify_convexhull_lemma(**inst, samples=120, seed=7)
+        witnesses, misses = reference_k_to_union(drawn[-1], *k_to_union_args(inst))
+        assert rep.witnesses == witnesses and not misses and rep.passed
 
 
 class TestConvexHullLemma:
