@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from wtmac.casestudy import discussion_channels, example62_channels
 from wtmac import regions
+from wtmac.casestudy import discussion_channels, example62_channels
 from wtmac.conferencing import CONF_COEFFS, region_conferencing
 from wtmac.errors import PreconditionError
 from wtmac.optimizer import ConferencingMode, SearchConfig, achievable_region_estimate
@@ -716,29 +716,26 @@ def reference_k_to_union(x_pts, rhs0, rhs1, r1, r2, r12, a, b, alpha0, alpha1,
     return witnesses, misses
 
 
+def hull_alpha_rhs(inst, alpha):
+    """The right-hand side of K_alpha for a hull instance."""
+    r12, a, b = inst["r12"], inst["a"], inst["b"]
+    return np.array([inst["r1"] - alpha * a, inst["r2"] - (1.0 - alpha) * b,
+                     r12 - alpha * a - (1.0 - alpha) * b, inst["r012"] - inst["c"]])
+
+
 def k_to_union_args(inst, tol=1e-9):
     """``_k_to_union``'s arguments after the points, for a hull instance."""
-    r1, r2, r12, a, b = (inst[k] for k in ("r1", "r2", "r12", "a", "b"))
-    alpha0, alpha1 = inst["alpha0"], inst["alpha1"]
-
-    def alpha_rhs(alpha):
-        return np.array([r1 - alpha * a, r2 - (1.0 - alpha) * b,
-                         r12 - alpha * a - (1.0 - alpha) * b, inst["r012"] - inst["c"]])
-
-    return (alpha_rhs(alpha0), alpha_rhs(alpha1), r1, r2, r12, a, b,
-            alpha0, alpha1, tol)
+    return (hull_alpha_rhs(inst, inst["alpha0"]), hull_alpha_rhs(inst, inst["alpha1"]),
+            *(inst[k] for k in ("r1", "r2", "r12", "a", "b", "alpha0", "alpha1")), tol)
 
 
-def hull_points(rng, args, per_alpha=12):
+def hull_points(rng, inst, per_alpha=12):
     """Boundary and interior points of K_alpha at five alphas, plus two points
     past the R0 + R1 + R2 bound that only the LP fallback can rule on."""
-    rhs0, _, r1, r2, r12, a, b, alpha0, alpha1, _ = args
-    pts = [regions._ray_points(rng, RATE_COEFFS,
-                               np.array([r1 - al * a, r2 - (1.0 - al) * b,
-                                         r12 - al * a - (1.0 - al) * b, rhs0[3]]),
-                               per_alpha)
-           for al in np.linspace(alpha0, alpha1, 5)]
-    pts.append([[rhs0[3] + 1e-8, 0.0, 0.0], [rhs0[3] + 1.0, 0.0, 0.0]])
+    pts = [regions._ray_points(rng, RATE_COEFFS, hull_alpha_rhs(inst, alpha), per_alpha)
+           for alpha in np.linspace(inst["alpha0"], inst["alpha1"], 5)]
+    total = inst["r012"] - inst["c"]
+    pts.append([[total + 1e-8, 0.0, 0.0], [total + 1.0, 0.0, 0.0]])
     return np.vstack(pts)
 
 
@@ -762,13 +759,13 @@ class TestKToUnion:
     @given(hull_instances(), st.integers(0, 2**32 - 1))
     def test_matches_reference(self, inst, seed):
         args = k_to_union_args(inst)
-        pts = hull_points(np.random.default_rng(seed), args)
+        pts = hull_points(np.random.default_rng(seed), inst)
         assert regions._k_to_union(pts, *args) == reference_k_to_union(pts, *args)
 
     def test_lp_fallback_only_on_misses(self, monkeypatch):
         inst = random_hull_instance(np.random.default_rng(30))
         args = k_to_union_args(inst)
-        pts = hull_points(np.random.default_rng(31), args)
+        pts = hull_points(np.random.default_rng(31), inst)
         lp_points = []
         lp_witness = regions._lp_witness
 
