@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .errors import (
@@ -32,6 +34,7 @@ from .regions import (
     _case1_bounds,
     _pos,
     alpha_bounds_case2,
+    batch_vertices,
     classify_profile,
     elementary_region,
     info_profile,
@@ -175,13 +178,20 @@ class ConferencingRegion:
 
     Cases 1 and 3 are single polytopes.  Case 2 is a union over the
     time-sharing parameter: ``pieces`` holds (alpha, polytope) pairs on a
-    grid and ``hull_points`` the convex hull of the union's vertices.
+    grid and ``hull_points`` the convex hull of the union's vertices (the
+    vertices of the single piece otherwise), computed on first use.
     Membership is union membership (any piece).
     """
 
     case: CaseLabel
     pieces: tuple
-    hull_points: np.ndarray
+
+    @cached_property
+    def hull_points(self) -> np.ndarray:
+        verts = batch_vertices([poly for _, poly in self.pieces])
+        if self.case != CaseLabel.CASE2:
+            return verts[0]
+        return _hull_2d(np.vstack(verts))
 
     @property
     def polytope(self) -> RatePolytope:
@@ -193,6 +203,7 @@ class ConferencingRegion:
         return any(poly.contains(point, tol) for _, poly in self.pieces)
 
     def max_weighted(self, weights) -> float:
+        batch_vertices([poly for _, poly in self.pieces])
         return max(poly.max_weighted(weights) for _, poly in self.pieces)
 
     def to_json_dict(self) -> dict:
@@ -212,7 +223,7 @@ def region_conferencing(p_or_prof, c1: float, c2: float, case: CaseLabel, *,
 
     Classification runs against the combined bound H_C = c1 + c2.  Case 2 is
     a union over the time-sharing fraction, materialized on a grid (101
-    points by default) with the hull of the union's vertices attached.
+    points by default); the hull of the union's vertices is taken on demand.
     Every piece raises the R1 and R2 bounds (r1, r2) of the matching
     common-message region by the link capacities, less the part of the
     randomness cost j0 that the other link cannot carry, under one sum bound.
@@ -257,10 +268,7 @@ def region_conferencing(p_or_prof, c1: float, c2: float, case: CaseLabel, *,
                                        r2 + c2 - _pos(j0 - c1), s]),
                              CONF_NAMES))
         for alpha, r1, r2, j0 in bounds)
-    if case != CaseLabel.CASE2:
-        return ConferencingRegion(case, pieces, pieces[0][1].vertices())
-    hull = _hull_2d(np.vstack([poly.vertices() for _, poly in pieces]))
-    return ConferencingRegion(case, pieces, hull)
+    return ConferencingRegion(case, pieces)
 
 
 @dataclass(frozen=True)

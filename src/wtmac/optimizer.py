@@ -22,9 +22,11 @@ from .errors import PreconditionError, ValidationError
 from .probkit import Alphabet, Channel, Dist, FactoredInput, WiretapMAC
 from .regions import (
     CaseLabel,
+    InfoProfile,
     RatePolytope,
+    batch_vertices,
     classify_profile,
-    info_profile,
+    info_profiles,
     region_common,
 )
 from .conferencing import region_conferencing
@@ -103,24 +105,12 @@ class SearchConfig:
         return u, v1, v2
 
 
-def _simplex_blocks(params: np.ndarray, shapes) -> list[np.ndarray]:
-    """Split a flat parameter vector into row-stochastic blocks."""
-    out = []
-    at = 0
-    for rows, cols in shapes:
-        block = params[at:at + rows * cols].reshape(rows, cols)
-        out.append(block)
-        at += rows * cols
-    return out
-
-
-def _project_rows(block: np.ndarray) -> np.ndarray:
-    b = np.clip(block, 1e-12, None)
-    return b / b.sum(axis=1, keepdims=True)
-
-
 class _Parameterization:
-    """Maps flat parameter vectors to factored inputs for one channel."""
+    """Maps parameter vectors to projected factors of inputs on one channel.
+
+    A parameter vector concatenates the factor blocks; each block row is
+    projected onto the simplex (clipped at 1e-12, then normalized).
+    """
 
     def __init__(self, mac: WiretapMAC, cfg: SearchConfig):
         self.mac = mac
@@ -160,20 +150,33 @@ class _Parameterization:
         out.append(np.concatenate([b.ravel() for b in blocks]))
         return out
 
-    def build(self, params: np.ndarray) -> FactoredInput:
-        blocks = [_project_rows(b) for b in _simplex_blocks(params, self.shapes)]
-        mac = self.mac
+    def factors(self, params: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(p_u, P(V1|U), P(V2|U), P(X|V1), P(Y|V2)) stacked over the rows of
+        an (N, length) parameter array, as :func:`info_profiles` takes them."""
+        n = params.shape[0]
+        clipped = np.maximum(params, 1e-12)
+        blocks, at = [], 0
+        for rows, cols in self.shapes:
+            block = clipped[:, at:at + rows * cols].reshape(n, rows, cols)
+            blocks.append(block / block.sum(axis=2, keepdims=True))
+            at += rows * cols
         if self.cfg.independent_only:
-            return FactoredInput.independent(Dist.from_mass(blocks[0][0]),
-                                             Dist.from_mass(blocks[1][0]), mac)
-        return FactoredInput(
-            Dist.from_mass(blocks[0][0]),
-            Channel.from_matrix(blocks[1]),
-            Channel.from_matrix(blocks[2]),
-            Channel.from_matrix(blocks[3]),
-            Channel.from_matrix(blocks[4]),
-            mac,
-        )
+            # trivial U, identity prefixes: V1 = X, V2 = Y
+            nx, ny = self.mac.x_alphabet.size, self.mac.y_alphabet.size
+            return (np.ones((n, 1)), blocks[0], blocks[1],
+                    np.broadcast_to(np.eye(nx), (n, nx, nx)),
+                    np.broadcast_to(np.eye(ny), (n, ny, ny)))
+        return (blocks[0][:, 0],) + tuple(blocks[1:])
+
+    def build(self, params: np.ndarray) -> FactoredInput:
+        """The validated factored input of one parameter vector."""
+        p_u, v1, v2, x1, y2 = (f[0] for f in self.factors(params[None]))
+        if self.cfg.independent_only:
+            return FactoredInput.independent(Dist.from_mass(v1[0]),
+                                             Dist.from_mass(v2[0]), self.mac)
+        return FactoredInput(Dist.from_mass(p_u), Channel.from_matrix(v1),
+                             Channel.from_matrix(v2), Channel.from_matrix(x1),
+                             Channel.from_matrix(y2), self.mac)
 
 
 def _wrapped_identity(rows: int, cols: int) -> np.ndarray:
@@ -198,7 +201,11 @@ class RegionEstimate:
     """Point cloud of certified achievable rate tuples plus its convex closure.
 
     ``evaluations`` is the number of inputs the search scored, the count
-    that ``SearchConfig.max_evaluations`` bounds; it is not written to JSON.
+    that ``SearchConfig.max_evaluations`` bounds; ``batches`` the number of
+    batches it scored them in (one profile-kernel call each);
+    ``hull_degenerate`` is set when qhull rejected the cloud and the hull
+    vertices are the deduplicated points themselves.  None of the three is
+    written to JSON.
     """
 
     mode: object
@@ -211,6 +218,8 @@ class RegionEstimate:
     seed: int
     aux_sizes: tuple
     evaluations: int
+    batches: int
+    hull_degenerate: bool
 
     def max_sum_rate(self) -> float:
         if self.points.shape[0] == 0:
@@ -247,11 +256,12 @@ class RegionEstimate:
         return "\n".join(lines) + "\n"
 
 
-def _achievable_polytopes(p: FactoredInput, mode) -> list[tuple[CaseLabel, object]]:
-    prof = info_profile(p)
+def _achievable_regions(prof: InfoProfile, u_independent: bool,
+                        mode) -> list[tuple[CaseLabel, object]]:
+    """(case, region) of every case the profile classifies into under mode."""
     out = []
     if isinstance(mode, CommonMode):
-        cases = classify_profile(prof, mode.hc, u_independent=p.u_independent()).cases
+        cases = classify_profile(prof, mode.hc, u_independent=u_independent).cases
         for case in cases:
             try:
                 out.append((case, region_common(prof, mode.hc, case,
@@ -270,20 +280,41 @@ def _achievable_polytopes(p: FactoredInput, mode) -> list[tuple[CaseLabel, objec
     return out
 
 
-def _case_vertices(p: FactoredInput, mode):
-    """(case, vertices) of each achievable region of p; a union region
-    stacks its pieces' vertices."""
-    for case, region in _achievable_polytopes(p, mode):
-        if isinstance(region, RatePolytope):
-            yield case, region.vertices()
-        else:
-            yield case, np.vstack([poly.vertices() for _, poly in region.pieces])
+class _Scorer:
+    """Scores batches of parameter vectors for one (channel, mode, config),
+    counting the batches."""
+
+    def __init__(self, par: _Parameterization, mode):
+        self.par = par
+        self.mode = mode
+        self.batches = 0
+
+    def regions(self, params) -> list[list[tuple[CaseLabel, object]]]:
+        """The achievable regions of each input of the batch."""
+        self.batches += 1
+        batch = info_profiles(*self.par.factors(np.asarray(params)),
+                              self.par.mac.tensor)
+        return [_achievable_regions(prof, u_ind, self.mode)
+                for prof, u_ind in zip(batch.profiles, batch.u_independent)]
+
+    def vertices(self, params) -> list[list[tuple[CaseLabel, np.ndarray]]]:
+        """(case, vertices) of each achievable region of each input, all
+        polytopes of the batch enumerated together; a union region stacks
+        its pieces' vertices."""
+        found = self.regions(params)
+        groups = [[region] if isinstance(region, RatePolytope)
+                  else [poly for _, poly in region.pieces]
+                  for regions in found for _, region in regions]
+        flat = iter(batch_vertices([poly for group in groups for poly in group]))
+        stacked = iter([np.vstack([next(flat) for _ in group]) for group in groups])
+        return [[(case, next(stacked)) for case, _ in regions] for regions in found]
 
 
-def _best_along(p: FactoredInput, mode, weights: np.ndarray):
-    """Best weighted rate achieved by p, with the witnessing case and vertex."""
+def _best_along(case_vertices, weights: np.ndarray):
+    """Best weighted rate over one input's (case, vertices), with the
+    witnessing case and vertex; a score must beat 0 to count."""
     best = (0.0, None, None)
-    for case, verts in _case_vertices(p, mode):
+    for case, verts in case_vertices:
         if verts.shape[0] == 0:
             continue
         scores = verts @ weights
@@ -291,6 +322,17 @@ def _best_along(p: FactoredInput, mode, weights: np.ndarray):
         if scores[idx] > best[0]:
             best = (float(scores[idx]), case, verts[idx])
     return best
+
+
+@dataclass
+class _Walk:
+    """One direction's refinement walk: its best score and input so far, the
+    noise of each of its steps, and the current step size."""
+
+    score: float
+    params: np.ndarray
+    noise: np.ndarray
+    step: float = STEP_INIT
 
 
 def _directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -307,100 +349,104 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
 
     Returns a cloud of certified points (each re-checked against the region
     of its generating input) whose convex closure with the origin is the
-    estimate.  Deterministic for a fixed (channel, mode, config).
+    estimate.  Deterministic for a fixed (channel, mode, config).  Inputs
+    are scored in batches: all candidates at once, then each refinement
+    step of every direction together.
     """
     if not isinstance(mode, (CommonMode, ConferencingMode)):
         raise ValidationError("mode must be CommonMode or ConferencingMode")
     rng = np.random.default_rng(cfg.seed)
     par = _Parameterization(mac, cfg)
+    score = _Scorer(par, mode)
     dim = 3 if isinstance(mode, CommonMode) else 2
     dirs = _directions(dim, cfg.directions, rng)
 
-    evaluations = 0
     budget = cfg.max_evaluations if cfg.max_evaluations is not None else math.inf
-    partial = False
-
     candidates = par.structured()
     for _ in range(cfg.restarts):
         candidates.append(par.random(rng))
 
     # Coverage pass: best candidate per direction (regions computed once per
-    # candidate, scored along every direction).
+    # candidate, scored along every direction); the first candidate reaching
+    # a direction's maximum wins it.
+    evaluations = int(min(len(candidates), budget))
+    partial = evaluations < len(candidates)
     per_dir: list[tuple[float, np.ndarray]] = [(-1.0, None)] * len(dirs)
-    for params in candidates:
-        if evaluations >= budget:
-            partial = True
-            break
-        evaluations += 1
-        p = par.build(params)
-        vertex_sets = [verts for _, verts in _case_vertices(p, mode)
-                       if verts.shape[0]]
-        if not vertex_sets:
-            continue
-        all_verts = np.vstack(vertex_sets)
-        scores = all_verts @ dirs.T  # (v, d)
-        best_per_dir = scores.max(axis=0)
-        for d in range(len(dirs)):
-            if best_per_dir[d] > per_dir[d][0]:
-                per_dir[d] = (float(best_per_dir[d]), params)
+    if evaluations:
+        best = np.full((evaluations, len(dirs)), -np.inf)
+        for i, case_verts in enumerate(score.vertices(candidates[:evaluations])):
+            verts = [v for _, v in case_verts if v.shape[0]]
+            if verts:
+                best[i] = (np.vstack(verts) @ dirs.T).max(axis=0)
+        for d, i in enumerate(np.argmax(best, axis=0)):
+            if best[i, d] > -1.0:
+                per_dir[d] = (float(best[i, d]), candidates[i])
 
-    # Refinement pass per direction.
-    points: list[AchievablePoint] = []
-    for d, w in enumerate(dirs):
-        score, params = per_dir[d]
+    # Refinement: every direction's accept/reject walk, in lockstep.  The
+    # budget is spent in direction order and the noise drawn in that order,
+    # so each walk sees the trials it would see run alone.
+    walks: dict[int, _Walk] = {}
+    for d, (s, params) in enumerate(per_dir):
         if params is None:
             continue
-        step = STEP_INIT
-        for it in range(cfg.refine_iters):
-            if evaluations >= budget:
-                partial = True
-                break
-            evaluations += 1
-            trial = params + step * rng.standard_normal(par.length)
-            t_score, _, _ = _best_along(par.build(trial), mode, w)
-            if t_score > score:
-                score, params = t_score, trial
+        steps = int(min(cfg.refine_iters, max(budget - evaluations, 0)))
+        partial |= steps < cfg.refine_iters
+        evaluations += steps
+        walks[d] = _Walk(s, params, rng.standard_normal((steps, par.length)))
+    for it in range(max((len(w.noise) for w in walks.values()), default=0)):
+        live = [(d, w) for d, w in walks.items() if it < len(w.noise)]
+        trials = [w.params + w.step * w.noise[it] for _, w in live]
+        for (d, w), trial, case_verts in zip(live, trials, score.vertices(trials)):
+            t_score = _best_along(case_verts, dirs[d])[0]
+            if t_score > w.score:
+                w.score, w.params = t_score, trial
             else:
-                step *= STEP_DECAY
-        final_score, case, vert = _best_along(par.build(params), mode, w)
-        if vert is not None:
-            points.append(AchievablePoint(vert, case, params, d))
+                w.step *= STEP_DECAY
+    points: list[AchievablePoint] = []
+    if walks:
+        finals = score.vertices([w.params for w in walks.values()])
+        for (d, w), case_verts in zip(walks.items(), finals):
+            _, case, vert = _best_along(case_verts, dirs[d])
+            if vert is not None:
+                points.append(AchievablePoint(vert, case, w.params, d))
 
     # Certification: recompute each generating region and re-check membership.
     certified: list[AchievablePoint] = []
-    for pt in points:
-        p = par.build(pt.params)
-        for case, region in _achievable_polytopes(p, mode):
-            if case == pt.case and region.contains(pt.rates, tol=1e-9):
+    if points:
+        for pt, regions in zip(points, score.regions([pt.params for pt in points])):
+            if any(case == pt.case and region.contains(pt.rates, tol=1e-9)
+                   for case, region in regions):
                 certified.append(pt)
-                break
 
     if certified:
         cloud = np.vstack([pt.rates for pt in certified])
     else:
         cloud = np.zeros((1, dim))
-    hull = _hull_with_origin(cloud, dim)
+    hull, degenerate = _hull_with_origin(cloud, dim)
     return RegionEstimate(
         mode=mode, dim=dim, points=cloud,
         cases=[pt.case for pt in certified] or [CaseLabel.CASE0],
         generators=[par.build(pt.params) for pt in certified],
         hull_vertices=hull, partial=partial, seed=cfg.seed,
-        aux_sizes=par.sizes, evaluations=evaluations,
+        aux_sizes=par.sizes, evaluations=evaluations, batches=score.batches,
+        hull_degenerate=degenerate,
     )
 
 
-def _hull_with_origin(cloud: np.ndarray, dim: int) -> np.ndarray:
+def _hull_with_origin(cloud: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+    """Hull vertices of the cloud and the origin, and whether qhull rejected
+    the points as degenerate (the deduplicated points are returned then)."""
     pts = np.vstack([np.zeros((1, dim)), cloud])
     pts = np.unique(np.round(pts, 12), axis=0)
     if pts.shape[0] <= dim + 1:
-        return pts
+        return pts, False
     from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = ConvexHull(pts, qhull_options="QJ")
     except QhullError:
-        return pts
-    return pts[hull.vertices]
+        return pts, True
+    return pts[hull.vertices], False
 
 
 def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
@@ -408,13 +454,14 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
 
     Maximizes the legitimate-minus-eavesdropper information gap over the
     factored input family; monotone nondecreasing in the search budget.
+    The starts are scored as one batch, the refinement one trial at a time.
     """
     rng = np.random.default_rng(cfg.seed)
     par = _Parameterization(mac, cfg)
 
-    def objective(params: np.ndarray) -> float:
-        prof = info_profile(par.build(params))
-        return prof.it_v12 - prof.iz_v12
+    def objective(params) -> list[float]:
+        batch = info_profiles(*par.factors(np.asarray(params)), mac.tensor)
+        return [prof.it_v12 - prof.iz_v12 for prof in batch.profiles]
 
     best_val, best_params = 0.0, None
     starts: list[np.ndarray] = []
@@ -422,8 +469,7 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
         starts.extend(par.structured())
     for _ in range(cfg.restarts):
         starts.append(par.random(rng))
-    for params in starts:
-        val = objective(params)
+    for val, params in zip(objective(starts) if starts else [], starts):
         if val > best_val:
             best_val, best_params = val, params
     if best_params is None:
@@ -432,7 +478,7 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
     val, params = best_val, best_params
     for _ in range(cfg.refine_iters):
         trial = params + step * rng.standard_normal(par.length)
-        t_val = objective(trial)
+        t_val = objective([trial])[0]
         if t_val > val:
             val, params = t_val, trial
         else:

@@ -135,11 +135,18 @@ class Channel:
                 f"channel matrix shape {m.shape} does not match alphabets "
                 f"({self.input_alphabet.size}, {self.output_alphabet.size})"
             )
-        for i, row in enumerate(m):
-            try:
-                _as_prob_vector(row)
-            except ValidationError as exc:
-                raise ValidationError(f"channel row {i}: {exc}") from None
+        # Every row must be a mass vector, as _as_prob_vector checks one: all
+        # rows are checked at once and the first bad row is reported.  On C
+        # order, the row sums are those of the rows taken one at a time.
+        m = np.ascontiguousarray(m)
+        negative = np.any(m < -CONSTRUCT_TOL, axis=1)
+        totals = m.sum(axis=1)
+        bad = negative | (np.abs(totals - 1.0) > CONSTRUCT_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            problem = ("negative probability mass" if negative[i] else
+                       f"mass sums to {float(totals[i])!r}, not 1 within 1e-12")
+            raise ValidationError(f"channel row {i}: {problem}")
         m = np.clip(m, 0.0, None)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

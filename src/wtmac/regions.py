@@ -18,19 +18,21 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ResourceBudgetError, ValidationError
 from .probkit import (
+    ARITH_TOL,
     AX_T,
     AX_U,
     AX_V1,
     AX_V2,
     AX_Z,
+    CELL_BUDGET,
     FactoredInput,
     JointDist,
-    mutual_information,
 )
 
 EQUALITY_TOL = 1e-12
@@ -91,30 +93,127 @@ class InfoProfile:
         return {k: float(v) for k, v in self.__dict__.items()}
 
 
+class ProfileBatch(NamedTuple):
+    """Profiles of a batch of inputs with I(U ; V1 V2) of each, taken from
+    the same entropy table; ``u_independent`` flags (V1, V2) carrying no
+    information about U (to ``ARITH_TOL``, and always when |U| = 1)."""
+
+    profiles: list[InfoProfile]
+    u_info: np.ndarray
+    u_independent: np.ndarray
+
+
+# The 17 distinct marginals the profile reads, over the law's axes
+# u, a = V1, b = V2, t, z: each is summed from the smallest marginal already
+# taken that contains it, starting from the full law "uabtz".
+_MARGINAL_PLAN = (
+    ("uabt", "uabtz"), ("uabz", "uabtz"), ("uab", "uabt"),
+    ("uat", "uabt"), ("ubt", "uabt"), ("abt", "uabt"), ("ut", "uat"), ("t", "ut"),
+    ("uaz", "uabz"), ("ubz", "uabz"), ("abz", "uabz"), ("uz", "uaz"), ("z", "uz"),
+    ("ua", "uab"), ("ub", "uab"), ("ab", "uab"), ("u", "ua"),
+)
+# (marginal, source, source axes summed away), the batch axis leading
+_MARGINAL_STEPS = tuple(
+    (key, source, tuple(1 + source.index(c) for c in source if c not in key))
+    for key, source in _MARGINAL_PLAN)
+_ENTROPY_COLUMN = {key: i for i, (key, _) in enumerate(_MARGINAL_PLAN)}
+_ENTROPY_COLUMN[""] = len(_MARGINAL_PLAN)  # H of nothing: a zero column
+
+
+def _mi_terms(ac: str, bc: str, abc: str, c: str = "") -> tuple[int, ...]:
+    """Entropy columns of I(A ; B | C) = H(AC) + H(BC) - H(ABC) - H(C)."""
+    return tuple(_ENTROPY_COLUMN[key] for key in (ac, bc, abc, c))
+
+
+# One row per profile field, in InfoProfile order, then I(U ; V1 V2).
+_FIELD_TERMS = np.array(
+    [term for o in "tz" for term in (
+        _mi_terms(f"ub{o}", "uab", f"uab{o}", "ub"),  # I(O ; V1 | V2 U)
+        _mi_terms(f"ua{o}", "uab", f"uab{o}", "ua"),  # I(O ; V2 | V1 U)
+        _mi_terms(f"u{o}", "uab", f"uab{o}", "u"),    # I(O ; V1 V2 | U)
+        _mi_terms(o, "ab", f"ab{o}"),                 # I(O ; V1 V2)
+        _mi_terms(f"u{o}", "ua", f"ua{o}", "u"),      # I(O ; V1 | U)
+        _mi_terms(f"u{o}", "ub", f"ub{o}", "u"),      # I(O ; V2 | U)
+        _mi_terms(o, "u", f"u{o}"),                   # I(O ; U)
+    )]
+    + [_mi_terms("z", "ua", "uaz"),                   # I(Z ; V1 U)
+       _mi_terms("z", "ub", "ubz"),                   # I(Z ; V2 U)
+       _mi_terms("u", "ab", "uab")])                  # I(U ; V1 V2)
+
+
+def _profiles_of_laws(law: np.ndarray) -> ProfileBatch:
+    """The kernel on a stack of (N, U, V1, V2, T, Z) laws."""
+    n = law.shape[0]
+    marginals = {"uabtz": law}
+    flats, starts, at = [], [], 0
+    for key, source, drop in _MARGINAL_STEPS:
+        m = marginals[key] = np.add.reduce(marginals[source], axis=drop)
+        flats.append(m.reshape(n, math.prod(m.shape[1:])))
+        starts.append(at)
+        at += flats[-1].shape[1]
+    flat = np.concatenate(flats, axis=1)
+    logs = np.log2(flat, out=np.zeros_like(flat), where=flat > 0.0)
+    h = np.zeros((n, len(_MARGINAL_PLAN) + 1))
+    h[:, :-1] = -np.add.reduceat(flat * logs, starts, axis=1)
+    t = _FIELD_TERMS
+    info = h[:, t[:, 0]] + h[:, t[:, 1]] - h[:, t[:, 2]] - h[:, t[:, 3]]
+    u_info = info[:, -1]
+    u_ind = (u_info <= ARITH_TOL) | (law.shape[1] == 1)
+    profiles = [InfoProfile(*row) for row in info[:, :-1].tolist()]
+    return ProfileBatch(profiles, u_info, u_ind)
+
+
+def info_profiles(p_u: np.ndarray, v1_given_u: np.ndarray, v2_given_u: np.ndarray,
+                  x_given_v1: np.ndarray, y_given_v2: np.ndarray,
+                  tensor: np.ndarray) -> ProfileBatch:
+    """Information profiles of a batch of factored inputs on one channel.
+
+    Takes stacked row-stochastic factors -- p_u (N, U), P(V1|U) (N, U, V1),
+    P(V2|U) (N, U, V2), P(X|V1) (N, V1, X), P(Y|V2) (N, V2, Y) -- and the
+    channel tensor (X, Y, T, Z).  Two pairwise contractions give the
+    (N, U, V1, V2, T, Z) law directly (no profile field reads X or Y), and
+    the 17 marginal entropies are taken once per batch.  Batches are cut
+    into chunks of at most ``CELL_BUDGET`` cells.
+    """
+    n, u, a = v1_given_u.shape
+    b = v2_given_u.shape[2]
+    x, y, t, z = tensor.shape
+    cells = max(u * a * b, a * y) * t * z
+    if cells > CELL_BUDGET:
+        raise ResourceBudgetError(f"input law would need {cells} cells")
+    chunk = max(CELL_BUDGET // cells, 1)
+    flat = tensor.reshape(x, y * t * z)
+    parts = []
+    for lo in range(0, max(n, 1), chunk):
+        sl = slice(lo, lo + chunk)
+        # P(T, Z | V1, V2): contract X, then Y.
+        w = np.matmul(x_given_v1[sl], flat).reshape(-1, a, y, t * z)
+        w = np.matmul(y_given_v2[sl][:, None], w)
+        joint_uab = (p_u[sl][:, :, None, None] * v1_given_u[sl][:, :, :, None]
+                     * v2_given_u[sl][:, :, None, :])
+        law = joint_uab[..., None] * w[:, None]
+        parts.append(_profiles_of_laws(law.reshape(-1, u, a, b, t, z)))
+    if len(parts) == 1:
+        return parts[0]
+    return ProfileBatch([prof for part in parts for prof in part.profiles],
+                        np.concatenate([part.u_info for part in parts]),
+                        np.concatenate([part.u_independent for part in parts]))
+
+
+def _profile_batch(p: FactoredInput | JointDist) -> ProfileBatch:
+    """The kernel on a batch of one input; a joint is first marginalized to
+    (U, V1, V2, T, Z)."""
+    if isinstance(p, FactoredInput):
+        return info_profiles(p.p_u.mass[None], p.v1_given_u.matrix[None],
+                             p.v2_given_u.matrix[None], p.x_given_v1.matrix[None],
+                             p.y_given_v2.matrix[None], p.mac.tensor)
+    law = p.marginal_mass((AX_U, AX_V1, AX_V2, AX_T, AX_Z))
+    return _profiles_of_laws(law[None])
+
+
 def info_profile(p: FactoredInput | JointDist) -> InfoProfile:
     """Compute the full information profile of a factored input (or its joint)."""
-    j = p.joint if isinstance(p, FactoredInput) else p
-    mi = mutual_information
-    t, z, u, v1, v2 = {AX_T}, {AX_Z}, {AX_U}, {AX_V1}, {AX_V2}
-    v12 = v1 | v2
-    return InfoProfile(
-        it_v1_v2u=mi(j, t, v1, v2 | u),
-        it_v2_v1u=mi(j, t, v2, v1 | u),
-        it_v12_u=mi(j, t, v12, u),
-        it_v12=mi(j, t, v12),
-        it_v1_u=mi(j, t, v1, u),
-        it_v2_u=mi(j, t, v2, u),
-        it_u=mi(j, t, u),
-        iz_v1_v2u=mi(j, z, v1, v2 | u),
-        iz_v2_v1u=mi(j, z, v2, v1 | u),
-        iz_v12_u=mi(j, z, v12, u),
-        iz_v12=mi(j, z, v12),
-        iz_v1_u=mi(j, z, v1, u),
-        iz_v2_u=mi(j, z, v2, u),
-        iz_u=mi(j, z, u),
-        iz_v1u=mi(j, z, v1 | u),
-        iz_v2u=mi(j, z, v2 | u),
-    )
+    return _profile_batch(p).profiles[0]
 
 
 @dataclass(frozen=True)
@@ -242,8 +341,8 @@ def classify_profile(prof: InfoProfile, hc: float, u_independent: bool = False,
 def classify_case(p: FactoredInput, hc: float,
                   boundary_tol: float = 1e-9) -> frozenset:
     """Set of coding cases applicable to a factored input at bound ``hc``."""
-    prof = info_profile(p)
-    return classify_profile(prof, hc, u_independent=p.u_independent(),
+    prof, u_ind = _resolve(p, None)
+    return classify_profile(prof, hc, u_independent=u_ind,
                             boundary_tol=boundary_tol).cases
 
 
@@ -267,9 +366,9 @@ class RatePolytope:
         rh = np.atleast_1d(np.asarray(self.rhs, dtype=float))
         if co.shape != (rh.shape[0], self.dim):
             raise ValidationError(f"polytope shapes {co.shape} / {rh.shape} mismatch")
-        if np.any(np.all(co == 0.0, axis=1)):
+        if (co == 0.0).all(axis=1).any():
             raise ValidationError("zero coefficient row in polytope")
-        if not np.all(np.isfinite(rh)):
+        if not np.isfinite(rh).all():
             raise ValidationError("non-finite right-hand side")
         co.setflags(write=False)
         rh.setflags(write=False)
@@ -297,39 +396,10 @@ class RatePolytope:
         return bool(np.all(self.rhs >= -tol))
 
     def vertices(self, tol: float = 1e-9) -> np.ndarray:
-        """All vertices, by enumerating active-constraint subsets (dim <= 3).
-
-        Memoized per instance and tolerance (the polytope is immutable), so
-        the array returned is read-only.
-        """
-        verts = self._vertices.get(tol)
-        if verts is None:
-            verts = self._vertices[tol] = self._enumerate_vertices(tol)
-            verts.setflags(write=False)
-        return verts
-
-    def _enumerate_vertices(self, tol: float) -> np.ndarray:
-        """Every nonsingular subset of ``dim`` constraints, nonnegativity
-        included, solved in one batch."""
-        rows = np.vstack([self.coeffs, -np.eye(self.dim)])
-        vals = np.concatenate([self.rhs, np.zeros(self.dim)])
-        combos = np.array(list(combinations(range(rows.shape[0]), self.dim)))
-        mats = rows[combos]
-        regular = np.abs(np.linalg.det(mats)) >= 1e-12
-        xs = np.linalg.solve(mats[regular], vals[combos[regular]][..., None])[..., 0]
-        feasible = (np.all(xs >= -tol, axis=1)
-                    & np.all(xs @ self.coeffs.T <= self.rhs + tol, axis=1))
-        if not feasible.any():
-            return np.zeros((0, self.dim))
-        pts = np.clip(xs[feasible], 0.0, None)
-        # dedupe
-        order = np.lexsort(pts.T)
-        pts = pts[order]
-        keep = [0]
-        for i in range(1, pts.shape[0]):
-            if np.max(np.abs(pts[i] - pts[keep[-1]])) > 1e-9:
-                keep.append(i)
-        return pts[keep]
+        """All vertices (dim <= 3): :func:`batch_vertices` on this polytope
+        alone.  Memoized per instance and tolerance (the polytope is
+        immutable), so the array returned is read-only."""
+        return batch_vertices((self,), tol)[0]
 
     def max_weighted(self, weights) -> float:
         """Maximum of weights @ R over the region (vertex enumeration)."""
@@ -368,9 +438,65 @@ class RatePolytope:
         )
 
 
+def batch_vertices(polys, tol: float = 1e-9) -> list[np.ndarray]:
+    """Vertices of each polytope, one stacked solve per constraint matrix.
+
+    Polytopes sharing a coefficient matrix share its active-constraint
+    subsets (``dim`` rows, nonnegativity included) and their determinant
+    test; only the right-hand sides differ, so every nonsingular subset of
+    every polytope of the group is solved in one ``np.linalg.solve``.  Each
+    polytope's result is memoized on it, so the arrays are read-only.
+    """
+    groups: dict[tuple, dict[int, RatePolytope]] = {}
+    for poly in polys:
+        if tol not in poly._vertices:
+            key = (poly.coeffs.shape, poly.coeffs.tobytes())
+            groups.setdefault(key, {})[id(poly)] = poly
+    for group in groups.values():
+        _enumerate_group(list(group.values()), tol)
+    return [poly._vertices[tol] for poly in polys]
+
+
+def _enumerate_group(polys: list[RatePolytope], tol: float) -> None:
+    """Solve, test and memoize the vertices of polytopes sharing coefficients."""
+    coeffs, dim = polys[0].coeffs, polys[0].dim
+    rows = np.vstack([coeffs, -np.eye(dim)])
+    combos = np.array(list(combinations(range(rows.shape[0]), dim)))
+    mats = rows[combos]
+    regular = np.abs(np.linalg.det(mats)) >= 1e-12
+    combos, mats = combos[regular], mats[regular]
+    rhs = np.stack([poly.rhs for poly in polys])
+    vals = np.concatenate([rhs, np.zeros((len(polys), dim))], axis=1)
+    xs = np.linalg.solve(mats, vals[:, combos][..., None])[..., 0]
+    feasible = (np.all(xs >= -tol, axis=2)
+                & np.all(xs @ coeffs.T <= rhs[:, None, :] + tol, axis=2))
+    for poly, pts, ok in zip(polys, xs, feasible):
+        verts = _dedupe(np.clip(pts[ok], 0.0, None), dim)
+        verts.setflags(write=False)
+        poly._vertices[tol] = verts
+
+
+def _dedupe(pts: np.ndarray, dim: int) -> np.ndarray:
+    """Lexicographically sorted points, dropping each point within 1e-9 (max
+    norm) of the last one kept."""
+    if pts.shape[0] == 0:
+        return np.zeros((0, dim))
+    pts = pts[np.lexsort(pts.T)]
+    if (np.abs(np.diff(pts, axis=0)).max(axis=1, initial=0.0) > 1e-9).all():
+        return pts  # no point near its predecessor: every point is kept
+    rows = pts.tolist()
+    keep, last = [0], rows[0]
+    for i in range(1, len(rows)):
+        if max(abs(p - q) for p, q in zip(rows[i], last)) > 1e-9:
+            keep.append(i)
+            last = rows[i]
+    return pts[keep]
+
+
 def _resolve(p_or_prof, u_independent):
     if isinstance(p_or_prof, FactoredInput):
-        return info_profile(p_or_prof), p_or_prof.u_independent()
+        batch = _profile_batch(p_or_prof)
+        return batch.profiles[0], bool(batch.u_independent[0])
     if u_independent is None:
         u_independent = False
     return p_or_prof, u_independent

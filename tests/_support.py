@@ -1,9 +1,35 @@
-"""Shared generators for the test suite: channels, inputs, sampled profiles."""
+"""Shared generators for the test suite: channels, inputs, sampled profiles;
+and the one-input-at-a-time reference paths the batched kernels are checked
+against."""
+
+import math
+from itertools import combinations
 
 import numpy as np
 
-from wtmac.probkit import Channel, Dist, FactoredInput, WiretapMAC
-from wtmac.regions import CaseLabel, classify_profile, info_profile
+from wtmac import optimizer
+from wtmac.conferencing import region_conferencing
+from wtmac.errors import PreconditionError
+from wtmac.probkit import (
+    AX_T,
+    AX_U,
+    AX_V1,
+    AX_V2,
+    AX_Z,
+    Channel,
+    Dist,
+    FactoredInput,
+    WiretapMAC,
+    mutual_information,
+)
+from wtmac.regions import (
+    CaseLabel,
+    InfoProfile,
+    RatePolytope,
+    classify_profile,
+    info_profile,
+    region_common,
+)
 
 WB_62 = np.array([[0.6178, 0.3822], [0.0624, 0.9376],
                   [0.9350, 0.0650], [0.2353, 0.7647]])
@@ -105,3 +131,162 @@ def sample_case_profiles(rng, count, case, bob_quality=(0.3, 0.9)):
         if case in classify_profile(prof, hc, u_independent=p.u_independent()).cases:
             out.append((prof, hc, p))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference paths: one input, one polytope at a time
+# ---------------------------------------------------------------------------
+
+def reference_info_profile(p) -> InfoProfile:
+    """The profile as 16 mutual informations of the 7-D joint, sharing the
+    joint's memoized entropy table: the reference for the batched profile
+    kernel ``regions.info_profiles``."""
+    j = p.joint if isinstance(p, FactoredInput) else p
+    mi = mutual_information
+    t, z, u, v1, v2 = {AX_T}, {AX_Z}, {AX_U}, {AX_V1}, {AX_V2}
+    v12 = v1 | v2
+    return InfoProfile(
+        it_v1_v2u=mi(j, t, v1, v2 | u),
+        it_v2_v1u=mi(j, t, v2, v1 | u),
+        it_v12_u=mi(j, t, v12, u),
+        it_v12=mi(j, t, v12),
+        it_v1_u=mi(j, t, v1, u),
+        it_v2_u=mi(j, t, v2, u),
+        it_u=mi(j, t, u),
+        iz_v1_v2u=mi(j, z, v1, v2 | u),
+        iz_v2_v1u=mi(j, z, v2, v1 | u),
+        iz_v12_u=mi(j, z, v12, u),
+        iz_v12=mi(j, z, v12),
+        iz_v1_u=mi(j, z, v1, u),
+        iz_v2_u=mi(j, z, v2, u),
+        iz_u=mi(j, z, u),
+        iz_v1u=mi(j, z, v1 | u),
+        iz_v2u=mi(j, z, v2 | u),
+    )
+
+
+def reference_vertices(poly, tol=1e-9):
+    """Vertices by solving each active-constraint subset in turn: the
+    reference for the stacked enumeration of ``regions.batch_vertices``."""
+    rows = np.vstack([poly.coeffs, -np.eye(poly.dim)])
+    vals = np.concatenate([poly.rhs, np.zeros(poly.dim)])
+    found = []
+    for combo in combinations(range(rows.shape[0]), poly.dim):
+        a = rows[list(combo)]
+        if abs(np.linalg.det(a)) < 1e-12:
+            continue
+        x = np.linalg.solve(a, vals[list(combo)])
+        if np.all(x >= -tol) and np.all(poly.coeffs @ x <= poly.rhs + tol):
+            found.append(np.clip(x, 0.0, None))
+    if not found:
+        return np.zeros((0, poly.dim))
+    pts = np.array(found)
+    order = np.lexsort(pts.T)
+    pts = pts[order]
+    keep = [0]
+    for i in range(1, pts.shape[0]):
+        if np.max(np.abs(pts[i] - pts[keep[-1]])) > 1e-9:
+            keep.append(i)
+    return pts[keep]
+
+
+def _reference_regions(p, mode, profile):
+    prof = profile(p)
+    out = []
+    if isinstance(mode, optimizer.CommonMode):
+        cases = classify_profile(prof, mode.hc, u_independent=p.u_independent()).cases
+        for case in cases:
+            try:
+                out.append((case, region_common(prof, mode.hc, case,
+                                                check_membership=False)))
+            except PreconditionError:
+                continue
+    else:
+        hc = mode.c1 + mode.c2
+        for case in classify_profile(prof, hc).cases - {CaseLabel.CASE0}:
+            try:
+                out.append((case, region_conferencing(prof, mode.c1, mode.c2,
+                                                      case, alpha_points=21)))
+            except PreconditionError:
+                continue
+    return out
+
+
+def _reference_case_vertices(p, mode, profile):
+    for case, region in _reference_regions(p, mode, profile):
+        if isinstance(region, RatePolytope):
+            yield case, reference_vertices(region)
+        else:
+            yield case, np.vstack([reference_vertices(poly)
+                                   for _, poly in region.pieces])
+
+
+def _reference_best_along(p, mode, weights, profile):
+    best = (0.0, None, None)
+    for case, verts in _reference_case_vertices(p, mode, profile):
+        if verts.shape[0] == 0:
+            continue
+        scores = verts @ weights
+        idx = int(np.argmax(scores))
+        if scores[idx] > best[0]:
+            best = (float(scores[idx]), case, verts[idx])
+    return best
+
+
+def reference_search(mac, mode, cfg, profile=reference_info_profile):
+    """The region search scoring one validated input at a time, each
+    direction refined in turn: the reference for the batched search.
+    Returns (points, cases, partial, evaluations)."""
+    rng = np.random.default_rng(cfg.seed)
+    par = optimizer._Parameterization(mac, cfg)
+    dim = 3 if isinstance(mode, optimizer.CommonMode) else 2
+    dirs = optimizer._directions(dim, cfg.directions, rng)
+    evaluations = 0
+    budget = cfg.max_evaluations if cfg.max_evaluations is not None else math.inf
+    partial = False
+    candidates = par.structured()
+    for _ in range(cfg.restarts):
+        candidates.append(par.random(rng))
+    per_dir = [(-1.0, None)] * len(dirs)
+    for params in candidates:
+        if evaluations >= budget:
+            partial = True
+            break
+        evaluations += 1
+        vertex_sets = [verts for _, verts in
+                       _reference_case_vertices(par.build(params), mode, profile)
+                       if verts.shape[0]]
+        if not vertex_sets:
+            continue
+        best_per_dir = (np.vstack(vertex_sets) @ dirs.T).max(axis=0)
+        for d in range(len(dirs)):
+            if best_per_dir[d] > per_dir[d][0]:
+                per_dir[d] = (float(best_per_dir[d]), params)
+    points = []
+    for d, w in enumerate(dirs):
+        score, params = per_dir[d]
+        if params is None:
+            continue
+        step = optimizer.STEP_INIT
+        for _ in range(cfg.refine_iters):
+            if evaluations >= budget:
+                partial = True
+                break
+            evaluations += 1
+            trial = params + step * rng.standard_normal(par.length)
+            t_score = _reference_best_along(par.build(trial), mode, w, profile)[0]
+            if t_score > score:
+                score, params = t_score, trial
+            else:
+                step *= optimizer.STEP_DECAY
+        _, case, vert = _reference_best_along(par.build(params), mode, w, profile)
+        if vert is not None:
+            points.append((vert, case, params))
+    certified = [(vert, case) for vert, case, params in points
+                 if any(c == case and region.contains(vert, tol=1e-9)
+                        for c, region in _reference_regions(par.build(params),
+                                                            mode, profile))]
+    cloud = (np.vstack([v for v, _ in certified]) if certified
+             else np.zeros((1, dim)))
+    cases = [c for _, c in certified] or [CaseLabel.CASE0]
+    return cloud, cases, partial, evaluations

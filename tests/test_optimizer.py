@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _support import constant_eve_mac, random_mac
+from _support import constant_eve_mac, random_mac, reference_search
 from wtmac.errors import ValidationError
 from wtmac.optimizer import (
     CommonMode,
@@ -11,6 +11,7 @@ from wtmac.optimizer import (
     prefix_channel,
     single_sender_secrecy_capacity,
 )
+from wtmac.casestudy import example62_channels
 from wtmac.probkit import Channel, Dist, FactoredInput, WiretapMAC
 from wtmac.regions import info_profile, region_common
 
@@ -139,6 +140,79 @@ class TestRegionEstimate:
         rng = np.random.default_rng(14)
         with pytest.raises(ValidationError):
             achievable_region_estimate(random_mac(rng), "common", SearchConfig())
+
+
+class TestBatchedSearch:
+    # The reference search scores one validated input at a time and refines
+    # each direction in turn.  It takes the library's profile of one input:
+    # along a direction normal to a facet every vertex of that facet scores
+    # the same up to rounding, so a profile that differs in its last bits
+    # (the 16-MI reference, to 1e-15) can pick another vertex of the facet.
+    # That profile is checked against the kernel in test_regions.
+
+    @pytest.mark.parametrize("budget", [None, 4, 9, 15, 29])
+    def test_matches_reference_search(self, budget):
+        rng = np.random.default_rng(18)
+        macs = (random_mac(rng, t=3, z=3, bob_quality=0.6), example62_channels())
+        cfg = SearchConfig(restarts=7, refine_iters=5, directions=4, seed=2,
+                           u_size=2, max_evaluations=budget)
+        for mac in macs:
+            for mode in (CommonMode(0.3), ConferencingMode(0.1, 0.1)):
+                est = achievable_region_estimate(mac, mode, cfg)
+                points, cases, partial, evaluations = reference_search(
+                    mac, mode, cfg, profile=info_profile)
+                assert est.evaluations == evaluations
+                assert est.partial == partial
+                assert est.cases == cases
+                assert est.points.shape == points.shape
+                assert np.max(np.abs(est.points - points)) <= 1e-12
+
+    def test_unbudgeted_batch_count(self):
+        # one batch of candidates, one per refinement step (every direction
+        # steps together), one of final points and one of certifications
+        rng = np.random.default_rng(9)
+        mac = random_mac(rng)
+        cfg = SearchConfig(restarts=7, refine_iters=5, directions=4, seed=1,
+                           u_size=3)
+        for mode in (CommonMode(0.2), ConferencingMode(0.1, 0.1)):
+            est = achievable_region_estimate(mac, mode, cfg)
+            assert est.generators
+            assert est.batches == 1 + cfg.refine_iters + 1 + 1
+            assert "batches" not in est.to_json_dict()
+
+    def test_budget_cut_inside_refinement(self):
+        # 9 candidates, then 3 steps: all of them the first direction's
+        rng = np.random.default_rng(9)
+        mac = random_mac(rng)
+        cfg = SearchConfig(restarts=7, refine_iters=5, directions=4, seed=1,
+                           u_size=3, max_evaluations=9 + 3)
+        est = achievable_region_estimate(mac, CommonMode(0.2), cfg)
+        assert est.partial
+        assert est.evaluations == 12
+        assert est.generators
+        assert est.batches == 1 + 3 + 1 + 1
+
+    def test_degenerate_hull_flagged(self, monkeypatch):
+        import scipy.spatial
+
+        mac = example62_channels()
+        cfg = SearchConfig(restarts=6, refine_iters=4, directions=6, seed=3,
+                           u_size=2)
+        est = achievable_region_estimate(mac, CommonMode(0.3), cfg)
+        assert not est.hull_degenerate
+
+        def refuse(*args, **kwargs):
+            raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
+        flat = achievable_region_estimate(mac, CommonMode(0.3), cfg)
+        assert flat.hull_degenerate
+        assert np.array_equal(flat.points, est.points)
+        cloud = np.unique(np.round(np.vstack([np.zeros((1, 3)), est.points]), 12),
+                          axis=0)
+        assert cloud.shape[0] > 4  # enough points to ask qhull
+        assert np.array_equal(flat.hull_vertices, cloud)
+        assert "hull_degenerate" not in flat.to_json_dict()
 
 
 class TestSecrecyCapacity:

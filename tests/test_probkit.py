@@ -15,6 +15,7 @@ from wtmac.probkit import (
     AX_X,
     AX_Y,
     AX_Z,
+    Alphabet,
     Channel,
     Dist,
     FactoredInput,
@@ -177,6 +178,41 @@ class TestJointFromFactors:
                                Channel.from_matrix(rng.dirichlet([1, 1], size=3)),
                                Channel.identity(2), Channel.identity(2),
                                Channel.identity(2), mac)
+
+
+BAD_ROWS = {
+    "negative mass": ([-0.25, 1.25], "negative probability mass"),
+    "negative and off": ([-0.25, 1.5], "negative probability mass"),
+    "sum above 1": ([0.25, 0.75 + 1e-11], "mass sums to 1.00000000001, not 1 within 1e-12"),
+    "sum below 1": ([0.5, 0.5 - 3e-12], "mass sums to 0.999999999997, not 1 within 1e-12"),
+}
+
+
+class TestChannelValidation:
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+    def test_first_bad_row_is_named(self, kind, row):
+        values, problem = BAD_ROWS[kind]
+        m = np.full((4, 2), 0.5)
+        m[row] = values
+        m[3] = [2.0, 0.0]  # a later bad row is not the one reported
+        with pytest.raises(ValidationError) as err:
+            Channel.from_matrix(m)
+        assert str(err.value) == f"channel row {row}: {problem}"
+
+    @pytest.mark.parametrize("shape, row", [((2, 3), 0), ((3, 2), 2)])
+    def test_wrong_shape(self, shape, row):
+        # (2, 3): row 0 already has three entries; (3, 2): row 2 is extra
+        with pytest.raises(ValidationError) as err:
+            Channel(Alphabet(2), Alphabet(2), np.full(shape, 1.0 / shape[1]))
+        assert str(err.value) == (f"channel matrix shape {shape} does not match "
+                                  f"alphabets (2, 2)")
+
+    def test_clean_rows_accepted(self):
+        m = np.array([[0.5, 0.5], [1.0 + 5e-13, -5e-13], [0.0, 1.0]])
+        ch = Channel.from_matrix(m)
+        assert not ch.matrix.flags.writeable
+        assert np.array_equal(ch.matrix, np.clip(m, 0.0, None))
 
 
 class TestVariationDistance:

@@ -1,15 +1,13 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from wtmac import regions
+from wtmac import conferencing, optimizer, regions
 from wtmac.casestudy import discussion_channels, example62_channels
 from wtmac.conferencing import CONF_COEFFS, region_conferencing
-from wtmac.errors import PreconditionError
+from wtmac.errors import PreconditionError, ResourceBudgetError
 from wtmac.optimizer import ConferencingMode, SearchConfig, achievable_region_estimate
 from wtmac.probkit import (
     AX_T,
@@ -36,6 +34,7 @@ from wtmac.regions import (
     classify_profile,
     elementary_region,
     info_profile,
+    info_profiles,
     random_hull_instance,
     random_union_instance,
     region_common,
@@ -84,7 +83,11 @@ def constant_eve_mac(rng, t=2):
     return WiretapMAC.from_rows(rows, 2, 2, t, 2)
 
 
-from _support import sample_case1_profiles  # noqa: E402  (shared generator)
+from _support import (  # noqa: E402  (shared generator and references)
+    reference_info_profile,
+    reference_vertices,
+    sample_case1_profiles,
+)
 
 
 class TestInfoProfile:
@@ -193,14 +196,94 @@ class TestInfoProfileMemo:
     @PROPERTY_SETTINGS
     @given(random_inputs())
     def test_matches_one_mutual_information_per_field(self, p):
-        # info_profile reads one shared entropy table; each reference MI is
-        # taken of a fresh joint, which has no memoized entropies.
+        # reference_info_profile reads the joint's shared entropy table; each
+        # MI here is taken of a fresh joint, which has no memoized entropies.
         j = p.joint
-        prof = info_profile(p).to_json_dict()
+        prof = reference_info_profile(p).to_json_dict()
         assert prof.keys() == PROFILE_TERMS.keys()
         for name, (a, b, c) in PROFILE_TERMS.items():
             assert prof[name] == mutual_information(JointDist(j.axes, j.mass),
                                                     a, b, c), name
+
+
+@st.composite
+def input_batches(draw):
+    """One to six random factored inputs sharing a random MAC and alphabet
+    sizes, with |U| in {1, 2, 9}."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y, t, z = (draw(st.integers(2, 3)) for _ in range(4))
+    mac = WiretapMAC.from_rows(rng.dirichlet(np.ones(t * z), size=x * y),
+                               x, y, t, z)
+    u = draw(st.sampled_from([1, 2, 9]))
+    v1, v2 = (draw(st.integers(1, 3)) for _ in range(2))
+    count = draw(st.sampled_from([1, 2, 6]))
+    return [random_factored(rng, mac, u=u, v1=v1, v2=v2) for _ in range(count)]
+
+
+def stacked_factors(inputs):
+    """The kernel's arguments for a batch of inputs on one channel."""
+    return (np.stack([p.p_u.mass for p in inputs]),
+            np.stack([p.v1_given_u.matrix for p in inputs]),
+            np.stack([p.v2_given_u.matrix for p in inputs]),
+            np.stack([p.x_given_v1.matrix for p in inputs]),
+            np.stack([p.y_given_v2.matrix for p in inputs]),
+            inputs[0].mac.tensor)
+
+
+def assert_profiles_close(got, want, tol=1e-12):
+    got, want = got.to_json_dict(), want.to_json_dict()
+    for name, value in want.items():
+        assert abs(got[name] - value) <= tol, (name, got[name], value)
+
+
+class TestProfileKernel:
+    @PROPERTY_SETTINGS
+    @given(input_batches())
+    def test_batch_matches_reference(self, inputs):
+        batch = info_profiles(*stacked_factors(inputs))
+        assert len(batch.profiles) == len(inputs)
+        for p, prof, u_info, u_ind in zip(inputs, *batch):
+            assert_profiles_close(prof, reference_info_profile(p))
+            assert abs(u_info - mutual_information(p.joint, {AX_U},
+                                                   {AX_V1, AX_V2})) <= 1e-12
+            assert u_ind == p.u_independent()
+            # the batch of one, from the input and from its joint
+            assert_profiles_close(info_profile(p), prof)
+            assert_profiles_close(info_profile(p.joint), prof)
+
+    def test_u_independent_auxiliaries(self):
+        # auxiliaries that ignore U carry no information about it
+        rng = np.random.default_rng(40)
+        mac = random_mac(rng)
+        row1, row2 = rng.dirichlet([1, 1, 1]), rng.dirichlet([1, 1])
+        p = FactoredInput(Dist.from_mass(rng.dirichlet(np.ones(4))),
+                          Channel.from_matrix(np.tile(row1, (4, 1))),
+                          Channel.from_matrix(np.tile(row2, (4, 1))),
+                          Channel.from_matrix(rng.dirichlet([1, 1], size=3)),
+                          Channel.from_matrix(rng.dirichlet([1, 1], size=2)), mac)
+        q = random_factored(rng, mac, u=4, v1=3, v2=2)
+        batch = info_profiles(*stacked_factors([p, q]))
+        assert batch.u_independent.tolist() == [True, False]
+        assert p.u_independent() and not q.u_independent()
+
+    def test_chunks_match_one_batch(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        mac = random_mac(rng, t=3)
+        inputs = [random_factored(rng, mac, u=3) for _ in range(7)]
+        whole = info_profiles(*stacked_factors(inputs))
+        cells = 3 * 2 * 2 * 3 * 2
+        monkeypatch.setattr(regions, "CELL_BUDGET", 2 * cells)  # chunks of 2
+        chunked = info_profiles(*stacked_factors(inputs))
+        assert chunked.profiles == whole.profiles
+        assert np.array_equal(chunked.u_info, whole.u_info)
+        assert np.array_equal(chunked.u_independent, whole.u_independent)
+
+    def test_input_over_budget_refused(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        p = random_factored(rng, random_mac(rng), u=3)
+        monkeypatch.setattr(regions, "CELL_BUDGET", 3 * 2 * 2 * 2 * 2 - 1)
+        with pytest.raises(ResourceBudgetError):
+            info_profile(p)
 
 
 class TestClassify:
@@ -510,31 +593,6 @@ class TestPolytopeOps:
         assert np.allclose(again.rhs, poly.rhs)
 
 
-def reference_vertices(poly, tol=1e-9):
-    """Vertices by solving each active-constraint subset in turn: the
-    reference for the batched enumeration of ``RatePolytope.vertices``."""
-    rows = np.vstack([poly.coeffs, -np.eye(poly.dim)])
-    vals = np.concatenate([poly.rhs, np.zeros(poly.dim)])
-    found = []
-    for combo in combinations(range(rows.shape[0]), poly.dim):
-        a = rows[list(combo)]
-        if abs(np.linalg.det(a)) < 1e-12:
-            continue
-        x = np.linalg.solve(a, vals[list(combo)])
-        if np.all(x >= -tol) and np.all(poly.coeffs @ x <= poly.rhs + tol):
-            found.append(np.clip(x, 0.0, None))
-    if not found:
-        return np.zeros((0, poly.dim))
-    pts = np.array(found)
-    order = np.lexsort(pts.T)
-    pts = pts[order]
-    keep = [0]
-    for i in range(1, pts.shape[0]):
-        if np.max(np.abs(pts[i] - pts[keep[-1]])) > 1e-9:
-            keep.append(i)
-    return pts[keep]
-
-
 def swept_polytopes(rng, count):
     """Every region of ``count`` random inputs on the additive, Example 6.2
     and random channels: the case regions (Cases 0-3), the elementary
@@ -576,32 +634,55 @@ class TestBatchedVertices:
         for poly in polys:
             assert np.array_equal(poly.vertices(), reference_vertices(poly))
 
-    def test_repeat_calls_reuse_the_enumeration(self, monkeypatch):
-        # A conferencing search asks for the vertices of every piece twice:
-        # once for the region's hull and once to score the input.
-        calls, enumerated = [], []
-        vertices, enumerate_vertices = (RatePolytope.vertices,
-                                        RatePolytope._enumerate_vertices)
-
-        def counted_vertices(poly, *args, **kw):
-            calls.append(poly)
-            return vertices(poly, *args, **kw)
-
-        def counted_enumeration(poly, tol):
-            enumerated.append(poly)
-            return enumerate_vertices(poly, tol)
-
-        monkeypatch.setattr(RatePolytope, "vertices", counted_vertices)
-        monkeypatch.setattr(RatePolytope, "_enumerate_vertices", counted_enumeration)
-        cfg = SearchConfig(u_size=2, restarts=3, refine_iters=3, directions=3, seed=1)
-        achievable_region_estimate(example62_channels(), ConferencingMode(0.2, 0.2), cfg)
-        distinct = {id(poly): poly for poly in calls}
-        assert len(calls) > len(distinct)
-        assert sorted(map(id, enumerated)) == sorted(distinct)
-        for poly in distinct.values():
-            verts = poly.vertices()
+    def test_one_batch_of_mixed_shapes(self):
+        rng = np.random.default_rng(30)
+        polys = list(swept_polytopes(rng, 40))
+        assert len({(p.coeffs.shape, p.coeffs.tobytes()) for p in polys}) > 3
+        batch = regions.batch_vertices(polys + polys[:5])
+        for poly, verts in zip(polys, batch):
             assert not verts.flags.writeable
             assert np.array_equal(verts, reference_vertices(poly))
+        for poly, again in zip(polys[:5], batch[-5:]):
+            assert again is poly.vertices()
+
+    def test_repeat_calls_reuse_the_enumeration(self, monkeypatch):
+        # Every polytope a conferencing search asks about is enumerated
+        # once; a Case-2 region's pieces are enumerated in one group, and
+        # its hull, its maximum and each piece's vertices then share it.
+        requested, enumerated = [], []
+        batch, enumerate_group = regions.batch_vertices, regions._enumerate_group
+
+        def counted_batch(polys, *args, **kw):
+            requested.extend(polys)
+            return batch(polys, *args, **kw)
+
+        def counted_enumeration(polys, tol):
+            enumerated.append(list(polys))
+            return enumerate_group(polys, tol)
+
+        for module in (regions, optimizer, conferencing):
+            monkeypatch.setattr(module, "batch_vertices", counted_batch)
+        monkeypatch.setattr(regions, "_enumerate_group", counted_enumeration)
+        cfg = SearchConfig(u_size=2, restarts=3, refine_iters=3, directions=3, seed=1)
+        achievable_region_estimate(example62_channels(), ConferencingMode(0.2, 0.2), cfg)
+        distinct = {id(poly): poly for poly in requested}
+        flat = [id(poly) for group in enumerated for poly in group]
+        assert sorted(flat) == sorted(distinct)
+        for poly in distinct.values():
+            assert np.array_equal(poly.vertices(), reference_vertices(poly))
+
+        requested.clear()
+        enumerated.clear()
+        prof = info_profile(example62_input())
+        region = region_conferencing(prof, 0.1, 0.1, CaseLabel.CASE2, alpha_points=9)
+        pieces = [poly for _, poly in region.pieces]
+        assert len(pieces) == 9
+        region.max_weighted((1.0, 1.0))
+        region.hull_points
+        for poly in pieces:
+            assert not poly.vertices().flags.writeable
+        assert [list(map(id, group)) for group in enumerated] == [list(map(id, pieces))]
+        assert len(requested) > len(pieces)
 
     def test_empty_polytope(self):
         poly = RatePolytope(3, RATE_COEFFS, np.array([-0.5, 1.0, 1.0, 2.0]))
@@ -637,6 +718,70 @@ class TestMaxWeightedProperties:
                       bounds=[(0, None)] * poly.dim, method="highs")
         assert res.status == 0
         assert abs(poly.max_weighted(weights) + res.fun) <= 1e-9
+
+
+@st.composite
+def polytopes_with_points(draw):
+    """A random polytope in 2 or 3 dimensions (coefficients of either sign)
+    and a point at least 1e-6 from every constraint boundary, nonnegativity
+    included, so that the 1e-9 membership tolerance decides nothing."""
+    dim = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 5))
+    entries = st.floats(-1.0, 2.0, allow_subnormal=False)
+    coeffs = np.array([[draw(entries) for _ in range(dim)] for _ in range(k)])
+    assume(np.all(np.any(coeffs != 0.0, axis=1)))
+    rhs = np.array([draw(st.floats(-0.5, 3.0, allow_subnormal=False))
+                    for _ in range(k)])
+    point = np.array([draw(st.floats(-0.5, 3.0, allow_subnormal=False))
+                      for _ in range(dim)])
+    assume(np.all(np.abs(coeffs @ point - rhs) > 1e-6))
+    assume(np.all(np.abs(point) > 1e-6))
+    return RatePolytope(dim, coeffs, rhs), point
+
+
+class TestContainsProperties:
+    @PROPERTY_SETTINGS
+    @given(polytopes_with_points())
+    def test_matches_linprog_feasibility(self, drawn):
+        # The oracle asks linprog whether {x >= 0 : coeffs x <= rhs, x = point}
+        # is feasible (status 0) or not (status 2).
+        poly, point = drawn
+        res = linprog(np.zeros(poly.dim), A_ub=poly.coeffs, b_ub=poly.rhs,
+                      A_eq=np.eye(poly.dim), b_eq=point,
+                      bounds=[(0, None)] * poly.dim, method="highs")
+        assert res.status in (0, 2)
+        assert poly.contains(point) == (res.status == 0)
+
+
+def same_point_set(got, want, tol=1e-9):
+    """Equal point sets up to ``tol`` in the max norm: every point of each
+    set lies within ``tol`` of a point of the other."""
+    if got.shape[0] == 0 or want.shape[0] == 0:
+        return got.shape[0] == want.shape[0]
+    dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+    return bool(dist.min(axis=0).max() <= tol and dist.min(axis=1).max() <= tol)
+
+
+class TestCase2SwapProperties:
+    @PROPERTY_SETTINGS
+    @given(random_inputs(), st.floats(0.0, 1.5))
+    def test_swapped_region_is_permuted_region(self, p, scale):
+        # Exchanging the senders exchanges R1 and R2 and leaves R0 alone.  The
+        # vertex sets are compared as point sets up to the 1e-9 to which
+        # vertices() merges near-duplicates: which near-duplicate it keeps
+        # depends on the coordinate order, so the counts can differ.
+        prof = info_profile(p)
+        hc = scale * max(prof.iz_v12, 1e-3)
+        try:
+            region = region_common(prof, hc, CaseLabel.CASE2, check_membership=False)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                region_common(prof.swapped(), hc, CaseLabel.CASE2,
+                              check_membership=False)
+            return
+        swapped = region_common(prof.swapped(), hc, CaseLabel.CASE2,
+                                check_membership=False)
+        assert same_point_set(swapped.vertices(), region.vertices()[:, [0, 2, 1]])
 
 
 class TestUnionLemma:
