@@ -689,6 +689,15 @@ class TestBatchedVertices:
         assert poly.vertices().shape == (0, 3)
         assert np.array_equal(poly.vertices(), reference_vertices(poly))
 
+    def test_near_duplicate_vertices_merge(self):
+        # two R1 bounds 5e-10 apart: each corner they make with R2 = 0 and
+        # with R2 <= 1 is found twice, within the 1e-9 dedupe tolerance
+        poly = RatePolytope(2, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                            np.array([1.0, 1.0 - 5e-10, 1.0]))
+        verts = poly.vertices()
+        assert verts.shape == (4, 2)
+        assert np.array_equal(verts, reference_vertices(poly))
+
     def test_duplicated_constraint_row(self):
         coeffs = np.vstack([RATE_COEFFS, RATE_COEFFS[2]])
         for extra in (0.75, 0.5):
