@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from _support import constant_eve_mac, random_mac, reference_search
+from _support import (
+    constant_eve_mac,
+    random_mac,
+    reference_info_profile,
+    reference_search,
+)
 from wtmac.errors import ValidationError
 from wtmac.optimizer import (
     CommonMode,
@@ -144,11 +149,11 @@ class TestRegionEstimate:
 
 class TestBatchedSearch:
     # The reference search scores one validated input at a time and refines
-    # each direction in turn.  It takes the library's profile of one input:
-    # along a direction normal to a facet every vertex of that facet scores
-    # the same up to rounding, so a profile that differs in its last bits
-    # (the 16-MI reference, to 1e-15) can pick another vertex of the facet.
-    # That profile is checked against the kernel in test_regions.
+    # each direction in turn, with the 16-MI profile or with the library's
+    # profile of one input.  Along a direction normal to a facet every
+    # vertex of the facet scores the same up to rounding, so on inputs that
+    # sit on such a tie the two profiles (which differ in the last bits)
+    # can pick different vertices; these searches meet no such tie.
 
     @pytest.mark.parametrize("budget", [None, 4, 9, 15, 29])
     def test_matches_reference_search(self, budget):
@@ -159,13 +164,14 @@ class TestBatchedSearch:
         for mac in macs:
             for mode in (CommonMode(0.3), ConferencingMode(0.1, 0.1)):
                 est = achievable_region_estimate(mac, mode, cfg)
-                points, cases, partial, evaluations = reference_search(
-                    mac, mode, cfg, profile=info_profile)
-                assert est.evaluations == evaluations
-                assert est.partial == partial
-                assert est.cases == cases
-                assert est.points.shape == points.shape
-                assert np.max(np.abs(est.points - points)) <= 1e-12
+                for profile in (reference_info_profile, info_profile):
+                    points, cases, partial, evaluations = reference_search(
+                        mac, mode, cfg, profile=profile)
+                    assert est.evaluations == evaluations
+                    assert est.partial == partial
+                    assert est.cases == cases
+                    assert est.points.shape == points.shape
+                    assert np.max(np.abs(est.points - points)) <= 1e-12
 
     def test_unbudgeted_batch_count(self):
         # one batch of candidates, one per refinement step (every direction
