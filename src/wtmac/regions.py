@@ -1,9 +1,11 @@
 """Achievable-rate polytopes for the two-sender wiretap channel with common message.
 
-Classifies factored inputs into the four coding cases, emits the case
-regions over (R0, R1, R2), exposes the time-sharing ("alpha") elementary
-regions whose unions rebuild the case regions, and verifies the two
-polyhedral decomposition lemmas by dense sampling with explicit witnesses.
+Computes the information profiles of batches of factored inputs in one
+array kernel, classifies inputs into the four coding cases, emits the case
+regions over (R0, R1, R2) and their vertices (one stacked solve per
+constraint shape), exposes the time-sharing ("alpha") elementary regions
+whose unions rebuild the case regions, and verifies the two polyhedral
+decomposition lemmas by dense sampling with explicit witnesses.
 
 Naming convention for mutual informations (all in bits): ``it_v1_v2u``
 reads I(T ^ V1 | V2 U) -- the token after the quantity is the variable
