@@ -31,6 +31,7 @@ from .regions import (
     alpha_bounds_case1,
     classify_profile,
     info_profile,
+    info_profiles,
 )
 
 LN2 = math.log(2.0)
@@ -169,18 +170,21 @@ def equal_input_witness(scan_points: int = 99) -> EqualInputWitness:
     rate.
     """
     mac = discussion_channels()
+    # One profile batch: the scanned biases, then the uniform coupling.
+    p0s = np.append(np.linspace(0.0, 1.0, scan_points + 2)[1:-1], 0.5)
+    p_u = np.stack([p0s, 1.0 - p0s], axis=1)
+    ident = np.broadcast_to(np.eye(2), (p0s.size, 2, 2))
+    *profs, uniform = info_profiles(p_u, ident, ident, ident, ident,
+                                    mac.tensor).profiles
     scanned = []
     best = (-1.0, None)
-    for p0 in np.linspace(0.0, 1.0, scan_points + 2)[1:-1]:
-        j = coupled_input(mac, float(p0)).joint
-        i_t = mutual_information(j, {AX_T}, {AX_X, AX_Y})
-        scanned.append((float(p0), float(i_t)))
-        if i_t > best[0]:
-            best = (i_t, float(p0))
-    j = coupled_input(mac, 0.5).joint
+    for p0, prof in zip(p0s.tolist(), profs):
+        scanned.append((p0, prof.it_v12))
+        if prof.it_v12 > best[0]:
+            best = (prof.it_v12, p0)
     return EqualInputWitness(
-        i_t=mutual_information(j, {AX_T}, {AX_X, AX_Y}),
-        i_z=mutual_information(j, {AX_Z}, {AX_X, AX_Y}),
+        i_t=uniform.it_v12,
+        i_z=uniform.iz_v12,
         best_p0=best[1],
         scanned=tuple(scanned),
     )
@@ -322,11 +326,9 @@ def _needs_time_sharing(mac: WiretapMAC, q: float, r: float,
 
 
 def _entropy_gap(mac: WiretapMAC, q: float, r: float) -> float:
-    p = FactoredInput.independent(Dist.from_mass([q, 1 - q]),
-                                  Dist.from_mass([r, 1 - r]), mac)
-    j = p.joint
-    return (mutual_information(j, {AX_Z}, {AX_X, AX_Y})
-            - mutual_information(j, {AX_T}, {AX_X, AX_Y}))
+    prof = info_profile(FactoredInput.independent(Dist.from_mass([q, 1 - q]),
+                                                  Dist.from_mass([r, 1 - r]), mac))
+    return prof.iz_v12 - prof.it_v12
 
 
 def _conferencing_helps(mac: WiretapMAC, rng: np.random.Generator,
@@ -356,10 +358,8 @@ def _conferencing_helps(mac: WiretapMAC, rng: np.random.Generator,
     # ... while some coupled input flips the sign
     couplings = [0.5, 0.3, 0.7] + list(rng.uniform(0.1, 0.9, size=3))
     for p0 in couplings:
-        p = FactoredInput.coupled(Dist.from_mass([p0, 1 - p0]), mac)
-        j = p.joint
-        advantage = (mutual_information(j, {AX_T}, {AX_X, AX_Y})
-                     - mutual_information(j, {AX_Z}, {AX_X, AX_Y}))
+        prof = info_profile(coupled_input(mac, p0))
+        advantage = prof.it_v12 - prof.iz_v12
         if advantage > tol:
             return {
                 "independent_min_gap": float(min_gap),

@@ -40,8 +40,9 @@ from .optimizer import (
 from .probkit import FactoredInput, WiretapMAC
 from .regions import (
     CaseLabel,
+    InfoProfile,
+    _profile_batch,
     classify_profile,
-    info_profile,
     random_hull_instance,
     random_union_instance,
     region_common,
@@ -87,29 +88,27 @@ def _load_input(path: str, mac: WiretapMAC) -> FactoredInput:
     return FactoredInput.from_json_dict(_load_json(path, "input"), mac)
 
 
+def _load_profile(args) -> tuple[InfoProfile, bool]:
+    """The input's profile and u-independence flag, from one kernel call."""
+    batch = _profile_batch(_load_input(args.p, _load_channel(args.channel)))
+    return batch.profiles[0], bool(batch.u_independent[0])
+
+
 def _cmd_info(args) -> dict:
-    mac = _load_channel(args.channel)
-    p = _load_input(args.p, mac)
-    prof = info_profile(p)
-    return {"profile": prof.to_json_dict(),
-            "u_independent": p.u_independent()}
+    prof, u_ind = _load_profile(args)
+    return {"profile": prof.to_json_dict(), "u_independent": u_ind}
 
 
 def _cmd_classify(args) -> dict:
-    mac = _load_channel(args.channel)
-    p = _load_input(args.p, mac)
-    prof = info_profile(p)
-    report = classify_profile(prof, args.hc, u_independent=p.u_independent())
+    prof, u_ind = _load_profile(args)
+    report = classify_profile(prof, args.hc, u_independent=u_ind)
     return {"hc": args.hc,
             "cases": sorted(int(c) for c in report.cases),
             "warnings": list(report.warnings)}
 
 
 def _cmd_region(args) -> dict:
-    mac = _load_channel(args.channel)
-    p = _load_input(args.p, mac)
-    prof = info_profile(p)
-    u_ind = p.u_independent()
+    prof, u_ind = _load_profile(args)
     cases = classify_profile(prof, args.hc, u_independent=u_ind).cases
     if args.case is not None:
         cases = {CaseLabel(args.case)} & cases
@@ -125,9 +124,7 @@ def _cmd_region(args) -> dict:
 
 
 def _cmd_conf_region(args) -> dict:
-    mac = _load_channel(args.channel)
-    p = _load_input(args.p, mac)
-    prof = info_profile(p)
+    prof, _ = _load_profile(args)
     cases = classify_profile(prof, args.c1 + args.c2).cases - {CaseLabel.CASE0}
     if args.case is not None:
         cases = {CaseLabel(args.case)} & cases

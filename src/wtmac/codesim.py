@@ -39,7 +39,6 @@ from .probkit import (
     WiretapMAC,
     all_sequences,
     entropy_bits,
-    mutual_information,
     sample_typical,
 )
 from .regions import CaseLabel, InfoProfile, elementary_region, info_profile
@@ -86,9 +85,6 @@ class CodeChain:
                           Channel.identity(self.mac.x_alphabet.size),
                           Channel.identity(self.mac.y_alphabet.size), self.mac)
         return info_profile(p)
-
-    def mi(self, a, b, cond=()):
-        return mutual_information(self.joint, a, b, cond)
 
 
 @dataclass(frozen=True)
@@ -307,22 +303,18 @@ def _product_l(fams):
 
 
 def _case_j_values(chain: CodeChain, case: CaseLabel, alpha: float):
-    """Randomization-rate targets (j0, j1, j2) for one case."""
-    # chain joint axes: (U, X, Y, T, Z) = 0..4; beware that `|` below is set
-    # union: a union in the second argument makes a joint group, a union in
-    # the third makes a joint conditioning
-    z = {4}
-    ux, xx, yy = {0}, {1}, {2}
-    mi = chain.mi
+    """Randomization-rate targets (j0, j1, j2) for one case, read from the
+    chain's profile (V1 = X, V2 = Y)."""
+    prof = chain.profile
     if case == CaseLabel.CASE3:
-        return (mi(z, xx | yy), 0.0, 0.0)
+        return (prof.iz_v12, 0.0, 0.0)
     if case in (CaseLabel.CASE0, CaseLabel.CASE1):
-        j1 = alpha * mi(z, xx, yy | ux) + (1 - alpha) * mi(z, xx, ux)
-        j2 = alpha * mi(z, yy, ux) + (1 - alpha) * mi(z, yy, xx | ux)
-        return (mi(z, ux), j1, j2)
+        j1 = alpha * prof.iz_v1_v2u + (1 - alpha) * prof.iz_v1_u
+        j2 = alpha * prof.iz_v2_u + (1 - alpha) * prof.iz_v2_v1u
+        return (prof.iz_u, j1, j2)
     if case == CaseLabel.CASE2:
-        j0 = alpha * mi(z, yy | ux) + (1 - alpha) * mi(z, xx | ux)
-        return (j0, alpha * mi(z, xx, yy | ux), (1 - alpha) * mi(z, yy, xx | ux))
+        j0 = alpha * prof.iz_v2u + (1 - alpha) * prof.iz_v1u
+        return (j0, alpha * prof.iz_v1_v2u, (1 - alpha) * prof.iz_v2_v1u)
     raise PreconditionError(f"unknown case {case!r}")
 
 

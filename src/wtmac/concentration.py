@@ -35,7 +35,6 @@ from .probkit import (
     Alphabet,
     Channel,
     Dist,
-    mutual_information,
     truncated_typical_dist,
     typical_mask,
     typical_membership,
@@ -101,11 +100,12 @@ class _Workspace:
             raise ResourceBudgetError(f"|Z|^{n} output space too large")
         joint = chain.joint  # axes (U, X, Y, T, Z)
         h_z_xy = joint.entropy({1, 2, 4}) - joint.entropy({1, 2})
-        self.i_z_x_yu = mutual_information(joint, {4}, {1}, {2, 0})
-        self.i_z_y_u = mutual_information(joint, {4}, {2}, {0})
-        self.i_z_xy = mutual_information(joint, {4}, {1, 2})
-        self.i_z_u = mutual_information(joint, {4}, {0})
-        self.i_z_yu = mutual_information(joint, {4}, {2, 0})
+        prof = chain.profile  # V1 = X, V2 = Y
+        self.i_z_x_yu = prof.iz_v1_v2u
+        self.i_z_y_u = prof.iz_v2_u
+        self.i_z_xy = prof.iz_v12
+        self.i_z_u = prof.iz_u
+        self.i_z_yu = prof.iz_v2u
         self.we = mac.eve.matrix
         # probability cap of the E1 outputs and typical-draw success floor
         self.cap = 2.0 ** (-n * (h_z_xy - slack))

@@ -26,18 +26,17 @@ from .errors import (
     ReductionInfeasibleError,
     ValidationError,
 )
-from .probkit import FactoredInput
 from .regions import (
     CaseLabel,
     InfoProfile,
     RatePolytope,
     _case1_bounds,
     _pos,
+    _resolve,
     alpha_bounds_case2,
     batch_vertices,
     classify_profile,
     elementary_region,
-    info_profile,
     region_common,
 )
 
@@ -231,10 +230,7 @@ def region_conferencing(p_or_prof, c1: float, c2: float, case: CaseLabel, *,
     caps = ConferencingCapacities(c1, c2)
     if alpha_points < 1:
         raise ValidationError(f"alpha_points={alpha_points} must be >= 1")
-    if isinstance(p_or_prof, FactoredInput):
-        prof = info_profile(p_or_prof)
-    else:
-        prof = p_or_prof
+    prof, _ = _resolve(p_or_prof)
     case = CaseLabel(case)
     hc = c1 + c2
     if check_membership:

@@ -23,7 +23,7 @@ pure, so everything here is safe for concurrent read access.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -270,17 +270,10 @@ class WiretapMAC:
 
 @dataclass(frozen=True)
 class JointDist:
-    """A joint law over an ordered tuple of finite alphabets.
-
-    Marginal entropies are memoized per instance by axis set, so every
-    information measure taken of one joint shares one entropy table.  The
-    mass is read-only, so a memoized entropy never goes stale.
-    """
+    """A joint law over an ordered tuple of finite alphabets."""
 
     axes: tuple[Alphabet, ...]
     mass: np.ndarray
-    _entropies: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -317,11 +310,8 @@ class JointDist:
 
     def entropy(self, axes: Iterable[int] | None = None) -> float:
         """Entropy in bits of the marginal on ``axes`` (all axes when None)."""
-        key = frozenset(range(self.ndim) if axes is None else axes)
-        h = self._entropies.get(key)
-        if h is None:
-            h = self._entropies[key] = entropy_bits(self.marginal_mass(key))
-        return h
+        return entropy_bits(self.marginal_mass(range(self.ndim) if axes is None
+                                               else axes))
 
 
 def entropy(d) -> float:
@@ -361,13 +351,6 @@ def mutual_information(joint: JointDist,
     return h_ac + h_bc - h_abc - h_c
 
 
-# The factored joint's contraction, and its greedy contraction path per
-# operand-shape tuple: the path depends on the shapes alone, so it is
-# searched for once per shape tuple rather than on every build.
-_JOINT_SUBSCRIPTS = "u,ua,ub,ax,by,xytz->uabxytz"
-_JOINT_PATHS: dict[tuple, list] = {}
-
-
 def joint_from_factors(p_u: Dist,
                        v1_given_u: Channel,
                        v2_given_u: Channel,
@@ -396,14 +379,9 @@ def joint_from_factors(p_u: Dist,
              * mac.y_alphabet.size * mac.t_alphabet.size * mac.z_alphabet.size)
     if cells > CELL_BUDGET:
         raise ResourceBudgetError(f"factored joint would need {cells} cells")
-    operands = (p_u.mass, v1_given_u.matrix, v2_given_u.matrix,
-                x_given_v1.matrix, y_given_v2.matrix, mac.tensor)
-    shapes = tuple(op.shape for op in operands)
-    path = _JOINT_PATHS.get(shapes)
-    if path is None:
-        path = _JOINT_PATHS[shapes] = np.einsum_path(
-            _JOINT_SUBSCRIPTS, *operands, optimize=True)[0]
-    mass = np.einsum(_JOINT_SUBSCRIPTS, *operands, optimize=path)
+    mass = np.einsum("u,ua,ub,ax,by,xytz->uabxytz", p_u.mass, v1_given_u.matrix,
+                     v2_given_u.matrix, x_given_v1.matrix, y_given_v2.matrix,
+                     mac.tensor, optimize=True)
     axes = (p_u.alphabet, v1_given_u.output_alphabet, v2_given_u.output_alphabet,
             mac.x_alphabet, mac.y_alphabet, mac.t_alphabet, mac.z_alphabet)
     return JointDist(axes, mass)

@@ -38,6 +38,8 @@ from .probkit import (
 )
 
 EQUALITY_TOL = 1e-12
+# Feasibility slack of a vertex candidate against every constraint.
+VERTEX_TOL = 1e-9
 
 # The constraint shape every case region over (R0, R1, R2) shares; the
 # decomposition lemmas only move its right-hand side.
@@ -343,7 +345,7 @@ def classify_profile(prof: InfoProfile, hc: float, u_independent: bool = False,
 def classify_case(p: FactoredInput, hc: float,
                   boundary_tol: float = 1e-9) -> frozenset:
     """Set of coding cases applicable to a factored input at bound ``hc``."""
-    prof, u_ind = _resolve(p, None)
+    prof, u_ind = _resolve(p)
     return classify_profile(prof, hc, u_independent=u_ind,
                             boundary_tol=boundary_tol).cases
 
@@ -360,8 +362,8 @@ class RatePolytope:
     coeffs: np.ndarray  # (k, dim)
     rhs: np.ndarray     # (k,)
     names: tuple[str, ...] = ()
-    _vertices: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    _vertices: np.ndarray | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         co = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -397,11 +399,11 @@ class RatePolytope:
     def contains_origin(self, tol: float = 1e-9) -> bool:
         return bool(np.all(self.rhs >= -tol))
 
-    def vertices(self, tol: float = 1e-9) -> np.ndarray:
+    def vertices(self) -> np.ndarray:
         """All vertices (dim <= 3): :func:`batch_vertices` on this polytope
-        alone.  Memoized per instance and tolerance (the polytope is
-        immutable), so the array returned is read-only."""
-        return batch_vertices((self,), tol)[0]
+        alone.  Memoized per instance (the polytope is immutable), so the
+        array returned is read-only."""
+        return batch_vertices((self,))[0]
 
     def max_weighted(self, weights) -> float:
         """Maximum of weights @ R over the region (vertex enumeration)."""
@@ -440,26 +442,28 @@ class RatePolytope:
         )
 
 
-def batch_vertices(polys, tol: float = 1e-9) -> list[np.ndarray]:
+def batch_vertices(polys) -> list[np.ndarray]:
     """Vertices of each polytope, one stacked solve per constraint matrix.
 
     Polytopes sharing a coefficient matrix share its active-constraint
     subsets (``dim`` rows, nonnegativity included) and their determinant
     test; only the right-hand sides differ, so every nonsingular subset of
-    every polytope of the group is solved in one ``np.linalg.solve``.  Each
-    polytope's result is memoized on it, so the arrays are read-only.
+    every polytope of the group is solved in one ``np.linalg.solve``.  A
+    candidate is a vertex when it breaks no constraint by more than
+    ``VERTEX_TOL``.  Each polytope's result is memoized on it, so the arrays
+    are read-only.
     """
     groups: dict[tuple, dict[int, RatePolytope]] = {}
     for poly in polys:
-        if tol not in poly._vertices:
+        if poly._vertices is None:
             key = (poly.coeffs.shape, poly.coeffs.tobytes())
             groups.setdefault(key, {})[id(poly)] = poly
     for group in groups.values():
-        _enumerate_group(list(group.values()), tol)
-    return [poly._vertices[tol] for poly in polys]
+        _enumerate_group(list(group.values()))
+    return [poly._vertices for poly in polys]
 
 
-def _enumerate_group(polys: list[RatePolytope], tol: float) -> None:
+def _enumerate_group(polys: list[RatePolytope]) -> None:
     """Solve, test and memoize the vertices of polytopes sharing coefficients."""
     coeffs, dim = polys[0].coeffs, polys[0].dim
     rows = np.vstack([coeffs, -np.eye(dim)])
@@ -470,12 +474,12 @@ def _enumerate_group(polys: list[RatePolytope], tol: float) -> None:
     rhs = np.stack([poly.rhs for poly in polys])
     vals = np.concatenate([rhs, np.zeros((len(polys), dim))], axis=1)
     xs = np.linalg.solve(mats, vals[:, combos][..., None])[..., 0]
-    feasible = (np.all(xs >= -tol, axis=2)
-                & np.all(xs @ coeffs.T <= rhs[:, None, :] + tol, axis=2))
+    feasible = (np.all(xs >= -VERTEX_TOL, axis=2)
+                & np.all(xs @ coeffs.T <= rhs[:, None, :] + VERTEX_TOL, axis=2))
     for poly, pts, ok in zip(polys, xs, feasible):
         verts = _dedupe(np.clip(pts[ok], 0.0, None), dim)
         verts.setflags(write=False)
-        poly._vertices[tol] = verts
+        object.__setattr__(poly, "_vertices", verts)
 
 
 def _dedupe(pts: np.ndarray, dim: int) -> np.ndarray:
@@ -495,13 +499,13 @@ def _dedupe(pts: np.ndarray, dim: int) -> np.ndarray:
     return pts[keep]
 
 
-def _resolve(p_or_prof, u_independent):
+def _resolve(p_or_prof, u_independent=None):
+    """(profile, u-independence flag) of an input, from one kernel call; a
+    profile passes through with the flag given (False when None)."""
     if isinstance(p_or_prof, FactoredInput):
         batch = _profile_batch(p_or_prof)
         return batch.profiles[0], bool(batch.u_independent[0])
-    if u_independent is None:
-        u_independent = False
-    return p_or_prof, u_independent
+    return p_or_prof, bool(u_independent)
 
 
 def region_common(p_or_prof, hc: float, case: CaseLabel, *,
@@ -602,15 +606,14 @@ def case2_sum_bound_min_form(prof: InfoProfile, hc: float) -> float:
 
 def elementary_region(p_or_prof, case: CaseLabel, alpha: float,
                       hc: float | None = None, *,
-                      check_range: bool = True,
-                      u_independent: bool | None = None) -> RatePolytope:
+                      check_range: bool = True) -> RatePolytope:
     """The time-sharing elementary region at a fixed alpha.
 
     For Case 1 (and Case 0) both rate bounds interpolate between the two
     conditioning patterns; for Case 2 only one sender pays the conditional
     leakage at a time.  ``hc`` is required to validate the Case-2 range.
     """
-    prof, _ = _resolve(p_or_prof, u_independent)
+    prof, _ = _resolve(p_or_prof)
     case = CaseLabel(case)
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"alpha={alpha} outside [0, 1]")

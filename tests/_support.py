@@ -138,9 +138,8 @@ def sample_case_profiles(rng, count, case, bob_quality=(0.3, 0.9)):
 # ---------------------------------------------------------------------------
 
 def reference_info_profile(p) -> InfoProfile:
-    """The profile as 16 mutual informations of the 7-D joint, sharing the
-    joint's memoized entropy table: the reference for the batched profile
-    kernel ``regions.info_profiles``."""
+    """The profile as 16 mutual informations of the 7-D joint: the
+    reference for the batched profile kernel ``regions.info_profiles``."""
     j = p.joint if isinstance(p, FactoredInput) else p
     mi = mutual_information
     t, z, u, v1, v2 = {AX_T}, {AX_Z}, {AX_U}, {AX_V1}, {AX_V2}
@@ -163,6 +162,27 @@ def reference_info_profile(p) -> InfoProfile:
         iz_v1u=mi(j, z, v1 | u),
         iz_v2u=mi(j, z, v2 | u),
     )
+
+
+def reference_case_j_values(chain, case, alpha):
+    """Randomization-rate targets (j0, j1, j2) as seven mutual informations
+    of the chain's (U, X, Y, T, Z) joint: the reference for
+    ``codesim._case_j_values``, which reads them from the chain's profile."""
+    # `|` below is set union: a union in the second argument makes a joint
+    # group, a union in the third makes a joint conditioning
+    z, ux, xx, yy = {4}, {0}, {1}, {2}
+
+    def mi(a, b, cond=()):
+        return mutual_information(chain.joint, a, b, cond)
+
+    if case == CaseLabel.CASE3:
+        return (mi(z, xx | yy), 0.0, 0.0)
+    if case in (CaseLabel.CASE0, CaseLabel.CASE1):
+        j1 = alpha * mi(z, xx, yy | ux) + (1 - alpha) * mi(z, xx, ux)
+        j2 = alpha * mi(z, yy, ux) + (1 - alpha) * mi(z, yy, xx | ux)
+        return (mi(z, ux), j1, j2)
+    j0 = alpha * mi(z, yy | ux) + (1 - alpha) * mi(z, xx | ux)
+    return (j0, alpha * mi(z, xx, yy | ux), (1 - alpha) * mi(z, yy, xx | ux))
 
 
 def reference_vertices(poly, tol=1e-9):

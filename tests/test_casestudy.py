@@ -110,6 +110,23 @@ class TestEqualInputWitness:
         w = equal_input_witness(scan_points=99)
         assert w.best_p0 == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("scan_points", [33, 99])
+    def test_scan_matches_per_bias_mutual_information(self, scan_points):
+        # the scan is one profile batch; the reference takes one joint per bias
+        mac = discussion_channels()
+        w = equal_input_witness(scan_points=scan_points)
+        p0s = np.linspace(0.0, 1.0, scan_points + 2)[1:-1]
+        ref = [mutual_information(coupled_input(mac, float(p0)).joint,
+                                  {AX_T}, {AX_X, AX_Y}) for p0 in p0s]
+        assert [p0 for p0, _ in w.scanned] == [float(p0) for p0 in p0s]
+        assert np.allclose([i_t for _, i_t in w.scanned], ref, rtol=0.0, atol=1e-12)
+        assert w.best_p0 == float(p0s[int(np.argmax(ref))])
+        j = coupled_input(mac, 0.5).joint
+        assert w.i_t == pytest.approx(mutual_information(j, {AX_T}, {AX_X, AX_Y}),
+                                      rel=0.0, abs=1e-12)
+        assert w.i_z == pytest.approx(mutual_information(j, {AX_Z}, {AX_X, AX_Y}),
+                                      rel=0.0, abs=1e-12)
+
     def test_coupled_member_of_family(self):
         p = coupled_input(discussion_channels(), 0.5)
         j = p.joint

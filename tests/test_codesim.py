@@ -5,12 +5,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _support import constant_eve_mac, random_mac
+from _support import constant_eve_mac, random_mac, reference_case_j_values
 from wtmac.codesim import (
     CodeChain,
     CodebookFamily,
     WiretapCode,
     _bob_rows,
+    _case_j_values,
     _channel_rows,
     _decode_all,
     average_error,
@@ -37,6 +38,7 @@ from wtmac.probkit import (
     Dist,
     WiretapMAC,
     all_sequences,
+    mutual_information,
     truncated_typical_dist,
     typical_membership,
     zip_sequences,
@@ -897,6 +899,51 @@ class TestConcentrationContract:
                 assert len(seqs) == int((law.mass > 0).sum())
                 assert [float(m) for m in masses] \
                     == [law.prob(s) for s in seqs]
+
+
+@st.composite
+def random_chains(draw):
+    """A random (U, X|U, Y|U) chain on a random MAC, with |U| in {1, 2, 3}
+    and the other alphabets of size 2 or 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = draw(st.integers(1, 3))
+    x, y, t, z = (draw(st.integers(2, 3)) for _ in range(4))
+    mac = WiretapMAC.from_rows(rng.dirichlet(np.ones(t * z), size=x * y),
+                               x, y, t, z)
+    return CodeChain(Dist.from_mass(rng.dirichlet(np.ones(u))),
+                     Channel.from_matrix(rng.dirichlet(np.ones(x), size=u)),
+                     Channel.from_matrix(rng.dirichlet(np.ones(y), size=u)), mac)
+
+
+CHAIN_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                          database=None)
+
+
+class TestProfileReaders:
+    """The code layer reads its informations from the chain's profile; each
+    one matches its definition as a mutual information of the joint."""
+
+    @CHAIN_SETTINGS
+    @given(random_chains(), st.sampled_from(list(CaseLabel)),
+           st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99))
+    def test_case_j_values_match_reference(self, chain, case, alpha):
+        got = _case_j_values(chain, case, alpha)
+        want = reference_case_j_values(chain, case, alpha)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
+
+    @CHAIN_SETTINGS
+    @given(random_chains())
+    def test_workspace_informations_match_definitions(self, chain):
+        # (U, X, Y, T, Z) = axes 0..4 of the chain's joint
+        ws = _Workspace(chain, 3, 0.3, 0.3, 0.05, 2.0)
+        j = chain.joint
+        for got, (a, b, c) in ((ws.i_z_x_yu, ({4}, {1}, {2, 0})),
+                               (ws.i_z_y_u, ({4}, {2}, {0})),
+                               (ws.i_z_xy, ({4}, {1, 2}, ())),
+                               (ws.i_z_u, ({4}, {0}, ())),
+                               (ws.i_z_yu, ({4}, {2, 0}, ()))):
+            assert got == pytest.approx(mutual_information(j, a, b, c),
+                                        rel=0.0, abs=1e-12)
 
 
 class TestSimReport:

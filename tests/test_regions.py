@@ -196,8 +196,8 @@ class TestInfoProfileMemo:
     @PROPERTY_SETTINGS
     @given(random_inputs())
     def test_matches_one_mutual_information_per_field(self, p):
-        # reference_info_profile reads the joint's shared entropy table; each
-        # MI here is taken of a fresh joint, which has no memoized entropies.
+        # reference_info_profile takes its MIs of p's joint; each MI here is
+        # taken of a fresh copy of that joint.
         j = p.joint
         prof = reference_info_profile(p).to_json_dict()
         assert prof.keys() == PROFILE_TERMS.keys()
@@ -656,9 +656,9 @@ class TestBatchedVertices:
             requested.extend(polys)
             return batch(polys, *args, **kw)
 
-        def counted_enumeration(polys, tol):
+        def counted_enumeration(polys):
             enumerated.append(list(polys))
-            return enumerate_group(polys, tol)
+            return enumerate_group(polys)
 
         for module in (regions, optimizer, conferencing):
             monkeypatch.setattr(module, "batch_vertices", counted_batch)
