@@ -37,6 +37,9 @@ from .probkit import (
     FactoredInput,
     JointDist,
     WiretapMAC,
+    _BLOCK_CELLS,
+    _draw,
+    _inverse_cdf,
     all_sequences,
     entropy_bits,
     sample_typical,
@@ -392,25 +395,23 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
             return (True, alpha_eff > 0.0, alpha_eff <= 0.0)
         return (True, which == 0, which == 1)
 
-    l_sizes: list[list[int]] = []
-    for which, m in enumerate(lengths):
+    if not time_share:
         sizes = [1, 1, 1]
-        if not time_share:
-            for nu in range(3):
-                if not l_shape(which)[nu]:
-                    continue
-                lo, hi = l_window_bits(m, j_vals[nu])
-                windowed = _window_int(lo, hi)
-                if windowed is None:
-                    need = _required_n(
-                        lambda mm, j=j_vals[nu]: l_window_bits(mm, j),
-                        n + 1, 16 * n)
-                    raise BlocklengthTooSmallError(
-                        f"no integer L{nu} satisfies the window at n={m}",
-                        required_n=need)
-                sizes[nu] = windowed
-        l_sizes.append(sizes)
-    if time_share:
+        for nu in range(3):
+            if not l_shape(0)[nu]:
+                continue
+            lo, hi = l_window_bits(n, j_vals[nu])
+            windowed = _window_int(lo, hi)
+            if windowed is None:
+                need = _required_n(
+                    lambda mm, j=j_vals[nu]: l_window_bits(mm, j),
+                    n + 1, 16 * n)
+                raise BlocklengthTooSmallError(
+                    f"no integer L{nu} satisfies the window at n={n}",
+                    required_n=need)
+            sizes[nu] = windowed
+        l_sizes = [sizes]
+    else:
         # windows on the combined sizes across both families
         l_sizes = [[1, 1, 1], [1, 1, 1]]
         for nu in range(3):
@@ -484,11 +485,6 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
 # ---------------------------------------------------------------------------
 # Decoding and error
 # ---------------------------------------------------------------------------
-
-# Count cells per bincount block; bounds the transient arrays of a decode
-# over many outputs to about 128 kB each.
-_BLOCK_CELLS = 1 << 14
-
 
 @dataclass(frozen=True)
 class _FamilyCodewords:
@@ -707,23 +703,22 @@ def average_error(code: WiretapCode, w_b: Channel | None = None,
         raise ValidationError("mode must be 'exact' or 'mc'")
     if trials < 1:
         raise ValidationError(f"Monte Carlo mode needs trials >= 1, got {trials}")
+    # per trial the index tuple, then one uniform per output symbol: the
+    # draws a per-symbol rng.choice makes, so the seeded stream is unchanged
+    cdf = _inverse_cdf(_bob_matrix(code, w_b))
+    xs, ys = _codeword_pairs(code)
+    bases = xs * code.chain.mac.y_alphabet.size + ys
     rng = np.random.default_rng(seed)
-    mac = code.chain.mac
-    matrix = _bob_matrix(code, w_b)
-    tuples = list(code.index_tuples())
-    hits = 0
-    msg_hits = 0
-    for _ in range(trials):
-        k, ls = tuples[rng.integers(0, len(tuples))]
-        xseq, yseq = code.codeword_pair(k, ls)
-        t_seq = np.array([rng.choice(matrix.shape[1],
-                                     p=matrix[xi * mac.y_alphabet.size + yi])
-                          for xi, yi in zip(xseq, yseq)], dtype=np.int64)
-        out = joint_typicality_decode(code, delta, t_seq)
-        if out != (k, ls):
-            hits += 1
-        if out is None or out[0] != k:
-            msg_hits += 1
+    picks = np.empty(trials, dtype=np.int64)
+    outputs = np.empty((trials, code.n_total), dtype=np.int64)
+    for trial in range(trials):
+        picks[trial] = rng.integers(0, len(bases))
+        outputs[trial] = _draw(cdf[bases[picks[trial]]], rng)
+    decoded = _unique_hits(_typical_matrix(code, delta, outputs))
+    message_ids = code.decode_plan.message_ids
+    decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
+    hits = int(np.count_nonzero(decoded != picks))
+    msg_hits = int(np.count_nonzero(decoded_msg != message_ids[picks]))
     frac = hits / trials
     z = 1.959963984540054
     denom = 1 + z * z / trials

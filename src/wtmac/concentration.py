@@ -35,6 +35,7 @@ from .probkit import (
     Alphabet,
     Channel,
     Dist,
+    _typical_rows,
     truncated_typical_dist,
     typical_mask,
     typical_membership,
@@ -280,8 +281,8 @@ def _outside(mean: np.ndarray, ref: np.ndarray, width: float) -> np.ndarray:
 def concentration_report(family: CodebookFamily, eps: float, *,
                          resamples: int = 300, seed: int = 12345,
                          slack: float = DEFAULT_SLACK,
-                         tail_exponent: float = DEFAULT_TAIL_EXPONENT,
-                         w_e: Channel | None = None) -> ConcentrationReport:
+                         tail_exponent: float = DEFAULT_TAIL_EXPONENT
+                         ) -> ConcentrationReport:
     """Evaluate the applicable concentration bounds for one family shape.
 
     Resamples ``resamples`` fresh families of the same shape from the same
@@ -293,8 +294,6 @@ def concentration_report(family: CodebookFamily, eps: float, *,
     if family.k_sizes != (1, 1, 1):
         raise PreconditionError("concentration checks run on single-message "
                                 "families (K sizes all 1)")
-    if w_e is not None and not np.allclose(w_e.matrix, family.chain.mac.eve.matrix):
-        raise PreconditionError("the eavesdropper channel must match the chain")
     if not 0.0 < eps < 0.5:
         raise PreconditionError(f"need 0 < eps < 1/2, got {eps}")
     if resamples < 1:
@@ -340,10 +339,8 @@ def _pair_typicality_check(ws: _Workspace, fams) -> LemmaCheck:
             for c in range(l2):
                 yseq = fam.y[0, a, 0, c]
                 ctx, _ = zip_sequences(yseq, useq, [ws.ny, ws.nu])
-                good = sum(
-                    typical_membership(ws.x_given_yu, fam.x[0, a, 0, b],
-                                       ws.delta, ctx)
-                    for b in range(l1))
+                good = _typical_rows(ws.x_given_yu.matrix, ctx,
+                                     fam.x[0, a, 0], ws.delta).sum()
                 events += 1
                 if good < threshold:
                     failures += 1

@@ -14,7 +14,9 @@ Conventions
   degrading.
 * Typicality is counting typicality: a sequence is delta-typical when every
   symbol count deviates from its expectation by at most ``n*delta``, and the
-  conditional version compares joint counts against ``P(a|b) * N(b)``.
+  conditional version compares joint counts against ``P(a|b) * N(b)``.  An
+  unconditional law is the one-row conditional law under an all-zero
+  context, so one pair-count kernel serves both.
 
 All types are immutable values after construction and every operation is
 pure, so everything here is safe for concurrent read access.
@@ -595,27 +597,65 @@ def n_fold(ch: Channel, n: int) -> Channel:
     return Channel(Alphabet(nin), Alphabet(nout), m)
 
 
+# Count cells per bincount block; bounds the transient arrays of a count over
+# many sequences (typical masks here, decodes in codesim) to about 128 kB each.
+_BLOCK_CELLS = 1 << 14
+# Proposals the rejection sampler makes before it gives up.
+_MAX_TRIES = 100_000
+
+
+def _sequence_law(law, n: int, context=None):
+    """A sequence law as (row-stochastic matrix, context, output alphabet).
+
+    A :class:`Dist` is the one-row matrix under the all-zero context, so its
+    context frequency N(0)/n is exactly 1.0 and every typicality decision
+    matches the unconditional formula bit for bit.  A :class:`Channel` is
+    read under ``context``, a length-n sequence of its input symbols.
+    """
+    if context is None:
+        if not isinstance(law, Dist):
+            raise ValidationError("unconditional typicality needs a Dist law")
+        return law.mass[None, :], np.zeros(n, dtype=np.int64), law.alphabet
+    if not isinstance(law, Channel):
+        raise ValidationError("conditional typicality needs a Channel law")
+    context = np.asarray(context, dtype=np.int64)
+    if context.shape != (n,):
+        raise ValidationError("context length mismatch")
+    if n and (context.min() < 0 or context.max() >= law.input_alphabet.size):
+        raise ValidationError("context symbols out of range")
+    return law.matrix, context, law.output_alphabet
+
+
+def _typical_rows(matrix: np.ndarray, context: np.ndarray, seqs: np.ndarray,
+                  delta: float) -> np.ndarray:
+    """Counting typicality of each row of ``seqs`` (shape (m, n)) under the
+    law ``matrix[b, a] = P(a|b)`` given ``context``:
+    ``|N(a,b)/n - P(a|b) * N(b)/n| <= delta`` for every pair (a, b)."""
+    if delta <= 0:
+        raise ValidationError("typicality needs delta > 0")
+    m, n = seqs.shape
+    cells = matrix.size
+    freq = np.bincount(context, minlength=len(matrix)) / n
+    target = (matrix * freq[:, None]).ravel()
+    step = max(min(_BLOCK_CELLS // max(cells, n), m), 1)
+    # flat count index (row, context symbol, symbol) minus the symbol
+    shift = context * matrix.shape[1] + np.arange(0, step * cells, cells)[:, None]
+    ok = np.empty(m, dtype=bool)
+    for lo in range(0, m, step):
+        block = seqs[lo:lo + step]
+        k = len(block)
+        dev = np.bincount((block + shift[:k]).ravel(),
+                          minlength=k * cells).reshape(k, cells) / n
+        np.subtract(dev, target, out=dev)
+        ok[lo:lo + k] = (np.abs(dev, out=dev) <= delta).all(axis=1)
+    return ok
+
+
 def sequence_prob(ch_or_dist, seq: np.ndarray, context: np.ndarray | None = None) -> float:
     """Product probability of one sequence under an i.i.d. or conditional law."""
     seq = np.asarray(seq, dtype=np.int64)
-    if context is None:
-        mass = ch_or_dist.mass if isinstance(ch_or_dist, Dist) else np.asarray(ch_or_dist)
-        return float(np.prod(mass[seq]))
-    context = np.asarray(context, dtype=np.int64)
-    if context.shape != seq.shape:
-        raise ValidationError("context length mismatch")
-    return float(np.prod(ch_or_dist.matrix[context, seq]))
-
-
-def _counts(seq: np.ndarray, size: int) -> np.ndarray:
-    return np.bincount(seq, minlength=size).astype(float)
-
-
-def _pair_counts(seq: np.ndarray, ctx: np.ndarray, size_seq: int, size_ctx: int) -> np.ndarray:
-    flat = ctx * size_seq + seq
-    return np.bincount(flat, minlength=size_ctx * size_seq).astype(float).reshape(
-        size_ctx, size_seq
-    )
+    matrix, context, _ = _sequence_law(ch_or_dist, seq.shape[0], context)
+    return float(np.prod(matrix[context, seq]))
 
 
 def typical_membership(law, seq, delta: float, context=None) -> bool:
@@ -628,50 +668,22 @@ def typical_membership(law, seq, delta: float, context=None) -> bool:
     sequence): requires
     ``|N(a,b|seq,ctx)/n - P(a|b) * N(b|ctx)/n| <= delta`` for every pair.
     """
-    if delta <= 0:
-        raise ValidationError("typicality needs delta > 0")
     seq = np.asarray(seq, dtype=np.int64)
-    n = seq.shape[0]
-    if context is None:
-        if not isinstance(law, Dist):
-            raise ValidationError("unconditional typicality needs a Dist law")
-        freq = _counts(seq, law.alphabet.size) / n
-        return bool(np.all(np.abs(freq - law.mass) <= delta))
-    if not isinstance(law, Channel):
-        raise ValidationError("conditional typicality needs a Channel law")
-    context = np.asarray(context, dtype=np.int64)
-    if context.shape != seq.shape:
-        raise ValidationError("context length mismatch")
-    pair = _pair_counts(seq, context, law.output_alphabet.size,
-                        law.input_alphabet.size) / n
-    ctx_freq = _counts(context, law.input_alphabet.size) / n
-    target = law.matrix * ctx_freq[:, None]
-    return bool(np.all(np.abs(pair - target) <= delta))
+    matrix, context, _ = _sequence_law(law, seq.shape[0], context)
+    if seq.size and (seq.min() < 0 or seq.max() >= matrix.shape[1]):
+        raise ValidationError("sequence symbols out of range")
+    return bool(_typical_rows(matrix, context, seq[None, :], delta)[0])
 
 
 def typical_mask(law, delta: float, n: int, context=None) -> np.ndarray:
     """Boolean mask over all length-n sequences: which are delta-typical.
 
-    Vectorized over the full sequence enumeration; same convention as
-    :func:`typical_membership`.
+    Same convention as :func:`typical_membership`, over the lexicographic
+    sequence enumeration.
     """
-    if context is None:
-        size = law.alphabet.size
-        seqs = all_sequences(size, n)
-        freq = np.stack([(seqs == a).sum(axis=1) for a in range(size)], axis=1) / n
-        return np.all(np.abs(freq - law.mass[None, :]) <= delta, axis=1)
-    context = np.asarray(context, dtype=np.int64)
-    size = law.output_alphabet.size
-    csize = law.input_alphabet.size
-    seqs = all_sequences(size, n)
-    ctx_freq = _counts(context, csize) / n
-    ok = np.ones(seqs.shape[0], dtype=bool)
-    for b in range(csize):
-        sel = context == b
-        for a in range(size):
-            pair = (seqs[:, sel] == a).sum(axis=1) / n
-            ok &= np.abs(pair - law.matrix[b, a] * ctx_freq[b]) <= delta
-    return ok
+    matrix, context, _ = _sequence_law(law, n, context)
+    return _typical_rows(matrix, context, all_sequences(matrix.shape[1], n),
+                         delta)
 
 
 def truncated_typical_dist(law, n: int, delta: float, context=None) -> SequenceDist:
@@ -681,27 +693,10 @@ def truncated_typical_dist(law, n: int, delta: float, context=None) -> SequenceD
     conditioning ``context`` sequence.  Raises
     :class:`DegenerateTypicalityError` when the typical set is empty.
     """
-    if delta <= 0:
-        raise ValidationError("typicality needs delta > 0")
-    if context is None:
-        if not isinstance(law, Dist):
-            raise ValidationError("unconditional truncation needs a Dist law")
-        size = law.alphabet.size
-        seqs = all_sequences(size, n)
-        probs = np.prod(law.mass[seqs], axis=1)
-        mask = typical_mask(law, delta, n)
-        alphabet = law.alphabet
-    else:
-        if not isinstance(law, Channel):
-            raise ValidationError("conditional truncation needs a Channel law")
-        context = np.asarray(context, dtype=np.int64)
-        if context.shape[0] != n:
-            raise ValidationError("context length mismatch")
-        size = law.output_alphabet.size
-        seqs = all_sequences(size, n)
-        probs = np.prod(law.matrix[context[None, :], seqs], axis=1)
-        mask = typical_mask(law, delta, n, context)
-        alphabet = law.output_alphabet
+    matrix, context, alphabet = _sequence_law(law, n, context)
+    seqs = all_sequences(matrix.shape[1], n)
+    mask = _typical_rows(matrix, context, seqs, delta)
+    probs = np.prod(matrix[context[None, :], seqs], axis=1)
     total = float(probs[mask].sum())
     if total <= 0.0:
         raise DegenerateTypicalityError(
@@ -711,27 +706,35 @@ def truncated_typical_dist(law, n: int, delta: float, context=None) -> SequenceD
     return SequenceDist(alphabet, n, out)
 
 
+def _inverse_cdf(matrix: np.ndarray) -> np.ndarray:
+    """Per row of a stochastic matrix, the normalized cumulative sums that
+    :meth:`numpy.random.Generator.choice` draws from."""
+    cdf = np.cumsum(matrix, axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+def _draw(cdf_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One symbol per row of ``cdf_rows`` (rows of :func:`_inverse_cdf`), one
+    uniform each: bit for bit the draws, and the generator state after them,
+    of one ``rng.choice(size, p=row)`` per row in order."""
+    return (cdf_rows <= rng.random(len(cdf_rows))[:, None]).sum(axis=1)
+
+
 def sample_typical(law, n: int, delta: float, rng: np.random.Generator,
-                   context=None, max_tries: int = 100_000) -> np.ndarray:
+                   context=None) -> np.ndarray:
     """Draw one sequence from the truncated typical law by rejection.
 
     Exact: i.i.d. proposals conditioned on acceptance follow the truncated
     law.  Raises :class:`DegenerateTypicalityError` when no draw lands in the
-    typical set within ``max_tries``.
+    typical set within ``_MAX_TRIES`` proposals.
     """
-    if context is None:
-        mass = law.mass
-        for _ in range(max_tries):
-            seq = rng.choice(mass.shape[0], size=n, p=mass)
-            if typical_membership(law, seq, delta):
-                return seq.astype(np.int64)
-    else:
-        context = np.asarray(context, dtype=np.int64)
-        for _ in range(max_tries):
-            seq = np.array([rng.choice(law.matrix.shape[1], p=law.matrix[b])
-                            for b in context], dtype=np.int64)
-            if typical_membership(law, seq, delta, context):
-                return seq
+    matrix, rows, _ = _sequence_law(law, n, context)
+    cdf_rows = _inverse_cdf(matrix)[rows]
+    for _ in range(_MAX_TRIES):
+        seq = _draw(cdf_rows, rng)
+        if typical_membership(law, seq, delta, context):
+            return seq
     raise DegenerateTypicalityError(
-        f"no {delta}-typical draw in {max_tries} tries at blocklength {n}"
+        f"no {delta}-typical draw in {_MAX_TRIES} tries at blocklength {n}"
     )

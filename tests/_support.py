@@ -8,8 +8,9 @@ from itertools import combinations
 import numpy as np
 
 from wtmac import optimizer
+from wtmac.codesim import joint_typicality_decode
 from wtmac.conferencing import region_conferencing
-from wtmac.errors import PreconditionError
+from wtmac.errors import DegenerateTypicalityError, PreconditionError
 from wtmac.probkit import (
     AX_T,
     AX_U,
@@ -21,6 +22,7 @@ from wtmac.probkit import (
     FactoredInput,
     WiretapMAC,
     mutual_information,
+    typical_membership,
 )
 from wtmac.regions import (
     CaseLabel,
@@ -310,3 +312,43 @@ def reference_search(mac, mode, cfg, profile=reference_info_profile):
              else np.zeros((1, dim)))
     cases = [c for _, c in certified] or [CaseLabel.CASE0]
     return cloud, cases, partial, evaluations
+
+
+def reference_sample_typical(law, n, delta, rng, context=None):
+    """The rejection sampler drawing each symbol with its own
+    ``rng.choice``: the reference for ``probkit.sample_typical``'s
+    inverse-CDF draws."""
+    if context is None:
+        rows = [law.mass] * n
+    else:
+        rows = [law.matrix[b] for b in context]
+    for _ in range(100_000):
+        seq = np.array([rng.choice(len(p), p=p) for p in rows], dtype=np.int64)
+        if typical_membership(law, seq, delta, context):
+            return seq
+    raise DegenerateTypicalityError(f"no {delta}-typical draw")
+
+
+def reference_mc_error(code, w_b=None, trials=2000, seed=0, decode_delta=None):
+    """Monte Carlo error one trial at a time: draw an index tuple, draw each
+    output symbol with ``rng.choice`` and decode the output alone.  The
+    reference for ``average_error(mode="mc")``; returns the tuple and message
+    error fractions and the drawn outputs."""
+    delta = code.delta if decode_delta is None else decode_delta
+    mac = code.chain.mac
+    matrix = (w_b or mac.bob).matrix
+    tuples = list(code.index_tuples())
+    rng = np.random.default_rng(seed)
+    hits = msg_hits = 0
+    outputs = []
+    for _ in range(trials):
+        k, ls = tuples[rng.integers(0, len(tuples))]
+        xseq, yseq = code.codeword_pair(k, ls)
+        t_seq = np.array([rng.choice(matrix.shape[1],
+                                     p=matrix[xi * mac.y_alphabet.size + yi])
+                          for xi, yi in zip(xseq, yseq)], dtype=np.int64)
+        outputs.append(t_seq)
+        out = joint_typicality_decode(code, delta, t_seq)
+        hits += out != (k, ls)
+        msg_hits += out is None or out[0] != k
+    return hits / trials, msg_hits / trials, np.array(outputs)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _support import constant_eve_mac, random_mac, reference_case_j_values
+from _support import (
+    constant_eve_mac,
+    random_mac,
+    reference_case_j_values,
+    reference_mc_error,
+)
 from wtmac.codesim import (
     CodeChain,
     CodebookFamily,
@@ -468,6 +473,51 @@ class TestReferenceDecode:
                             (np.nextafter(0.25, 0.0), None)):
             assert reference_decode(code, delta, t_seq) == want
             assert joint_typicality_decode(code, delta, t_seq) == want
+
+
+class TestReferenceMonteCarlo:
+    """Monte Carlo error against the per-trial loop: the same outputs from
+    the same seeded stream, decoded together in one kernel call."""
+
+    codes = TestReferenceDecode()
+
+    def assert_matches(self, monkeypatch, code, trials, seed, w_b=None,
+                       decode_delta=None):
+        from wtmac import codesim
+
+        seen = []
+        decode = codesim._typical_matrix
+        monkeypatch.setattr(codesim, "_typical_matrix",
+                            lambda *args: seen.append(args[2]) or decode(*args))
+        est = average_error(code, w_b, mode="mc", trials=trials, seed=seed,
+                            decode_delta=decode_delta)
+        monkeypatch.undo()
+        tuple_err, msg_err, outputs = reference_mc_error(
+            code, w_b, trials, seed, decode_delta)
+        assert len(seen) == 1 and np.array_equal(seen[0], outputs)
+        assert (est.tuple_error, est.message_error) == (tuple_err, msg_err)
+        assert est.trials == trials
+        return est
+
+    def test_noisy_bob_channel(self, monkeypatch):
+        code = self.codes.one_family_case3(seed=109)
+        rng = np.random.default_rng(110)
+        w_b = Channel.from_matrix(0.6 * code.chain.mac.bob.matrix
+                                  + 0.4 * rng.dirichlet(np.ones(4), size=4))
+        est = self.assert_matches(monkeypatch, code, 300, 111, w_b=w_b)
+        assert 0.0 < est.message_error < est.tuple_error < 1.0
+
+    def test_decode_delta_differs_from_code_delta(self, monkeypatch):
+        code = self.codes.one_family_case3(seed=107)
+        for delta, seed in ((0.2, 112), (0.45, 113)):
+            assert delta != code.delta
+            self.assert_matches(monkeypatch, code, 200, seed,
+                                decode_delta=delta)
+
+    def test_two_family_code(self, monkeypatch):
+        est = self.assert_matches(monkeypatch, self.codes.two_family(), 300,
+                                  114)
+        assert 0.0 < est.tuple_error < 1.0
 
 
 class TestBobChannelShape:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+from _support import reference_sample_typical
 from wtmac.errors import (
     DegenerateTypicalityError,
     ResourceBudgetError,
@@ -26,8 +28,10 @@ from wtmac.probkit import (
     mutual_information,
     n_fold,
     sample_typical,
+    sequence_index,
     sequence_prob,
     truncated_typical_dist,
+    typical_mask,
     typical_membership,
     variation_distance,
 )
@@ -339,6 +343,129 @@ class TestTruncatedTypical:
         d = Dist.from_mass([0.6, 0.4])
         seq = sample_typical(d, 30, 0.15, rng)
         assert typical_membership(d, seq, 0.15)
+
+
+def _zero_mass_laws(rng, size=3, contexts=3):
+    """A Dist and a Channel whose symbol 1 (and one whole channel entry per
+    row) carry no mass, plus a context that uses every channel row."""
+    mass = rng.dirichlet(np.ones(size))
+    mass[1] = 0.0
+    d = Dist.from_mass(mass / mass.sum())
+    rows = rng.dirichlet(np.ones(size), size=contexts)
+    rows[np.arange(contexts), np.arange(contexts) % size] = 0.0
+    ch = Channel.from_matrix(rows / rows.sum(axis=1, keepdims=True))
+    return d, ch
+
+
+class TestSequenceLawKernel:
+    """The one pair-count kernel behind membership, masks, truncation and
+    sampling, against per-sequence and per-symbol references."""
+
+    def test_mask_matches_membership(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 3, 6):
+            d, ch = _zero_mass_laws(rng)
+            ctx = rng.integers(0, 3, size=n)
+            for delta in (0.1, 0.25, 0.6):
+                seqs = all_sequences(3, n)
+                assert np.array_equal(
+                    typical_mask(d, delta, n),
+                    [typical_membership(d, s, delta) for s in seqs])
+                assert np.array_equal(
+                    typical_mask(ch, delta, n, ctx),
+                    [typical_membership(ch, s, delta, ctx) for s in seqs])
+
+    def test_mask_deviation_equal_to_delta(self):
+        # N(0)/n = 3/4 against P(0) = 1/2, and N(0, 0)/n = 2/4 against
+        # P(0|0) * N(0)/n = 1/2 * 2/4: both deviations are exactly 1/4
+        d = Dist.from_mass([0.5, 0.5])
+        ch = Channel.from_matrix([[0.5, 0.5], [0.25, 0.75]])
+        ctx = np.array([0, 0, 1, 1])
+        seqs = all_sequences(2, 4)
+        for law, context, seq in ((d, None, [0, 0, 0, 1]),
+                                  (ch, ctx, [0, 0, 0, 1])):
+            at = sequence_index(seq, 2)
+            for delta, want in ((0.25, True), (np.nextafter(0.25, 0.0), False)):
+                mask = typical_mask(law, delta, 4, context)
+                assert mask[at] == want
+                assert typical_membership(law, seq, delta, context) == want
+                assert np.array_equal(
+                    mask, [typical_membership(law, s, delta, context)
+                           for s in seqs])
+
+    def test_mask_split_across_blocks(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        d, ch = _zero_mass_laws(rng)
+        ctx = rng.integers(0, 3, size=7)
+        whole = typical_mask(d, 0.2, 7), typical_mask(ch, 0.3, 7, ctx)
+        monkeypatch.setattr(probkit, "_BLOCK_CELLS", 50)
+        assert np.array_equal(typical_mask(d, 0.2, 7), whole[0])
+        assert np.array_equal(typical_mask(ch, 0.3, 7, ctx), whole[1])
+
+    def test_law_errors(self):
+        d = Dist.uniform(2)
+        ch = Channel.identity(2)
+        seq = np.zeros(4, dtype=int)
+        with pytest.raises(ValidationError):
+            typical_membership(ch, seq, 0.1)
+        with pytest.raises(ValidationError):
+            typical_mask(d, 0.1, 4, seq)
+        with pytest.raises(ValidationError):
+            truncated_typical_dist(ch, 4, 0.1)
+        with pytest.raises(ValidationError):
+            sample_typical(ch, 4, 0.1, np.random.default_rng(0), seq[:3])
+        with pytest.raises(ValidationError):
+            typical_membership(ch, seq, 0.1, np.array([0, 1, 2, 0]))
+        with pytest.raises(ValidationError):
+            typical_membership(d, np.array([0, 1, 2, 0]), 0.1)
+        with pytest.raises(ValidationError):
+            typical_membership(d, np.array([0, -1, 1, 0]), 0.1)
+        with pytest.raises(ValidationError):
+            typical_mask(d, 0.0, 4)
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_sampler_matches_per_symbol_reference(self, conditional):
+        rng = np.random.default_rng(33)
+        for trial in range(12):
+            d, ch = _zero_mass_laws(rng)
+            n = int(rng.integers(3, 9))
+            ctx = rng.integers(0, 3, size=n)
+            law, context = (ch, ctx) if conditional else (d, None)
+            ours = np.random.default_rng(trial)
+            ref = np.random.default_rng(trial)
+            for _ in range(4):
+                seq = sample_typical(law, n, 0.35, ours, context)
+                assert np.array_equal(
+                    seq, reference_sample_typical(law, n, 0.35, ref, context))
+                assert seq.dtype == np.int64
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_sampler_gives_up(self, monkeypatch):
+        monkeypatch.setattr(probkit, "_MAX_TRIES", 5)
+        # n = 5, delta = 0.05: no count of a fair coin is typical
+        with pytest.raises(DegenerateTypicalityError, match="in 5 tries"):
+            sample_typical(Dist.uniform(2), 5, 0.05, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_sampler_frequencies_follow_truncated_law(self, conditional):
+        # chi-square goodness of fit at a fixed seed; sequences whose
+        # expected count is under 5 are pooled into one cell
+        ch = Channel.from_matrix([[0.7, 0.3], [0.35, 0.65]])
+        law, context = ((ch, np.array([0, 1, 0, 0, 1, 1])) if conditional
+                        else (Dist.from_mass([0.6, 0.4]), None))
+        draws = 3000
+        truth = truncated_typical_dist(law, 6, 0.2, context).mass
+        rng = np.random.default_rng(34)
+        index = [sequence_index(sample_typical(law, 6, 0.2, rng, context), 2)
+                 for _ in range(draws)]
+        counts = np.bincount(index, minlength=truth.size)
+        assert not counts[truth == 0.0].any()
+        big = truth * draws >= 5
+        observed, expected = counts[big], truth[big] * draws
+        if (truth[~big] > 0.0).any():
+            observed = np.append(observed, counts[~big].sum())
+            expected = np.append(expected, truth[~big].sum() * draws)
+        assert chisquare(observed, expected).pvalue > 1e-3
 
 
 class TestSerialization:
