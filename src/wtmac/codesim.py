@@ -653,16 +653,16 @@ def _bob_matrix(code: WiretapCode, w_b: Channel | None) -> np.ndarray:
     return matrix
 
 
-def _bob_rows(code: WiretapCode, w_b: Channel | None) -> tuple[list, np.ndarray]:
+def _bob_rows(code: WiretapCode, w_b: Channel | None) -> np.ndarray:
+    """Bob's rows over all output sequences, one per index tuple."""
     mac = code.chain.mac
     matrix = _bob_matrix(code, w_b)
     count = matrix.shape[1] ** code.n_total
-    tuples = list(code.index_tuples())
-    if count * len(tuples) > CELL_BUDGET:
+    tuples = len(code.decode_plan.tuples)
+    if count * tuples > CELL_BUDGET:
         raise ResourceBudgetError(
-            f"exact error needs {count} x {len(tuples)} likelihoods")
-    return tuples, _channel_rows(matrix, *_codeword_pairs(code),
-                                 mac.y_alphabet.size)
+            f"exact error needs {count} x {tuples} likelihoods")
+    return _channel_rows(matrix, *_codeword_pairs(code), mac.y_alphabet.size)
 
 
 @dataclass(frozen=True)
@@ -688,14 +688,14 @@ def average_error(code: WiretapCode, w_b: Channel | None = None,
     """
     delta = code.delta if decode_delta is None else decode_delta
     if mode == "exact":
-        tuples, rows = _bob_rows(code, w_b)
+        rows = _bob_rows(code, w_b)
         decoded = _decode_all(code, delta)
         message_ids = code.decode_plan.message_ids
         decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
         tuple_err = 0.0
         msg_err = 0.0
-        weight = 1.0 / len(tuples)
-        for i in range(len(tuples)):
+        weight = 1.0 / rows.shape[0]
+        for i in range(rows.shape[0]):
             tuple_err += weight * float(rows[i] @ (decoded != i))
             msg_err += weight * float(rows[i] @ (decoded_msg != message_ids[i]))
         return ErrorEstimate(tuple_err, msg_err, "exact")
@@ -737,12 +737,12 @@ def mac_average_error(code: WiretapCode, w_b: Channel | None = None,
     the tuple-criterion average error of the wiretap code.
     """
     delta = code.delta if decode_delta is None else decode_delta
-    tuples, rows = _bob_rows(code, w_b)
+    rows = _bob_rows(code, w_b)
     decoded = _decode_all(code, delta)
     err = 0.0
-    for i in range(len(tuples)):
+    for i in range(rows.shape[0]):
         err += float(rows[i] @ (decoded != i))
-    return err / len(tuples)
+    return err / rows.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .probkit import (
     _typical_rows,
     truncated_typical_dist,
     typical_mask,
-    typical_membership,
     zip_sequences,
 )
 
@@ -83,7 +82,15 @@ class ConcentrationReport:
 
 
 class _Workspace:
-    """Exact per-(u, y) and per-u reference measures for one chain."""
+    """Exact per-(u, y), per-u and Case-3 reference measures for one chain.
+
+    Channel rows come only from stacked :func:`~wtmac.codesim._channel_rows`
+    calls.  It keeps three caches: ``_typ_cache`` (truncated typical
+    supports per law and context), ``_uy_cache`` (:meth:`theta_uy` per
+    (u, y)) and ``_u_cache`` (:meth:`theta_u` per u).  The (u, y) support f1
+    lies inside the typical output set given (y, u), so masking a row with
+    f1 also masks it with that set.
+    """
 
     def __init__(self, chain: CodeChain, n: int, delta: float, eps: float,
                  slack: float, tail_exponent: float):
@@ -117,16 +124,14 @@ class _Workspace:
         self.x_given_yu = Channel(pair, Alphabet(self.nx),
                                   np.tile(chain.x_given_u.matrix, (self.ny, 1)))
         we3 = self.we.reshape(self.nx, self.ny, self.nz)
-        z_rows = np.array([chain.x_given_u.matrix[uu] @ we3[:, yy, :]
-                           for yy in range(self.ny) for uu in range(self.nu)])
-        self.z_given_yu = Channel(pair, Alphabet(self.nz), z_rows)
+        zyu_rows = np.einsum("ux,xyz->yuz", chain.x_given_u.matrix, we3)
+        self.z_given_yu = Channel(pair, Alphabet(self.nz),
+                                  zyu_rows.reshape(-1, self.nz))
         zu_rows = np.einsum("ux,uy,xyz->uz", chain.x_given_u.matrix,
                             chain.y_given_u.matrix, we3)
         self.z_given_u = Channel(Alphabet(self.nu), Alphabet(self.nz), zu_rows)
         p_z = Dist(Alphabet(self.nz), joint.marginal_mass({4}))
-        self._row_cache: dict = {}
         self._typ_cache: dict = {}
-        self._mask_cache: dict = {}
         self._uy_cache: dict = {}
         self._u_cache: dict = {}
         # plain typical-Z count at delta (threshold denominators)
@@ -135,16 +140,6 @@ class _Workspace:
         self.t_z_big_mask = typical_mask(p_z, big, n)
 
     # -- sequence-level pieces ------------------------------------------------
-
-    def we_row(self, xseq: np.ndarray, yseq: np.ndarray) -> np.ndarray:
-        key = (xseq.tobytes(), yseq.tobytes())
-        row = self._row_cache.get(key)
-        if row is None:
-            if len(self._row_cache) > 20000:
-                self._row_cache.clear()
-            row = _channel_rows(self.we, xseq, yseq, self.ny)[0]
-            self._row_cache[key] = row
-        return row
 
     def typical_given(self, law, useq: np.ndarray | None = None):
         """Support of ``law``'s truncated typical law (given ``useq`` for a
@@ -157,20 +152,11 @@ class _Workspace:
             self._typ_cache[key] = out
         return out
 
-    def e1_mask(self, useq, xseq, yseq) -> np.ndarray:
-        """Output-sequence mask: conditionally typical and probability-capped."""
-        return (self._z_given_yu_mask(useq, yseq)
-                & (self.we_row(xseq, yseq) <= self.cap))
-
-    def _z_given_yu_mask(self, useq, yseq) -> np.ndarray:
-        key = (useq.tobytes(), yseq.tobytes())
-        mask = self._mask_cache.get(key)
-        if mask is None:
-            ctx, _ = zip_sequences(yseq, useq, [self.ny, self.nu])
-            mask = typical_mask(self.z_given_yu, 2 * self.nx * self.delta,
-                                self.n, ctx)
-            self._mask_cache[key] = mask
-        return mask
+    def typical_count(self, useq, xs, yseq) -> int:
+        """How many rows of ``xs`` are conditionally typical given (y, u)."""
+        ctx, _ = zip_sequences(yseq, useq, [self.ny, self.nu])
+        return int(_typical_rows(self.x_given_yu.matrix, ctx, xs,
+                                 self.delta).sum())
 
     def theta_uy(self, useq, yseq):
         """Exact reference measure given (u, y), cut to its support, and
@@ -180,9 +166,10 @@ class _Workspace:
         if out is None:
             xs, probs = self.typical_given(self.chain.x_given_u, useq)
             rows = _channel_rows(self.we, xs, yseq, self.ny)
-            zy_mask = self._z_given_yu_mask(useq, yseq)
-            masks = zy_mask[None, :] & (rows <= self.cap)
-            theta = probs @ (rows * masks)
+            ctx, _ = zip_sequences(yseq, useq, [self.ny, self.nu])
+            zy_mask = typical_mask(self.z_given_yu, 2 * self.nx * self.delta,
+                                   self.n, ctx)
+            theta = probs @ (rows * (zy_mask & (rows <= self.cap)))
             count = max(int(zy_mask.sum()), 1)
             f1 = zy_mask & (theta >= self.eps / count)
             out = (theta * f1, f1)
@@ -191,13 +178,11 @@ class _Workspace:
 
     def inner_rows(self, useq, xs, yseq) -> np.ndarray:
         """Output rows of the inner sequences ``xs`` given (u, y), zeroed
-        off E2: typical given (y, u), probability-capped, on the support of
-        the (u, y) reference."""
+        off E2: probability-capped, on the support of the (u, y) reference
+        (which lies inside the typical set given (y, u))."""
         _, f1 = self.theta_uy(useq, yseq)
         rows = _channel_rows(self.we, xs, yseq, self.ny)
-        e2 = ((self._z_given_yu_mask(useq, yseq) & f1)[None, :]
-              & (rows <= self.cap))
-        return rows * e2
+        return rows * (f1 & (rows <= self.cap))
 
     def inner_mean(self, useq, xs, yseq):
         """Average E2 row of ``xs`` and the (u, y) reference it concentrates
@@ -232,16 +217,31 @@ class _Workspace:
         _, l1, l2 = fam.l_sizes
         useq = fam.u[0, a]
         theta_hat_u, f2 = self.theta_u(useq)
-        mean = np.zeros_like(theta_hat_u)
-        for b in range(l1):
-            for c in range(l2):
-                xseq = fam.x[0, a, 0, b]
-                yseq = fam.y[0, a, 0, c]
-                _, f1 = self.theta_uy(useq, yseq)
-                e0 = self.e1_mask(useq, xseq, yseq) & f1 & f2
-                mean += self.we_row(xseq, yseq) * e0
-        mean /= l1 * l2
-        return mean, theta_hat_u
+        ys = fam.y[0, a, 0]
+        f1 = np.array([self.theta_uy(useq, yseq)[1] for yseq in ys])
+        # pairs (b, c) in b-major order
+        rows = _channel_rows(self.we, np.repeat(fam.x[0, a, 0], l2, axis=0),
+                             np.tile(ys, (l1, 1)), self.ny)
+        e0 = (rows <= self.cap) & np.tile(f1, (l1, 1)) & f2
+        return (rows * e0).sum(axis=0) / (l1 * l2), theta_hat_u
+
+    def outer_rows(self, xs, ys) -> np.ndarray:
+        """Output rows of the pairs (``xs``, ``ys``), zeroed off E3:
+        probability-capped, on the enlarged typical output set."""
+        rows = _channel_rows(self.we, xs, ys, self.ny)
+        return rows * (self.t_z_big_mask & (rows <= self.cap))
+
+    def theta_case3(self):
+        """Exact Case-3 reference measure (typical triples enumerated), cut
+        to its support, and that support."""
+        theta = np.zeros(self.nz ** self.n)
+        for useq, pu in zip(*self.typical_given(self.chain.p_u)):
+            xs, xp = self.typical_given(self.chain.x_given_u, useq)
+            ys, yp = self.typical_given(self.chain.y_given_u, useq)
+            for yseq, pyv in zip(ys, yp):
+                theta += (pu * pyv) * (xp @ self.outer_rows(xs, yseq))
+        f3 = self.t_z_big_mask & (theta >= self.eps / max(self.t_z_plain, 1))
+        return theta * f3, f3
 
     # -- bound formulas -------------------------------------------------------
 
@@ -335,12 +335,9 @@ def _pair_typicality_check(ws: _Workspace, fams) -> LemmaCheck:
     events = 0
     for fam in fams:
         for a in range(l0):
-            useq = fam.u[0, a]
             for c in range(l2):
-                yseq = fam.y[0, a, 0, c]
-                ctx, _ = zip_sequences(yseq, useq, [ws.ny, ws.nu])
-                good = _typical_rows(ws.x_given_yu.matrix, ctx,
-                                     fam.x[0, a, 0], ws.delta).sum()
+                good = ws.typical_count(fam.u[0, a], fam.x[0, a, 0],
+                                        fam.y[0, a, 0, c])
                 events += 1
                 if good < threshold:
                     failures += 1
@@ -445,36 +442,17 @@ def _outer_mean_check_case2(ws: _Workspace, fams) -> LemmaCheck:
 
 
 def _case3_checks(ws: _Workspace, fams, l0: int) -> list:
-    # exact reference over the full typical triple enumeration
-    theta = np.zeros(ws.nz ** ws.n)
-    for useq, pu in zip(*ws.typical_given(ws.chain.p_u)):
-        xs, xp = ws.typical_given(ws.chain.x_given_u, useq)
-        ys, yp = ws.typical_given(ws.chain.y_given_u, useq)
-        for yseq, pyv in zip(ys, yp):
-            for xseq, pxv in zip(xs, xp):
-                row = ws.we_row(xseq, yseq)
-                e3 = ws.t_z_big_mask & (row <= ws.cap)
-                theta += pu * pxv * pyv * row * e3
-    f3 = ws.t_z_big_mask & (theta >= ws.eps / max(ws.t_z_plain, 1))
-    theta_hat = theta * f3
+    theta_hat, f3 = ws.theta_case3()
     threshold = ws.typical_fraction_threshold(l0)
     star_fail = 0
     fail_by_z = np.zeros(ws.nz ** ws.n)
     for fam in fams:
-        good = 0
-        mean = np.zeros(ws.nz ** ws.n)
-        for a in range(l0):
-            useq = fam.u[0, a]
-            xseq = fam.x[0, a, 0, 0]
-            yseq = fam.y[0, a, 0, 0]
-            ctx, _ = zip_sequences(yseq, useq, [ws.ny, ws.nu])
-            if typical_membership(ws.x_given_yu, xseq, ws.delta, ctx):
-                good += 1
-            row = ws.we_row(xseq, yseq)
-            mean += row * (ws.t_z_big_mask & (row <= ws.cap))
+        us, xs, ys = fam.u[0], fam.x[0, :, 0, 0], fam.y[0, :, 0, 0]
+        good = sum(ws.typical_count(useq, xseq[None, :], yseq)
+                   for useq, xseq, yseq in zip(us, xs, ys))
         if good < threshold:
             star_fail += 1
-        mean /= l0
+        mean = ws.outer_rows(xs, ys).sum(axis=0) / l0
         fail_by_z += f3 & _outside(mean, theta_hat, ws.eps)
     events = len(fams)
     return [

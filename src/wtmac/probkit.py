@@ -73,9 +73,6 @@ class Alphabet:
             return self.labels[symbol]
         return str(symbol)
 
-    def product(self, other: "Alphabet") -> "Alphabet":
-        return Alphabet(self.size * other.size)
-
 
 def _as_prob_vector(mass, size: int | None = None) -> np.ndarray:
     v = np.asarray(mass, dtype=float)
@@ -166,9 +163,6 @@ class Channel:
     def constant(input_size: int, output: Dist) -> "Channel":
         m = np.tile(output.mass, (input_size, 1))
         return Channel(Alphabet(input_size), output.alphabet, m)
-
-    def row(self, symbol: int) -> Dist:
-        return Dist(self.output_alphabet, self.matrix[symbol])
 
     def compose(self, inner: "Channel") -> "Channel":
         """Channel applying ``inner`` first, then ``self``."""
@@ -305,10 +299,6 @@ class JointDist:
         keep = sorted(set(keep))
         drop = tuple(i for i in range(self.ndim) if i not in keep)
         return self.mass.sum(axis=drop) if drop else self.mass
-
-    def marginal(self, keep: Iterable[int]) -> "JointDist":
-        keep = sorted(set(keep))
-        return JointDist(tuple(self.axes[i] for i in keep), self.marginal_mass(keep))
 
     def entropy(self, axes: Iterable[int] | None = None) -> float:
         """Entropy in bits of the marginal on ``axes`` (all axes when None)."""

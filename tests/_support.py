@@ -22,7 +22,9 @@ from wtmac.probkit import (
     FactoredInput,
     WiretapMAC,
     mutual_information,
+    typical_mask,
     typical_membership,
+    zip_sequences,
 )
 from wtmac.regions import (
     CaseLabel,
@@ -352,3 +354,77 @@ def reference_mc_error(code, w_b=None, trials=2000, seed=0, decode_delta=None):
         hits += out != (k, ls)
         msg_hits += out is None or out[0] != k
     return hits / trials, msg_hits / trials, np.array(outputs)
+
+
+def reference_channel_row(matrix, xseq, yseq, y_size):
+    """W^(x)n row over all output sequences for one input pair, one
+    Kronecker factor per position."""
+    row = np.ones(1)
+    for xi, yi in zip(xseq, yseq):
+        row = np.kron(row, matrix[xi * y_size + yi])
+    return row
+
+
+def reference_z_mask(ws, useq, yseq):
+    """Typical output mask given (y, u) of a concentration workspace, its
+    Z|(Y, U) law built one (y, u) row at a time."""
+    we3 = ws.we.reshape(ws.nx, ws.ny, ws.nz)
+    x_given_u = ws.chain.x_given_u.matrix
+    rows = [x_given_u[u] @ we3[:, y, :]
+            for y in range(ws.ny) for u in range(ws.nu)]
+    ctx, _ = zip_sequences(yseq, useq, [ws.ny, ws.nu])
+    return typical_mask(Channel.from_matrix(rows), 2 * ws.nx * ws.delta,
+                        ws.n, ctx)
+
+
+def reference_theta_uy(ws, useq, yseq):
+    """The (u, y) reference measure one inner sequence x at a time, before
+    its cut, and the typical output mask given (y, u): the reference for
+    ``_Workspace.theta_uy``."""
+    xs, xp = ws.typical_given(ws.chain.x_given_u, useq)
+    zy = reference_z_mask(ws, useq, yseq)
+    theta = np.zeros(ws.nz ** ws.n)
+    for xseq, pxv in zip(xs, xp):
+        row = reference_channel_row(ws.we, xseq, yseq, ws.ny)
+        theta += pxv * row * (zy & (row <= ws.cap))
+    return theta, zy
+
+
+def reference_case3_theta(ws):
+    """The Case-3 reference measure over every typical (u, y, x) triple, one
+    per-pair row each (kept per pair, as the rows repeat across u), before
+    its cut: the reference for ``_Workspace.theta_case3``."""
+    theta = np.zeros(ws.nz ** ws.n)
+    rows = {}
+    for useq, pu in zip(*ws.typical_given(ws.chain.p_u)):
+        xs, xp = ws.typical_given(ws.chain.x_given_u, useq)
+        ys, yp = ws.typical_given(ws.chain.y_given_u, useq)
+        for yseq, pyv in zip(ys, yp):
+            for xseq, pxv in zip(xs, xp):
+                key = (xseq.tobytes(), yseq.tobytes())
+                if key not in rows:
+                    rows[key] = reference_channel_row(ws.we, xseq, yseq, ws.ny)
+                row = rows[key]
+                e3 = ws.t_z_big_mask & (row <= ws.cap)
+                theta += pu * pxv * pyv * row * e3
+    return theta
+
+
+def reference_pair_mean(ws, fam, a):
+    """Average E0 row over the l1 x l2 pairs of shared index ``a``, one
+    per-pair row and typical output mask at a time: the reference for
+    ``_Workspace.pair_mean``."""
+    _, l1, l2 = fam.l_sizes
+    useq = fam.u[0, a]
+    theta_hat_u, f2 = ws.theta_u(useq)
+    mean = np.zeros_like(theta_hat_u)
+    for b in range(l1):
+        for c in range(l2):
+            xseq = fam.x[0, a, 0, b]
+            yseq = fam.y[0, a, 0, c]
+            row = reference_channel_row(ws.we, xseq, yseq, ws.ny)
+            _, f1 = ws.theta_uy(useq, yseq)
+            e0 = reference_z_mask(ws, useq, yseq) & (row <= ws.cap) & f1 & f2
+            mean += row * e0
+    mean /= l1 * l2
+    return mean, theta_hat_u

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from _support import (
     constant_eve_mac,
     random_mac,
+    reference_case3_theta,
     reference_case_j_values,
+    reference_channel_row,
     reference_mc_error,
+    reference_pair_mean,
+    reference_theta_uy,
 )
 from wtmac.codesim import (
     CodeChain,
@@ -98,7 +102,8 @@ def reference_decode(code, delta, t_seq):
 def reference_errors(code, delta, w_b=None):
     """Per-output reference decodes, then the tuple, message and MAC errors
     from per-output tuple comparisons."""
-    tuples, rows = _bob_rows(code, w_b)
+    tuples = list(code.index_tuples())
+    rows = _bob_rows(code, w_b)
     seqs = all_sequences(code.chain.mac.t_alphabet.size, code.n_total)
     decoded = [reference_decode(code, delta, t) for t in seqs]
     tuple_err = msg_err = mac_err = 0.0
@@ -110,15 +115,6 @@ def reference_errors(code, delta, w_b=None):
         msg_err += weight * float(rows[i] @ wrong_msg)
         mac_err += float(rows[i] @ wrong_tuple)
     return decoded, tuple_err, msg_err, mac_err / len(tuples)
-
-
-def reference_channel_row(matrix, xseq, yseq, y_size):
-    """W^(x)n row over all output sequences for one input pair, one
-    Kronecker factor per position."""
-    row = np.ones(1)
-    for xi, yi in zip(xseq, yseq):
-        row = np.kron(row, matrix[xi * y_size + yi])
-    return row
 
 
 class TestSampling:
@@ -687,7 +683,8 @@ class TestChannelRows:
     def test_bob_and_eve_rows_equal_reference(self):
         code = self.code()
         mac = code.chain.mac
-        tuples, rows = _bob_rows(code, None)
+        tuples = list(code.index_tuples())
+        rows = _bob_rows(code, None)
         want = [reference_channel_row(mac.bob.matrix, *code.codeword_pair(k, ls),
                                       mac.y_alphabet.size) for k, ls in tuples]
         assert np.array_equal(rows, np.array(want))
@@ -995,6 +992,70 @@ class TestProfileReaders:
             assert got == pytest.approx(mutual_information(j, a, b, c),
                                         rel=0.0, abs=1e-12)
 
+
+
+class TestWorkspaceReferences:
+    """The workspace's stacked channel rows against the per-pair loops in
+    ``tests/_support.py``: values to 1e-14, and each support mask equal
+    wherever its measure lies more than 1e-12 from the cut."""
+
+    SHAPES = st.sampled_from([(3, 1, 1), (2, 2, 1), (2, 2, 2), (1, 3, 2)])
+
+    @CHAIN_SETTINGS
+    @given(random_chains())
+    def test_case3_theta_matches_triple_loop(self, chain):
+        ws = _Workspace(chain, 3, 0.45, 0.3, 0.05, 2.0)
+        theta_hat, f3 = ws.theta_case3()
+        theta = reference_case3_theta(ws)
+        cut = ws.eps / max(ws.t_z_plain, 1)
+        far = np.abs(theta - cut) > 1e-12
+        assert np.array_equal(f3[far],
+                              (ws.t_z_big_mask & (theta >= cut))[far])
+        assert np.allclose(theta_hat, theta * f3, rtol=0.0, atol=1e-14)
+
+    @staticmethod
+    def check_inner_and_pair_rows(ws, fam):
+        for a in range(fam.l_sizes[0]):
+            useq = fam.u[0, a]
+            for yseq in fam.y[0, a, 0]:
+                theta_hat, f1 = ws.theta_uy(useq, yseq)
+                theta, zy = reference_theta_uy(ws, useq, yseq)
+                cut = ws.eps / max(int(zy.sum()), 1)
+                far = np.abs(theta - cut) > 1e-12
+                assert np.array_equal(f1[far], (zy & (theta >= cut))[far])
+                assert not np.any(f1 & ~zy)
+                assert np.allclose(theta_hat, theta * f1, rtol=0.0, atol=1e-14)
+            mean, ref = ws.pair_mean(fam, a)
+            want, want_ref = reference_pair_mean(ws, fam, a)
+            assert np.allclose(mean, want, rtol=0.0, atol=1e-14)
+            assert ref is want_ref
+
+    # n * delta = 1 keeps every typical set non-empty: rounding n * P to
+    # counts is off by less than 1 per symbol
+    @CHAIN_SETTINGS
+    @given(random_chains(), SHAPES, st.integers(0, 2**16))
+    def test_inner_and_pair_rows_match_pair_loops(self, chain, l_sizes, seed):
+        ws = _Workspace(chain, 5, 0.2, 0.3, 0.05, 2.0)
+        self.check_inner_and_pair_rows(
+            ws, sample_codebook_family(chain, 5, l_sizes, 0.2, seed=seed))
+
+    def test_typical_output_mask_cuts_inner_rows(self):
+        # the mask given (y, u) has width 2 |X| delta = 0.25 at n = 8; with
+        # u mostly 0 and y = 1 - u, the context (y, u) = (1, 0) fills most
+        # positions, and its Z law (z = 0 w.p. 0.905) is far from the law
+        # of (y, u) = (0, 1) (z = 1 w.p. 0.896), so reading the two the
+        # wrong way round moves the support f1
+        we = np.array([[0.4, 0.6], [0.95, 0.05], [0.03, 0.97], [0.5, 0.5]])
+        bob = np.array([[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.3, 0.7]])
+        mac = WiretapMAC.from_rows(np.einsum("it,iz->itz", bob, we)
+                                   .reshape(4, 4), 2, 2, 2, 2)
+        chain = CodeChain(Dist.from_mass([0.9, 0.1]),
+                          Channel.from_matrix([[0.9, 0.1], [0.2, 0.8]]),
+                          Channel.from_matrix([[0.0, 1.0], [1.0, 0.0]]), mac)
+        ws = _Workspace(chain, 8, 0.125, 0.3, 0.05, 2.0)
+        fam = sample_codebook_family(chain, 8, (2, 2, 1), 0.125, seed=0)
+        assert not reference_theta_uy(ws, fam.u[0, 0], fam.y[0, 0, 0, 0])[1].all()
+        self.check_inner_and_pair_rows(ws, fam)
 
 class TestSimReport:
     def test_full_report(self):
