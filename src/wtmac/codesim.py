@@ -658,10 +658,10 @@ def _bob_rows(code: WiretapCode, w_b: Channel | None) -> np.ndarray:
     mac = code.chain.mac
     matrix = _bob_matrix(code, w_b)
     count = matrix.shape[1] ** code.n_total
-    tuples = len(code.decode_plan.tuples)
-    if count * tuples > CELL_BUDGET:
+    n_tuples = len(code.decode_plan.tuples)
+    if count * n_tuples > CELL_BUDGET:
         raise ResourceBudgetError(
-            f"exact error needs {count} x {tuples} likelihoods")
+            f"exact error needs {count} x {n_tuples} likelihoods")
     return _channel_rows(matrix, *_codeword_pairs(code), mac.y_alphabet.size)
 
 

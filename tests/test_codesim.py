@@ -993,13 +993,10 @@ class TestProfileReaders:
                                         rel=0.0, abs=1e-12)
 
 
-
 class TestWorkspaceReferences:
     """The workspace's stacked channel rows against the per-pair loops in
     ``tests/_support.py``: values to 1e-14, and each support mask equal
     wherever its measure lies more than 1e-12 from the cut."""
-
-    SHAPES = st.sampled_from([(3, 1, 1), (2, 2, 1), (2, 2, 2), (1, 3, 2)])
 
     @CHAIN_SETTINGS
     @given(random_chains())
@@ -1033,7 +1030,9 @@ class TestWorkspaceReferences:
     # n * delta = 1 keeps every typical set non-empty: rounding n * P to
     # counts is off by less than 1 per symbol
     @CHAIN_SETTINGS
-    @given(random_chains(), SHAPES, st.integers(0, 2**16))
+    @given(random_chains(),
+           st.sampled_from([(3, 1, 1), (2, 2, 1), (2, 2, 2), (1, 3, 2)]),
+           st.integers(0, 2**16))
     def test_inner_and_pair_rows_match_pair_loops(self, chain, l_sizes, seed):
         ws = _Workspace(chain, 5, 0.2, 0.3, 0.05, 2.0)
         self.check_inner_and_pair_rows(
@@ -1054,8 +1053,10 @@ class TestWorkspaceReferences:
                           Channel.from_matrix([[0.0, 1.0], [1.0, 0.0]]), mac)
         ws = _Workspace(chain, 8, 0.125, 0.3, 0.05, 2.0)
         fam = sample_codebook_family(chain, 8, (2, 2, 1), 0.125, seed=0)
-        assert not reference_theta_uy(ws, fam.u[0, 0], fam.y[0, 0, 0, 0])[1].all()
+        _, zy = reference_theta_uy(ws, fam.u[0, 0], fam.y[0, 0, 0, 0])
+        assert not zy.all()
         self.check_inner_and_pair_rows(ws, fam)
+
 
 class TestSimReport:
     def test_full_report(self):
