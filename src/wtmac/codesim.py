@@ -150,6 +150,8 @@ def sample_codebook_family(p, n: int, l_sizes: Sequence[int], delta: float,
     are conditionally independent given their shared sequence.  Reproducible
     from the seed.
     """
+    if n < 1:
+        raise ValidationError(f"blocklength must be at least 1, got {n}")
     chain = p if isinstance(p, CodeChain) else CodeChain.from_factored(p)
     l0, l1, l2 = (int(v) for v in l_sizes)
     k0, k1, k2 = (int(v) for v in k_sizes)
@@ -338,6 +340,9 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
     estimate) when a window holds no integer, and refuses budgets whose
     randomization rate exceeds the common randomness bound.
     """
+    if n < 1 or (n2 is not None and n2 < 1):
+        raise ValidationError(
+            f"blocklengths must be at least 1, got n = {n}, n2 = {n2}")
     chain = p if isinstance(p, CodeChain) else CodeChain.from_factored(p)
     case = CaseLabel(case)
     rates = tuple(float(v) for v in rates)

@@ -87,9 +87,12 @@ class _Workspace:
     Channel rows come only from stacked :func:`~wtmac.codesim._channel_rows`
     calls.  It keeps three caches: ``_typ_cache`` (truncated typical
     supports per law and context), ``_uy_cache`` (:meth:`theta_uy` per
-    (u, y)) and ``_u_cache`` (:meth:`theta_u` per u).  The (u, y) support f1
-    lies inside the typical output set given (y, u), so masking a row with
-    f1 also masks it with that set.
+    (u, y)) and ``_u_cache`` (:meth:`theta_u` per u).  :meth:`theta_uy`
+    returns three arrays: the cut (u, y) reference, its support f1, and the
+    typical-x average of the rows zeroed off E2, which :meth:`theta_u`
+    weights by p(y) so that it builds no row of its own.  The (u, y) support
+    f1 lies inside the typical output set given (y, u), so masking a row
+    with f1 also masks it with that set.
     """
 
     def __init__(self, chain: CodeChain, n: int, delta: float, eps: float,
@@ -159,36 +162,32 @@ class _Workspace:
                                  self.delta).sum())
 
     def theta_uy(self, useq, yseq):
-        """Exact reference measure given (u, y), cut to its support, and
-        that support."""
+        """Exact reference measure given (u, y), cut to its support, that
+        support, and the typical-x average of the inner rows zeroed off E2
+        (the term of y in :meth:`theta_u`)."""
         key = (useq.tobytes(), yseq.tobytes())
         out = self._uy_cache.get(key)
         if out is None:
             xs, probs = self.typical_given(self.chain.x_given_u, useq)
             rows = _channel_rows(self.we, xs, yseq, self.ny)
+            capped = rows <= self.cap
             ctx, _ = zip_sequences(yseq, useq, [self.ny, self.nu])
             zy_mask = typical_mask(self.z_given_yu, 2 * self.nx * self.delta,
                                    self.n, ctx)
-            theta = probs @ (rows * (zy_mask & (rows <= self.cap)))
+            theta = probs @ (rows * (zy_mask & capped))
             count = max(int(zy_mask.sum()), 1)
             f1 = zy_mask & (theta >= self.eps / count)
-            out = (theta * f1, f1)
+            out = (theta * f1, f1, probs @ (rows * (f1 & capped)))
             self._uy_cache[key] = out
         return out
 
-    def inner_rows(self, useq, xs, yseq) -> np.ndarray:
-        """Output rows of the inner sequences ``xs`` given (u, y), zeroed
-        off E2: probability-capped, on the support of the (u, y) reference
-        (which lies inside the typical set given (y, u))."""
-        _, f1 = self.theta_uy(useq, yseq)
-        rows = _channel_rows(self.we, xs, yseq, self.ny)
-        return rows * (f1 & (rows <= self.cap))
-
     def inner_mean(self, useq, xs, yseq):
-        """Average E2 row of ``xs`` and the (u, y) reference it concentrates
-        around."""
-        return (self.inner_rows(useq, xs, yseq).mean(axis=0),
-                self.theta_uy(useq, yseq)[0])
+        """Average row of the inner sequences ``xs`` given (u, y), zeroed off
+        E2 (probability-capped, on the support of the (u, y) reference, which
+        lies inside the typical set given (y, u)), and that reference."""
+        theta_hat, f1, _ = self.theta_uy(useq, yseq)
+        rows = _channel_rows(self.we, xs, yseq, self.ny)
+        return (rows * (f1 & (rows <= self.cap))).mean(axis=0), theta_hat
 
     def theta_u(self, useq):
         """Exact reference measure given u alone (pairs enumerated), cut to
@@ -196,11 +195,10 @@ class _Workspace:
         key = useq.tobytes()
         out = self._u_cache.get(key)
         if out is None:
-            xs, xp = self.typical_given(self.chain.x_given_u, useq)
-            ys, yp = self.typical_given(self.chain.y_given_u, useq)
             theta = np.zeros(self.nz ** self.n)
-            for yseq, pyv in zip(ys, yp):
-                theta += pyv * (xp @ self.inner_rows(useq, xs, yseq))
+            for yseq, pyv in zip(*self.typical_given(self.chain.y_given_u,
+                                                      useq)):
+                theta += pyv * self.theta_uy(useq, yseq)[2]
             ctx = np.asarray(useq, dtype=np.int64)
             zmask = typical_mask(self.z_given_u,
                                  3 * self.ny * self.nx * self.delta,
@@ -317,82 +315,72 @@ def concentration_report(family: CodebookFamily, eps: float, *,
 
     if l1 == 1 and l2 == 1:
         return ConcentrationReport(_case3_checks(ws, fams, l0), params)
-    checks = [_pair_typicality_check(ws, fams), _mean_corridor_check(ws, fams)]
-    if l2 == 1:
-        checks.append(_outer_mean_check_case2(ws, fams))
-    else:
-        checks += [_joint_mean_check(ws, fams), _outer_mean_check_case1(ws, fams)]
     return ConcentrationReport(
-        checks, params,
+        _pair_checks(ws, fams), params,
         notes=("outer reference measure estimated from the resamples",))
 
 
-def _pair_typicality_check(ws: _Workspace, fams) -> LemmaCheck:
-    """Fraction of inner sequences jointly typical with each partner sequence."""
+def _pair_checks(ws: _Workspace, fams) -> list:
+    """The Case-1/2 checks in one pass over the resampled families: per
+    (a, c) one typical count and one inner mean, and in Case 1 one pair mean
+    per a.  Each index's corridor test (width eps for Case-2 inner means,
+    3 eps for Case-1 pair means) feeds both its own check and the family
+    means, which are then checked against an estimated reference."""
     l0, l1, l2 = fams[0].l_sizes
+    size = ws.nz ** ws.n
     threshold = ws.typical_fraction_threshold(l1)
-    failures = 0
-    events = 0
+    star_fail = 0
+    inner_fail = np.zeros(size)
+    pair_fail = np.zeros(size)
+    per_fam = []
     for fam in fams:
+        total = np.zeros(size)
+        ok = np.ones(size, dtype=bool)
         for a in range(l0):
-            for c in range(l2):
-                good = ws.typical_count(fam.u[0, a], fam.x[0, a, 0],
-                                        fam.y[0, a, 0, c])
-                events += 1
-                if good < threshold:
-                    failures += 1
-    return _check("typical-fraction (inner sequences vs partner)",
-                  ws.star_bound(l1), failures / events, events)
-
-
-def _mean_corridor_check(ws: _Workspace, fams) -> LemmaCheck:
-    """Per-output concentration of the inner empirical channel average."""
-    l0, l1, l2 = fams[0].l_sizes
-    events = 0
-    fail_by_z = np.zeros(ws.nz ** ws.n)
-    for fam in fams:
-        for a in range(l0):
-            for c in range(l2):
-                fail_by_z += _outside(*ws.inner_mean(fam.u[0, a], fam.x[0, a, 0],
-                                                     fam.y[0, a, 0, c]), ws.eps)
-                events += 1
-    return _check("inner-mean corridor (per output sequence)",
-                  min(2.0 * ws.tail(l1, ws.i_z_x_yu, 2.0), 1.0),
-                  float(fail_by_z.max()) / events, events)
-
-
-def _joint_mean_check(ws: _Workspace, fams) -> LemmaCheck:
-    """Concentration of the pair-averaged output law around the per-u reference."""
-    l0, l1, l2 = fams[0].l_sizes
-    bound = min(2.0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
-                + 2.0 * ws.tail(l2, ws.i_z_y_u, 4.0), 1.0)
-    fail_by_z = np.zeros(ws.nz ** ws.n)
-    events = 0
-    for fam in fams:
-        for a in range(l0):
-            fail_by_z += _outside(*ws.pair_mean(fam, a), 3 * ws.eps)
-            events += 1
-    return _check("pair-mean corridor (per shared sequence)", bound,
-                  float(fail_by_z.max()) / events, events)
-
-
-def _family_means(ws: _Workspace, fams, mean_of, width: float) -> list:
-    """Per family: the average over shared indices a of ``mean_of(fam, a)``'s
-    means, the outputs where every one of them stays within ``width`` of its
-    reference, and index 0's reference."""
-    out = []
-    for fam in fams:
-        l0 = fam.l_sizes[0]
-        total = np.zeros(ws.nz ** ws.n)
-        ok = np.ones(ws.nz ** ws.n, dtype=bool)
-        for a in range(l0):
-            mean, ref = mean_of(fam, a)
-            ok &= ~_outside(mean, ref, width)
+            useq, xs = fam.u[0, a], fam.x[0, a, 0]
+            for yseq in fam.y[0, a, 0]:
+                star_fail += ws.typical_count(useq, xs, yseq) < threshold
+                mean, ref = ws.inner_mean(useq, xs, yseq)
+                out = _outside(mean, ref, ws.eps)
+                inner_fail += out
+            # with a single partner (l2 = 1) the family means read its inner mean
+            if l2 > 1:
+                mean, ref = ws.pair_mean(fam, a)
+                out = _outside(mean, ref, 3 * ws.eps)
+                pair_fail += out
+            ok &= ~out
             total += mean
             if a == 0:
                 first = ref
-        out.append((total / l0, ok, first))
-    return out
+        per_fam.append((total / l0, ok, first))
+
+    events = len(fams) * l0 * l2
+    checks = [
+        _check("typical-fraction (inner sequences vs partner)",
+               ws.star_bound(l1), star_fail / events, events),
+        _check("inner-mean corridor (per output sequence)",
+               min(2.0 * ws.tail(l1, ws.i_z_x_yu, 2.0), 1.0),
+               float(inner_fail.max()) / events, events),
+    ]
+    if l2 == 1:
+        bound = min(2.0 * l0 * ws.tail(l1, ws.i_z_x_yu, 2.0)
+                    + 2.0 * ws.tail(l0, ws.i_z_yu, 4.0), 1.0)
+        return checks + [_estimated_reference_check(
+            ws, per_fam, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,
+            "family-mean corridor (single partner, estimated reference)",
+            bound)]
+    events = len(fams) * l0
+    checks.append(_check(
+        "pair-mean corridor (per shared sequence)",
+        min(2.0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
+            + 2.0 * ws.tail(l2, ws.i_z_y_u, 4.0), 1.0),
+        float(pair_fail.max()) / events, events))
+    bound = min(2.0 * l0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
+                + 2.0 * l0 * ws.tail(l2, ws.i_z_y_u, 4.0)
+                + 2.0 * ws.tail(l0, ws.i_z_u, 4.0), 1.0)
+    return checks + [_estimated_reference_check(
+        ws, per_fam, 1.0 / max(int(ws.t_z_big_mask.sum()), 1), 5 * ws.eps,
+        "family-mean corridor (common index, estimated reference)", bound)]
 
 
 def _estimated_reference_check(ws: _Workspace, per_fam, floor: float,
@@ -414,31 +402,6 @@ def _estimated_reference_check(ws: _Workspace, per_fam, floor: float,
         fail_by_z += support & _outside(mean, theta_hat, width)
     return _check(name, bound, float(fail_by_z.max()) / len(per_fam),
                   len(per_fam), note="reference measure estimated from resamples")
-
-
-def _outer_mean_check_case1(ws: _Workspace, fams) -> LemmaCheck:
-    l0, l1, l2 = fams[0].l_sizes
-    bound = min(2.0 * l0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
-                + 2.0 * l0 * ws.tail(l2, ws.i_z_y_u, 4.0)
-                + 2.0 * ws.tail(l0, ws.i_z_u, 4.0), 1.0)
-    per_fam = _family_means(ws, fams, ws.pair_mean, 3 * ws.eps)
-    return _estimated_reference_check(
-        ws, per_fam, 1.0 / max(int(ws.t_z_big_mask.sum()), 1), 5 * ws.eps,
-        "family-mean corridor (common index, estimated reference)", bound)
-
-
-def _outer_mean_check_case2(ws: _Workspace, fams) -> LemmaCheck:
-    l0, l1, _ = fams[0].l_sizes
-    bound = min(2.0 * l0 * ws.tail(l1, ws.i_z_x_yu, 2.0)
-                + 2.0 * ws.tail(l0, ws.i_z_yu, 4.0), 1.0)
-    per_fam = _family_means(
-        ws, fams,
-        lambda fam, a: ws.inner_mean(fam.u[0, a], fam.x[0, a, 0],
-                                     fam.y[0, a, 0, 0]),
-        ws.eps)
-    return _estimated_reference_check(
-        ws, per_fam, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,
-        "family-mean corridor (single partner, estimated reference)", bound)
 
 
 def _case3_checks(ws: _Workspace, fams, l0: int) -> list:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -108,12 +108,6 @@ class Dist:
     @staticmethod
     def uniform(size: int) -> "Dist":
         return Dist(Alphabet(size), np.full(size, 1.0 / size))
-
-    @staticmethod
-    def point_mass(size: int, symbol: int) -> "Dist":
-        v = np.zeros(size)
-        v[symbol] = 1.0
-        return Dist(Alphabet(size), v)
 
     def entropy(self) -> float:
         return entropy_bits(self.mass)
@@ -258,10 +252,6 @@ class WiretapMAC:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "WiretapMAC":
-        return WiretapMAC.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -499,14 +489,6 @@ def all_sequences(size: int, n: int) -> np.ndarray:
     return out
 
 
-def sequence_index(seq: Sequence[int], size: int) -> int:
-    """Lexicographic index of a sequence over {0..size-1}."""
-    idx = 0
-    for s in seq:
-        idx = idx * size + int(s)
-    return idx
-
-
 def zip_sequences(*seqs) -> tuple[np.ndarray, int]:
     """Merge parallel sequences into one over the product alphabet.
 
@@ -554,9 +536,6 @@ class SequenceDist:
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
 
-    def prob(self, seq: Sequence[int]) -> float:
-        return float(self.mass[sequence_index(seq, self.alphabet.size)])
-
     def support(self) -> np.ndarray:
         return all_sequences(self.alphabet.size, self.blocklength)[self.mass > 0.0]
 
@@ -602,6 +581,8 @@ def _sequence_law(law, n: int, context=None):
     matches the unconditional formula bit for bit.  A :class:`Channel` is
     read under ``context``, a length-n sequence of its input symbols.
     """
+    if n < 1:
+        raise ValidationError(f"blocklength must be at least 1, got {n}")
     if context is None:
         if not isinstance(law, Dist):
             raise ValidationError("unconditional typicality needs a Dist law")
@@ -611,7 +592,7 @@ def _sequence_law(law, n: int, context=None):
     context = np.asarray(context, dtype=np.int64)
     if context.shape != (n,):
         raise ValidationError("context length mismatch")
-    if n and (context.min() < 0 or context.max() >= law.input_alphabet.size):
+    if context.min() < 0 or context.max() >= law.input_alphabet.size:
         raise ValidationError("context symbols out of range")
     return law.matrix, context, law.output_alphabet
 
@@ -639,13 +620,6 @@ def _typical_rows(matrix: np.ndarray, context: np.ndarray, seqs: np.ndarray,
         np.subtract(dev, target, out=dev)
         ok[lo:lo + k] = (np.abs(dev, out=dev) <= delta).all(axis=1)
     return ok
-
-
-def sequence_prob(ch_or_dist, seq: np.ndarray, context: np.ndarray | None = None) -> float:
-    """Product probability of one sequence under an i.i.d. or conditional law."""
-    seq = np.asarray(seq, dtype=np.int64)
-    matrix, context, _ = _sequence_law(ch_or_dist, seq.shape[0], context)
-    return float(np.prod(matrix[context, seq]))
 
 
 def typical_membership(law, seq, delta: float, context=None) -> bool:

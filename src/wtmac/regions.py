@@ -588,22 +588,6 @@ def _case2_region(prof: InfoProfile, hc: float, total: float) -> RatePolytope:
     )
 
 
-def case2_sum_bound_min_form(prof: InfoProfile, hc: float) -> float:
-    """The min-form restatement of the Case-2 sum bound, as printed.
-
-    Not an algebraic identity with the alpha-based sum bound: it replaces the
-    nonemptiness entry of alpha0 with the R1-positivity entry of alpha1, so
-    it can undershoot.  Kept for cross-checking; the emitted regions use the
-    alpha-based bound.
-    """
-    a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
-    if a < b:
-        return case2_sum_bound_min_form(prof.swapped(), hc)
-    third = (prof.it_v1_v2u * (b / a - 1.0) + prof.iz_v1_u) if a > 0 else math.inf
-    return (prof.it_v12_u - prof.iz_v12_u
-            + min(hc - prof.iz_u, prof.iz_v1_u, third))
-
-
 def elementary_region(p_or_prof, case: CaseLabel, alpha: float,
                       hc: float | None = None, *,
                       check_range: bool = True) -> RatePolytope:

@@ -8,7 +8,8 @@ from itertools import combinations
 import numpy as np
 
 from wtmac import optimizer
-from wtmac.codesim import joint_typicality_decode
+from wtmac.codesim import _channel_rows, joint_typicality_decode
+from wtmac.concentration import _check, _estimated_reference_check, _outside
 from wtmac.conferencing import region_conferencing
 from wtmac.errors import DegenerateTypicalityError, PreconditionError
 from wtmac.probkit import (
@@ -21,6 +22,7 @@ from wtmac.probkit import (
     Dist,
     FactoredInput,
     WiretapMAC,
+    _sequence_law,
     mutual_information,
     typical_mask,
     typical_membership,
@@ -45,6 +47,34 @@ def example62_input():
     mac = WiretapMAC.from_marginals(WB_62, WE_62)
     return FactoredInput.independent(Dist.from_mass([0.6933, 0.3067]),
                                      Dist.from_mass([0.3151, 0.6849]), mac)
+
+
+def point_mass(size, symbol):
+    """The law putting all its mass on ``symbol``."""
+    mass = np.zeros(size)
+    mass[symbol] = 1.0
+    return Dist.from_mass(mass)
+
+
+def sequence_index(seq, size):
+    """Lexicographic index of a sequence over {0..size-1}."""
+    idx = 0
+    for s in seq:
+        idx = idx * size + int(s)
+    return idx
+
+
+def sequence_mass(sd, seq):
+    """Mass of one sequence under a :class:`~wtmac.probkit.SequenceDist`."""
+    return float(sd.mass[sequence_index(seq, sd.alphabet.size)])
+
+
+def sequence_prob(law, seq, context=None):
+    """Product probability of one sequence under an i.i.d. or conditional
+    law."""
+    seq = np.asarray(seq, dtype=np.int64)
+    matrix, context, _ = _sequence_law(law, seq.shape[0], context)
+    return float(np.prod(matrix[context, seq]))
 
 
 def random_mac(rng, x=2, y=2, t=2, z=2, bob_quality=0.0):
@@ -187,6 +217,22 @@ def reference_case_j_values(chain, case, alpha):
         return (mi(z, ux), j1, j2)
     j0 = alpha * mi(z, yy | ux) + (1 - alpha) * mi(z, xx | ux)
     return (j0, alpha * mi(z, xx, yy | ux), (1 - alpha) * mi(z, yy, xx | ux))
+
+
+def case2_sum_bound_min_form(prof, hc):
+    """The min-form restatement of the Case-2 sum bound, as printed.
+
+    Not an algebraic identity with the alpha-based sum bound: it replaces the
+    nonemptiness entry of alpha0 with the R1-positivity entry of alpha1, so
+    it can undershoot.  Kept for cross-checking; the emitted regions use the
+    alpha-based bound.
+    """
+    a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
+    if a < b:
+        return case2_sum_bound_min_form(prof.swapped(), hc)
+    third = (prof.it_v1_v2u * (b / a - 1.0) + prof.iz_v1_u) if a > 0 else math.inf
+    return (prof.it_v12_u - prof.iz_v12_u
+            + min(hc - prof.iz_u, prof.iz_v1_u, third))
 
 
 def reference_vertices(poly, tol=1e-9):
@@ -423,8 +469,130 @@ def reference_pair_mean(ws, fam, a):
             xseq = fam.x[0, a, 0, b]
             yseq = fam.y[0, a, 0, c]
             row = reference_channel_row(ws.we, xseq, yseq, ws.ny)
-            _, f1 = ws.theta_uy(useq, yseq)
+            _, f1 = ws.theta_uy(useq, yseq)[:2]
             e0 = reference_z_mask(ws, useq, yseq) & (row <= ws.cap) & f1 & f2
             mean += row * e0
     mean /= l1 * l2
     return mean, theta_hat_u
+
+
+def reference_theta_u(ws, useq):
+    """The per-u reference measure built from its own inner rows, one typical
+    y at a time, before its cut, and the typical output mask given u: the
+    reference for ``_Workspace.theta_u``."""
+    xs, xp = ws.typical_given(ws.chain.x_given_u, useq)
+    ys, yp = ws.typical_given(ws.chain.y_given_u, useq)
+    theta = np.zeros(ws.nz ** ws.n)
+    for yseq, pyv in zip(ys, yp):
+        f1 = ws.theta_uy(useq, yseq)[1]
+        rows = _channel_rows(ws.we, xs, yseq, ws.ny)
+        theta += pyv * (xp @ (rows * (f1 & (rows <= ws.cap))))
+    zmask = typical_mask(ws.z_given_u, 3 * ws.ny * ws.nx * ws.delta, ws.n,
+                         np.asarray(useq, dtype=np.int64))
+    return theta, zmask
+
+
+# The Case-1/2 concentration checks one check at a time, each walking the
+# resampled families again: the reference for ``concentration._pair_checks``.
+
+def reference_pair_checks(ws, fams):
+    l2 = fams[0].l_sizes[2]
+    checks = [_pair_typicality_check(ws, fams), _mean_corridor_check(ws, fams)]
+    if l2 == 1:
+        checks.append(_outer_mean_check_case2(ws, fams))
+    else:
+        checks += [_joint_mean_check(ws, fams), _outer_mean_check_case1(ws, fams)]
+    return checks
+
+
+def _pair_typicality_check(ws, fams):
+    """Fraction of inner sequences jointly typical with each partner sequence."""
+    l0, l1, l2 = fams[0].l_sizes
+    threshold = ws.typical_fraction_threshold(l1)
+    failures = 0
+    events = 0
+    for fam in fams:
+        for a in range(l0):
+            for c in range(l2):
+                good = ws.typical_count(fam.u[0, a], fam.x[0, a, 0],
+                                        fam.y[0, a, 0, c])
+                events += 1
+                if good < threshold:
+                    failures += 1
+    return _check("typical-fraction (inner sequences vs partner)",
+                  ws.star_bound(l1), failures / events, events)
+
+
+def _mean_corridor_check(ws, fams):
+    """Per-output concentration of the inner empirical channel average."""
+    l0, l1, l2 = fams[0].l_sizes
+    events = 0
+    fail_by_z = np.zeros(ws.nz ** ws.n)
+    for fam in fams:
+        for a in range(l0):
+            for c in range(l2):
+                fail_by_z += _outside(*ws.inner_mean(fam.u[0, a], fam.x[0, a, 0],
+                                                     fam.y[0, a, 0, c]), ws.eps)
+                events += 1
+    return _check("inner-mean corridor (per output sequence)",
+                  min(2.0 * ws.tail(l1, ws.i_z_x_yu, 2.0), 1.0),
+                  float(fail_by_z.max()) / events, events)
+
+
+def _joint_mean_check(ws, fams):
+    """Concentration of the pair-averaged output law around the per-u reference."""
+    l0, l1, l2 = fams[0].l_sizes
+    bound = min(2.0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
+                + 2.0 * ws.tail(l2, ws.i_z_y_u, 4.0), 1.0)
+    fail_by_z = np.zeros(ws.nz ** ws.n)
+    events = 0
+    for fam in fams:
+        for a in range(l0):
+            fail_by_z += _outside(*ws.pair_mean(fam, a), 3 * ws.eps)
+            events += 1
+    return _check("pair-mean corridor (per shared sequence)", bound,
+                  float(fail_by_z.max()) / events, events)
+
+
+def _family_means(ws, fams, mean_of, width):
+    """Per family: the average over shared indices a of ``mean_of(fam, a)``'s
+    means, the outputs where every one of them stays within ``width`` of its
+    reference, and index 0's reference."""
+    out = []
+    for fam in fams:
+        l0 = fam.l_sizes[0]
+        total = np.zeros(ws.nz ** ws.n)
+        ok = np.ones(ws.nz ** ws.n, dtype=bool)
+        for a in range(l0):
+            mean, ref = mean_of(fam, a)
+            ok &= ~_outside(mean, ref, width)
+            total += mean
+            if a == 0:
+                first = ref
+        out.append((total / l0, ok, first))
+    return out
+
+
+def _outer_mean_check_case1(ws, fams):
+    l0, l1, l2 = fams[0].l_sizes
+    bound = min(2.0 * l0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
+                + 2.0 * l0 * ws.tail(l2, ws.i_z_y_u, 4.0)
+                + 2.0 * ws.tail(l0, ws.i_z_u, 4.0), 1.0)
+    per_fam = _family_means(ws, fams, ws.pair_mean, 3 * ws.eps)
+    return _estimated_reference_check(
+        ws, per_fam, 1.0 / max(int(ws.t_z_big_mask.sum()), 1), 5 * ws.eps,
+        "family-mean corridor (common index, estimated reference)", bound)
+
+
+def _outer_mean_check_case2(ws, fams):
+    l0, l1, _ = fams[0].l_sizes
+    bound = min(2.0 * l0 * ws.tail(l1, ws.i_z_x_yu, 2.0)
+                + 2.0 * ws.tail(l0, ws.i_z_yu, 4.0), 1.0)
+    per_fam = _family_means(
+        ws, fams,
+        lambda fam, a: ws.inner_mean(fam.u[0, a], fam.x[0, a, 0],
+                                     fam.y[0, a, 0, 0]),
+        ws.eps)
+    return _estimated_reference_check(
+        ws, per_fam, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,
+        "family-mean corridor (single partner, estimated reference)", bound)

@@ -196,3 +196,15 @@ class TestInvalidArgumentExit:
         assert code == 1
         err = capsys.readouterr().err
         assert any(line.startswith("error:") for line in err.splitlines())
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_simulate_blocklength_below_one_exits_one(self, artifacts, capsys,
+                                                      n):
+        tmp, ch, pp = artifacts
+        code = run(["simulate", "--channel", ch, "--p", pp, "--case", "3",
+                    "--hc", "2.0", "--n", n, "--delta", "0.3",
+                    "--slack", "0.25"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") for line in err.splitlines())
+        assert "Traceback" not in err

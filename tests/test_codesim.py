@@ -2,20 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from _support import (
     constant_eve_mac,
+    point_mass,
     random_mac,
     reference_case3_theta,
     reference_case_j_values,
     reference_channel_row,
     reference_mc_error,
+    reference_pair_checks,
     reference_pair_mean,
+    reference_theta_u,
     reference_theta_uy,
+    sequence_mass,
 )
 from wtmac.codesim import (
+    DEFAULT_SLACK,
+    DEFAULT_TAIL_EXPONENT,
     CodeChain,
     CodebookFamily,
     WiretapCode,
@@ -52,7 +58,8 @@ from wtmac.probkit import (
     typical_membership,
     zip_sequences,
 )
-from wtmac.concentration import _Workspace, _check
+from wtmac import concentration
+from wtmac.concentration import ConcentrationReport, _Workspace, _check
 from wtmac.regions import CaseLabel
 
 
@@ -120,7 +127,7 @@ def reference_errors(code, delta, w_b=None):
 class TestSampling:
     def test_deterministic_chain_constant(self):
         mac = noiseless_bob_mac()
-        chain = CodeChain(Dist.point_mass(2, 1), Channel.identity(2),
+        chain = CodeChain(point_mass(2, 1), Channel.identity(2),
                           Channel.identity(2), mac)
         fam = sample_codebook_family(chain, 6, (2, 1, 1), 0.2, seed=0)
         assert np.all(fam.u == 1) and np.all(fam.x == 1) and np.all(fam.y == 1)
@@ -171,7 +178,26 @@ class TestSampling:
         assert first_u[-1] == " ".join(map(str, fam.u[0, 0]))
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_blocklength_below_one_rejected(self, n):
+        chain = coupled_chain(noiseless_bob_mac())
+        with pytest.raises(ValidationError, match="blocklength"):
+            sample_codebook_family(chain, n, (2, 1, 1), 0.3, seed=0)
+
+
 class TestBuild:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case, n, n2", [
+        (CaseLabel.CASE3, 0, None), (CaseLabel.CASE3, -1, None),
+        (CaseLabel.CASE1, 0, 4), (CaseLabel.CASE1, 4, 0),
+        (CaseLabel.CASE1, 4, -1)])
+    def test_blocklength_below_one_rejected(self, case, n, n2):
+        chain = chain_for(constant_eve_mac(np.random.default_rng(2), t=4))
+        with pytest.raises(ValidationError, match="blocklengths must be"):
+            build_wiretap_code(chain, case, (0.0, 0.0, 0.0), hc=2.0, n=n,
+                               delta=0.3, slack=0.25, n2=n2, alpha=0.5)
+
     def test_case3_constant_eve_window(self):
         rng = np.random.default_rng(2)
         mac = constant_eve_mac(rng, t=4)
@@ -938,14 +964,14 @@ class TestConcentrationContract:
         useqs, pu = ws.typical_given(chain.p_u)
         law = truncated_typical_dist(chain.p_u, n, delta)
         assert len(useqs) == int((law.mass > 0).sum())
-        assert [float(m) for m in pu] == [law.prob(s) for s in useqs]
+        assert [float(m) for m in pu] == [sequence_mass(law, s) for s in useqs]
         for useq in useqs:
             for given in (chain.x_given_u, chain.y_given_u):
                 seqs, masses = ws.typical_given(given, useq)
                 law = truncated_typical_dist(given, n, delta, useq)
                 assert len(seqs) == int((law.mass > 0).sum())
                 assert [float(m) for m in masses] \
-                    == [law.prob(s) for s in seqs]
+                    == [sequence_mass(law, s) for s in seqs]
 
 
 @st.composite
@@ -1015,7 +1041,7 @@ class TestWorkspaceReferences:
         for a in range(fam.l_sizes[0]):
             useq = fam.u[0, a]
             for yseq in fam.y[0, a, 0]:
-                theta_hat, f1 = ws.theta_uy(useq, yseq)
+                theta_hat, f1 = ws.theta_uy(useq, yseq)[:2]
                 theta, zy = reference_theta_uy(ws, useq, yseq)
                 cut = ws.eps / max(int(zy.sum()), 1)
                 far = np.abs(theta - cut) > 1e-12
@@ -1056,6 +1082,62 @@ class TestWorkspaceReferences:
         _, zy = reference_theta_uy(ws, fam.u[0, 0], fam.y[0, 0, 0, 0])
         assert not zy.all()
         self.check_inner_and_pair_rows(ws, fam)
+
+    @CHAIN_SETTINGS
+    @given(random_chains(), st.integers(0, 2**16))
+    def test_theta_u_matches_per_y_loop(self, chain, seed):
+        ws = _Workspace(chain, 5, 0.2, 0.3, 0.05, 2.0)
+        fam = sample_codebook_family(chain, 5, (3, 1, 1), 0.2, seed=seed)
+        for useq in fam.u[0]:
+            theta_hat, f2 = ws.theta_u(useq)
+            theta, zmask = reference_theta_u(ws, useq)
+            cut = ws.eps / max(int(zmask.sum()), 1)
+            far = np.abs(theta - cut) > 1e-12
+            assert np.array_equal(f2[far], (zmask & (theta >= cut))[far])
+            assert np.allclose(theta_hat, theta * f2, rtol=0.0, atol=1e-14)
+
+
+class TestPairChecks:
+    """The one-pass Case-1/2 checks against the per-check walks over the
+    resampled families in ``tests/_support.py``."""
+
+    @CHAIN_SETTINGS
+    @given(random_chains(), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(0, 2**16))
+    def test_report_matches_per_check_reference(self, chain, l0, l1, l2, seed):
+        assume((l1, l2) != (1, 1))
+        n, delta, eps, resamples = 4, 0.25, 0.3, 3
+        l_sizes = (l0, l1, l2)
+        fam = sample_codebook_family(chain, n, l_sizes, delta, seed=seed)
+        rep = concentration_report(fam, eps=eps, resamples=resamples,
+                                   seed=seed)
+        # the resampled families of concentration_report, rebuilt
+        ws = _Workspace(chain, n, delta, eps, DEFAULT_SLACK,
+                        DEFAULT_TAIL_EXPONENT)
+        fams = [sample_codebook_family(chain, n, l_sizes, delta,
+                                       seed + 7919 * i)
+                for i in range(resamples)]
+        want = ConcentrationReport(reference_pair_checks(ws, fams), rep.params,
+                                   notes=rep.notes)
+        assert rep.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize("l_sizes", [(2, 2, 2), (3, 2, 3), (3, 2, 1),
+                                         (1, 4, 1)])
+    def test_each_family_mean_computed_once(self, monkeypatch, l_sizes):
+        calls = {"pair_mean": 0, "inner_mean": 0}
+        for name in calls:
+            method = getattr(concentration._Workspace, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(concentration._Workspace, name, counted)
+        resamples = 5
+        l0, _, l2 = l_sizes
+        rep = TestConcentrationContract().report(l_sizes, resamples)
+        assert not rep.partial
+        assert calls == {"pair_mean": resamples * l0 if l2 > 1 else 0,
+                         "inner_mean": resamples * l0 * l2}
 
 
 class TestSimReport:

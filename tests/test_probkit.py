@@ -1,8 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from _support import reference_sample_typical
+from _support import (
+    point_mass,
+    reference_sample_typical,
+    sequence_index,
+    sequence_mass,
+    sequence_prob,
+)
 from wtmac.errors import (
     DegenerateTypicalityError,
     ResourceBudgetError,
@@ -28,8 +36,6 @@ from wtmac.probkit import (
     mutual_information,
     n_fold,
     sample_typical,
-    sequence_index,
-    sequence_prob,
     truncated_typical_dist,
     typical_mask,
     typical_membership,
@@ -84,7 +90,7 @@ class TestMutualInformation:
     def test_noiseless_channel(self):
         mac = WiretapMAC.from_marginals(np.array([[1.0, 0], [0, 1], [0, 1], [1, 0]]),
                                         np.full((4, 2), 0.5))
-        p = FactoredInput.independent(Dist.uniform(2), Dist.point_mass(2, 0), mac)
+        p = FactoredInput.independent(Dist.uniform(2), point_mass(2, 0), mac)
         assert mutual_information(p.joint, {AX_X}, {AX_T}) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_independence(self):
@@ -144,7 +150,7 @@ class TestJointFromFactors:
     def test_deterministic_chain_is_point_mass(self):
         mac = WiretapMAC.from_marginals(np.array([[1.0, 0], [0, 1], [0, 1], [1, 0]]),
                                         np.array([[1.0, 0], [1, 0], [1, 0], [1, 0]]))
-        p = FactoredInput.coupled(Dist.point_mass(2, 1), mac)
+        p = FactoredInput.coupled(point_mass(2, 1), mac)
         mass = p.joint.mass
         assert np.count_nonzero(mass) == 1
         assert mass.max() == pytest.approx(1.0, abs=1e-15)
@@ -213,7 +219,7 @@ class TestChannelValidation:
 
 class TestVariationDistance:
     def test_disjoint_point_masses(self):
-        assert variation_distance(Dist.point_mass(2, 0), Dist.point_mass(2, 1)) == 2.0
+        assert variation_distance(point_mass(2, 0), point_mass(2, 1)) == 2.0
 
     def test_identity(self):
         d = Dist.from_mass([0.3, 0.7])
@@ -305,12 +311,27 @@ class TestTypicality:
         with pytest.raises(ValidationError):
             typical_membership(ch, np.zeros(4, dtype=int), 0.1, np.zeros(3, dtype=int))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_blocklength_below_one_rejected(self, n):
+        d = Dist.from_mass([0.6, 0.4])
+        ch = Channel.from_matrix([[0.7, 0.3], [0.35, 0.65]])
+        rng = np.random.default_rng(0)
+        ctx = np.zeros(max(n, 0), dtype=np.int64)
+        for law, context in ((d, None), (ch, ctx)):
+            with pytest.raises(ValidationError, match="blocklength"):
+                typical_mask(law, 0.2, n, context)
+            with pytest.raises(ValidationError, match="blocklength"):
+                truncated_typical_dist(law, n, 0.2, context)
+            with pytest.raises(ValidationError, match="blocklength"):
+                sample_typical(law, n, 0.2, rng, context)
+
 
 class TestTruncatedTypical:
     def test_deterministic_point_mass(self):
-        d = Dist.point_mass(2, 1)
+        d = point_mass(2, 1)
         sd = truncated_typical_dist(d, 5, 0.3)
-        assert sd.prob([1, 1, 1, 1, 1]) == pytest.approx(1.0, abs=1e-15)
+        assert sequence_mass(sd, [1, 1, 1, 1, 1]) == pytest.approx(1.0, abs=1e-15)
 
     def test_large_delta_equals_product(self):
         d = Dist.uniform(2)
@@ -472,7 +493,7 @@ class TestSerialization:
     def test_channel_json_roundtrip(self):
         rng = np.random.default_rng(14)
         mac = random_mac(rng, t=3, z=6)
-        again = WiretapMAC.from_json(mac.to_json())
+        again = WiretapMAC.from_json_dict(json.loads(mac.to_json()))
         assert np.allclose(again.channel.matrix, mac.channel.matrix, atol=0)
 
     def test_marginals(self):

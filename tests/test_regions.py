@@ -29,7 +29,6 @@ from wtmac.regions import (
     RatePolytope,
     alpha_bounds_case1,
     alpha_bounds_case2,
-    case2_sum_bound_min_form,
     classify_case,
     classify_profile,
     elementary_region,
@@ -84,6 +83,7 @@ def constant_eve_mac(rng, t=2):
 
 
 from _support import (  # noqa: E402  (shared generator and references)
+    case2_sum_bound_min_form,
     reference_info_profile,
     reference_vertices,
     sample_case1_profiles,
