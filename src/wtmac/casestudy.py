@@ -9,6 +9,7 @@ brute-force search reproduces how such examples are found.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ from .probkit import (
     Dist,
     FactoredInput,
     WiretapMAC,
-    mutual_information,
 )
 from .regions import (
     AlphaBounds,
@@ -51,13 +51,8 @@ def discussion_channels() -> WiretapMAC:
     2.  Every marginal transition probability is 0 or 1/2.
     """
     tensor = np.zeros((2, 2, 3, 6))
-    for x in range(2):
-        for y in range(2):
-            for n1 in range(2):
-                for n2 in range(2):
-                    t = (x + y + n1) % 3
-                    z = 2 * x - 2 * y + n2 + 2
-                    tensor[x, y, t, z] += 0.25
+    for x, y, n1, n2 in itertools.product(range(2), repeat=4):
+        tensor[x, y, (x + y + n1) % 3, 2 * x - 2 * y + n2 + 2] += 0.25
     return WiretapMAC.from_rows(tensor.reshape(4, 18), 2, 2, 3, 6)
 
 
@@ -71,42 +66,63 @@ class GapPoint:
     d2_gap_dq2: float
 
 
-def _h2term(p: float) -> float:
-    return 0.0 if p <= 0.0 else -p * math.log2(p / 2.0)
+def _bias_rows(mac: WiretapMAC, q, r) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The broadcast shape of q and r, and the laws (q, 1 - q), (r, 1 - r)
+    stacked one input per row; the MAC must have binary inputs."""
+    if mac.x_alphabet.size != 2 or mac.y_alphabet.size != 2:
+        raise ValidationError("independent binary inputs need |X| = |Y| = 2")
+    q, r = np.broadcast_arrays(np.asarray(q, float), np.asarray(r, float))
+    return (q.shape, np.stack([q.ravel(), 1.0 - q.ravel()], axis=1),
+            np.stack([r.ravel(), 1.0 - r.ravel()], axis=1))
 
 
-def eavesdropper_output_entropy(q: float, r: float) -> float:
-    """H of the six-valued output under independent inputs (q, r)."""
-    return (_h2term(q * (1 - r))
-            + _h2term(q * r + (1 - q) * (1 - r))
-            + _h2term((1 - q) * r))
+def independent_gaps(mac: WiretapMAC, q, r) -> np.ndarray:
+    """Gap I(Z;XY) - I(T;XY) in bits at independent binary inputs
+    P(X=0) = q, P(Y=0) = r, which broadcast against each other: one profile
+    batch with |U| = 1 and identity prefixes."""
+    shape, px, py = _bias_rows(mac, q, r)
+    ident = np.broadcast_to(np.eye(2), (len(px), 2, 2))
+    batch = info_profiles(np.ones((len(px), 1)), px[:, None], py[:, None],
+                          ident, ident, mac.tensor)
+    return np.array([prof.iz_v12 - prof.it_v12
+                     for prof in batch.profiles]).reshape(shape)
 
 
-def legitimate_output_entropy(q: float, r: float) -> float:
-    """H of the ternary output under independent inputs (q, r)."""
-    s1 = q * r + (1 - q) * (1 - r)
-    s2 = q * r + q * (1 - r) + (1 - q) * r
-    s3 = q * (1 - r) + (1 - q) * r + (1 - q) * (1 - r)
-    return 0.5 * (_h2term(s1) + _h2term(s2) + _h2term(s3))
+def _fisher_sums(w: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """(N, 2): sum over outputs o of (dP(o)/dq)^2 / P(o), then the same in r,
+    for a marginal channel w[x, y, o]; a term with P(o) = 0 counts 0."""
+    law = np.einsum("nx,ny,xyo->no", px, py, w)[:, None]
+    slopes = np.stack([py @ (w[0] - w[1]), px @ (w[:, 0] - w[:, 1])], axis=1)
+    return np.divide(slopes * slopes, law, out=np.zeros_like(slopes),
+                     where=law > 0.0).sum(axis=2)
+
+
+def gap_curvatures(mac: WiretapMAC, q, r) -> tuple[np.ndarray, np.ndarray]:
+    """Exact d^2/dq^2 and d^2/dr^2 of :func:`independent_gaps`, in bits.
+
+    Each output law is linear in q, and so is H(out|XY), so
+    d^2 I(out;XY)/dq^2 is -(1/ln 2) sum_o (dP(o)/dq)^2 / P(o), and likewise
+    in r.  At an interior input P(o) = 0 forces dP(o)/dq = 0, so such a term
+    contributes 0.
+    """
+    shape, px, py = _bias_rows(mac, q, r)
+    d2 = (_fisher_sums(mac.tensor.sum(axis=3), px, py)
+          - _fisher_sums(mac.tensor.sum(axis=2), px, py)) / LN2
+    return d2[:, 0].reshape(shape), d2[:, 1].reshape(shape)
 
 
 def lessnoisy_gap(q: float, r: float) -> GapPoint:
-    """Gap H(Z) - H(T) of the additive example and its second q-derivative.
+    """Gap I(Z;XY) - I(T;XY) of the additive example and its second q-derivative.
 
-    Both in bits; the derivative formula is the closed form (the conditional
-    output entropies are input-independent, so the gap decides whether the
-    eavesdropper dominates every independent input).  Interior inputs only.
+    Both in bits.  The gap equals H(Z) - H(T) here, because
+    H(T|XY) = H(Z|XY) = 1 bit; its sign at every independent input decides
+    whether the eavesdropper dominates.  Interior inputs only.
     """
     if not (0.0 < q < 1.0 and 0.0 < r < 1.0):
         raise PreconditionError("inputs must be strictly interior to (0,1)^2")
-    gap = eavesdropper_output_entropy(q, r) - legitimate_output_entropy(q, r)
-    s = q * r + (1 - q) * (1 - r)
-    s2 = q + r - q * r
-    s3 = 1 - q * r
-    bracket = (-(1 - r) / (2 * q) * (q + 2 * r - q * r) / s2
-               - (2 * r - 1) ** 2 / (2 * s)
-               - r / (2 * (1 - q)) * (2 - r - q * r) / s3)
-    return GapPoint(q, r, gap, bracket / LN2)
+    mac = discussion_channels()
+    return GapPoint(q, r, float(independent_gaps(mac, q, r)),
+                    float(gap_curvatures(mac, q, r)[0]))
 
 
 @dataclass
@@ -136,15 +152,11 @@ def concavity_scan(q_points: int = 99, r_points: int = 99) -> ConcavityReport:
     """
     qs = np.linspace(0.0, 1.0, q_points + 2)[1:-1]
     rs = np.linspace(0.0, 1.0, r_points + 2)[1:-1]
-    violations = []
-    min_margin = math.inf
-    for q in qs:
-        for r in rs:
-            d2 = lessnoisy_gap(q, r).d2_gap_dq2
-            min_margin = min(min_margin, abs(d2))
-            if d2 >= 0.0:
-                violations.append({"q": float(q), "r": float(r), "d2": float(d2)})
-    return ConcavityReport((len(qs), len(rs)), violations, float(min_margin))
+    d2, _ = gap_curvatures(discussion_channels(), qs[:, None], rs[None, :])
+    violations = [{"q": float(qs[i]), "r": float(rs[j]), "d2": float(d2[i, j])}
+                  for i, j in np.argwhere(d2 >= 0.0)]
+    return ConcavityReport((len(qs), len(rs)), violations,
+                           float(np.abs(d2).min(initial=math.inf)))
 
 
 @dataclass(frozen=True)
@@ -176,18 +188,11 @@ def equal_input_witness(scan_points: int = 99) -> EqualInputWitness:
     ident = np.broadcast_to(np.eye(2), (p0s.size, 2, 2))
     *profs, uniform = info_profiles(p_u, ident, ident, ident, ident,
                                     mac.tensor).profiles
-    scanned = []
-    best = (-1.0, None)
-    for p0, prof in zip(p0s.tolist(), profs):
-        scanned.append((p0, prof.it_v12))
-        if prof.it_v12 > best[0]:
-            best = (prof.it_v12, p0)
-    return EqualInputWitness(
-        i_t=uniform.it_v12,
-        i_z=uniform.iz_v12,
-        best_p0=best[1],
-        scanned=tuple(scanned),
-    )
+    scanned = tuple((p0, prof.it_v12) for p0, prof in zip(p0s.tolist(), profs))
+    # max keeps the first of tied maxima
+    best_p0 = max(scanned, key=lambda point: point[1])[0]
+    return EqualInputWitness(i_t=uniform.it_v12, i_z=uniform.iz_v12,
+                             best_p0=best_p0, scanned=scanned)
 
 
 @dataclass
@@ -236,11 +241,7 @@ def example62() -> Example62Report:
     mac = example62_channels()
     p = FactoredInput.independent(Dist.from_mass([Q_EXAMPLE, 1 - Q_EXAMPLE]),
                                   Dist.from_mass([R_EXAMPLE, 1 - R_EXAMPLE]), mac)
-    j = p.joint
-
-    def h(axes):
-        return j.entropy(axes)
-
+    h = p.joint.entropy
     entropies = {
         "H(T|XY)": h({AX_X, AX_Y, AX_T}) - h({AX_X, AX_Y}),
         "H(Z|XY)": h({AX_X, AX_Y, AX_Z}) - h({AX_X, AX_Y}),
@@ -251,31 +252,29 @@ def example62() -> Example62Report:
         "H(T)": h({AX_T}),
         "H(Z)": h({AX_Z}),
     }
-    mi = mutual_information
-    mis = {
-        "I(T^XY)": mi(j, {AX_T}, {AX_X, AX_Y}),
-        "I(Z^XY)": mi(j, {AX_Z}, {AX_X, AX_Y}),
-        "I(T^X|Y)": mi(j, {AX_T}, {AX_X}, {AX_Y}),
-        "I(Z^X|Y)": mi(j, {AX_Z}, {AX_X}, {AX_Y}),
-        "I(T^Y|X)": mi(j, {AX_T}, {AX_Y}, {AX_X}),
-        "I(Z^Y|X)": mi(j, {AX_Z}, {AX_Y}, {AX_X}),
-        "I(Z^X)": mi(j, {AX_Z}, {AX_X}),
-        "I(Z^Y)": mi(j, {AX_Z}, {AX_Y}),
-    }
+    # V1 = X, V2 = Y and |U| = 1, so the profile holds every information
     prof = info_profile(p)
-    hc01 = prof.iz_v1_u <= prof.it_v1_v2u
-    hc02 = prof.iz_v2_u <= prof.it_v2_v1u
-    report = Example62Report(
+    mis = {
+        "I(T^XY)": prof.it_v12,
+        "I(Z^XY)": prof.iz_v12,
+        "I(T^X|Y)": prof.it_v1_v2u,
+        "I(Z^X|Y)": prof.iz_v1_v2u,
+        "I(T^Y|X)": prof.it_v2_v1u,
+        "I(Z^Y|X)": prof.iz_v2_v1u,
+        "I(Z^X)": prof.iz_v1_u,
+        "I(Z^Y)": prof.iz_v2_u,
+    }
+    return Example62Report(
         mac=mac, q=Q_EXAMPLE, r=R_EXAMPLE,
         entropies={k: float(v) for k, v in entropies.items()},
         mutual_informations={k: float(v) for k, v in mis.items()},
         profile=prof,
         alpha_first_sender=alpha_bounds_case1(prof),
         alpha_second_sender=alpha_bounds_case1(prof.swapped()),
-        hc01=hc01, hc02=hc02,
+        hc01=prof.iz_v1_u <= prof.it_v1_v2u,
+        hc02=prof.iz_v2_u <= prof.it_v2_v1u,
         case0=CaseLabel.CASE0 in classify_profile(prof, 0.0, u_independent=True).cases,
     )
-    return report
 
 
 @dataclass
@@ -325,36 +324,21 @@ def _needs_time_sharing(mac: WiretapMAC, q: float, r: float,
     return None
 
 
-def _entropy_gap(mac: WiretapMAC, q: float, r: float) -> float:
-    prof = info_profile(FactoredInput.independent(Dist.from_mass([q, 1 - q]),
-                                                  Dist.from_mass([r, 1 - r]), mac))
-    return prof.iz_v12 - prof.it_v12
-
-
 def _conferencing_helps(mac: WiretapMAC, rng: np.random.Generator,
-                        tol: float, grid: int = 7,
-                        step: float = 1e-3) -> dict | None:
+                        tol: float, grid: int = 7) -> dict | None:
     # the eavesdropper must beat every independent input, including ones fed
     # through per-sender auxiliaries: that is concavity of the information
     # gap in each input bias (mixtures never flip the sign), checked here by
-    # central second differences on an interior grid, plus pointwise
-    # positivity of the gap itself...
+    # the exact curvatures on an interior grid (first: they are cheap and
+    # reject most channels), plus pointwise positivity of the gap itself...
     qs = np.linspace(0.1, 0.9, grid)
-    min_gap = math.inf
-    max_d2 = -math.inf
-    for q in qs:
-        for r in qs:
-            gap = _entropy_gap(mac, q, r)
-            min_gap = min(min_gap, gap)
-            if gap < tol:
-                return None
-            d2q = (_entropy_gap(mac, q + step, r) - 2 * gap
-                   + _entropy_gap(mac, q - step, r)) / step ** 2
-            d2r = (_entropy_gap(mac, q, r + step) - 2 * gap
-                   + _entropy_gap(mac, q, r - step)) / step ** 2
-            max_d2 = max(max_d2, d2q, d2r)
-            if max_d2 >= -tol:
-                return None
+    d2_dq2, d2_dr2 = gap_curvatures(mac, qs[:, None], qs[None, :])
+    max_d2 = float(max(d2_dq2.max(), d2_dr2.max()))
+    if max_d2 >= -tol:
+        return None
+    min_gap = float(independent_gaps(mac, qs[:, None], qs[None, :]).min())
+    if min_gap < tol:
+        return None
     # ... while some coupled input flips the sign
     couplings = [0.5, 0.3, 0.7] + list(rng.uniform(0.1, 0.9, size=3))
     for p0 in couplings:
@@ -362,8 +346,8 @@ def _conferencing_helps(mac: WiretapMAC, rng: np.random.Generator,
         advantage = prof.it_v12 - prof.iz_v12
         if advantage > tol:
             return {
-                "independent_min_gap": float(min_gap),
-                "max_second_difference": float(max_d2),
+                "independent_min_gap": min_gap,
+                "max_gap_curvature": max_d2,
                 "independent_grid": int(grid),
                 "coupling_p0": float(p0),
                 "coupled_advantage": float(advantage),

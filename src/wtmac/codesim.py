@@ -287,6 +287,14 @@ class WiretapCode:
         """Codeword data for joint-typicality decoding, built once per code."""
         return _DecodePlan.build(self)
 
+    @cached_property
+    def eve_conditionals(self) -> np.ndarray:
+        """:func:`eavesdropper_conditionals` of the MAC's own eavesdropper,
+        computed once per code; read-only."""
+        cond = eavesdropper_conditionals(self)
+        cond.setflags(write=False)
+        return cond
+
     def codeword_pair(self, k, ls) -> tuple[np.ndarray, np.ndarray]:
         """Concatenated (x, y) sequences for one full index tuple."""
         xs, ys = [], []
@@ -670,6 +678,18 @@ def _bob_rows(code: WiretapCode, w_b: Channel | None) -> np.ndarray:
     return _channel_rows(matrix, *_codeword_pairs(code), mac.y_alphabet.size)
 
 
+def _exact_error_terms(code: WiretapCode, w_b: Channel | None,
+                       delta: float) -> np.ndarray:
+    """(tuples, 2): per index tuple i, by enumeration of every output
+    sequence, the probability that the decoder misses i, then i's message."""
+    rows = _bob_rows(code, w_b)
+    decoded = _decode_all(code, delta)
+    message_ids = code.decode_plan.message_ids
+    decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
+    return np.array([(row @ (decoded != i), row @ (decoded_msg != message_ids[i]))
+                     for i, row in enumerate(rows)])
+
+
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Average decoding error; the MAC criterion scores the full index tuple,
@@ -693,17 +713,10 @@ def average_error(code: WiretapCode, w_b: Channel | None = None,
     """
     delta = code.delta if decode_delta is None else decode_delta
     if mode == "exact":
-        rows = _bob_rows(code, w_b)
-        decoded = _decode_all(code, delta)
-        message_ids = code.decode_plan.message_ids
-        decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
-        tuple_err = 0.0
-        msg_err = 0.0
-        weight = 1.0 / rows.shape[0]
-        for i in range(rows.shape[0]):
-            tuple_err += weight * float(rows[i] @ (decoded != i))
-            msg_err += weight * float(rows[i] @ (decoded_msg != message_ids[i]))
-        return ErrorEstimate(tuple_err, msg_err, "exact")
+        terms = _exact_error_terms(code, w_b, delta)
+        # accumulate adds in row order: the sums of a per-row loop, to the bit
+        sums = np.add.accumulate(terms * (1.0 / len(terms)))[-1]
+        return ErrorEstimate(float(sums[0]), float(sums[1]), "exact")
     if mode != "mc":
         raise ValidationError("mode must be 'exact' or 'mc'")
     if trials < 1:
@@ -742,12 +755,8 @@ def mac_average_error(code: WiretapCode, w_b: Channel | None = None,
     the tuple-criterion average error of the wiretap code.
     """
     delta = code.delta if decode_delta is None else decode_delta
-    rows = _bob_rows(code, w_b)
-    decoded = _decode_all(code, delta)
-    err = 0.0
-    for i in range(rows.shape[0]):
-        err += float(rows[i] @ (decoded != i))
-    return err / rows.shape[0]
+    terms = _exact_error_terms(code, w_b, delta)[:, 0]
+    return float(np.add.accumulate(terms)[-1]) / len(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -775,23 +784,28 @@ def eavesdropper_conditionals(code: WiretapCode,
     return out
 
 
+def _conditionals(code: WiretapCode, w_e: Channel | None) -> np.ndarray:
+    """The code's memo under the MAC's own eavesdropper; fresh under ``w_e``."""
+    return code.eve_conditionals if w_e is None else eavesdropper_conditionals(code, w_e)
+
+
 def exact_leakage(code: WiretapCode, w_e: Channel | None = None) -> float:
     """Exact eavesdropper message information in bits, by enumeration."""
-    cond = eavesdropper_conditionals(code, w_e)
+    cond = _conditionals(code, w_e)
     mean = cond.mean(axis=0)
     return entropy_bits(mean) - float(np.mean([entropy_bits(r) for r in cond]))
 
 
 def eve_map_error(code: WiretapCode, w_e: Channel | None = None) -> float:
     """Exact average error of the eavesdropper's optimal decoder."""
-    cond = eavesdropper_conditionals(code, w_e)
+    cond = _conditionals(code, w_e)
     return 1.0 - float(cond.max(axis=0).sum()) / cond.shape[0]
 
 
 def max_message_variation(code: WiretapCode,
                           w_e: Channel | None = None) -> float:
     """max over messages of the L1 distance to the mean output law."""
-    cond = eavesdropper_conditionals(code, w_e)
+    cond = _conditionals(code, w_e)
     mean = cond.mean(axis=0)
     return float(np.abs(cond - mean[None, :]).sum(axis=1).max())
 

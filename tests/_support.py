@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 
 from wtmac import optimizer
+from wtmac.casestudy import coupled_input
 from wtmac.codesim import _channel_rows, joint_typicality_decode
 from wtmac.concentration import _check, _estimated_reference_check, _outside
 from wtmac.conferencing import region_conferencing
@@ -596,3 +597,71 @@ def _outer_mean_check_case2(ws, fams):
     return _estimated_reference_check(
         ws, per_fam, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,
         "family-mean corridor (single partner, estimated reference)", bound)
+
+
+def _h2term(p):
+    return 0.0 if p <= 0.0 else -p * math.log2(p / 2.0)
+
+
+def eavesdropper_output_entropy(q, r):
+    """H of the additive example's six-valued output under independent
+    inputs (q, r), in closed form."""
+    return (_h2term(q * (1 - r))
+            + _h2term(q * r + (1 - q) * (1 - r))
+            + _h2term((1 - q) * r))
+
+
+def legitimate_output_entropy(q, r):
+    """H of the additive example's ternary output under independent inputs
+    (q, r), in closed form."""
+    s1 = q * r + (1 - q) * (1 - r)
+    s2 = q * r + q * (1 - r) + (1 - q) * r
+    s3 = q * (1 - r) + (1 - q) * r + (1 - q) * (1 - r)
+    return 0.5 * (_h2term(s1) + _h2term(s2) + _h2term(s3))
+
+
+def _entropy_gap(mac, q, r):
+    prof = info_profile(FactoredInput.independent(Dist.from_mass([q, 1 - q]),
+                                                  Dist.from_mass([r, 1 - r]), mac))
+    return prof.iz_v12 - prof.it_v12
+
+
+def reference_conferencing_helps(mac, rng, tol, grid=7, step=1e-3):
+    """The conferencing-helps predicate one input at a time, with central
+    second differences of the gap in place of its exact curvatures: the
+    reference for ``casestudy._conferencing_helps``."""
+    # the eavesdropper must beat every independent input, including ones fed
+    # through per-sender auxiliaries: that is concavity of the information
+    # gap in each input bias (mixtures never flip the sign), checked here by
+    # central second differences on an interior grid, plus pointwise
+    # positivity of the gap itself...
+    qs = np.linspace(0.1, 0.9, grid)
+    min_gap = math.inf
+    max_d2 = -math.inf
+    for q in qs:
+        for r in qs:
+            gap = _entropy_gap(mac, q, r)
+            min_gap = min(min_gap, gap)
+            if gap < tol:
+                return None
+            d2q = (_entropy_gap(mac, q + step, r) - 2 * gap
+                   + _entropy_gap(mac, q - step, r)) / step ** 2
+            d2r = (_entropy_gap(mac, q, r + step) - 2 * gap
+                   + _entropy_gap(mac, q, r - step)) / step ** 2
+            max_d2 = max(max_d2, d2q, d2r)
+            if max_d2 >= -tol:
+                return None
+    # ... while some coupled input flips the sign
+    couplings = [0.5, 0.3, 0.7] + list(rng.uniform(0.1, 0.9, size=3))
+    for p0 in couplings:
+        prof = info_profile(coupled_input(mac, p0))
+        advantage = prof.it_v12 - prof.iz_v12
+        if advantage > tol:
+            return {
+                "independent_min_gap": float(min_gap),
+                "max_second_difference": float(max_d2),
+                "independent_grid": int(grid),
+                "coupling_p0": float(p0),
+                "coupled_advantage": float(advantage),
+            }
+    return None

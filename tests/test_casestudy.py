@@ -1,20 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _support import (
+    _entropy_gap,
+    eavesdropper_output_entropy,
+    legitimate_output_entropy,
+    reference_conferencing_helps,
+)
 from wtmac.casestudy import (
     Q_EXAMPLE,
+    _conferencing_helps,
     bruteforce_search,
     concavity_scan,
     coupled_input,
     discussion_channels,
-    eavesdropper_output_entropy,
     equal_input_witness,
     example62,
-    legitimate_output_entropy,
+    gap_curvatures,
+    independent_gaps,
     lessnoisy_gap,
 )
 from wtmac.errors import PreconditionError, ValidationError
-from wtmac.probkit import AX_T, AX_X, AX_Y, AX_Z, Dist, FactoredInput, mutual_information
+from wtmac.probkit import (
+    AX_T,
+    AX_X,
+    AX_Y,
+    AX_Z,
+    Dist,
+    FactoredInput,
+    WiretapMAC,
+    mutual_information,
+)
 from wtmac.regions import alpha_bounds_case1, info_profile
 
 REFERENCE_ENTROPIES = {
@@ -82,6 +100,62 @@ class TestGap:
     def test_boundary_rejected(self):
         with pytest.raises(PreconditionError):
             lessnoisy_gap(0.0, 0.5)
+
+
+@st.composite
+def dirichlet_macs(draw):
+    """A 2x2-input MAC with uniform-on-the-simplex binary output rows, and an
+    interior independent input (q, r)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mac = WiretapMAC.from_marginals(rng.dirichlet(np.ones(2), size=4),
+                                    rng.dirichlet(np.ones(2), size=4))
+    return mac, float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9))
+
+
+class TestGapCurvatures:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(dirichlet_macs())
+    def test_matches_central_second_differences(self, case):
+        # the reference stencil of the search's old predicate: step 1e-3,
+        # one batch-of-one profile per gap
+        mac, q, r = case
+        step = 1e-3
+        gap = _entropy_gap(mac, q, r)
+        fd_q = (_entropy_gap(mac, q + step, r) - 2 * gap
+                + _entropy_gap(mac, q - step, r)) / step ** 2
+        fd_r = (_entropy_gap(mac, q, r + step) - 2 * gap
+                + _entropy_gap(mac, q, r - step)) / step ** 2
+        d2_dq2, d2_dr2 = gap_curvatures(mac, q, r)
+        assert float(d2_dq2) == pytest.approx(fd_q, rel=1e-4, abs=1e-8)
+        assert float(d2_dr2) == pytest.approx(fd_r, rel=1e-4, abs=1e-8)
+        assert float(independent_gaps(mac, q, r)) == gap
+
+    def test_grid_matches_points(self):
+        mac = discussion_channels()
+        qs = np.linspace(0.1, 0.9, 5)[:, None]
+        rs = np.linspace(0.2, 0.8, 3)[None, :]
+        gaps = independent_gaps(mac, qs, rs)
+        d2_dq2, d2_dr2 = gap_curvatures(mac, qs, rs)
+        assert gaps.shape == d2_dq2.shape == d2_dr2.shape == (5, 3)
+        for i, q in enumerate(qs[:, 0]):
+            for j, r in enumerate(rs[0]):
+                assert gaps[i, j] == independent_gaps(mac, q, r)
+                assert (d2_dq2[i, j], d2_dr2[i, j]) == gap_curvatures(mac, q, r)
+
+    def test_zero_output_terms_count_zero(self):
+        # the additive channels put no mass on some (input, output) pairs;
+        # every curvature stays finite
+        d2_dq2, d2_dr2 = gap_curvatures(discussion_channels(),
+                                        np.linspace(0.05, 0.95, 19), 0.5)
+        assert np.isfinite(d2_dq2).all() and np.isfinite(d2_dr2).all()
+
+    def test_needs_binary_inputs(self):
+        rng = np.random.default_rng(0)
+        mac = WiretapMAC.from_rows(rng.dirichlet(np.ones(4), size=6), 3, 2, 2, 2)
+        with pytest.raises(ValidationError):
+            gap_curvatures(mac, 0.5, 0.5)
+        with pytest.raises(ValidationError):
+            independent_gaps(mac, 0.5, 0.5)
 
 
 class TestConcavity:
@@ -201,17 +275,44 @@ class TestBruteforceSearch:
         for hit in found:
             cert = hit.certificate
             assert cert["independent_min_gap"] >= 1e-3
-            assert cert["max_second_difference"] < 0
+            assert cert["max_gap_curvature"] < 0
             assert cert["coupled_advantage"] > 1e-3
 
     def test_conferencing_helps_accepts_the_additive_pair(self):
-        from wtmac.casestudy import _conferencing_helps, discussion_channels
-
         rng = np.random.default_rng(5)
         cert = _conferencing_helps(discussion_channels(), rng, tol=1e-3)
         assert cert is not None
         assert cert["coupled_advantage"] == pytest.approx(0.5, abs=1e-9)
-        assert cert["max_second_difference"] < 0
+        assert cert["max_gap_curvature"] < 0
+
+    def test_conferencing_helps_matches_the_stencil_reference(self):
+        # the search's draws, replayed against the finite-difference
+        # predicate: both must consume the same stream and hit the same
+        # channels
+        budget, seed, tol = 400, 3, 1e-3
+        found = bruteforce_search(budget, seed, "conferencing-helps")
+        rng = np.random.default_rng(seed)
+        ref = []
+        for _ in range(budget):
+            rows_b = rng.dirichlet(np.ones(2), size=4)
+            rows_e = rng.dirichlet(np.ones(2), size=4)
+            mac = WiretapMAC.from_marginals(rows_b, rows_e)
+            rng.uniform(0.05, 0.95, size=2)
+            cert = reference_conferencing_helps(mac, rng, tol)
+            if cert is not None:
+                ref.append((mac, cert))
+        assert ref, "expected at least one hit"
+        # every draw is a distinct channel: equal channels are equal indices
+        assert len(found) == len(ref)
+        for hit, (mac, cert) in zip(found, ref):
+            assert np.array_equal(hit.mac.channel.matrix, mac.channel.matrix)
+            got = hit.certificate
+            assert got["coupling_p0"] == cert["coupling_p0"]
+            assert got["coupled_advantage"] == cert["coupled_advantage"]
+            assert got["independent_min_gap"] == pytest.approx(
+                cert["independent_min_gap"], rel=0.0, abs=1e-12)
+            assert got["max_gap_curvature"] == pytest.approx(
+                cert["max_second_difference"], rel=1e-4)
 
     def test_json_export(self):
         found = bruteforce_search(2000, 11, "needs-time-sharing")[:1]

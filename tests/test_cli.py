@@ -115,6 +115,16 @@ class TestDispatch:
                                   "--predicate", "needs-time-sharing"])
         assert obj["budget"] == 50
 
+    def test_search_conferencing_certificate(self, tmp_path):
+        # seed 3 first hits at channel 34
+        obj = run_json(tmp_path, ["search", "--budget", "40", "--seed", "3",
+                                  "--predicate", "conferencing-helps"])
+        assert obj["found"]
+        for hit in obj["found"]:
+            cert = hit["certificate"]
+            assert cert["max_gap_curvature"] < 0
+            assert "max_second_difference" not in cert
+
 
 class TestContracts:
     def test_malformed_json_exits_one(self, tmp_path, capsys):

@@ -1169,6 +1169,36 @@ class TestSimReport:
                          (0.0, 0.0, 0.0))
         assert simulate_report(c1) == simulate_report(c2)
 
+    def test_one_eavesdropper_computation_per_audit(self, monkeypatch):
+        # simulate_report reads the leakage, the variation and the MAP error,
+        # and leakage_chain_check reads the variation and the leakage again:
+        # five readers of the conditionals, which the code computes once
+        from wtmac import codesim
+
+        rng = np.random.default_rng(75)
+        mac = random_mac(rng, bob_quality=0.8)
+        fam = sample_codebook_family(coupled_chain(mac), 5, (2, 1, 1), 0.3,
+                                     seed=76, k_sizes=(2, 1, 1))
+        code = WiretapCode(CaseLabel.CASE3, 1.0, 0.3, 0.25, None, (fam,),
+                           (0.0, 0.0, 0.0))
+        compute = codesim.eavesdropper_conditionals
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(codesim, "eavesdropper_conditionals", counting)
+        rep = simulate_report(code)
+        chain_rep = leakage_chain_check(code)
+        assert len(calls) == 1
+        assert not code.eve_conditionals.flags.writeable
+        assert np.array_equal(code.eve_conditionals, compute(code))
+        # an explicit eavesdropper is computed fresh, to the same values
+        assert leakage_chain_check(code, mac.eve) == chain_rep
+        assert len(calls) == 3
+        assert rep.leakage_bits == exact_leakage(code, mac.eve)
+
 
 class TestBudgets:
     def test_exact_error_budget(self):
