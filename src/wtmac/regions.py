@@ -5,7 +5,9 @@ array kernel, classifies inputs into the four coding cases, emits the case
 regions over (R0, R1, R2) and their vertices (one stacked solve per
 constraint shape), exposes the time-sharing ("alpha") elementary regions
 whose unions rebuild the case regions, and verifies the two polyhedral
-decomposition lemmas by dense sampling with explicit witnesses.
+decomposition lemmas by dense sampling with explicit witnesses.  Both
+verifiers state their time-sharing family once, as right-hand sides affine
+in alpha, and read one alpha-window kernel and one stacked alpha-set check.
 
 Naming convention for mutual informations (all in bits): ``it_v1_v2u``
 reads I(T ^ V1 | V2 U) -- the token after the quantity is the variable
@@ -693,19 +695,92 @@ def _alpha_grid(alpha0: float, alpha1: float, step: float) -> np.ndarray:
 
 def _ray_points(rng: np.random.Generator, coeffs: np.ndarray, rhs: np.ndarray,
                 count: int, dim: int = 3) -> np.ndarray:
-    """Boundary and interior points of {x >= 0 : coeffs x <= rhs} via rays."""
-    dirs = np.abs(rng.standard_normal((count, dim))) + 1e-9
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    proj = dirs @ coeffs.T  # (count, k)
-    with np.errstate(divide="ignore"):
-        limits = np.where(proj > 1e-15, rhs[None, :] / np.where(proj > 1e-15, proj, 1.0),
-                          np.inf)
-    t = np.min(limits, axis=1)
-    t = np.where(np.isfinite(t), t, 1.0)
-    scale = np.ones(count)
+    """Boundary and interior points of {x >= 0 : coeffs x <= rhs} via rays.
+
+    A (k,) right-hand side gives (count, dim) points; an (S, k) stack gives
+    (S, count, dim), one set per row.  Each set draws its normals, then its
+    scales, in turn, so the generator reads as in S one-set calls; the
+    geometry then runs once on the whole stack.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    sets = rhs.reshape(-1, rhs.shape[-1])
     half = count // 2
-    scale[half:] = rng.uniform(0.0, 1.0, size=count - half)
-    return np.clip(dirs * (t * scale)[:, None], 0.0, None)
+    dirs = np.empty((sets.shape[0], count, dim))
+    scale = np.ones((sets.shape[0], count))
+    for s in range(sets.shape[0]):
+        dirs[s] = rng.standard_normal((count, dim))
+        scale[s, half:] = rng.uniform(0.0, 1.0, size=count - half)
+    dirs = np.abs(dirs) + 1e-9
+    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    proj = dirs @ coeffs.T  # (S, count, k)
+    with np.errstate(divide="ignore"):
+        limits = np.where(proj > 1e-15,
+                          sets[:, None, :] / np.where(proj > 1e-15, proj, 1.0), np.inf)
+    t = np.min(limits, axis=-1)
+    t = np.where(np.isfinite(t), t, 1.0)
+    pts = np.clip(dirs * (t * scale)[..., None], 0.0, None)
+    return pts.reshape(rhs.shape[:-1] + (count, dim))
+
+
+# An alpha-family (r, a, b) stacks three 4-vectors over the rows of
+# RATE_COEFFS: K_alpha = {x >= 0 : RATE_COEFFS x <= r - alpha a - (1 - alpha) b}.
+
+def _family_rhs(family: np.ndarray, alphas) -> np.ndarray:
+    """The (G, 4) right-hand sides of K_alpha at each of G alphas."""
+    r, a, b = family
+    alpha = np.asarray(alphas, dtype=float)[:, None]
+    return r - alpha * a - (1.0 - alpha) * b
+
+
+def _alpha_windows(x_pts: np.ndarray, family: np.ndarray, alpha0: float,
+                   alpha1: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's feasible alpha-window within [alpha0, alpha1].
+
+    Row i of K_alpha reads s_i <= r_i - b_i + alpha (b_i - a_i) (+ tol), with
+    s = RATE_COEFFS x: it bounds alpha from below when b_i > a_i, from above
+    when b_i < a_i, and is a fixed test when they are equal.  The window can
+    have zero width at an interior alpha, which no grid can hit.  Returns
+    (alpha, hit): the window's middle clipped to [alpha0, alpha1], and
+    whether the point lies in K_alpha there.
+    """
+    r, a, b = family
+    s = x_pts @ RATE_COEFFS.T
+    lo = np.full(x_pts.shape[0], alpha0, dtype=float)
+    hi = np.full(x_pts.shape[0], alpha1, dtype=float)
+    feasible = np.ones(x_pts.shape[0], dtype=bool)
+    # A window update keeps the old bound unless the new one is strictly
+    # tighter, as the builtin min/max do: a tie or a NaN keeps the old bound.
+    for i in range(len(r)):
+        slope = b[i] - a[i]
+        if slope == 0.0:
+            feasible &= s[:, i] <= r[i] - a[i] + tol
+            continue
+        bound = (s[:, i] - r[i] + b[i]) / slope - tol / slope
+        if slope > 0:
+            lo = np.where(bound > lo, bound, lo)
+        else:
+            hi = np.where(bound < hi, bound, hi)
+    mid = 0.5 * (lo + hi)
+    alpha = np.where(alpha0 > mid, alpha0, mid)
+    alpha = np.where(alpha1 < alpha, alpha1, alpha)
+    margin = _family_rhs(family, alpha) - s
+    return alpha, feasible & (lo <= hi) & (margin.min(axis=1) >= -tol)
+
+
+def _alpha_set_check(report: LemmaReport, rng: np.random.Generator,
+                     family: np.ndarray, alphas: np.ndarray, count: int,
+                     k_coeffs: np.ndarray, k_rhs: np.ndarray, tol: float,
+                     direction: str) -> None:
+    """Sample ``count`` points of K_alpha at each alpha (one stacked draw),
+    test them against K = {x : k_coeffs x <= k_rhs}, and add them to the
+    report: the points checked, and the counterexamples in alpha order, then
+    point order."""
+    sub = _ray_points(rng, RATE_COEFFS, _family_rhs(family, alphas), count)
+    outside = ~np.all(sub @ k_coeffs.T <= k_rhs + tol, axis=-1)
+    report.checked += sub.shape[0] * count
+    report.counterexamples += [
+        {"direction": direction, "alpha": float(alphas[s]), "point": sub[s, j].tolist()}
+        for s, j in zip(*np.nonzero(outside))]
 
 
 def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
@@ -718,7 +793,9 @@ def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
     constraint pairs with matching totals (a1 + a2 = b1 + b2 = c), which
     makes the sum constraints alpha-free and the union convex: it equals the
     box with the R1 bound at alpha0 and the R2 bound at alpha1.  Sampled
-    points of that box must be covered by some grid alpha and vice versa.
+    points of that box must lie in K_alpha at some alpha of [alpha0, alpha1]
+    (their alpha-windows), and sampled points of K_alpha at grid alphas must
+    lie in the box.
     """
     vals = dict(a1=a1, a2=a2, b1=b1, b2=b2, c=c, d=d,
                 r1=r1, r2=r2, r12=r12, r012=r012)
@@ -736,17 +813,13 @@ def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
     if not 0.0 <= alpha0 <= alpha1 <= 1.0:
         raise PreconditionError("need 0 <= alpha0 <= alpha1 <= 1")
 
+    family = np.array([[r1, r2, r12 - c, r012 - d], [a1, a2, 0, 0], [b1, b2, 0, 0]],
+                      dtype=float)
     rng = np.random.default_rng(seed)
     grid = _alpha_grid(alpha0, alpha1, grid_step)
-    bound1 = r1 - grid * a1 - (1.0 - grid) * b1
-    bound2 = r2 - grid * a2 - (1.0 - grid) * b2
-    s12 = r12 - c
-    s012 = r012 - d
-    k_rhs = np.array([r1 - alpha0 * a1 - (1.0 - alpha0) * b1,
-                      r2 - alpha1 * a2 - (1.0 - alpha1) * b2,
-                      s12, s012])
-    member_rhs = np.stack([bound1, bound2], axis=1)  # (G, 2)
-    empty_alpha = np.any(member_rhs < -tol, axis=1) | (min(s12, s012) < -tol)
+    rhs0, rhs1 = _family_rhs(family, (alpha0, alpha1))
+    k_rhs = np.array([rhs0[0], rhs1[1], rhs0[2], rhs0[3]])
+    empty_alpha = np.any(_family_rhs(family, grid) < -tol, axis=1)
     k_empty = np.any(k_rhs < -tol)
     report = LemmaReport("union-of-interpolated-boxes", True, 0)
     if k_empty and np.all(empty_alpha):
@@ -756,37 +829,18 @@ def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
         raise PreconditionError("some alpha-sets are empty; the nonemptiness "
                                 "hypothesis fails")
 
-    # K -> union direction.  Grid membership first; points whose feasible
-    # alpha-window is narrower than the grid spacing are resolved exactly
-    # (the window endpoints are linear in alpha, so it is two divisions).
+    # K -> union direction.
     pts = _ray_points(rng, RATE_COEFFS, k_rhs, samples)
-    ok1 = pts[:, 1:2] <= bound1[None, :] + tol
-    ok2 = pts[:, 2:3] <= bound2[None, :] + tol
-    covered = np.any(ok1 & ok2, axis=1)
     report.checked += pts.shape[0]
-    for idx in np.nonzero(~covered)[0]:
-        r1_gap = a1 - b1
-        r2_gap = b2 - a2
-        hi = (r1 - b1 - pts[idx, 1]) / r1_gap + tol / r1_gap
-        lo = (pts[idx, 2] - r2 + b2) / r2_gap - tol / r2_gap
-        if max(lo, alpha0) <= min(hi, alpha1):
-            continue
-        report.counterexamples.append(
-            {"direction": "closed-form point not covered by any alpha",
-             "point": pts[idx].tolist()})
+    _, hit = _alpha_windows(pts, family, alpha0, alpha1, tol)
+    report.counterexamples += [
+        {"direction": "closed-form point not covered by any alpha", "point": x}
+        for x in pts[~hit].tolist()]
 
     # union -> K direction (decimated alpha subsample).
-    stride = max(len(grid) // 20, 1)
-    for alpha_idx in range(0, len(grid), stride):
-        rhs_a = np.array([bound1[alpha_idx], bound2[alpha_idx], s12, s012])
-        sub = _ray_points(rng, RATE_COEFFS, rhs_a, max(samples // 20, 4))
-        inside = np.all(sub @ RATE_COEFFS.T <= k_rhs[None, :] + tol, axis=1)
-        report.checked += sub.shape[0]
-        for idx in np.nonzero(~inside)[0]:
-            report.counterexamples.append(
-                {"direction": "alpha-set point outside the closed form",
-                 "alpha": float(grid[alpha_idx]), "point": sub[idx].tolist()})
-
+    _alpha_set_check(report, rng, family, grid[:: max(len(grid) // 20, 1)],
+                     max(samples // 20, 4), RATE_COEFFS, k_rhs, tol,
+                     "alpha-set point outside the closed form")
     report.passed = not report.counterexamples
     return report
 
@@ -816,63 +870,6 @@ def _lp_witness(x: np.ndarray, rhs0: np.ndarray, rhs1: np.ndarray, tol: float):
     return u, v, float(lam)
 
 
-def _k_to_union(x_pts: np.ndarray, rhs0: np.ndarray, rhs1: np.ndarray,
-                r1, r2, r12, a, b, alpha0, alpha1, tol: float):
-    """Certify each point of ``x_pts`` as a member of some K_alpha.
-
-    Returns (witnesses, counterexamples), both in point order.  The window
-    arithmetic runs over all points at once; only the points it misses go
-    to the LP decomposition over the endpoint sets K_alpha0, K_alpha1.
-    """
-    x1, x2 = x_pts[:, 1], x_pts[:, 2]
-    lo = np.full(x_pts.shape[0], alpha0, dtype=float)
-    hi = np.full(x_pts.shape[0], alpha1, dtype=float)
-    feasible = x_pts.sum(axis=1) <= rhs0[3] + tol
-    # A window update keeps the old bound unless the new one is strictly
-    # tighter, as the builtin min/max do: a tie or a NaN keeps the old bound.
-    if a > 0:
-        bound = (r1 - x1) / a + tol / a
-        hi = np.where(bound < hi, bound, hi)
-    else:
-        feasible &= x1 <= r1 + tol
-    if b > 0:
-        bound = 1.0 - (r2 - x2) / b - tol / b
-        lo = np.where(bound > lo, bound, lo)
-    else:
-        feasible &= x2 <= r2 + tol
-    slope = b - a
-    x12 = x1 + x2
-    if abs(slope) <= 1e-15:
-        feasible &= x12 <= r12 - a + tol
-    else:
-        bound = (x12 - r12 + b) / slope - tol / slope
-        if slope > 0:
-            lo = np.where(bound > lo, bound, lo)
-        else:
-            hi = np.where(bound < hi, bound, hi)
-    mid = 0.5 * (lo + hi)
-    alpha_star = np.where(alpha0 > mid, alpha0, mid)
-    alpha_star = np.where(alpha1 < alpha_star, alpha1, alpha_star)
-    star_rhs = np.stack([r1 - alpha_star * a, r2 - (1.0 - alpha_star) * b,
-                         r12 - alpha_star * a - (1.0 - alpha_star) * b,
-                         np.full_like(alpha_star, rhs0[3])], axis=1)
-    margin = star_rhs - x_pts @ RATE_COEFFS.T
-    hit = feasible & (lo <= hi) & (margin.min(axis=1) >= -tol)
-    witnesses, misses = [], []
-    for x, ok, alpha in zip(x_pts, hit, alpha_star):
-        if ok:
-            witnesses.append({"point": x.tolist(), "alpha": float(alpha)})
-            continue
-        lp = _lp_witness(x, rhs0, rhs1, tol)
-        if lp is not None and _witness_valid(x, lp[0], lp[1], lp[2],
-                                             rhs0, rhs1, tol):
-            witnesses.append({"point": x.tolist(), "lambda": lp[2]})
-        else:
-            misses.append({"direction": "closed-form point not reachable by the family",
-                           "point": x.tolist()})
-    return witnesses, misses
-
-
 def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
                             samples: int = 200, *, grid_step: float = 1e-3,
                             tol: float = 1e-9, seed: int = 0) -> LemmaReport:
@@ -881,10 +878,9 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     Direction one samples convex combinations of endpoint-set members (and
     interior-alpha members) and tests them against the closed form.
     Direction two certifies sampled closed-form points as members of the
-    family: the feasible alpha-window of each point is located by interval
-    arithmetic (it can have zero width at an interior alpha, which a grid
-    cannot hit) and the single-alpha membership is returned as the witness;
-    an LP decomposition over the endpoint sets is the fallback.
+    family: each point's feasible alpha-window gives a single-alpha
+    membership as the witness; an LP decomposition over the endpoint sets is
+    the fallback for the points the window misses.
     """
     for name, v in dict(r1=r1, r2=r2, r12=r12, r012=r012, a=a, b=b, c=c).items():
         if v < 0:
@@ -894,19 +890,18 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     if not 0.0 <= alpha0 <= alpha1 <= 1.0:
         raise PreconditionError("need 0 <= alpha0 <= alpha1 <= 1")
 
-    def alpha_rhs(alpha: float) -> np.ndarray:
-        return np.array([r1 - alpha * a, r2 - (1.0 - alpha) * b,
-                         r12 - alpha * a - (1.0 - alpha) * b, r012 - c])
-
-    grid = _alpha_grid(alpha0, alpha1, grid_step)
-    for alpha in (grid if len(grid) <= 64 else grid[:: len(grid) // 64]):
-        if np.any(alpha_rhs(alpha) < -tol):
+    family = np.array([[r1, r2, r12, r012 - c], [a, 0, a, 0], [0, b, b, 0]],
+                      dtype=float)
+    rhs0, rhs1 = _family_rhs(family, (alpha0, alpha1))
+    # Every row is affine in alpha, so K_alpha is nonempty on the whole
+    # interval exactly when it is at both ends.
+    for alpha, rhs in ((alpha0, rhs0), (alpha1, rhs1)):
+        if np.any(rhs < -tol):
             raise PreconditionError(f"K_alpha empty at alpha={alpha}: "
                                     "nonemptiness hypothesis fails")
 
     rng = np.random.default_rng(seed)
-    rhs0 = alpha_rhs(alpha0)
-    rhs1 = alpha_rhs(alpha1)
+    grid = _alpha_grid(alpha0, alpha1, grid_step)
 
     # Closed form K.
     if a <= b:
@@ -924,42 +919,40 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     report = LemmaReport("convex-hull-of-alpha-family", True, 0)
 
     # conv(K_a0 u K_a1) -> K.
-    n_combo = samples
-    p_pts = _ray_points(rng, RATE_COEFFS, rhs0, n_combo)
-    q_pts = _ray_points(rng, RATE_COEFFS, rhs1, n_combo)
-    lam = rng.uniform(0.0, 1.0, size=n_combo)
+    p_pts, q_pts = _ray_points(rng, RATE_COEFFS, np.stack([rhs0, rhs1]), samples)
+    lam = rng.uniform(0.0, 1.0, size=samples)
     lam[:3] = (0.0, 1.0, 0.5)
     combos = lam[:, None] * p_pts + (1.0 - lam)[:, None] * q_pts
     inside = np.all(combos @ k_coeffs.T <= k_rhs[None, :] + tol, axis=1)
-    report.checked += n_combo
+    report.checked += samples
     for idx in np.nonzero(~inside)[0]:
         report.counterexamples.append(
             {"direction": "convex combination escapes the closed form",
              "lambda": float(lam[idx]), "point": combos[idx].tolist()})
 
     # Sampled interior alphas stay inside K as well.
-    for alpha in grid[:: max(len(grid) // 10, 1)]:
-        sub = _ray_points(rng, RATE_COEFFS, alpha_rhs(alpha), max(samples // 20, 4))
-        ok = np.all(sub @ k_coeffs.T <= k_rhs[None, :] + tol, axis=1)
-        report.checked += sub.shape[0]
-        for idx in np.nonzero(~ok)[0]:
-            report.counterexamples.append(
-                {"direction": "alpha-set point escapes the closed form",
-                 "alpha": float(alpha), "point": sub[idx].tolist()})
+    _alpha_set_check(report, rng, family, grid[:: max(len(grid) // 10, 1)],
+                     max(samples // 20, 4), k_coeffs, k_rhs, tol,
+                     "alpha-set point escapes the closed form")
 
     # K -> union direction.  The union over the whole alpha-interval is
     # already convex here (every group bound is a minimum of functions linear
-    # in alpha, hence concave, so mixtures never beat a single alpha), but a
-    # boundary point of K may need one exact interior alpha -- its feasible
-    # alpha-window can have zero width, which no grid can hit.  We therefore
-    # locate the window by interval arithmetic and return the single-alpha
-    # membership as the witness.
+    # in alpha, hence concave, so mixtures never beat a single alpha), so a
+    # point of K is certified by one alpha of its window.
     x_pts = _ray_points(rng, k_coeffs, k_rhs, samples)
     report.checked += x_pts.shape[0]
-    witnesses, misses = _k_to_union(x_pts, rhs0, rhs1, r1, r2, r12, a, b,
-                                    alpha0, alpha1, tol)
-    report.witnesses.extend(witnesses)
-    report.counterexamples.extend(misses)
+    alphas, hits = _alpha_windows(x_pts, family, alpha0, alpha1, tol)
+    for x, hit, alpha in zip(x_pts, hits, alphas):
+        if hit:
+            report.witnesses.append({"point": x.tolist(), "alpha": float(alpha)})
+            continue
+        lp = _lp_witness(x, rhs0, rhs1, tol)
+        if lp is not None and _witness_valid(x, *lp, rhs0, rhs1, tol):
+            report.witnesses.append({"point": x.tolist(), "lambda": lp[2]})
+        else:
+            report.counterexamples.append(
+                {"direction": "closed-form point not reachable by the family",
+                 "point": x.tolist()})
 
     report.passed = not report.counterexamples
     return report

@@ -30,9 +30,11 @@ from wtmac.probkit import (
     zip_sequences,
 )
 from wtmac.regions import (
+    RATE_COEFFS,
     CaseLabel,
     InfoProfile,
     RatePolytope,
+    _alpha_grid,
     classify_profile,
     info_profile,
     region_common,
@@ -259,6 +261,89 @@ def reference_vertices(poly, tol=1e-9):
         if np.max(np.abs(pts[i] - pts[keep[-1]])) > 1e-9:
             keep.append(i)
     return pts[keep]
+
+
+def reference_ray_points(rng, coeffs, rhs, count, dim=3):
+    """One set of ray points of {x >= 0 : coeffs x <= rhs}: the reference
+    for the stacked sets of ``regions._ray_points``."""
+    dirs = np.abs(rng.standard_normal((count, dim))) + 1e-9
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    proj = dirs @ coeffs.T
+    with np.errstate(divide="ignore"):
+        limits = np.where(proj > 1e-15, rhs[None, :] / np.where(proj > 1e-15, proj, 1.0),
+                          np.inf)
+    t = np.min(limits, axis=1)
+    t = np.where(np.isfinite(t), t, 1.0)
+    scale = np.ones(count)
+    half = count // 2
+    scale[half:] = rng.uniform(0.0, 1.0, size=count - half)
+    return np.clip(dirs * (t * scale)[:, None], 0.0, None)
+
+
+def union_family(inst):
+    """The union lemma's alpha-family (r, a, b), written out from its bounds:
+    R1 <= r1 - alpha a1 - (1 - alpha) b1, R2 likewise, alpha-free sums."""
+    return np.array([[inst["r1"], inst["r2"], inst["r12"] - inst["c"],
+                      inst["r012"] - inst["d"]],
+                     [inst["a1"], inst["a2"], 0.0, 0.0],
+                     [inst["b1"], inst["b2"], 0.0, 0.0]])
+
+
+def hull_family(inst):
+    """The hull lemma's alpha-family (r, a, b): R1 pays alpha a, R2 pays
+    (1 - alpha) b, and R1 + R2 pays both."""
+    a, b = inst["a"], inst["b"]
+    return np.array([[inst["r1"], inst["r2"], inst["r12"], inst["r012"] - inst["c"]],
+                     [a, 0.0, a, 0.0],
+                     [0.0, b, b, 0.0]])
+
+
+def reference_alpha_windows(x_pts, family, alpha0, alpha1, tol):
+    """Each point's alpha-window in turn, one row at a time: the reference
+    for ``regions._alpha_windows``.  Row i reads
+    (C x)_i <= r_i - alpha a_i - (1 - alpha) b_i + tol, a lower bound on
+    alpha when b_i > a_i, an upper one when b_i < a_i, else a fixed test."""
+    r, a, b = family
+    alphas, hits = [], []
+    for x in x_pts:
+        s = RATE_COEFFS @ x
+        lo, hi, feasible = alpha0, alpha1, True
+        for i in range(len(r)):
+            slope = b[i] - a[i]
+            if slope == 0.0:
+                feasible &= s[i] <= r[i] - a[i] + tol
+            elif slope > 0:
+                lo = max(lo, (s[i] - r[i] + b[i]) / slope - tol / slope)
+            else:
+                hi = min(hi, (s[i] - r[i] + b[i]) / slope - tol / slope)
+        alpha = min(max(0.5 * (lo + hi), alpha0), alpha1)
+        margin = r - alpha * a - (1.0 - alpha) * b - s
+        alphas.append(float(alpha))
+        hits.append(bool(feasible and lo <= hi and margin.min() >= -tol))
+    return alphas, hits
+
+
+def reference_union_cover(pts, inst, grid_step=1e-3, tol=1e-9):
+    """The union verifier's K -> union pass as it was before the window
+    kernel: a point is covered when its R1 and R2 bounds hold at some grid
+    alpha, and an uncovered point is resolved by its hand-derived window.
+    Returns the grid-covered mask and the counterexamples."""
+    a1, a2, b1, b2 = (inst[k] for k in ("a1", "a2", "b1", "b2"))
+    r1, r2, alpha0, alpha1 = (inst[k] for k in ("r1", "r2", "alpha0", "alpha1"))
+    grid = _alpha_grid(alpha0, alpha1, grid_step)
+    bound1 = r1 - grid * a1 - (1.0 - grid) * b1
+    bound2 = r2 - grid * a2 - (1.0 - grid) * b2
+    covered = np.any((pts[:, 1:2] <= bound1[None, :] + tol)
+                     & (pts[:, 2:3] <= bound2[None, :] + tol), axis=1)
+    misses = []
+    for idx in np.nonzero(~covered)[0]:
+        hi = (r1 - b1 - pts[idx, 1]) / (a1 - b1) + tol / (a1 - b1)
+        lo = (pts[idx, 2] - r2 + b2) / (b2 - a2) - tol / (b2 - a2)
+        if max(lo, alpha0) <= min(hi, alpha1):
+            continue
+        misses.append({"direction": "closed-form point not covered by any alpha",
+                       "point": pts[idx].tolist()})
+    return covered, misses
 
 
 def _reference_regions(p, mode, profile):

@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -84,9 +86,14 @@ def constant_eve_mac(rng, t=2):
 
 from _support import (  # noqa: E402  (shared generator and references)
     case2_sum_bound_min_form,
+    hull_family,
+    reference_alpha_windows,
     reference_info_profile,
+    reference_ray_points,
+    reference_union_cover,
     reference_vertices,
     sample_case1_profiles,
+    union_family,
 )
 
 
@@ -823,10 +830,38 @@ class TestUnionLemma:
             verify_union_lemma(**inst, samples=10)
 
 
+@st.composite
+def union_instances(draw):
+    """A random union instance, or one whose alpha-interval is one point."""
+    inst = random_union_instance(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        inst["alpha1"] = inst["alpha0"]
+    return inst
+
+
+class TestUnionWindow:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(union_instances(), st.integers(0, 2**32 - 1))
+    def test_window_agrees_with_the_grid_pass(self, inst, seed):
+        # Points of the closed form, and of the closed form with its R1 and
+        # R2 bounds loosened by less and by more than the tolerance.
+        fam = union_family(inst)
+        ends = regions._family_rhs(fam, (inst["alpha0"], inst["alpha1"]))
+        k_rhs = np.array([ends[0, 0], ends[1, 1], ends[0, 2], ends[0, 3]])
+        loosened = k_rhs + np.outer([0.0, 1e-10, 1e-8, 1e-2], [1.0, 1.0, 0.0, 0.0])
+        pts = regions._ray_points(np.random.default_rng(seed), RATE_COEFFS, loosened,
+                                  20).reshape(-1, 3)
+        _, hit = regions._alpha_windows(pts, fam, inst["alpha0"], inst["alpha1"], 1e-9)
+        covered, misses = reference_union_cover(pts, inst)
+        assert hit[covered].all()
+        assert pts[~hit].tolist() == [m["point"] for m in misses]
+
+
 def reference_k_to_union(x_pts, rhs0, rhs1, r1, r2, r12, a, b, alpha0, alpha1,
                          tol):
-    """Each point's feasible alpha-window in turn, then the LP fallback: the
-    reference for the vectorized certification of ``regions._k_to_union``."""
+    """Each point's feasible alpha-window in turn, derived by hand for the
+    hull's family, then the LP fallback: the reference for the hull
+    verifier's K -> union certification."""
     def alpha_rhs(alpha):
         return np.array([r1 - alpha * a, r2 - (1.0 - alpha) * b,
                          r12 - alpha * a - (1.0 - alpha) * b, rhs0[3]])
@@ -878,7 +913,7 @@ def hull_alpha_rhs(inst, alpha):
 
 
 def k_to_union_args(inst, tol=1e-9):
-    """``_k_to_union``'s arguments after the points, for a hull instance."""
+    """``reference_k_to_union``'s arguments after the points, for a hull instance."""
     return (hull_alpha_rhs(inst, inst["alpha0"]), hull_alpha_rhs(inst, inst["alpha1"]),
             *(inst[k] for k in ("r1", "r2", "r12", "a", "b", "alpha0", "alpha1")), tol)
 
@@ -891,6 +926,22 @@ def hull_points(rng, inst, per_alpha=12):
     total = inst["r012"] - inst["c"]
     pts.append([[total + 1e-8, 0.0, 0.0], [total + 1.0, 0.0, 0.0]])
     return np.vstack(pts)
+
+
+def hull_certification(inst, pts, seed=0):
+    """The hull verifier's witnesses and K -> union misses for ``pts``: its
+    one single-set draw, the sample of the closed form, returns ``pts``."""
+    ray_points = regions._ray_points
+
+    def k_draw(rng, coeffs, rhs, count, dim=3):
+        drawn = ray_points(rng, coeffs, rhs, count, dim)
+        return pts if np.ndim(rhs) == 1 else drawn
+
+    with mock.patch.object(regions, "_ray_points", k_draw):
+        rep = verify_convexhull_lemma(**inst, samples=pts.shape[0], seed=seed)
+    misses = [ce for ce in rep.counterexamples
+              if ce["direction"] == "closed-form point not reachable by the family"]
+    return rep.witnesses, misses
 
 
 @st.composite
@@ -912,13 +963,30 @@ class TestKToUnion:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(hull_instances(), st.integers(0, 2**32 - 1))
     def test_matches_reference(self, inst, seed):
-        args = k_to_union_args(inst)
         pts = hull_points(np.random.default_rng(seed), inst)
-        assert regions._k_to_union(pts, *args) == reference_k_to_union(pts, *args)
+        args = (hull_family(inst), inst["alpha0"], inst["alpha1"], 1e-9)
+        alpha, hit = regions._alpha_windows(pts, *args)
+        assert (alpha.tolist(), hit.tolist()) == reference_alpha_windows(pts, *args)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(hull_instances(), st.integers(0, 2**32 - 1))
+    def test_verifier_matches_hand_derived_reference(self, inst, seed):
+        # The hand-derived windows round row 2 as 1 - (r2 - x2)/b where the
+        # row rule rounds (x2 - r2 + b)/b, so witness alphas agree to 1e-15.
+        pts = hull_points(np.random.default_rng(seed), inst)
+        witnesses, misses = hull_certification(inst, pts)
+        want_witnesses, want_misses = reference_k_to_union(pts, *k_to_union_args(inst))
+        assert misses == want_misses
+        assert len(witnesses) == len(want_witnesses)
+        for got, want in zip(witnesses, want_witnesses):
+            assert got.keys() == want.keys() and got["point"] == want["point"]
+            if "alpha" in want:
+                assert abs(got["alpha"] - want["alpha"]) <= 1e-15
+            else:
+                assert got["lambda"] == want["lambda"]
 
     def test_lp_fallback_only_on_misses(self, monkeypatch):
         inst = random_hull_instance(np.random.default_rng(30))
-        args = k_to_union_args(inst)
         pts = hull_points(np.random.default_rng(31), inst)
         lp_points = []
         lp_witness = regions._lp_witness
@@ -928,7 +996,7 @@ class TestKToUnion:
             return lp_witness(x, *rest)
 
         monkeypatch.setattr(regions, "_lp_witness", counted)
-        witnesses, misses = regions._k_to_union(pts, *args)
+        witnesses, misses = hull_certification(inst, pts)
         assert [m["point"] for m in misses] == pts[-2:].tolist()
         assert lp_points == pts[-2:].tolist()
         assert len(witnesses) == pts.shape[0] - 2
@@ -947,6 +1015,61 @@ class TestKToUnion:
         rep = verify_convexhull_lemma(**inst, samples=120, seed=7)
         witnesses, misses = reference_k_to_union(drawn[-1], *k_to_union_args(inst))
         assert rep.witnesses == witnesses and not misses and rep.passed
+
+
+@st.composite
+def ray_shapes(draw):
+    """A constraint matrix the verifiers or ``RatePolytope.sample`` use, a
+    stack of right-hand sides (some negative) and a point count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = draw(st.sampled_from([
+        RATE_COEFFS, np.insert(RATE_COEFFS, 3, [0.0, 0.4, 0.7], axis=0), CONF_COEFFS]))
+    sets = draw(st.integers(1, 12))
+    rhs = rng.uniform(-0.2, 2.0, size=(sets, coeffs.shape[0]))
+    return coeffs, rhs, draw(st.integers(0, 25)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestRayPoints:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ray_shapes())
+    def test_stack_matches_one_set_calls_in_turn(self, drawn):
+        coeffs, rhs, count, seed = drawn
+        dim = coeffs.shape[1]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = regions._ray_points(got_rng, coeffs, rhs, count, dim)
+        want = [reference_ray_points(want_rng, coeffs, row, count, dim) for row in rhs]
+        assert got.shape == (rhs.shape[0], count, dim)
+        assert np.array_equal(got, np.array(want).reshape(got.shape))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ray_shapes())
+    def test_one_set_matches_reference(self, drawn):
+        coeffs, rhs, count, seed = drawn
+        dim = coeffs.shape[1]
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = regions._ray_points(got_rng, coeffs, rhs[0], count, dim)
+        assert np.array_equal(got, reference_ray_points(want_rng, coeffs, rhs[0],
+                                                        count, dim))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestLemmaCheckedCount:
+    # The benchmark's lemma jobs assert these counts for every report.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 300))
+    @example(seed=1, samples=4)
+    @example(seed=2, samples=79)
+    def test_checked_counts_every_sampled_point(self, seed, samples):
+        rng = np.random.default_rng(seed)
+        union, hull = random_union_instance(rng), random_hull_instance(rng)
+        per_set = max(samples // 20, 4)
+        g = len(regions._alpha_grid(union["alpha0"], union["alpha1"], 1e-3))
+        rep = verify_union_lemma(**union, samples=samples, seed=seed)
+        assert rep.checked == samples + len(range(0, g, max(g // 20, 1))) * per_set
+        g = len(regions._alpha_grid(hull["alpha0"], hull["alpha1"], 1e-3))
+        rep = verify_convexhull_lemma(**hull, samples=samples, seed=seed)
+        assert rep.checked == 2 * samples + len(range(0, g, max(g // 10, 1))) * per_set
 
 
 class TestConvexHullLemma:
@@ -988,6 +1111,16 @@ class TestConvexHullLemma:
         obj = rep.to_json_dict()
         assert obj["passed"] and obj["lemma"]
 
+    def test_empty_alpha_sets_near_alpha1_rejected(self):
+        # R1 <= r1 - alpha a is negative for alpha > 0.998; a grid probe with
+        # a stride skipping alpha1 missed it, the endpoint test does not.
+        inst = random_hull_instance(np.random.default_rng(5))
+        inst.update(alpha0=0.0, alpha1=1.0, a=0.5, r1=0.499)
+        inst["r12"] = min(max(inst["r12"], inst["r1"], inst["r2"]),
+                          inst["r1"] + inst["r2"])
+        with pytest.raises(PreconditionError, match="alpha=1.0"):
+            verify_convexhull_lemma(**inst)
+
 
 class TestNesting:
     def test_case1_inside_case2_and_case3(self):
@@ -1017,6 +1150,26 @@ class TestNesting:
             if any(not r2.contains(v, tol=1e-9) for v in r1.vertices()):
                 violated += 1
         assert violated > 0
+
+
+class TestHcMonotonicity:
+    @PROPERTY_SETTINGS
+    @given(random_inputs(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_case2_region_grows_with_hc(self, p, u1, u2):
+        # Raising H_C inside the Case-2 gate only lowers the left end of the
+        # time-sharing interval (or raises its right end), so every bound of
+        # the region loosens.
+        prof = info_profile(p)
+        low = min(prof.iz_v1u, prof.iz_v2u)
+        h1, h2 = sorted(low + (prof.iz_v12 - low) * u for u in (u1, u2))
+        assume(low < h1 < h2)
+        try:
+            inner = region_common(prof, h1, CaseLabel.CASE2, check_membership=False)
+        except PreconditionError:
+            assume(False)
+        outer = region_common(prof, h2, CaseLabel.CASE2, check_membership=False)
+        for vertex in inner.vertices():
+            assert outer.contains(vertex, tol=1e-9), (vertex, h1, h2)
 
 
 class TestBoundaryWarnings:
