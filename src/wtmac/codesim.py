@@ -44,10 +44,20 @@ from .probkit import (
     entropy_bits,
     sample_typical,
 )
-from .regions import CaseLabel, InfoProfile, elementary_region, info_profile
+from .regions import (
+    CaseLabel,
+    InfoProfile,
+    elementary_region,
+    info_profile,
+    randomization_rates,
+)
 
 DEFAULT_SLACK = 0.05
 DEFAULT_TAIL_EXPONENT = 2.0 * math.log2(math.e)  # Hoeffding-style surrogate
+# Largest gap between n/(n+n2) and the time-sharing fraction a code realizes.
+GAMMA = 0.05
+# Largest message size, and largest per-family randomization size of a pair.
+SIZE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -189,14 +199,15 @@ def _window_int(lo_bits: float, hi_bits: float) -> int | None:
     return None
 
 
-def _window_pair(total_lo: float, total_hi: float, cap: int = 4096):
-    """Smallest integer pair (a, b) with log2(a) + log2(b) in the window."""
-    for a in range(1, cap + 1):
+def _window_pair(total_lo: float, total_hi: float):
+    """Smallest integer pair (a, b), neither above ``SIZE_CAP``, with
+    log2(a) + log2(b) in the window."""
+    for a in range(1, SIZE_CAP + 1):
         la = math.log2(a)
         if la > total_hi + 1e-12:
             break
         b = _window_int(total_lo - la, total_hi - la)
-        if b is not None and b <= cap:
+        if b is not None and b <= SIZE_CAP:
             return a, b
     return None
 
@@ -315,38 +326,22 @@ def _product_l(fams):
                 yield (l1, l2)
 
 
-def _case_j_values(chain: CodeChain, case: CaseLabel, alpha: float):
-    """Randomization-rate targets (j0, j1, j2) for one case, read from the
-    chain's profile (V1 = X, V2 = Y)."""
-    prof = chain.profile
-    if case == CaseLabel.CASE3:
-        return (prof.iz_v12, 0.0, 0.0)
-    if case in (CaseLabel.CASE0, CaseLabel.CASE1):
-        j1 = alpha * prof.iz_v1_v2u + (1 - alpha) * prof.iz_v1_u
-        j2 = alpha * prof.iz_v2_u + (1 - alpha) * prof.iz_v2_v1u
-        return (prof.iz_u, j1, j2)
-    if case == CaseLabel.CASE2:
-        j0 = alpha * prof.iz_v2u + (1 - alpha) * prof.iz_v1u
-        return (j0, alpha * prof.iz_v1_v2u, (1 - alpha) * prof.iz_v2_v1u)
-    raise PreconditionError(f"unknown case {case!r}")
-
-
 def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
                        n: int, delta: float, *, slack: float = DEFAULT_SLACK,
                        seed: int = 0, n2: int | None = None,
-                       alpha: float | None = None, gamma: float = 0.05,
-                       size_cap: int = 4096) -> WiretapCode:
+                       alpha: float | None = None) -> WiretapCode:
     """Build a wiretap code whose sizes sit inside the per-case windows.
 
     The randomization sizes L are chosen with ``log2(L)/n`` inside
-    ``[J + 2*slack, J + 3*slack]`` for the case's randomization targets J,
-    and message sizes K with ``log2(K*L)/n`` inside
-    ``[R + J - slack, R + J - slack/2]`` for positive rate targets.  Cases
-    with an interior time-sharing fraction build two families at
-    blocklengths (n, n2) with the windows applied to the combined sizes.
-    Raises :class:`BlocklengthTooSmallError` (with a workable-blocklength
-    estimate) when a window holds no integer, and refuses budgets whose
-    randomization rate exceeds the common randomness bound.
+    ``[J + 2*slack, J + 3*slack]`` for the case's randomization rates J
+    (:func:`~wtmac.regions.randomization_rates`), and message sizes K with
+    ``log2(K*L)/n`` inside ``[R + J - slack, R + J - slack/2]`` for positive
+    rate targets.  Cases with an interior time-sharing fraction build two
+    families at blocklengths (n, n2), within ``GAMMA`` of the fraction, with
+    the windows applied to the combined sizes.  Raises
+    :class:`BlocklengthTooSmallError` (with a workable-blocklength estimate)
+    when a window holds no integer, and refuses budgets whose randomization
+    rate exceeds the common randomness bound.
     """
     if n < 1 or (n2 is not None and n2 < 1):
         raise ValidationError(
@@ -360,36 +355,27 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
         raise PreconditionError(
             "a common message cannot be protected without common randomness"
         )
-    if case == CaseLabel.CASE3:
-        alpha_eff = 1.0
-    else:
-        if alpha is None:
-            alpha_eff = 1.0
-        else:
-            alpha_eff = float(alpha)
-    time_share = case in (CaseLabel.CASE0, CaseLabel.CASE1, CaseLabel.CASE2) \
-        and 0.0 < alpha_eff < 1.0
+    alpha_eff = 1.0 if case == CaseLabel.CASE3 or alpha is None else float(alpha)
+    time_share = case != CaseLabel.CASE3 and 0.0 < alpha_eff < 1.0
     if time_share:
         if n2 is None:
             raise PreconditionError("interior alpha needs the second blocklength n2")
         realized = n / (n + n2)
-        if abs(realized - alpha_eff) > gamma:
+        if abs(realized - alpha_eff) > GAMMA:
             raise PreconditionError(
                 f"n/(n+n2) = {realized:.4f} misses alpha = {alpha_eff} "
-                f"by more than gamma = {gamma}"
+                f"by more than gamma = {GAMMA}"
             )
     # rate-target membership in the elementary region
     prof = chain.profile
-    region = elementary_region(prof, case, alpha_eff,
-                               hc if case != CaseLabel.CASE0 else None,
-                               check_range=False)
+    region = elementary_region(prof, case, alpha_eff, check_range=False)
     if not region.contains(rates, tol=1e-9):
         raise PreconditionError(
             f"rate targets {rates} violate the {case.name} elementary region: "
             f"{region.violated(rates, 1e-9)}"
         )
 
-    j_vals = _case_j_values(chain, case, alpha_eff)
+    j_vals = randomization_rates(prof, case, alpha_eff)
     lengths = (n, n2) if time_share else (n,)
     n_total = sum(lengths)
 
@@ -408,66 +394,38 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
             return (True, alpha_eff > 0.0, alpha_eff <= 0.0)
         return (True, which == 0, which == 1)
 
-    if not time_share:
-        sizes = [1, 1, 1]
-        for nu in range(3):
-            if not l_shape(0)[nu]:
-                continue
-            lo, hi = l_window_bits(n, j_vals[nu])
-            windowed = _window_int(lo, hi)
-            if windowed is None:
-                need = _required_n(
-                    lambda mm, j=j_vals[nu]: l_window_bits(mm, j),
-                    n + 1, 16 * n)
-                raise BlocklengthTooSmallError(
-                    f"no integer L{nu} satisfies the window at n={n}",
-                    required_n=need)
-            sizes[nu] = windowed
-        l_sizes = [sizes]
-    else:
-        # windows on the combined sizes across both families
-        l_sizes = [[1, 1, 1], [1, 1, 1]]
-        for nu in range(3):
-            active = [l_shape(w)[nu] for w in range(2)]
-            if not any(active):
-                continue
-            lo, hi = l_window_bits(n_total, j_vals[nu])
-            if active[0] and active[1]:
-                pair = _window_pair(lo, hi, size_cap)
-                if pair is None:
-                    need = _required_n(
-                        lambda mm, j=j_vals[nu]: l_window_bits(mm, j),
-                        n_total + 1, 16 * n_total)
-                    raise BlocklengthTooSmallError(
-                        f"no integer pair L{nu}, L{nu}' fits the combined "
-                        f"window at n+n' = {n_total}", required_n=need)
-                l_sizes[0][nu], l_sizes[1][nu] = pair
-            else:
-                one = _window_int(lo, hi)
-                if one is None:
-                    raise BlocklengthTooSmallError(
-                        f"no integer L{nu} fits the combined window",
-                        required_n=None)
-                l_sizes[0 if active[0] else 1][nu] = one
+    # windows on the combined sizes across the families: one active family
+    # takes the smallest integer, two take the smallest integer pair
+    l_sizes = [[1, 1, 1] for _ in lengths]
+    for nu in range(3):
+        active = [w for w in range(len(lengths)) if l_shape(w)[nu]]
+        if not active:
+            continue
+        lo, hi = l_window_bits(n_total, j_vals[nu])
+        sizes = ((_window_int(lo, hi),) if len(active) == 1
+                 else _window_pair(lo, hi))
+        if sizes is None or None in sizes:
+            need = _required_n(lambda mm, j=j_vals[nu]: l_window_bits(mm, j),
+                               n_total + 1, 16 * n_total)
+            raise BlocklengthTooSmallError(
+                f"no integer L{nu} per family fits the window at "
+                f"n_total={n_total}", required_n=need)
+        for w, size in zip(active, sizes):
+            l_sizes[w][nu] = size
 
-    if case in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3):
+    if case != CaseLabel.CASE0:  # a Case-0 code has no shared index
         l0_bits = sum(math.log2(s[0]) for s in l_sizes)
         if l0_bits / n_total > hc + 1e-12:
             raise PreconditionError(
                 f"realized randomness rate {l0_bits / n_total:.4f} exceeds "
                 f"the common randomness bound {hc}"
             )
-    else:
-        for s in l_sizes:
-            s[0] = 1
 
     # message sizes against the combined windows (positive-part clamps: tiny
     # targets degrade to a single message at desk scale)
     k_sizes = [1, 1, 1]
     for nu in range(3):
         if rates[nu] <= 0:
-            continue
-        if case == CaseLabel.CASE0 and nu == 0:
             continue
         l_bits = sum(math.log2(s[nu]) for s in l_sizes)
         tilde = rates[nu] + j_vals[nu]
@@ -480,7 +438,7 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
                 f"rate window for K{nu} is empty at n_total={n_total}",
                 required_n=None)
         k = _window_int(max(lo, 0.0), hi)
-        if k is None or k > size_cap:
+        if k is None or k > SIZE_CAP:
             raise BlocklengthTooSmallError(
                 f"no integer K{nu} fits the rate window at n_total={n_total}",
                 required_n=None)

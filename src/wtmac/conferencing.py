@@ -37,6 +37,7 @@ from .regions import (
     batch_vertices,
     classify_profile,
     elementary_region,
+    randomization_rates,
     region_common,
 )
 
@@ -61,22 +62,16 @@ class ConferencingCapacities:
 
 
 def j0_alpha(prof: InfoProfile, case: CaseLabel, alpha: float = 0.0) -> float:
-    """Common-randomness rate the construction for a case has to generate.
-
-    Case 1 pays for U, Case 3 for the full input pair, and Case 2
-    interpolates between the two single-sender-plus-U costs with the
-    time-sharing fraction.  Case 0 has no randomness budget at all.
+    """Common-randomness rate the construction for a case has to generate:
+    the J0 of :func:`randomization_rates`.  Case 0 has no randomness budget
+    at all.
     """
     case = CaseLabel(case)
     if case == CaseLabel.CASE0:
         raise PreconditionError("Case 0 has no common randomness to size")
-    if case == CaseLabel.CASE1:
-        return prof.iz_u
-    if case == CaseLabel.CASE2:
-        if not 0.0 <= alpha <= 1.0:
-            raise PreconditionError(f"alpha={alpha} outside [0, 1]")
-        return alpha * prof.iz_v2u + (1.0 - alpha) * prof.iz_v1u
-    return prof.iz_v12
+    if case == CaseLabel.CASE2 and not 0.0 <= alpha <= 1.0:
+        raise PreconditionError(f"alpha={alpha} outside [0, 1]")
+    return randomization_rates(prof, case, alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -105,10 +100,29 @@ def beta_bounds(prof: InfoProfile, case: CaseLabel, alpha: float,
     return BetaBounds(_pos(1.0 - caps.c2 / j0), min(caps.c1 / j0, 1.0))
 
 
+def _piece_bounds(prof: InfoProfile, case: CaseLabel,
+                  alpha: float) -> tuple[float, float, float]:
+    """(r1, r2, J0) of one conferencing piece: the R1 and R2 bounds of the
+    matching common-message region (the elementary one at ``alpha`` in
+    Case 2) and the shared randomization rate the links carry."""
+    if case not in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3):
+        raise PreconditionError("conferencing regions exist for Cases 1-3 only")
+    j0, j1, j2 = randomization_rates(prof, case, alpha)
+    if case == CaseLabel.CASE1:
+        return (*_case1_bounds(prof), j0)
+    return prof.it_v1_v2u - j1, prof.it_v2_v1u - j2, j0
+
+
+def _sum_bound(prof: InfoProfile, c1: float, c2: float) -> float:
+    """The sum-rate bound every conferencing piece shares."""
+    return min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
+
+
 def elementary_conf_region(prof: InfoProfile, case: CaseLabel, alpha: float,
                            beta: float, c1: float, c2: float, *,
                            check_range: bool = True) -> RatePolytope:
-    """The conferencing region at fixed time-sharing and randomness split."""
+    """The conferencing region at fixed time-sharing and randomness split:
+    link 1 carries beta*J0 and link 2 the rest."""
     case = CaseLabel(case)
     caps = ConferencingCapacities(c1, c2)
     if check_range:
@@ -119,32 +133,11 @@ def elementary_conf_region(prof: InfoProfile, case: CaseLabel, alpha: float,
             )
     if not 0.0 <= beta <= 1.0:
         raise PreconditionError(f"beta={beta} outside [0, 1]")
-    total = prof.it_v12 - prof.iz_v12
-    if case == CaseLabel.CASE1:
-        j0 = prof.iz_u
-        r1, r2 = _case1_bounds(prof)
-        b1 = r1 - beta * j0 + c1
-        b2 = r2 - (1.0 - beta) * j0 + c2
-        s = min(prof.it_v12_u - prof.iz_v12_u - j0 + c1 + c2, total)
-        return RatePolytope(2, CONF_COEFFS, np.array([b1, b2, s]), CONF_NAMES)
-    if case == CaseLabel.CASE2:
-        j0 = j0_alpha(prof, case, alpha)
-        a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
-        b1 = prof.it_v1_v2u - alpha * a + c1 - beta * j0
-        b2 = prof.it_v2_v1u - (1.0 - alpha) * b + c2 - (1.0 - beta) * j0
-        s1 = (prof.it_v12_u - alpha * a - (1.0 - alpha) * b
-              + c1 + c2 - j0)
-        return RatePolytope(
-            2, np.array([[1, 0], [0, 1], [1, 1], [1, 1]], dtype=float),
-            np.array([b1, b2, s1, total]),
-            ("R1 bound", "R2 bound", "conditional sum bound", "total sum bound"))
-    if case == CaseLabel.CASE3:
-        j0 = prof.iz_v12
-        b1 = prof.it_v1_v2u + c1 - beta * j0
-        b2 = prof.it_v2_v1u + c2 - (1.0 - beta) * j0
-        s = min(prof.it_v12_u + c1 + c2 - j0, total)
-        return RatePolytope(2, CONF_COEFFS, np.array([b1, b2, s]), CONF_NAMES)
-    raise PreconditionError("conferencing regions exist for Cases 1-3 only")
+    r1, r2, j0 = _piece_bounds(prof, case, alpha)
+    return RatePolytope(2, CONF_COEFFS,
+                        np.array([r1 + c1 - beta * j0, r2 + c2 - (1.0 - beta) * j0,
+                                  _sum_bound(prof, c1, c2)]),
+                        CONF_NAMES)
 
 
 def _hull_2d(points: np.ndarray) -> np.ndarray:
@@ -239,32 +232,25 @@ def region_conferencing(p_or_prof, c1: float, c2: float, case: CaseLabel, *,
             raise PreconditionError(
                 f"input does not classify as {case.name} at H_C=C1+C2={hc}"
             )
-    if case == CaseLabel.CASE1:
-        bounds = [(None, *_case1_bounds(prof), prof.iz_u)]
-    elif case == CaseLabel.CASE3:
-        bounds = [(None, prof.it_v1_v2u, prof.it_v2_v1u, prof.iz_v12)]
-    elif case == CaseLabel.CASE2:
+    alphas = [None]
+    if case == CaseLabel.CASE2:
         ab = alpha_bounds_case2(prof, hc)
         if ab.degenerate:
             alphas = [0.0]
         else:
             if ab.alpha0 > ab.alpha1:
                 raise PreconditionError("Case-2 time-sharing interval is empty")
-            alphas = np.linspace(ab.alpha0, ab.alpha1, alpha_points)
-        a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
-        bounds = [(float(alpha), prof.it_v1_v2u - alpha * a,
-                   prof.it_v2_v1u - (1.0 - alpha) * b, j0_alpha(prof, case, alpha))
-                  for alpha in alphas]
-    else:
-        raise PreconditionError("conferencing regions exist for Cases 1-3 only")
-    s = min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
-    pieces = tuple(
-        (alpha, RatePolytope(2, CONF_COEFFS,
-                             np.array([r1 + c1 - _pos(j0 - c2),
-                                       r2 + c2 - _pos(j0 - c1), s]),
-                             CONF_NAMES))
-        for alpha, r1, r2, j0 in bounds)
-    return ConferencingRegion(case, pieces)
+            alphas = [float(a) for a in np.linspace(ab.alpha0, ab.alpha1,
+                                                     alpha_points)]
+    s = _sum_bound(prof, c1, c2)
+    pieces = []
+    for alpha in alphas:
+        r1, r2, j0 = _piece_bounds(prof, case, 0.0 if alpha is None else alpha)
+        pieces.append((alpha, RatePolytope(
+            2, CONF_COEFFS,
+            np.array([r1 + c1 - _pos(j0 - c2), r2 + c2 - _pos(j0 - c1), s]),
+            CONF_NAMES)))
+    return ConferencingRegion(case, tuple(pieces))
 
 
 @dataclass(frozen=True)

@@ -333,17 +333,10 @@ def mutual_information(joint: JointDist,
     return h_ac + h_bc - h_abc - h_c
 
 
-def joint_from_factors(p_u: Dist,
-                       v1_given_u: Channel,
-                       v2_given_u: Channel,
-                       x_given_v1: Channel,
-                       y_given_v2: Channel,
-                       mac: WiretapMAC) -> JointDist:
-    """Joint law of (U, V1, V2, X, Y, T, Z) from the factored input chain.
-
-    V1 and V2 are conditionally independent given U by construction, and
-    (T, Z) depends on the rest only through (X, Y).
-    """
+def _check_chain(p_u: Dist, v1_given_u: Channel, v2_given_u: Channel,
+                 x_given_v1: Channel, y_given_v2: Channel, mac: WiretapMAC) -> None:
+    """Raise unless each factor reads the alphabet the previous one emits and
+    the last two emit the channel's inputs."""
     if v1_given_u.input_alphabet.size != p_u.alphabet.size:
         raise ValidationError("P(V1|U) input does not match |U|")
     if v2_given_u.input_alphabet.size != p_u.alphabet.size:
@@ -356,6 +349,20 @@ def joint_from_factors(p_u: Dist,
         raise ValidationError("P(X|V1) output does not match the channel's |X|")
     if y_given_v2.output_alphabet.size != mac.y_alphabet.size:
         raise ValidationError("P(Y|V2) output does not match the channel's |Y|")
+
+
+def joint_from_factors(p_u: Dist,
+                       v1_given_u: Channel,
+                       v2_given_u: Channel,
+                       x_given_v1: Channel,
+                       y_given_v2: Channel,
+                       mac: WiretapMAC) -> JointDist:
+    """Joint law of (U, V1, V2, X, Y, T, Z) from the factored input chain.
+
+    V1 and V2 are conditionally independent given U by construction, and
+    (T, Z) depends on the rest only through (X, Y).
+    """
+    _check_chain(p_u, v1_given_u, v2_given_u, x_given_v1, y_given_v2, mac)
     cells = (p_u.alphabet.size * v1_given_u.output_alphabet.size
              * v2_given_u.output_alphabet.size * mac.x_alphabet.size
              * mac.y_alphabet.size * mac.t_alphabet.size * mac.z_alphabet.size)
@@ -387,6 +394,10 @@ class FactoredInput:
     x_given_v1: Channel
     y_given_v2: Channel
     mac: WiretapMAC
+
+    def __post_init__(self):
+        _check_chain(self.p_u, self.v1_given_u, self.v2_given_u,
+                     self.x_given_v1, self.y_given_v2, self.mac)
 
     @staticmethod
     def independent(p_x: Dist, p_y: Dist, mac: WiretapMAC) -> "FactoredInput":

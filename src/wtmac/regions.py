@@ -42,6 +42,8 @@ from .probkit import (
 EQUALITY_TOL = 1e-12
 # Feasibility slack of a vertex candidate against every constraint.
 VERTEX_TOL = 1e-9
+# Distance from a gate's threshold within which classification warns.
+BOUNDARY_TOL = 1e-9
 
 # The constraint shape every case region over (R0, R1, R2) shares; the
 # decomposition lemmas only move its right-hand side.
@@ -290,11 +292,11 @@ class CaseReport:
         return iter(self.cases)
 
 
-def classify_profile(prof: InfoProfile, hc: float, u_independent: bool = False,
-                     boundary_tol: float = 1e-9) -> CaseReport:
+def classify_profile(prof: InfoProfile, hc: float,
+                     u_independent: bool = False) -> CaseReport:
     """Classify an information profile into its applicable coding cases.
 
-    Strict gates are evaluated strictly; a gate within ``boundary_tol`` of
+    Strict gates are evaluated strictly; a gate within ``BOUNDARY_TOL`` of
     its threshold is additionally reported as a warning.  ``u_independent``
     states whether (V1, V2) is independent of U (needed for Case 0).
     """
@@ -303,7 +305,7 @@ def classify_profile(prof: InfoProfile, hc: float, u_independent: bool = False,
     cases: set[CaseLabel] = set()
     warnings: list[str] = []
     if prof.iz_v12 > prof.it_v12:
-        if prof.iz_v12 - prof.it_v12 <= boundary_tol:
+        if prof.iz_v12 - prof.it_v12 <= BOUNDARY_TOL:
             warnings.append("common-gate I(Z^V1V2) <= I(T^V1V2) holds only marginally")
         return CaseReport(frozenset(), tuple(warnings))
 
@@ -314,7 +316,7 @@ def classify_profile(prof: InfoProfile, hc: float, u_independent: bool = False,
             cases.add(CaseLabel.CASE0)
         for name, ok, lhs, rhs in (("HC01", hc01, prof.iz_v1_u, prof.it_v1_v2u),
                                    ("HC02", hc02, prof.iz_v2_u, prof.it_v2_v1u)):
-            if abs(lhs - rhs) <= boundary_tol:
+            if abs(lhs - rhs) <= BOUNDARY_TOL:
                 warnings.append(f"Case-0 condition {name} is on its boundary")
 
     compi = (prof.iz_v1_u <= prof.it_v1_v2u
@@ -322,7 +324,7 @@ def classify_profile(prof: InfoProfile, hc: float, u_independent: bool = False,
              and prof.iz_v12_u <= prof.it_v1_v2u + prof.it_v2_v1u)
     if prof.iz_u < hc and compi:
         cases.add(CaseLabel.CASE1)
-    if abs(prof.iz_u - hc) <= boundary_tol:
+    if abs(prof.iz_u - hc) <= BOUNDARY_TOL:
         warnings.append("Case-1 gate I(Z^U) < H_C is on its boundary")
 
     low = min(prof.iz_v1u, prof.iz_v2u)
@@ -333,23 +335,21 @@ def classify_profile(prof: InfoProfile, hc: float, u_independent: bool = False,
             ab = alpha_bounds_case2(prof, hc)
             if ab.alpha0 <= ab.alpha1:
                 cases.add(CaseLabel.CASE2)
-    if abs(low - hc) <= boundary_tol or abs(hc - prof.iz_v12) <= boundary_tol:
+    if abs(low - hc) <= BOUNDARY_TOL or abs(hc - prof.iz_v12) <= BOUNDARY_TOL:
         warnings.append("Case-2 gate min{I(Z^V1U), I(Z^V2U)} < H_C <= I(Z^V1V2) "
                         "is on its boundary")
 
     if prof.iz_v12 < hc:
         cases.add(CaseLabel.CASE3)
-    if abs(prof.iz_v12 - hc) <= boundary_tol:
+    if abs(prof.iz_v12 - hc) <= BOUNDARY_TOL:
         warnings.append("Case-3 gate I(Z^V1V2) < H_C is on its boundary")
     return CaseReport(frozenset(cases), tuple(warnings))
 
 
-def classify_case(p: FactoredInput, hc: float,
-                  boundary_tol: float = 1e-9) -> frozenset:
+def classify_case(p: FactoredInput, hc: float) -> frozenset:
     """Set of coding cases applicable to a factored input at bound ``hc``."""
     prof, u_ind = _resolve(p)
-    return classify_profile(prof, hc, u_independent=u_ind,
-                            boundary_tol=boundary_tol).cases
+    return classify_profile(prof, hc, u_independent=u_ind).cases
 
 
 # ---------------------------------------------------------------------------
@@ -590,66 +590,67 @@ def _case2_region(prof: InfoProfile, hc: float, total: float) -> RatePolytope:
     )
 
 
+def randomization_rates(prof: InfoProfile, case: CaseLabel,
+                        alpha: float) -> tuple[float, float, float]:
+    """The rates (J0, J1, J2) a case's code spends on randomization at the
+    time-sharing fraction ``alpha``.
+
+    J0 is the rate of the shared index, which H_C bounds and conferencing
+    carries over the links; J1 and J2 are the rates of the private indices.
+    Case 1 interpolates both senders' leakages between the two conditioning
+    orders (Case 0 reads its row, with no shared index in its code); in
+    Case 2 one sender pays its conditional leakage at a time and J0
+    interpolates the single-sender-plus-U leakages; Case 3 pays the leakage
+    of the full input pair on the shared index alone.
+    """
+    case = CaseLabel(case)
+    if case == CaseLabel.CASE3:
+        return (prof.iz_v12, 0.0, 0.0)
+    if case == CaseLabel.CASE2:
+        j0 = alpha * prof.iz_v2u + (1 - alpha) * prof.iz_v1u
+        return (j0, alpha * prof.iz_v1_v2u, (1 - alpha) * prof.iz_v2_v1u)
+    j1 = alpha * prof.iz_v1_v2u + (1 - alpha) * prof.iz_v1_u
+    j2 = alpha * prof.iz_v2_u + (1 - alpha) * prof.iz_v2_v1u
+    return (prof.iz_u, j1, j2)
+
+
 def elementary_region(p_or_prof, case: CaseLabel, alpha: float,
                       hc: float | None = None, *,
                       check_range: bool = True) -> RatePolytope:
     """The time-sharing elementary region at a fixed alpha.
 
-    For Case 1 (and Case 0) both rate bounds interpolate between the two
-    conditioning patterns; for Case 2 only one sender pays the conditional
-    leakage at a time.  ``hc`` is required to validate the Case-2 range.
+    One formula for every case: each rate bound is its information term less
+    the private randomization rates (J1, J2) of :func:`randomization_rates`
+    it covers, and Case 0 adds R0 = 0.  ``hc`` is required to validate the
+    Case-2 range; Case 3 has no alpha range.
     """
     prof, _ = _resolve(p_or_prof)
     case = CaseLabel(case)
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"alpha={alpha} outside [0, 1]")
-    total = prof.it_v12 - prof.iz_v12
-    if case in (CaseLabel.CASE0, CaseLabel.CASE1):
-        if check_range:
+    if check_range and case != CaseLabel.CASE3:
+        if case != CaseLabel.CASE2:
             ab = alpha_bounds_case1(prof)
-            if ab.degenerate:
-                raise PreconditionError(
-                    "equal conditional leakages: the case region is achieved "
-                    "directly, no elementary decomposition applies"
-                )
-            if not ab.contains(alpha):
-                raise PreconditionError(
-                    f"alpha={alpha} outside [{ab.alpha0}, {ab.alpha1}]"
-                )
-        b1 = (prof.it_v1_v2u - alpha * prof.iz_v1_v2u
-              - (1.0 - alpha) * prof.iz_v1_u)
-        b2 = (prof.it_v2_v1u - alpha * prof.iz_v2_u
-              - (1.0 - alpha) * prof.iz_v2_v1u)
-        rhs = [b1, b2, prof.it_v12_u - prof.iz_v12_u, total]
-        if case == CaseLabel.CASE0:
-            return RatePolytope(3, np.vstack([RATE_COEFFS, [1, 0, 0]]),
-                                np.array(rhs + [0.0]), RATE_NAMES + ("R0 = 0",))
-        return RatePolytope(3, RATE_COEFFS, np.array(rhs), RATE_NAMES)
-    if case == CaseLabel.CASE2:
-        if check_range:
-            if hc is None:
-                raise PreconditionError("Case-2 range validation needs hc")
+        elif hc is None:
+            raise PreconditionError("Case-2 range validation needs hc")
+        else:
             ab = alpha_bounds_case2(prof, hc)
-            if ab.degenerate:
-                raise PreconditionError(
-                    "equal conditional leakages: direct region, no alpha"
-                )
-            if not ab.contains(alpha):
-                raise PreconditionError(
-                    f"alpha={alpha} outside [{ab.alpha0}, {ab.alpha1}]"
-                )
-        a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
-        return RatePolytope(
-            3, RATE_COEFFS,
-            np.array([prof.it_v1_v2u - alpha * a,
-                      prof.it_v2_v1u - (1.0 - alpha) * b,
-                      prof.it_v12_u - alpha * a - (1.0 - alpha) * b,
-                      total]),
-            RATE_NAMES)
-    if case == CaseLabel.CASE3:
-        return region_common(prof, hc if hc is not None else math.inf,
-                             CaseLabel.CASE3, check_membership=False)
-    raise PreconditionError(f"unknown case {case!r}")
+        if ab.degenerate:
+            raise PreconditionError(
+                "equal conditional leakages: the case region is achieved "
+                "directly, no elementary decomposition applies"
+            )
+        if not ab.contains(alpha):
+            raise PreconditionError(
+                f"alpha={alpha} outside [{ab.alpha0}, {ab.alpha1}]"
+            )
+    _, j1, j2 = randomization_rates(prof, case, alpha)
+    rhs = [prof.it_v1_v2u - j1, prof.it_v2_v1u - j2, prof.it_v12_u - (j1 + j2),
+           prof.it_v12 - prof.iz_v12]
+    if case == CaseLabel.CASE0:
+        return RatePolytope(3, np.vstack([RATE_COEFFS, [1, 0, 0]]),
+                            np.array(rhs + [0.0]), RATE_NAMES + ("R0 = 0",))
+    return RatePolytope(3, RATE_COEFFS, np.array(rhs), RATE_NAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,15 @@ from wtmac.probkit import (
     typical_membership,
     zip_sequences,
 )
+from wtmac.conferencing import CONF_COEFFS, CONF_NAMES
 from wtmac.regions import (
     RATE_COEFFS,
+    RATE_NAMES,
     CaseLabel,
     InfoProfile,
     RatePolytope,
     _alpha_grid,
+    _case1_bounds,
     classify_profile,
     info_profile,
     region_common,
@@ -204,7 +207,8 @@ def reference_info_profile(p) -> InfoProfile:
 def reference_case_j_values(chain, case, alpha):
     """Randomization-rate targets (j0, j1, j2) as seven mutual informations
     of the chain's (U, X, Y, T, Z) joint: the reference for
-    ``codesim._case_j_values``, which reads them from the chain's profile."""
+    ``regions.randomization_rates``, which reads them from the chain's
+    profile."""
     # `|` below is set union: a union in the second argument makes a joint
     # group, a union in the third makes a joint conditioning
     z, ux, xx, yy = {4}, {0}, {1}, {2}
@@ -220,6 +224,68 @@ def reference_case_j_values(chain, case, alpha):
         return (mi(z, ux), j1, j2)
     j0 = alpha * mi(z, yy | ux) + (1 - alpha) * mi(z, xx | ux)
     return (j0, alpha * mi(z, xx, yy | ux), (1 - alpha) * mi(z, yy, xx | ux))
+
+
+def reference_elementary_region(prof, case, alpha):
+    """The elementary region at a fixed alpha with each case's bounds written
+    out by hand: the reference for ``regions.elementary_region``, which reads
+    every case from one formula over ``randomization_rates``."""
+    total = prof.it_v12 - prof.iz_v12
+    if case in (CaseLabel.CASE0, CaseLabel.CASE1):
+        b1 = (prof.it_v1_v2u - alpha * prof.iz_v1_v2u
+              - (1.0 - alpha) * prof.iz_v1_u)
+        b2 = (prof.it_v2_v1u - alpha * prof.iz_v2_u
+              - (1.0 - alpha) * prof.iz_v2_v1u)
+        rhs = [b1, b2, prof.it_v12_u - prof.iz_v12_u, total]
+        if case == CaseLabel.CASE0:
+            return RatePolytope(3, np.vstack([RATE_COEFFS, [1, 0, 0]]),
+                                np.array(rhs + [0.0]), RATE_NAMES + ("R0 = 0",))
+        return RatePolytope(3, RATE_COEFFS, np.array(rhs), RATE_NAMES)
+    if case == CaseLabel.CASE2:
+        a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
+        return RatePolytope(
+            3, RATE_COEFFS,
+            np.array([prof.it_v1_v2u - alpha * a,
+                      prof.it_v2_v1u - (1.0 - alpha) * b,
+                      prof.it_v12_u - alpha * a - (1.0 - alpha) * b,
+                      total]),
+            RATE_NAMES)
+    return RatePolytope(
+        3, RATE_COEFFS,
+        np.array([prof.it_v1_v2u, prof.it_v2_v1u, prof.it_v12_u, total]),
+        RATE_NAMES)
+
+
+def reference_elementary_conf_region(prof, case, alpha, beta, c1, c2):
+    """The conferencing region at fixed alpha and beta with each case's piece
+    written out by hand: the reference for
+    ``conferencing.elementary_conf_region``.  Its Case-2 polytope keeps both
+    sum rows, the conditional one and the total one; the library states
+    their minimum."""
+    total = prof.it_v12 - prof.iz_v12
+    if case == CaseLabel.CASE1:
+        j0 = prof.iz_u
+        r1, r2 = _case1_bounds(prof)
+        b1 = r1 - beta * j0 + c1
+        b2 = r2 - (1.0 - beta) * j0 + c2
+        s = min(prof.it_v12_u - prof.iz_v12_u - j0 + c1 + c2, total)
+        return RatePolytope(2, CONF_COEFFS, np.array([b1, b2, s]), CONF_NAMES)
+    if case == CaseLabel.CASE2:
+        j0 = alpha * prof.iz_v2u + (1.0 - alpha) * prof.iz_v1u
+        a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
+        b1 = prof.it_v1_v2u - alpha * a + c1 - beta * j0
+        b2 = prof.it_v2_v1u - (1.0 - alpha) * b + c2 - (1.0 - beta) * j0
+        s1 = (prof.it_v12_u - alpha * a - (1.0 - alpha) * b
+              + c1 + c2 - j0)
+        return RatePolytope(
+            2, np.array([[1, 0], [0, 1], [1, 1], [1, 1]], dtype=float),
+            np.array([b1, b2, s1, total]),
+            ("R1 bound", "R2 bound", "conditional sum bound", "total sum bound"))
+    j0 = prof.iz_v12
+    b1 = prof.it_v1_v2u + c1 - beta * j0
+    b2 = prof.it_v2_v1u + c2 - (1.0 - beta) * j0
+    s = min(prof.it_v12_u + c1 + c2 - j0, total)
+    return RatePolytope(2, CONF_COEFFS, np.array([b1, b2, s]), CONF_NAMES)
 
 
 def case2_sum_bound_min_form(prof, hc):

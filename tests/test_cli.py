@@ -141,6 +141,28 @@ class TestContracts:
         code = run(["info", "--channel", str(bad), "--p", str(bad)])
         assert code == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("P_V1_given_U", [[0.5, 0.5]]),  # one row for |U| = 2
+        ("P_X_given_V1", [[1, 0, 0], [0, 1, 0]]),  # |X| = 3 on a binary input
+    ])
+    def test_mismatched_chain_exits_one(self, tmp_path, capsys, field, value):
+        mac = WiretapMAC.from_rows(np.full((4, 4), 0.25), 2, 2, 2, 2)
+        ch = tmp_path / "ch.json"
+        ch.write_text(mac.to_json())
+        p = {"P_U": [0.5, 0.5],
+             "P_V1_given_U": [[1, 0], [0, 1]],
+             "P_V2_given_U": [[1, 0], [0, 1]],
+             "P_X_given_V1": [[1, 0], [0, 1]],
+             "P_Y_given_V2": [[1, 0], [0, 1]],
+             field: value}
+        pp = tmp_path / "p.json"
+        pp.write_text(json.dumps(p))
+        code = run(["info", "--channel", str(ch), "--p", str(pp)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_byte_identical_reruns(self, artifacts):
         tmp, ch, pp = artifacts
         out1 = tmp / "a.json"

@@ -26,7 +26,6 @@ from wtmac.codesim import (
     CodebookFamily,
     WiretapCode,
     _bob_rows,
-    _case_j_values,
     _channel_rows,
     _decode_all,
     average_error,
@@ -60,7 +59,7 @@ from wtmac.probkit import (
 )
 from wtmac import concentration
 from wtmac.concentration import ConcentrationReport, _Workspace, _check
-from wtmac.regions import CaseLabel
+from wtmac.regions import CaseLabel, randomization_rates
 
 
 def chain_for(mac, p_u=None, x_given_u=None, y_given_u=None):
@@ -265,6 +264,16 @@ class TestBuild:
             build_wiretap_code(chain, CaseLabel.CASE3, (0.0, 0.0, 0.0),
                                hc=2.0, n=3, delta=0.3, slack=0.05)
         assert info.value.required_n is None or info.value.required_n > 3
+        # Case 2 at alpha = 1/2: only the first family randomizes sender 1,
+        # and its window at n + n2 = 4 holds no integer
+        eve = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.1, 0.9]])
+        chain = chain_for(noiseless_bob_mac(eve),
+                          x_given_u=Channel.from_matrix([[0.8, 0.2], [0.3, 0.7]]),
+                          y_given_u=Channel.from_matrix([[0.7, 0.3], [0.2, 0.8]]))
+        with pytest.raises(BlocklengthTooSmallError, match="L1") as info:
+            build_wiretap_code(chain, CaseLabel.CASE2, (0.0, 0.0, 0.0), hc=1.0,
+                               n=2, n2=2, delta=0.4, slack=0.05, alpha=0.5)
+        assert info.value.required_n > 4
 
     def test_case2_shapes_follow_alpha(self):
         rng = np.random.default_rng(7)
@@ -1000,7 +1009,7 @@ class TestProfileReaders:
     @given(random_chains(), st.sampled_from(list(CaseLabel)),
            st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99))
     def test_case_j_values_match_reference(self, chain, case, alpha):
-        got = _case_j_values(chain, case, alpha)
+        got = randomization_rates(chain.profile, case, alpha)
         want = reference_case_j_values(chain, case, alpha)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12), (got, want)
 

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import (
     constant_eve_mac,
     example62_input,
     random_factored,
     random_mac,
+    reference_elementary_conf_region,
     sample_case_profiles,
 )
 from wtmac.conferencing import (
+    CONF_NAMES,
     ConferencingCapacities,
     beta_bounds,
     build_conference,
@@ -309,6 +313,29 @@ class TestPieceFormula:
             with pytest.raises(ValidationError, match="alpha_points"):
                 region_conferencing(prof, 0.2, 0.2, case, alpha_points=points,
                                     check_membership=False)
+
+
+class TestElementaryConfRegion:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_matches_per_case_reference(self, seed, case, alpha, beta, c1, c2):
+        # The reference keeps Case 2's conditional and total sum rows; the
+        # library's one sum row is their minimum (by the chain rule, the
+        # conditional row is I(T;V1V2|U) + C1 + C2 - I(Z;V1V2)).
+        rng = np.random.default_rng(seed)
+        mac = random_mac(rng, bob_quality=rng.uniform(0.0, 0.9))
+        prof = info_profile(random_factored(rng, mac, u=int(rng.integers(1, 4))))
+        got = elementary_conf_region(prof, case, alpha, beta, c1, c2,
+                                     check_range=False)
+        want = reference_elementary_conf_region(prof, case, alpha, beta, c1, c2)
+        want_rhs = want.rhs
+        if case == CaseLabel.CASE2:
+            want_rhs = [*want.rhs[:2], min(want.rhs[2:])]
+        assert got.names == CONF_NAMES
+        assert np.max(np.abs(got.rhs - want_rhs)) <= 1e-12, (got.rhs, want_rhs)
 
 
 class TestRateSplit:

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from _support import reference_elementary_region
 from wtmac import conferencing, optimizer, regions
 from wtmac.casestudy import discussion_channels, example62_channels
 from wtmac.conferencing import CONF_COEFFS, region_conferencing
@@ -38,6 +39,7 @@ from wtmac.regions import (
     info_profiles,
     random_hull_instance,
     random_union_instance,
+    randomization_rates,
     region_common,
     verify_convexhull_lemma,
     verify_union_lemma,
@@ -560,6 +562,34 @@ class TestElementaryRegions:
                 sub = elementary_region(prof, CaseLabel.CASE2, alpha, hc)
                 for point in sub.sample(rng, 10):
                     assert region.contains(point, tol=1e-9)
+
+
+ALPHAS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestRandomizationRates:
+    """Every case's elementary region is one formula over the
+    randomization-rate table; it matches the bounds written out per case."""
+
+    @PROPERTY_SETTINGS
+    @given(random_inputs(), st.sampled_from(list(CaseLabel)), ALPHAS)
+    def test_elementary_region_matches_per_case_reference(self, p, case, alpha):
+        prof = info_profile(p)
+        got = elementary_region(prof, case, alpha, check_range=False)
+        want = reference_elementary_region(prof, case, alpha)
+        assert got.names == want.names
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.max(np.abs(got.rhs - want.rhs)) <= 1e-12, (got.rhs, want.rhs)
+
+    @PROPERTY_SETTINGS
+    @given(random_inputs(), st.sampled_from([CaseLabel.CASE0, CaseLabel.CASE1]),
+           ALPHAS)
+    def test_case1_private_rates_sum_to_conditional_leakage(self, p, case,
+                                                             alpha):
+        # chain rule: I(Z;V1|V2U) + I(Z;V2|U) = I(Z;V1|U) + I(Z;V2|V1U)
+        prof = info_profile(p)
+        _, j1, j2 = randomization_rates(prof, case, alpha)
+        assert abs(j1 + j2 - prof.iz_v12_u) <= 1e-12
 
 
 class TestPolytopeOps:
