@@ -36,17 +36,19 @@ from .probkit import (
     Dist,
     FactoredInput,
     JointDist,
+    ProposalStreams,
     WiretapMAC,
     _BLOCK_CELLS,
     _draw,
     _inverse_cdf,
     all_sequences,
     entropy_bits,
-    sample_typical,
 )
 from .regions import (
     CaseLabel,
     InfoProfile,
+    alpha_bounds_case1,
+    alpha_bounds_case2,
     elementary_region,
     info_profile,
     randomization_rates,
@@ -107,7 +109,9 @@ class CodebookFamily:
 
     Arrays: ``u`` has shape (K0, L0, n); ``x`` (K0, L0, K1, L1, n);
     ``y`` (K0, L0, K2, L2, n).  Every u is delta-typical and every private
-    sequence conditionally delta-typical given its u.
+    sequence conditionally delta-typical given its u.  ``proposals`` counts
+    the rejection sampler's proposals behind u, x and y (0 for a family
+    built by hand); :meth:`to_csv` leaves it out.
     """
 
     chain: CodeChain
@@ -119,6 +123,7 @@ class CodebookFamily:
     u: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    proposals: int = 0
 
     def l_tuples(self):
         l0, l1, l2 = self.l_sizes
@@ -151,6 +156,46 @@ class CodebookFamily:
         return "\n".join(lines) + "\n"
 
 
+def sample_codebook_families(p, n: int, l_sizes: Sequence[int], delta: float,
+                             seeds: Sequence[int],
+                             k_sizes: Sequence[int] = (1, 1, 1)
+                             ) -> list[CodebookFamily]:
+    """Draw one codebook family per seed from the truncated typical laws of
+    ``p``, all families in lockstep.
+
+    ``p`` is a factored input or a :class:`CodeChain`; per-sender sequences
+    are conditionally independent given their shared sequence.  Each family
+    reads its own seed's proposal stream (a u, then the x's and the y's
+    under it), so it is the family :func:`sample_codebook_family` draws
+    from that seed.
+    """
+    if n < 1:
+        raise ValidationError(f"blocklength must be at least 1, got {n}")
+    chain = p if isinstance(p, CodeChain) else CodeChain.from_factored(p)
+    l0, l1, l2 = (int(v) for v in l_sizes)
+    k0, k1, k2 = (int(v) for v in k_sizes)
+    if min(l0, l1, l2, k0, k1, k2) < 1:
+        raise ValidationError("codebook sizes must be positive")
+    seeds = [int(s) for s in seeds]
+    size = len(seeds)
+    streams = ProposalStreams([np.random.default_rng(s) for s in seeds], n)
+    u = np.empty((size, k0, l0, n), dtype=np.int64)
+    x = np.empty((size, k0, l0, k1, l1, n), dtype=np.int64)
+    y = np.empty((size, k0, l0, k2, l2, n), dtype=np.int64)
+    for a0 in range(k0):
+        for b0 in range(l0):
+            useqs = streams.sample(chain.p_u, delta, 1)[:, 0]
+            u[:, a0, b0] = useqs
+            x[:, a0, b0] = streams.sample(chain.x_given_u, delta, k1 * l1,
+                                          useqs).reshape(size, k1, l1, n)
+            y[:, a0, b0] = streams.sample(chain.y_given_u, delta, k2 * l2,
+                                          useqs).reshape(size, k2, l2, n)
+    streams.close()
+    return [CodebookFamily(chain, n, (k0, k1, k2), (l0, l1, l2), delta, seed,
+                           u[i], x[i], y[i], streams.used[i])
+            for i, seed in enumerate(seeds)]
+
+
 def sample_codebook_family(p, n: int, l_sizes: Sequence[int], delta: float,
                            seed: int,
                            k_sizes: Sequence[int] = (1, 1, 1)) -> CodebookFamily:
@@ -160,31 +205,7 @@ def sample_codebook_family(p, n: int, l_sizes: Sequence[int], delta: float,
     are conditionally independent given their shared sequence.  Reproducible
     from the seed.
     """
-    if n < 1:
-        raise ValidationError(f"blocklength must be at least 1, got {n}")
-    chain = p if isinstance(p, CodeChain) else CodeChain.from_factored(p)
-    l0, l1, l2 = (int(v) for v in l_sizes)
-    k0, k1, k2 = (int(v) for v in k_sizes)
-    if min(l0, l1, l2, k0, k1, k2) < 1:
-        raise ValidationError("codebook sizes must be positive")
-    rng = np.random.default_rng(seed)
-    u = np.empty((k0, l0, n), dtype=np.int64)
-    x = np.empty((k0, l0, k1, l1, n), dtype=np.int64)
-    y = np.empty((k0, l0, k2, l2, n), dtype=np.int64)
-    for a0 in range(k0):
-        for b0 in range(l0):
-            useq = sample_typical(chain.p_u, n, delta, rng)
-            u[a0, b0] = useq
-            for a1 in range(k1):
-                for b1 in range(l1):
-                    x[a0, b0, a1, b1] = sample_typical(
-                        chain.x_given_u, n, delta, rng, context=useq)
-            for a2 in range(k2):
-                for b2 in range(l2):
-                    y[a0, b0, a2, b2] = sample_typical(
-                        chain.y_given_u, n, delta, rng, context=useq)
-    return CodebookFamily(chain, n, (k0, k1, k2), (l0, l1, l2), delta, seed,
-                          u, x, y)
+    return sample_codebook_families(p, n, l_sizes, delta, [seed], k_sizes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +387,17 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
                 f"n/(n+n2) = {realized:.4f} misses alpha = {alpha_eff} "
                 f"by more than gamma = {GAMMA}"
             )
-    # rate-target membership in the elementary region
     prof = chain.profile
+    if alpha is None and case != CaseLabel.CASE3:
+        # the default alpha = 1 must lie in the case's time-sharing interval
+        bounds = (alpha_bounds_case2(prof, hc) if case == CaseLabel.CASE2
+                  else alpha_bounds_case1(prof))
+        if not bounds.degenerate and not bounds.contains(1.0):
+            raise PreconditionError(
+                f"the default alpha = 1 lies outside the {case.name} "
+                f"time-sharing interval [{bounds.alpha0}, {bounds.alpha1}]; "
+                f"pass an alpha inside it (an interior alpha also needs n2)")
+    # rate-target membership in the elementary region
     region = elementary_region(prof, case, alpha_eff, check_range=False)
     if not region.contains(rates, tol=1e-9):
         raise PreconditionError(

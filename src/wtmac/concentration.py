@@ -28,11 +28,12 @@ from .codesim import (
     DEFAULT_SLACK,
     DEFAULT_TAIL_EXPONENT,
     _channel_rows,
-    sample_codebook_family,
+    sample_codebook_families,
 )
 from .errors import PreconditionError, ResourceBudgetError
 from .probkit import (
     Alphabet,
+    CELL_BUDGET,
     Channel,
     Dist,
     _typical_rows,
@@ -229,6 +230,13 @@ class _Workspace:
         rows = _channel_rows(self.we, xs, ys, self.ny)
         return rows * (self.t_z_big_mask & (rows <= self.cap))
 
+    def pair_blocks(self, groups: int, group: int) -> list:
+        """Slices over ``groups`` runs of ``group`` pairs each, whole runs
+        only, whose output rows fit in ``CELL_BUDGET`` cells (at least one
+        run per slice)."""
+        step = max(CELL_BUDGET // (group * self.nz ** self.n), 1) * group
+        return [slice(lo, lo + step) for lo in range(0, groups * group, step)]
+
     def theta_case3(self):
         """Exact Case-3 reference measure (typical triples enumerated), cut
         to its support, and that support."""
@@ -236,8 +244,14 @@ class _Workspace:
         for useq, pu in zip(*self.typical_given(self.chain.p_u)):
             xs, xp = self.typical_given(self.chain.x_given_u, useq)
             ys, yp = self.typical_given(self.chain.y_given_u, useq)
-            for yseq, pyv in zip(ys, yp):
-                theta += (pu * pyv) * (xp @ self.outer_rows(xs, yseq))
+            # the (y, x) pairs y-major, in as few calls as the budget
+            # allows; one dot per y
+            pairs = (np.tile(xs, (len(ys), 1)), np.repeat(ys, len(xs), axis=0))
+            for block in self.pair_blocks(len(ys), len(xs)):
+                rows = self.outer_rows(pairs[0][block], pairs[1][block])
+                for pyv, y_rows in zip(yp[block.start // len(xs):],
+                                       rows.reshape(-1, len(xs), theta.size)):
+                    theta += (pu * pyv) * (xp @ y_rows)
         f3 = self.t_z_big_mask & (theta >= self.eps / max(self.t_z_plain, 1))
         return theta * f3, f3
 
@@ -310,8 +324,8 @@ def concentration_report(family: CodebookFamily, eps: float, *,
         return ConcentrationReport([], params, partial=True,
                                    notes=(f"budget exceeded: {exc}",))
 
-    fams = [sample_codebook_family(chain, n, family.l_sizes, family.delta,
-                                   seed + 7919 * i) for i in range(resamples)]
+    fams = sample_codebook_families(chain, n, family.l_sizes, family.delta,
+                                    [seed + 7919 * i for i in range(resamples)])
 
     if l1 == 1 and l2 == 1:
         return ConcentrationReport(_case3_checks(ws, fams, l0), params)
@@ -405,18 +419,22 @@ def _estimated_reference_check(ws: _Workspace, per_fam, floor: float,
 
 
 def _case3_checks(ws: _Workspace, fams, l0: int) -> list:
+    """The Case-3 checks over all resampled families at once: one typical
+    count of the R*l0 shared-index pairs, and their outer rows in as few
+    calls as the cell budget allows."""
     theta_hat, f3 = ws.theta_case3()
-    threshold = ws.typical_fraction_threshold(l0)
-    star_fail = 0
-    fail_by_z = np.zeros(ws.nz ** ws.n)
-    for fam in fams:
-        us, xs, ys = fam.u[0], fam.x[0, :, 0, 0], fam.y[0, :, 0, 0]
-        good = sum(ws.typical_count(useq, xseq[None, :], yseq)
-                   for useq, xseq, yseq in zip(us, xs, ys))
-        if good < threshold:
-            star_fail += 1
-        mean = ws.outer_rows(xs, ys).sum(axis=0) / l0
-        fail_by_z += f3 & _outside(mean, theta_hat, ws.eps)
+    us = np.stack([fam.u[0] for fam in fams])
+    xs = np.stack([fam.x[0, :, 0, 0] for fam in fams]).reshape(-1, ws.n)
+    ys = np.stack([fam.y[0, :, 0, 0] for fam in fams]).reshape(-1, ws.n)
+    ctx, _ = zip_sequences(ys, us.reshape(-1, ws.n), [ws.ny, ws.nu])
+    good = _typical_rows(ws.x_given_yu.matrix, ctx, xs, ws.delta)
+    star_fail = int((good.reshape(len(fams), l0).sum(axis=1)
+                     < ws.typical_fraction_threshold(l0)).sum())
+    fail_by_z = np.zeros(ws.nz ** ws.n, dtype=np.int64)
+    for block in ws.pair_blocks(len(fams), l0):
+        means = ws.outer_rows(xs[block], ys[block]).reshape(
+            -1, l0, fail_by_z.size).sum(axis=1) / l0
+        fail_by_z += (f3 & _outside(means, theta_hat, ws.eps)).sum(axis=0)
     events = len(fams)
     return [
         _check("typical-fraction (shared-index pairs)", ws.star_bound(l0),

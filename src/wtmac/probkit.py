@@ -25,6 +25,7 @@ pure, so everything here is safe for concurrent read access.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -582,15 +583,18 @@ def n_fold(ch: Channel, n: int) -> Channel:
 _BLOCK_CELLS = 1 << 14
 # Proposals the rejection sampler makes before it gives up.
 _MAX_TRIES = 100_000
+# Uniforms one stacked sampling round tests, about 4 MB.
+_WINDOW_CELLS = 1 << 19
 
 
-def _sequence_law(law, n: int, context=None):
+def _sequence_law(law, n: int, context=None, rows: int | None = None):
     """A sequence law as (row-stochastic matrix, context, output alphabet).
 
     A :class:`Dist` is the one-row matrix under the all-zero context, so its
     context frequency N(0)/n is exactly 1.0 and every typicality decision
     matches the unconditional formula bit for bit.  A :class:`Channel` is
-    read under ``context``, a length-n sequence of its input symbols.
+    read under ``context``, a length-n sequence of its input symbols, or
+    with ``rows`` given, an (rows, n) array of them.
     """
     if n < 1:
         raise ValidationError(f"blocklength must be at least 1, got {n}")
@@ -601,7 +605,7 @@ def _sequence_law(law, n: int, context=None):
     if not isinstance(law, Channel):
         raise ValidationError("conditional typicality needs a Channel law")
     context = np.asarray(context, dtype=np.int64)
-    if context.shape != (n,):
+    if context.shape != ((n,) if rows is None else (rows, n)):
         raise ValidationError("context length mismatch")
     if context.min() < 0 or context.max() >= law.input_alphabet.size:
         raise ValidationError("context symbols out of range")
@@ -612,20 +616,35 @@ def _typical_rows(matrix: np.ndarray, context: np.ndarray, seqs: np.ndarray,
                   delta: float) -> np.ndarray:
     """Counting typicality of each row of ``seqs`` (shape (m, n)) under the
     law ``matrix[b, a] = P(a|b)`` given ``context``:
-    ``|N(a,b)/n - P(a|b) * N(b)/n| <= delta`` for every pair (a, b)."""
+    ``|N(a,b)/n - P(a|b) * N(b)/n| <= delta`` for every pair (a, b).
+
+    ``context`` is one (n,) sequence shared by all rows, or an (m, n) array
+    of one per row; each row's decision is the same either way."""
     if delta <= 0:
         raise ValidationError("typicality needs delta > 0")
     m, n = seqs.shape
+    nb, na = matrix.shape
     cells = matrix.size
-    freq = np.bincount(context, minlength=len(matrix)) / n
-    target = (matrix * freq[:, None]).ravel()
     step = max(min(_BLOCK_CELLS // max(cells, n), m), 1)
-    # flat count index (row, context symbol, symbol) minus the symbol
-    shift = context * matrix.shape[1] + np.arange(0, step * cells, cells)[:, None]
+    offsets = np.arange(0, step * cells, cells)[:, None]
+    per_row = context.ndim == 2
+    if per_row:
+        row_bases = np.arange(0, step * nb, nb)[:, None]
+    else:
+        freq = np.bincount(context, minlength=nb) / n
+        target = (matrix * freq[:, None]).ravel()
+        # flat count index (row, context symbol, symbol) minus the symbol
+        shift = context * na + offsets
     ok = np.empty(m, dtype=bool)
     for lo in range(0, m, step):
         block = seqs[lo:lo + step]
         k = len(block)
+        if per_row:
+            ctx = context[lo:lo + k]
+            freq = np.bincount((ctx + row_bases[:k]).ravel(),
+                               minlength=k * nb).reshape(k, nb) / n
+            target = (matrix * freq[:, :, None]).reshape(k, cells)
+            shift = ctx * na + offsets[:k]
         dev = np.bincount((block + shift[:k]).ravel(),
                           minlength=k * cells).reshape(k, cells) / n
         np.subtract(dev, target, out=dev)
@@ -696,6 +715,128 @@ def _draw(cdf_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (cdf_rows <= rng.random(len(cdf_rows))[:, None]).sum(axis=1)
 
 
+class ProposalStreams:
+    """The rejection sampler's proposal streams over a stack of generators.
+
+    Proposal j of a generator is its uniforms [j*n, (j+1)*n), read as one
+    symbol per position by inverse CDF, and every sequence a stream yields
+    is its next accepted proposal: bit for bit the draws of one
+    ``rng.choice`` per symbol, one proposal after another.  :meth:`sample`
+    tests a window of proposals of all streams in one kernel call.
+    Uniforms are drawn ahead; :meth:`close` leaves each generator just
+    after its last used proposal, and ``used`` counts each stream's
+    proposals.
+    """
+
+    def __init__(self, rngs, n: int):
+        if n < 1:
+            raise ValidationError(f"blocklength must be at least 1, got {n}")
+        self.rngs = list(rngs)
+        self.n = n
+        self.used = [0] * len(self.rngs)
+        self._start = [g.bit_generator.state for g in self.rngs]
+        # buffered uniforms: row j of stream s is its proposal base[s] + j
+        self._buf = np.empty((len(self.rngs), 0, n))
+        self._base = [0] * len(self.rngs)
+        # per law id: the law (keeping its id), its inverse CDF, and the
+        # proposals tested and accepted so far, which size the windows
+        self._laws: dict = {}
+
+    def _window(self, active: list, width: int) -> np.ndarray:
+        """The uniforms of the next ``width`` proposals of each active
+        stream, shape (streams, width, n); refills every stream's buffer
+        with twice that many when one runs short."""
+        rel = [self.used[s] - self._base[s] for s in active]
+        if max(rel) + width > self._buf.shape[1]:
+            left = [self._buf.shape[1] - u + b
+                    for u, b in zip(self.used, self._base)]
+            buf = np.empty((len(self.rngs), max(2 * width, *left), self.n))
+            for s, g in enumerate(self.rngs):
+                buf[s, :left[s]] = self._buf[s, self._buf.shape[1] - left[s]:]
+                g.random(out=buf[s, left[s]:])
+            self._buf, self._base = buf, list(self.used)
+            rel = [0] * len(active)
+        if len(active) == 1:
+            return self._buf[active[0], rel[0]:rel[0] + width][None]
+        return self._buf[np.array(active)[:, None],
+                         np.array(rel)[:, None] + np.arange(width)]
+
+    def sample(self, law, delta: float, count: int,
+               context=None) -> np.ndarray:
+        """The next ``count`` accepted proposals of every stream, shape
+        (streams, count, n): typical under a :class:`Dist` ``law``, or
+        under a :class:`Channel` given ``context``, a (streams, n) array of
+        one sequence per stream.  Each round tests one window of proposals
+        of every stream still short, sized from the acceptance seen so far.
+        Raises :class:`DegenerateTypicalityError` when a sequence finds no
+        typical proposal in ``_MAX_TRIES``."""
+        size, n = len(self.rngs), self.n
+        matrix, context, _ = _sequence_law(
+            law, n, context, None if context is None else size)
+        seen = self._laws.get(id(law))
+        if seen is None:
+            seen = self._laws[id(law)] = [law, _inverse_cdf(matrix), 0, 0]
+        cdf = seen[1]
+        out = np.empty((size * count, n), dtype=np.int64)
+        got = [0] * size
+        # proposals rejected since the stream's last accepted one
+        since = [0] * size
+        active = list(range(size)) if count > 0 else []
+        while active:
+            rate = (seen[3] + 1) / (seen[2] + 2)
+            need = count - min(got[s] for s in active)
+            width = min(math.ceil(1.25 * need / rate) + 4,
+                        max(_WINDOW_CELLS // (len(active) * n), 1))
+            if context.ndim == 1:
+                cdf_rows, rows_ctx = cdf[context], context
+            else:
+                ctx = context[active]
+                cdf_rows = cdf[ctx][:, None]
+                rows_ctx = (ctx[0] if len(active) == 1
+                            else np.repeat(ctx, width, axis=0))
+            seqs = (cdf_rows <= self._window(active, width)[..., None]).sum(
+                axis=3)
+            ok = _typical_rows(matrix, rows_ctx, seqs.reshape(-1, n),
+                               delta).reshape(len(active), width)
+            seen[2] += ok.size
+            rows, cols, slots, short = [], [], [], []
+            for i, (s, row) in enumerate(zip(active, ok.tolist())):
+                hits = [j for j, hit in enumerate(row) if hit]
+                seen[3] += len(hits)
+                kept = hits[:count - got[s]]
+                # the rejections before each kept proposal and, while the
+                # stream is short, after the last one
+                starts = [-1 - since[s]] + kept
+                ends = kept + [width] if got[s] + len(kept) < count else kept
+                if any(e - b > _MAX_TRIES for b, e in zip(starts, ends)):
+                    raise DegenerateTypicalityError(
+                        f"no {delta}-typical draw in {_MAX_TRIES} tries at "
+                        f"blocklength {n}")
+                rows += [i] * len(kept)
+                cols += kept
+                slots += range(s * count + got[s], s * count + got[s]
+                               + len(kept))
+                got[s] += len(kept)
+                if got[s] < count:
+                    since[s] = width - 1 - starts[-1]
+                    self.used[s] += width
+                    short.append(s)
+                else:
+                    self.used[s] += kept[-1] + 1
+            out[slots] = seqs[rows, cols]
+            active = short
+        return out.reshape(size, count, n)
+
+    def close(self) -> None:
+        """Leave each generator just after its last used proposal."""
+        for s, g in enumerate(self.rngs):
+            if self._base[s] + self._buf.shape[1] > self.used[s]:
+                g.bit_generator.state = self._start[s]
+                total = self.used[s] * self.n
+                for lo in range(0, total, _WINDOW_CELLS):
+                    g.random(min(_WINDOW_CELLS, total - lo))
+
+
 def sample_typical(law, n: int, delta: float, rng: np.random.Generator,
                    context=None) -> np.ndarray:
     """Draw one sequence from the truncated typical law by rejection.
@@ -704,12 +845,9 @@ def sample_typical(law, n: int, delta: float, rng: np.random.Generator,
     law.  Raises :class:`DegenerateTypicalityError` when no draw lands in the
     typical set within ``_MAX_TRIES`` proposals.
     """
-    matrix, rows, _ = _sequence_law(law, n, context)
-    cdf_rows = _inverse_cdf(matrix)[rows]
-    for _ in range(_MAX_TRIES):
-        seq = _draw(cdf_rows, rng)
-        if typical_membership(law, seq, delta, context):
-            return seq
-    raise DegenerateTypicalityError(
-        f"no {delta}-typical draw in {_MAX_TRIES} tries at blocklength {n}"
-    )
+    streams = ProposalStreams([rng], n)
+    try:
+        return streams.sample(law, delta, 1,
+                              None if context is None else [context])[0, 0]
+    finally:
+        streams.close()

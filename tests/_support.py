@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 
-from wtmac import optimizer
+from wtmac import optimizer, probkit
 from wtmac.casestudy import coupled_input
 from wtmac.codesim import _channel_rows, joint_typicality_decode
 from wtmac.concentration import _check, _estimated_reference_check, _outside
@@ -23,6 +23,8 @@ from wtmac.probkit import (
     Dist,
     FactoredInput,
     WiretapMAC,
+    _draw,
+    _inverse_cdf,
     _sequence_law,
     mutual_information,
     typical_mask,
@@ -529,6 +531,45 @@ def reference_sample_typical(law, n, delta, rng, context=None):
     raise DegenerateTypicalityError(f"no {delta}-typical draw")
 
 
+def reference_draw_typical(law, n, delta, rng, context=None):
+    """The per-proposal rejection loop: one inverse-CDF proposal and one
+    membership test at a time.  Returns the sequence and the proposals it
+    took: the reference for ``probkit.ProposalStreams``."""
+    matrix, rows, _ = _sequence_law(law, n, context)
+    cdf_rows = _inverse_cdf(matrix)[rows]
+    for tries in range(1, probkit._MAX_TRIES + 1):
+        seq = _draw(cdf_rows, rng)
+        if typical_membership(law, seq, delta, context):
+            return seq, tries
+    raise DegenerateTypicalityError(
+        f"no {delta}-typical draw in {probkit._MAX_TRIES} tries at "
+        f"blocklength {n}")
+
+
+def reference_codebook_family(chain, n, l_sizes, delta, seed,
+                              k_sizes=(1, 1, 1)):
+    """One family drawn a sequence at a time from its seed's generator (a u,
+    then the x's and the y's under it), with the proposals drawn: the
+    reference for ``codesim.sample_codebook_families``."""
+    (k0, k1, k2), (l0, l1, l2) = k_sizes, l_sizes
+    rng = np.random.default_rng(seed)
+    u = np.empty((k0, l0, n), dtype=np.int64)
+    x = np.empty((k0, l0, k1, l1, n), dtype=np.int64)
+    y = np.empty((k0, l0, k2, l2, n), dtype=np.int64)
+    proposals = 0
+    for a0 in range(k0):
+        for b0 in range(l0):
+            u[a0, b0], tries = reference_draw_typical(chain.p_u, n, delta, rng)
+            proposals += tries
+            for out, law in ((x, chain.x_given_u), (y, chain.y_given_u)):
+                for a in range(out.shape[2]):
+                    for b in range(out.shape[3]):
+                        out[a0, b0, a, b], tries = reference_draw_typical(
+                            law, n, delta, rng, u[a0, b0])
+                        proposals += tries
+    return u, x, y, proposals
+
+
 def reference_mc_error(code, w_b=None, trials=2000, seed=0, decode_delta=None):
     """Monte Carlo error one trial at a time: draw an index tuple, draw each
     output symbol with ``rng.choice`` and decode the output alone.  The
@@ -642,6 +683,31 @@ def reference_theta_u(ws, useq):
     zmask = typical_mask(ws.z_given_u, 3 * ws.ny * ws.nx * ws.delta, ws.n,
                          np.asarray(useq, dtype=np.int64))
     return theta, zmask
+
+
+def reference_case3_checks(ws, fams, l0):
+    """The Case-3 checks one family at a time, one typical count per pair:
+    the reference for ``concentration._case3_checks``."""
+    theta_hat, f3 = ws.theta_case3()
+    threshold = ws.typical_fraction_threshold(l0)
+    star_fail = 0
+    fail_by_z = np.zeros(ws.nz ** ws.n)
+    for fam in fams:
+        us, xs, ys = fam.u[0], fam.x[0, :, 0, 0], fam.y[0, :, 0, 0]
+        good = sum(ws.typical_count(useq, xseq[None, :], yseq)
+                   for useq, xseq, yseq in zip(us, xs, ys))
+        if good < threshold:
+            star_fail += 1
+        mean = ws.outer_rows(xs, ys).sum(axis=0) / l0
+        fail_by_z += f3 & _outside(mean, theta_hat, ws.eps)
+    events = len(fams)
+    return [
+        _check("typical-fraction (shared-index pairs)", ws.star_bound(l0),
+               star_fail / events, events),
+        _check("family-mean corridor (exact reference)",
+               min(2.0 * ws.tail(l0, ws.i_z_xy, 2.0), 1.0),
+               float(fail_by_z.max()) / events, events),
+    ]
 
 
 # The Case-1/2 concentration checks one check at a time, each walking the

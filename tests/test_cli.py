@@ -5,7 +5,9 @@ import pytest
 
 from _support import WB_62, WE_62, constant_eve_mac, example62_input
 from wtmac.cli import run
+from wtmac.codesim import CodeChain
 from wtmac.probkit import WiretapMAC
+from wtmac.regions import alpha_bounds_case1
 
 
 @pytest.fixture
@@ -228,6 +230,20 @@ class TestInvalidArgumentExit:
         assert code == 1
         err = capsys.readouterr().err
         assert any(line.startswith("error:") for line in err.splitlines())
+
+    @pytest.mark.parametrize("command", ["simulate", "leakage"])
+    def test_default_alpha_outside_interval_exits_one(self, artifacts, capsys,
+                                                      command):
+        # the explicit example's Case-1 interval is [0, 0.956]
+        tmp, ch, pp = artifacts
+        prof = CodeChain.from_factored(example62_input()).profile
+        bounds = alpha_bounds_case1(prof)
+        code = run([command, "--channel", ch, "--p", pp, "--case", "1",
+                    "--hc", "1.0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"[{bounds.alpha0}, {bounds.alpha1}]" in err
+        assert "elementary region" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_simulate_blocklength_below_one_exits_one(self, artifacts, capsys,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 
 from _support import (
     constant_eve_mac,
+    example62_input,
     point_mass,
     random_mac,
+    reference_case3_checks,
     reference_case3_theta,
     reference_case_j_values,
     reference_channel_row,
+    reference_codebook_family,
     reference_mc_error,
     reference_pair_checks,
     reference_pair_mean,
@@ -38,6 +42,7 @@ from wtmac.codesim import (
     joint_typicality_decode,
     leakage_chain_check,
     mac_average_error,
+    sample_codebook_families,
     sample_codebook_family,
     secrecy_from_variation,
     simulate_report,
@@ -59,7 +64,12 @@ from wtmac.probkit import (
 )
 from wtmac import concentration
 from wtmac.concentration import ConcentrationReport, _Workspace, _check
-from wtmac.regions import CaseLabel, randomization_rates
+from wtmac.regions import (
+    CaseLabel,
+    alpha_bounds_case1,
+    alpha_bounds_case2,
+    randomization_rates,
+)
 
 
 def chain_for(mac, p_u=None, x_given_u=None, y_given_u=None):
@@ -123,6 +133,26 @@ def reference_errors(code, delta, w_b=None):
     return decoded, tuple_err, msg_err, mac_err / len(tuples)
 
 
+@st.composite
+def zero_mass_chains(draw):
+    """A random chain with |U|, |X|, |Y| in {1, 2, 3} whose laws each put no
+    mass on one symbol per row (when the row has two or more)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, x, y = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def law(rows, size):
+        mass = rng.dirichlet(np.ones(size), size=rows)
+        if size > 1:
+            mass[np.arange(rows), rng.integers(0, size, size=rows)] = 0.0
+        return mass / mass.sum(axis=1, keepdims=True)
+
+    mac = WiretapMAC.from_rows(rng.dirichlet(np.ones(4), size=x * y),
+                               x, y, 2, 2)
+    return CodeChain(Dist.from_mass(law(1, u)[0]),
+                     Channel.from_matrix(law(u, x)),
+                     Channel.from_matrix(law(u, y)), mac)
+
+
 class TestSampling:
     def test_deterministic_chain_constant(self):
         mac = noiseless_bob_mac()
@@ -183,6 +213,32 @@ class TestSampling:
         chain = coupled_chain(noiseless_bob_mac())
         with pytest.raises(ValidationError, match="blocklength"):
             sample_codebook_family(chain, n, (2, 1, 1), 0.3, seed=0)
+
+    # delta >= 1/n keeps every typical set non-empty: rounding n * P to
+    # counts is off by less than 1 per symbol, and zero-mass symbols stay 0
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(zero_mass_chains(), st.integers(3, 9),
+           st.tuples(*[st.integers(1, 3)] * 3),
+           st.tuples(*[st.integers(1, 3)] * 3),
+           st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=12),
+           st.sampled_from([0.34, 0.4, 0.5]))
+    def test_lockstep_families_match_per_family_loop(self, chain, n, l_sizes,
+                                                     k_sizes, seeds, delta):
+        fams = sample_codebook_families(chain, n, l_sizes, delta, seeds,
+                                        k_sizes)
+        assert [f.seed for f in fams] == seeds
+        for fam, seed in zip(fams, seeds):
+            u, x, y, proposals = reference_codebook_family(
+                chain, n, l_sizes, delta, seed, k_sizes)
+            assert np.array_equal(fam.u, u)
+            assert np.array_equal(fam.x, x)
+            assert np.array_equal(fam.y, y)
+            assert fam.proposals == proposals
+        one = sample_codebook_family(chain, n, l_sizes, delta, seeds[-1],
+                                     k_sizes)
+        assert np.array_equal(one.x, fams[-1].x)
+        assert one.proposals == fams[-1].proposals
+        assert replace(one, proposals=0).to_csv() == one.to_csv()
 
 
 class TestBuild:
@@ -307,6 +363,26 @@ class TestBuild:
                                   alpha=0.5, n2=3)
         assert len(code.families) == 2
         assert code.n_total == 6
+
+    def test_default_alpha_outside_interval_names_it(self):
+        # on the explicit example the Case-0/1 interval is [0, 0.956] and
+        # Case 2's at hc = 1 is [0, 0.959]: both exclude the default alpha = 1
+        p = example62_input()
+        prof = CodeChain.from_factored(p).profile
+        for case, bounds in ((CaseLabel.CASE0, alpha_bounds_case1(prof)),
+                             (CaseLabel.CASE1, alpha_bounds_case1(prof)),
+                             (CaseLabel.CASE2, alpha_bounds_case2(prof, 1.0))):
+            assert not bounds.degenerate and bounds.alpha1 < 1.0
+            with pytest.raises(PreconditionError) as info:
+                build_wiretap_code(p, case, (0.0, 0.0, 0.0), hc=1.0, n=4,
+                                   delta=0.3, slack=0.25)
+            message = str(info.value)
+            assert f"[{bounds.alpha0}, {bounds.alpha1}]" in message
+            assert "pass an alpha" in message and "n2" in message
+            # an alpha from the interval builds
+            code = build_wiretap_code(p, case, (0.0, 0.0, 0.0), hc=1.0, n=4,
+                                      n2=4, delta=0.3, slack=0.25, alpha=0.5)
+            assert len(code.families) == 2
 
     def test_rate_targets_validated(self):
         rng = np.random.default_rng(6)
@@ -1147,6 +1223,77 @@ class TestPairChecks:
         assert not rep.partial
         assert calls == {"pair_mean": resamples * l0 if l2 > 1 else 0,
                          "inner_mean": resamples * l0 * l2}
+
+
+class TestCase3Checks:
+    """The stacked Case-3 checks against the per-family loop in
+    ``tests/_support.py``, and the work each report does."""
+
+    # n * delta >= 1 keeps every typical set non-empty
+    @CHAIN_SETTINGS
+    @given(random_chains(), st.integers(1, 4), st.integers(0, 2**16))
+    def test_report_matches_per_family_reference(self, chain, l0, seed):
+        n, delta, eps, resamples = 4, 0.3, 0.3, 5
+        fam = sample_codebook_family(chain, n, (l0, 1, 1), delta, seed=seed)
+        rep = concentration_report(fam, eps=eps, resamples=resamples,
+                                   seed=seed)
+        ws = _Workspace(chain, n, delta, eps, DEFAULT_SLACK,
+                        DEFAULT_TAIL_EXPONENT)
+        fams = [sample_codebook_family(chain, n, (l0, 1, 1), delta,
+                                       seed + 7919 * i)
+                for i in range(resamples)]
+        want = ConcentrationReport(reference_case3_checks(ws, fams, l0),
+                                   rep.params)
+        assert rep.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize("budget", [1, 2 * 3 * 2**5, 10 * 2**5])
+    def test_cell_budget_blocks_keep_theta_and_report(self, monkeypatch,
+                                                      budget):
+        chain = TestConcentration().chain(seed=57)
+        fam = sample_codebook_family(chain, 5, (3, 1, 1), 0.35, seed=58)
+        ws = _Workspace(chain, 5, 0.35, 0.3, 0.05, 2.0)
+        theta = ws.theta_case3()
+        rep = concentration_report(fam, eps=0.3, resamples=7, seed=59)
+        monkeypatch.setattr(concentration, "CELL_BUDGET", budget)
+        blocked = _Workspace(chain, 5, 0.35, 0.3, 0.05, 2.0).theta_case3()
+        assert all(np.array_equal(a, b) for a, b in zip(theta, blocked))
+        assert (concentration_report(fam, eps=0.3, resamples=7,
+                                     seed=59).to_json_dict()
+                == rep.to_json_dict())
+
+    def test_one_family_draw_per_report_one_row_call_per_u(self,
+                                                           monkeypatch):
+        draws = []
+        draw = concentration.sample_codebook_families
+
+        def counted_draw(*args, **kwargs):
+            draws.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(concentration, "sample_codebook_families",
+                            counted_draw)
+        row_calls = []
+        rows = _Workspace.outer_rows
+
+        def counted_rows(self, xs, ys):
+            row_calls.append(len(xs))
+            return rows(self, xs, ys)
+
+        monkeypatch.setattr(_Workspace, "outer_rows", counted_rows)
+        chain = TestConcentration().chain(seed=57)
+        for l_sizes in ((3, 1, 1), (2, 2, 2)):
+            draws.clear()
+            fam = sample_codebook_family(chain, 5, l_sizes, 0.35, seed=58)
+            rep = concentration_report(fam, eps=0.3, resamples=7, seed=59)
+            assert not rep.partial
+            assert len(draws) == 1 and len(draws[0][4]) == 7
+        ws = _Workspace(chain, 5, 0.35, 0.3, 0.05, 2.0)
+        row_calls.clear()
+        ws.theta_case3()
+        useqs = ws.typical_given(chain.p_u)[0]
+        assert len(row_calls) == len(useqs)
+        ys = [len(ws.typical_given(chain.y_given_u, u)[0]) for u in useqs]
+        assert max(ys) > 1
 
 
 class TestSimReport:

@@ -6,6 +6,7 @@ from scipy.stats import chisquare
 
 from _support import (
     point_mass,
+    reference_draw_typical,
     reference_sample_typical,
     sequence_index,
     sequence_mass,
@@ -29,7 +30,9 @@ from wtmac.probkit import (
     Channel,
     Dist,
     FactoredInput,
+    ProposalStreams,
     WiretapMAC,
+    _typical_rows,
     all_sequences,
     entropy,
     joint_from_factors,
@@ -466,6 +469,112 @@ class TestSequenceLawKernel:
         # n = 5, delta = 0.05: no count of a fair coin is typical
         with pytest.raises(DegenerateTypicalityError, match="in 5 tries"):
             sample_typical(Dist.uniform(2), 5, 0.05, np.random.default_rng(0))
+
+    def test_per_row_contexts_match_row_by_row_calls(self, monkeypatch):
+        # 4 x 3 cells and n = 7: a step of 50 // 12 = 4 rows, so 10 rows span
+        # three blocks
+        rng = np.random.default_rng(35)
+        _, ch = _zero_mass_laws(rng, contexts=4)
+        ctx = rng.integers(0, 4, size=(10, 7))
+        seqs = rng.integers(0, 3, size=(10, 7))
+        for delta in (0.1, 0.15, 0.25, 0.3, 0.6):
+            whole = _typical_rows(ch.matrix, ctx, seqs, delta)
+            monkeypatch.setattr(probkit, "_BLOCK_CELLS", 50)
+            blocked = _typical_rows(ch.matrix, ctx, seqs, delta)
+            rows = [_typical_rows(ch.matrix, c, s[None, :], delta)[0]
+                    for c, s in zip(ctx, seqs)]
+            shared = _typical_rows(ch.matrix, ctx[0], seqs, delta)
+            monkeypatch.undo()
+            assert np.array_equal(whole, rows)
+            assert np.array_equal(blocked, rows)
+            assert np.array_equal(
+                shared, _typical_rows(ch.matrix, np.tile(ctx[0], (10, 1)),
+                                      seqs, delta))
+            if delta == 0.25:
+                assert whole.any() and not whole.all()
+
+    # one proposal per stream and round at the smallest window: sequences
+    # then span rounds and buffer refills
+    @pytest.mark.parametrize("window_cells", [None, 1])
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_stacked_streams_match_per_stream_loops(self, monkeypatch,
+                                                    conditional, window_cells):
+        if window_cells:
+            monkeypatch.setattr(probkit, "_WINDOW_CELLS", window_cells)
+        rng = np.random.default_rng(36)
+        for trial in range(6):
+            d, ch = _zero_mass_laws(rng)
+            n = int(rng.integers(3, 9))
+            seeds = [int(s) for s in rng.integers(1 << 30, size=5)]
+            ours = [np.random.default_rng(s) for s in seeds]
+            refs = [np.random.default_rng(s) for s in seeds]
+            streams = ProposalStreams(ours, n)
+            for count in (1, 7, 2):
+                ctx = rng.integers(0, 3, size=(len(seeds), n))
+                got = (streams.sample(ch, 0.35, count, ctx) if conditional
+                       else streams.sample(d, 0.35, count))
+                assert got.shape == (len(seeds), count, n)
+                for s, ref in enumerate(refs):
+                    for i in range(count):
+                        want = (reference_draw_typical(ch, n, 0.35, ref, ctx[s])
+                                if conditional else
+                                reference_draw_typical(d, n, 0.35, ref))[0]
+                        assert np.array_equal(got[s, i], want)
+            streams.close()
+            for g, ref in zip(ours, refs):
+                assert g.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("window_cells", [None, 1])
+    def test_max_tries_counts_the_proposals_of_one_sequence(self, monkeypatch,
+                                                            window_cells):
+        # at n = 5, delta = 0.05 only N(0) = 3 is typical (probability 0.35)
+        d = Dist.from_mass([0.6, 0.4])
+        seeds = range(8)
+        tries = []
+        for seed in seeds:
+            ref = np.random.default_rng(seed)
+            tries += [reference_draw_typical(d, 5, 0.05, ref)[1]
+                      for _ in range(3)]
+        most = max(tries)
+        firsts = [s for s in range(40) if reference_draw_typical(
+            d, 5, 0.05, np.random.default_rng(s))[1] == 1]
+        assert most > 1 and len(firsts) > 1
+        if window_cells:
+            monkeypatch.setattr(probkit, "_WINDOW_CELLS", window_cells)
+        monkeypatch.setattr(probkit, "_MAX_TRIES", most)
+        ProposalStreams([np.random.default_rng(s) for s in seeds], 5).sample(
+            d, 0.05, 3)
+        monkeypatch.setattr(probkit, "_MAX_TRIES", most - 1)
+        with pytest.raises(DegenerateTypicalityError,
+                           match=f"in {most - 1} tries at blocklength 5"):
+            ProposalStreams([np.random.default_rng(s) for s in seeds],
+                            5).sample(d, 0.05, 3)
+        # rejections in a window past a stream's last used proposal count
+        # for no sequence
+        monkeypatch.setattr(probkit, "_MAX_TRIES", 1)
+        got = ProposalStreams([np.random.default_rng(s) for s in firsts],
+                              5).sample(d, 0.05, 1)
+        assert got.shape == (len(firsts), 1, 5)
+
+    def test_stack_gives_up_on_one_degenerate_stream(self, monkeypatch):
+        # X | U = 0 is a fair coin: under the all-zero context N(x, 0) would
+        # have to sit in [2.25, 2.75] at n = 5, delta = 0.05, which holds no
+        # integer; one U = 1 (whose X is always 0) moves it to [1.75, 2.25]
+        ch = Channel.from_matrix([[0.5, 0.5], [1.0, 0.0]])
+        fine, stuck = [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]
+        monkeypatch.setattr(probkit, "_MAX_TRIES", 200)
+        streams = ProposalStreams(
+            [np.random.default_rng(s) for s in (1, 2, 3)], 5)
+        with pytest.raises(DegenerateTypicalityError,
+                           match="no 0.05-typical draw in 200 tries"):
+            streams.sample(ch, 0.05, 4, [fine, stuck, fine])
+        ours = [np.random.default_rng(s) for s in (1, 3)]
+        got = ProposalStreams(ours, 5).sample(ch, 0.05, 4, [fine, fine])
+        for seed, seqs in zip((1, 3), got):
+            ref = np.random.default_rng(seed)
+            for seq in seqs:
+                want = reference_draw_typical(ch, 5, 0.05, ref, fine)[0]
+                assert np.array_equal(seq, want)
 
     @pytest.mark.parametrize("conditional", [False, True])
     def test_sampler_frequencies_follow_truncated_law(self, conditional):
