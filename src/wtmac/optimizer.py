@@ -24,6 +24,7 @@ from .regions import (
     CaseLabel,
     InfoProfile,
     RatePolytope,
+    _scores,
     batch_vertices,
     classify_profile,
     info_profiles,
@@ -317,7 +318,7 @@ def _best_along(case_vertices, weights: np.ndarray):
     for case, verts in case_vertices:
         if verts.shape[0] == 0:
             continue
-        scores = verts @ weights
+        scores = _scores(verts, weights)
         idx = int(np.argmax(scores))
         if scores[idx] > best[0]:
             best = (float(scores[idx]), case, verts[idx])
@@ -377,7 +378,7 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
         for i, case_verts in enumerate(score.vertices(candidates[:evaluations])):
             verts = [v for _, v in case_verts if v.shape[0]]
             if verts:
-                best[i] = (np.vstack(verts) @ dirs.T).max(axis=0)
+                best[i] = _scores(np.vstack(verts)[:, None], dirs).max(axis=0)
         for d, i in enumerate(np.argmax(best, axis=0)):
             if best[i, d] > -1.0:
                 per_dir[d] = (float(best[i, d]), candidates[i])

@@ -52,6 +52,16 @@ RATE_COEFFS.setflags(write=False)
 RATE_NAMES = ("R1 bound", "R2 bound", "R1+R2 bound", "R0+R1+R2 bound")
 
 
+def _scores(verts, dirs):
+    """Weighted rates sum_i v[..., i] w[..., i], summed in coordinate order
+    with the two arrays broadcast against each other: a score's bits depend
+    on its vertex and direction only, never on how many share the call."""
+    total = verts[..., 0] * dirs[..., 0]
+    for i in range(1, verts.shape[-1]):
+        total = total + verts[..., i] * dirs[..., i]
+    return total
+
+
 def _pos(x: float) -> float:
     """Positive part, exact (no tolerance)."""
     return x if x > 0.0 else 0.0

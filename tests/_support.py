@@ -40,6 +40,7 @@ from wtmac.regions import (
     RatePolytope,
     _alpha_grid,
     _case1_bounds,
+    _scores,
     classify_profile,
     info_profile,
     region_common,
@@ -450,7 +451,7 @@ def _reference_best_along(p, mode, weights, profile):
     for case, verts in _reference_case_vertices(p, mode, profile):
         if verts.shape[0] == 0:
             continue
-        scores = verts @ weights
+        scores = _scores(verts, weights)
         idx = int(np.argmax(scores))
         if scores[idx] > best[0]:
             best = (float(scores[idx]), case, verts[idx])
@@ -482,7 +483,7 @@ def reference_search(mac, mode, cfg, profile=reference_info_profile):
                        if verts.shape[0]]
         if not vertex_sets:
             continue
-        best_per_dir = (np.vstack(vertex_sets) @ dirs.T).max(axis=0)
+        best_per_dir = _scores(np.vstack(vertex_sets)[:, None], dirs).max(axis=0)
         for d in range(len(dirs)):
             if best_per_dir[d] > per_dir[d][0]:
                 per_dir[d] = (float(best_per_dir[d]), params)
