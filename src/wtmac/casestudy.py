@@ -28,6 +28,7 @@ from .probkit import (
 from .regions import (
     AlphaBounds,
     CaseLabel,
+    _columns,
     alpha_bounds_case1,
     classify_profile,
     info_profile,
@@ -66,10 +67,10 @@ class GapPoint:
     d2_gap_dq2: float
 
 
-def _bias_rows(mac: WiretapMAC, q, r) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _bias_rows(mac: WiretapMAC | None, q, r) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The broadcast shape of q and r, and the laws (q, 1 - q), (r, 1 - r)
-    stacked one input per row; the MAC must have binary inputs."""
-    if mac.x_alphabet.size != 2 or mac.y_alphabet.size != 2:
+    stacked one input per row; a MAC given must have binary inputs."""
+    if mac is not None and (mac.x_alphabet.size != 2 or mac.y_alphabet.size != 2):
         raise ValidationError("independent binary inputs need |X| = |Y| = 2")
     q, r = np.broadcast_arrays(np.asarray(q, float), np.asarray(r, float))
     return (q.shape, np.stack([q.ravel(), 1.0 - q.ravel()], axis=1),
@@ -82,10 +83,9 @@ def independent_gaps(mac: WiretapMAC, q, r) -> np.ndarray:
     batch with |U| = 1 and identity prefixes."""
     shape, px, py = _bias_rows(mac, q, r)
     ident = np.broadcast_to(np.eye(2), (len(px), 2, 2))
-    batch = info_profiles(np.ones((len(px), 1)), px[:, None], py[:, None],
-                          ident, ident, mac.tensor)
-    return np.array([prof.iz_v12 - prof.it_v12
-                     for prof in batch.profiles]).reshape(shape)
+    prof = _columns(info_profiles(np.ones((len(px), 1)), px[:, None], py[:, None],
+                                  ident, ident, mac.tensor).profiles)
+    return (prof.iz_v12 - prof.it_v12).reshape(shape)
 
 
 def _fisher_sums(w: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -105,9 +105,13 @@ def gap_curvatures(mac: WiretapMAC, q, r) -> tuple[np.ndarray, np.ndarray]:
     in r.  At an interior input P(o) = 0 forces dP(o)/dq = 0, so such a term
     contributes 0.
     """
-    shape, px, py = _bias_rows(mac, q, r)
-    d2 = (_fisher_sums(mac.tensor.sum(axis=3), px, py)
-          - _fisher_sums(mac.tensor.sum(axis=2), px, py)) / LN2
+    return _curvatures(mac.tensor.sum(axis=3), mac.tensor.sum(axis=2),
+                       *_bias_rows(mac, q, r))
+
+
+def _curvatures(w_t, w_z, shape, px, py) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gap_curvatures` from marginal channels w_t[x,y,t], w_z[x,y,z]."""
+    d2 = (_fisher_sums(w_t, px, py) - _fisher_sums(w_z, px, py)) / LN2
     return d2[:, 0].reshape(shape), d2[:, 1].reshape(shape)
 
 
@@ -186,13 +190,13 @@ def equal_input_witness(scan_points: int = 99) -> EqualInputWitness:
     p0s = np.append(np.linspace(0.0, 1.0, scan_points + 2)[1:-1], 0.5)
     p_u = np.stack([p0s, 1.0 - p0s], axis=1)
     ident = np.broadcast_to(np.eye(2), (p0s.size, 2, 2))
-    *profs, uniform = info_profiles(p_u, ident, ident, ident, ident,
-                                    mac.tensor).profiles
-    scanned = tuple((p0, prof.it_v12) for p0, prof in zip(p0s.tolist(), profs))
+    prof = _columns(info_profiles(p_u, ident, ident, ident, ident,
+                                  mac.tensor).profiles)
+    *scanned, _ = zip(p0s.tolist(), prof.it_v12.tolist())
     # max keeps the first of tied maxima
     best_p0 = max(scanned, key=lambda point: point[1])[0]
-    return EqualInputWitness(i_t=uniform.it_v12, i_z=uniform.iz_v12,
-                             best_p0=best_p0, scanned=scanned)
+    return EqualInputWitness(i_t=float(prof.it_v12[-1]), i_z=float(prof.iz_v12[-1]),
+                             best_p0=best_p0, scanned=tuple(scanned))
 
 
 @dataclass
@@ -306,9 +310,7 @@ def _needs_time_sharing(mac: WiretapMAC, q: float, r: float,
         if cand.iz_v1_u > cand.it_v1_v2u or cand.iz_v2_u > cand.it_v2_v1u:
             continue  # zero-randomness conditions fail under this assignment
         ab = alpha_bounds_case1(cand)
-        if ab.degenerate:
-            continue
-        if ab.alpha0 > ab.alpha1:
+        if ab.degenerate or ab.alpha0 > ab.alpha1:
             continue
         if ab.alpha0 > tol or ab.alpha1 < 1.0 - tol:
             return {
@@ -364,17 +366,27 @@ def bruteforce_search(budget: int, seed: int, predicate: str,
     ``conferencing-helps``: independent inputs never beat the eavesdropper
     while some coupled input does.  Channel rows are uniform on the simplex,
     input biases uniform on [0.05, 0.95]; deterministic under the seed.
+    A ``conferencing-helps`` channel is built only once its drawn marginals
+    pass the curvature test, which about 2% do.
     """
     if predicate not in ("needs-time-sharing", "conferencing-helps"):
         raise ValidationError(f"unknown predicate {predicate!r}")
     rng = np.random.default_rng(seed)
+    qs = np.linspace(0.1, 0.9, 7)  # the curvature grid of _conferencing_helps
+    bias_rows = _bias_rows(None, qs[:, None], qs[None, :])
     found = []
     for _ in range(budget):
         rows_b = rng.dirichlet(np.ones(2), size=4)
         rows_e = rng.dirichlet(np.ones(2), size=4)
-        mac = WiretapMAC.from_marginals(rows_b, rows_e)
         q = float(rng.uniform(0.05, 0.95))
         r = float(rng.uniform(0.05, 0.95))
+        # the curvature test of _conferencing_helps on the drawn rows, before a
+        # channel is built; 1e-9 covers the last bits its marginals differ by
+        if predicate == "conferencing-helps" and max(map(np.max, _curvatures(
+                rows_b.reshape(2, 2, -1), rows_e.reshape(2, 2, -1),
+                *bias_rows))) >= -tol + 1e-9:
+            continue
+        mac = WiretapMAC.from_marginals(rows_b, rows_e)
         if predicate == "needs-time-sharing":
             cert = _needs_time_sharing(mac, q, r, tol)
         else:

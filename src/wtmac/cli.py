@@ -41,7 +41,7 @@ from .probkit import FactoredInput, WiretapMAC
 from .regions import (
     CaseLabel,
     InfoProfile,
-    _profile_batch,
+    _resolve,
     classify_profile,
     random_hull_instance,
     random_union_instance,
@@ -90,8 +90,7 @@ def _load_input(path: str, mac: WiretapMAC) -> FactoredInput:
 
 def _load_profile(args) -> tuple[InfoProfile, bool]:
     """The input's profile and u-independence flag, from one kernel call."""
-    batch = _profile_batch(_load_input(args.p, _load_channel(args.channel)))
-    return batch.profiles[0], bool(batch.u_independent[0])
+    return _resolve(_load_input(args.p, _load_channel(args.channel)))
 
 
 def _cmd_info(args) -> dict:
@@ -107,37 +106,31 @@ def _cmd_classify(args) -> dict:
             "warnings": list(report.warnings)}
 
 
-def _cmd_region(args) -> dict:
-    prof, u_ind = _load_profile(args)
-    cases = classify_profile(prof, args.hc, u_independent=u_ind).cases
+def _case_regions(args, hc: float, cases, build) -> dict:
+    """The JSON of ``build(case)`` for each case (only ``args.case`` if given)."""
     if args.case is not None:
         cases = {CaseLabel(args.case)} & cases
         if not cases:
             raise ValidationError(
-                f"input does not classify as case {args.case} at hc={args.hc}")
-    out = {"hc": args.hc, "regions": {}}
-    for case in sorted(cases):
-        poly = region_common(prof, args.hc, case, check_membership=False,
-                             u_independent=u_ind)
-        out["regions"][case.name] = poly.to_json_dict()
-    return out
+                f"input does not classify as case {args.case} at hc={hc}")
+    return {case.name: build(case).to_json_dict() for case in sorted(cases)}
+
+
+def _cmd_region(args) -> dict:
+    prof, u_ind = _load_profile(args)
+    cases = classify_profile(prof, args.hc, u_independent=u_ind).cases
+    return {"hc": args.hc, "regions": _case_regions(
+        args, args.hc, cases, lambda case: region_common(
+            prof, args.hc, case, check_membership=False, u_independent=u_ind))}
 
 
 def _cmd_conf_region(args) -> dict:
     prof, _ = _load_profile(args)
-    cases = classify_profile(prof, args.c1 + args.c2).cases - {CaseLabel.CASE0}
-    if args.case is not None:
-        cases = {CaseLabel(args.case)} & cases
-        if not cases:
-            raise ValidationError(
-                f"input does not classify as case {args.case} at "
-                f"hc={args.c1 + args.c2}")
-    out = {"c1": args.c1, "c2": args.c2, "regions": {}}
-    for case in sorted(cases):
-        region = region_conferencing(prof, args.c1, args.c2, case,
-                                     alpha_points=args.alpha_points)
-        out["regions"][case.name] = region.to_json_dict()
-    return out
+    hc = args.c1 + args.c2
+    cases = classify_profile(prof, hc).cases - {CaseLabel.CASE0}
+    return {"c1": args.c1, "c2": args.c2, "regions": _case_regions(
+        args, hc, cases, lambda case: region_conferencing(
+            prof, args.c1, args.c2, case, alpha_points=args.alpha_points))}
 
 
 def _cmd_optimize(args) -> dict:

@@ -600,7 +600,8 @@ def _unique_hits(typical: np.ndarray) -> np.ndarray:
 
 
 def joint_typicality_decode(code: WiretapCode, delta: float, t_seq):
-    """Decode an output sequence to the unique jointly typical index tuple.
+    """Decode an output sequence to the unique jointly typical index tuple:
+    the one-output form of the stacked decode that the error audits run.
 
     Returns (message triple, per-family l-tuples) or None on a miss or tie;
     concatenated codes require every segment to be typical.

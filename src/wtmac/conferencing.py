@@ -31,9 +31,11 @@ from .regions import (
     InfoProfile,
     RatePolytope,
     _case1_bounds,
+    _case2_interval,
+    _columns,
+    _first,
     _pos,
     _resolve,
-    alpha_bounds_case2,
     batch_vertices,
     classify_profile,
     elementary_region,
@@ -97,14 +99,13 @@ def beta_bounds(prof: InfoProfile, case: CaseLabel, alpha: float,
     j0 = j0_alpha(prof, case, alpha)
     if j0 <= 1e-12:  # no randomness needed; any split works
         return BetaBounds(0.0, 1.0, unconstrained=True)
-    return BetaBounds(_pos(1.0 - caps.c2 / j0), min(caps.c1 / j0, 1.0))
+    return BetaBounds(float(_pos(1.0 - caps.c2 / j0)), min(caps.c1 / j0, 1.0))
 
 
-def _piece_bounds(prof: InfoProfile, case: CaseLabel,
-                  alpha: float) -> tuple[float, float, float]:
-    """(r1, r2, J0) of one conferencing piece: the R1 and R2 bounds of the
-    matching common-message region (the elementary one at ``alpha`` in
-    Case 2) and the shared randomization rate the links carry."""
+def _piece_bounds(prof, case: CaseLabel, alpha) -> tuple:
+    """(r1, r2, J0) of conferencing pieces: the R1, R2 bounds of the matching
+    common-message region (elementary at ``alpha`` in Case 2) and the shared
+    randomization rate the links carry, broadcast over columns and alphas."""
     if case not in (CaseLabel.CASE1, CaseLabel.CASE2, CaseLabel.CASE3):
         raise PreconditionError("conferencing regions exist for Cases 1-3 only")
     j0, j1, j2 = randomization_rates(prof, case, alpha)
@@ -113,9 +114,9 @@ def _piece_bounds(prof: InfoProfile, case: CaseLabel,
     return prof.it_v1_v2u - j1, prof.it_v2_v1u - j2, j0
 
 
-def _sum_bound(prof: InfoProfile, c1: float, c2: float) -> float:
+def _sum_bound(prof, c1: float, c2: float):
     """The sum-rate bound every conferencing piece shares."""
-    return min(prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
+    return _first(np.less, prof.it_v12_u + c1 + c2, prof.it_v12) - prof.iz_v12
 
 
 def elementary_conf_region(prof: InfoProfile, case: CaseLabel, alpha: float,
@@ -208,49 +209,51 @@ class ConferencingRegion:
         }
 
 
+def conf_rhs(profiles: np.ndarray, c1: float, c2: float, case: CaseLabel,
+             alpha_points: int):
+    """(rhs, alphas, pieces): each profile row's conferencing pieces of one
+    case, regardless of its gates, as (N, P, 3) rhs over ``CONF_COEFFS``,
+    (N, P) alphas and the mask of the pieces that exist: Case 2 has a grid of
+    ``alpha_points`` (one at alpha 0 if degenerate, none if empty).  Each
+    piece raises the R1, R2 bounds of the matching common-message region by
+    the link capacities, less what of the randomness cost j0 the other link
+    cannot carry, under one sum bound."""
+    ConferencingCapacities(c1, c2)
+    alphas, pieces = np.zeros((len(profiles), 1)), np.ones((len(profiles), 1), bool)
+    if case == CaseLabel.CASE2:
+        alpha0, alpha1, flat = _case2_interval(_columns(profiles), c1 + c2)
+        ends = np.where(flat, 0.0, [alpha0, alpha1]).T
+        alphas = np.array([np.linspace(a, b, alpha_points) for a, b in ends])
+        pieces = ((flat | ~(alpha0 > alpha1))[:, None]
+                  & (~flat[:, None] | (np.arange(alpha_points) == 0)))
+    p = _columns(profiles[:, None])
+    r1, r2, j0 = _piece_bounds(p, case, alphas)
+    rhs = (r1 + c1 - _pos(j0 - c2), r2 + c2 - _pos(j0 - c1), _sum_bound(p, c1, c2))
+    return np.stack(np.broadcast_arrays(*rhs), axis=-1), alphas, pieces
+
+
 def region_conferencing(p_or_prof, c1: float, c2: float, case: CaseLabel, *,
                         alpha_points: int = 101,
                         check_membership: bool = True) -> ConferencingRegion:
-    """The case region achievable with conferencing capacities (c1, c2).
-
-    Classification runs against the combined bound H_C = c1 + c2.  Case 2 is
-    a union over the time-sharing fraction, materialized on a grid (101
-    points by default); the hull of the union's vertices is taken on demand.
-    Every piece raises the R1 and R2 bounds (r1, r2) of the matching
-    common-message region by the link capacities, less the part of the
-    randomness cost j0 that the other link cannot carry, under one sum bound.
-    """
-    caps = ConferencingCapacities(c1, c2)
+    """The case region with conferencing capacities (c1, c2) of one input
+    or profile: its row of :func:`conf_rhs`, classified against H_C = c1 + c2,
+    for the CLI and single-input calls.  Case 2 is a union over a grid of
+    ``alpha_points`` time-sharing fractions."""
+    ConferencingCapacities(c1, c2)
     if alpha_points < 1:
         raise ValidationError(f"alpha_points={alpha_points} must be >= 1")
     prof, _ = _resolve(p_or_prof)
     case = CaseLabel(case)
-    hc = c1 + c2
-    if check_membership:
-        cases = classify_profile(prof, hc).cases
-        if case not in cases:
-            raise PreconditionError(
-                f"input does not classify as {case.name} at H_C=C1+C2={hc}"
-            )
-    alphas = [None]
-    if case == CaseLabel.CASE2:
-        ab = alpha_bounds_case2(prof, hc)
-        if ab.degenerate:
-            alphas = [0.0]
-        else:
-            if ab.alpha0 > ab.alpha1:
-                raise PreconditionError("Case-2 time-sharing interval is empty")
-            alphas = [float(a) for a in np.linspace(ab.alpha0, ab.alpha1,
-                                                     alpha_points)]
-    s = _sum_bound(prof, c1, c2)
-    pieces = []
-    for alpha in alphas:
-        r1, r2, j0 = _piece_bounds(prof, case, 0.0 if alpha is None else alpha)
-        pieces.append((alpha, RatePolytope(
-            2, CONF_COEFFS,
-            np.array([r1 + c1 - _pos(j0 - c2), r2 + c2 - _pos(j0 - c1), s]),
-            CONF_NAMES)))
-    return ConferencingRegion(case, tuple(pieces))
+    if check_membership and case not in classify_profile(prof, c1 + c2).cases:
+        raise PreconditionError(
+            f"input does not classify as {case.name} at H_C=C1+C2={c1 + c2}")
+    rhs, alphas, pieces = conf_rhs(prof.array()[None], c1, c2, case, alpha_points)
+    if not pieces.any():
+        raise PreconditionError("Case-2 time-sharing interval is empty")
+    return ConferencingRegion(case, tuple(
+        (float(alpha) if case == CaseLabel.CASE2 else None,
+         RatePolytope(2, CONF_COEFFS, row, CONF_NAMES))
+        for alpha, row in zip(alphas[pieces], rhs[pieces])))
 
 
 @dataclass(frozen=True)
@@ -401,12 +404,9 @@ def build_conference(k1: int, k2: int, l0: int, beta: float,
                 f"link {side}: share {k} x randomness {part} = {k * part} "
                 f"exceeds floor(2^(n*C{side})) = {limit}"
             )
-    link1 = np.zeros((k1, k1 * part1))
-    for m in range(k1):
-        link1[m, m * part1:(m + 1) * part1] = 1.0 / part1
-    link2 = np.zeros((k2, k2 * part2))
-    for m in range(k2):
-        link2[m, m * part2:(m + 1) * part2] = 1.0 / part2
+    # each share index announces itself with a uniform randomness index
+    link1 = np.kron(np.eye(k1), np.full(part1, 1.0 / part1))
+    link2 = np.kron(np.eye(k2), np.full(part2, 1.0 / part2))
     return WillemsConference(
         iterations=1, k1=k1, k2=k2, l0=l0, l0_part1=part1, l0_part2=part2,
         link1=link1, link2=link2, n=n, capacities=caps,

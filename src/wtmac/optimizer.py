@@ -18,19 +18,19 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .probkit import Alphabet, Channel, Dist, FactoredInput, WiretapMAC
 from .regions import (
     CaseLabel,
-    InfoProfile,
-    RatePolytope,
+    _columns,
+    _inside,
     _scores,
-    batch_vertices,
-    classify_profile,
+    case_rhs,
+    classify_profiles,
     info_profiles,
-    region_common,
+    stacked_vertices,
 )
-from .conferencing import region_conferencing
+from .conferencing import CONF_COEFFS, conf_rhs
 
 # Local refinement: the initial Gaussian step and its shrink factor after
 # each rejected trial.
@@ -139,16 +139,13 @@ class _Parameterization:
             out.append(np.concatenate([np.full(nx, 1 / nx), np.full(ny, 1 / ny)]))
             return out
         u, v1, v2 = self.sizes
-        # independent uniform inputs: the auxiliaries ignore U
-        blocks = [np.full((1, u), 1 / u), np.full((u, v1), 1 / v1),
-                  np.full((u, v2), 1 / v2), _wrapped_identity(v1, nx),
-                  _wrapped_identity(v2, ny)]
-        out.append(np.concatenate([b.ravel() for b in blocks]))
-        # coupled uniform input: both senders track the shared symbol exactly
-        blocks = [np.full((1, u), 1 / u), _wrapped_identity(u, v1),
-                  _wrapped_identity(u, v2), _wrapped_identity(v1, nx),
-                  _wrapped_identity(v2, ny)]
-        out.append(np.concatenate([b.ravel() for b in blocks]))
+        # independent uniform inputs (the auxiliaries ignore U), then the
+        # coupled uniform input (both senders track the shared symbol exactly)
+        for aux in ([np.full((u, v1), 1 / v1), np.full((u, v2), 1 / v2)],
+                    [_wrapped_identity(u, v1), _wrapped_identity(u, v2)]):
+            blocks = [np.full((1, u), 1 / u), *aux, _wrapped_identity(v1, nx),
+                      _wrapped_identity(v2, ny)]
+            out.append(np.concatenate([b.ravel() for b in blocks]))
         return out
 
     def factors(self, params: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -181,20 +178,7 @@ class _Parameterization:
 
 
 def _wrapped_identity(rows: int, cols: int) -> np.ndarray:
-    m = np.zeros((rows, cols))
-    for r in range(rows):
-        m[r, r % cols] = 1.0
-    return m
-
-
-@dataclass
-class AchievablePoint:
-    """One certified point of the estimate with its provenance."""
-
-    rates: np.ndarray
-    case: CaseLabel
-    params: np.ndarray
-    generator_id: int
+    return np.eye(cols)[np.arange(rows) % cols]
 
 
 @dataclass
@@ -257,72 +241,59 @@ class RegionEstimate:
         return "\n".join(lines) + "\n"
 
 
-def _achievable_regions(prof: InfoProfile, u_independent: bool,
-                        mode) -> list[tuple[CaseLabel, object]]:
-    """(case, region) of every case the profile classifies into under mode."""
+def _case_systems(profiles: np.ndarray, u_independent: np.ndarray, mode) -> list:
+    """(case, rows, coeffs, rhs, pieces) of each case, in order, that some
+    profile classifies into under ``mode``, with (n, P, m) rhs stacks."""
+    common = isinstance(mode, CommonMode)
+    hc = mode.hc if common else mode.c1 + mode.c2
+    mask = classify_profiles(profiles, hc, u_independent & common)
     out = []
-    if isinstance(mode, CommonMode):
-        cases = classify_profile(prof, mode.hc, u_independent=u_independent).cases
-        for case in cases:
-            try:
-                out.append((case, region_common(prof, mode.hc, case,
-                                                check_membership=False)))
-            except PreconditionError:
-                continue
-    else:
-        hc = mode.c1 + mode.c2
-        cases = classify_profile(prof, hc).cases
-        for case in cases - {CaseLabel.CASE0}:
-            try:
-                out.append((case, region_conferencing(prof, mode.c1, mode.c2,
-                                                      case, alpha_points=21)))
-            except PreconditionError:
-                continue
+    for case in map(CaseLabel, np.nonzero(mask.any(axis=0))[0]):
+        rows = np.nonzero(mask[:, case])[0]
+        if common:
+            coeffs, rhs, ok = case_rhs(profiles[rows], hc, case)
+        else:
+            coeffs, (rhs, _, ok) = CONF_COEFFS, conf_rhs(profiles[rows], mode.c1,
+                                                         mode.c2, case, 21)
+        out.append((case, rows, coeffs, rhs.reshape(len(rows), -1, rhs.shape[-1]),
+                    ok.reshape(len(rows), -1)))
     return out
 
 
-class _Scorer:
-    """Scores batches of parameter vectors for one (channel, mode, config),
-    counting the batches."""
-
-    def __init__(self, par: _Parameterization, mode):
-        self.par = par
-        self.mode = mode
-        self.batches = 0
-
-    def regions(self, params) -> list[list[tuple[CaseLabel, object]]]:
-        """The achievable regions of each input of the batch."""
-        self.batches += 1
-        batch = info_profiles(*self.par.factors(np.asarray(params)),
-                              self.par.mac.tensor)
-        return [_achievable_regions(prof, u_ind, self.mode)
-                for prof, u_ind in zip(batch.profiles, batch.u_independent)]
-
-    def vertices(self, params) -> list[list[tuple[CaseLabel, np.ndarray]]]:
-        """(case, vertices) of each achievable region of each input, all
-        polytopes of the batch enumerated together; a union region stacks
-        its pieces' vertices."""
-        found = self.regions(params)
-        groups = [[region] if isinstance(region, RatePolytope)
-                  else [poly for _, poly in region.pieces]
-                  for regions in found for _, region in regions]
-        flat = iter(batch_vertices([poly for group in groups for poly in group]))
-        stacked = iter([np.vstack([next(flat) for _ in group]) for group in groups])
-        return [[(case, next(stacked)) for case, _ in regions] for regions in found]
+def _candidates(systems: list, n: int, dim: int):
+    """(verts, keep, slot_case): n inputs' (n, K, dim) vertex candidates in
+    case -> alpha-piece -> lexsort order, their vertex mask, each slot's case."""
+    verts, keep, slot_case = [np.zeros((n, 0, dim))], [np.zeros((n, 0), bool)], []
+    for case, rows, coeffs, rhs, pieces in systems:
+        pts, kept = stacked_vertices(coeffs, rhs.reshape(-1, rhs.shape[2]))
+        kept = kept.reshape(len(rows), rhs.shape[1], -1) & pieces[..., None]
+        verts.append(np.zeros((n, kept[0].size, dim)))
+        keep.append(np.zeros((n, kept[0].size), dtype=bool))
+        verts[-1][rows] = pts.reshape(len(rows), -1, dim)
+        keep[-1][rows] = kept.reshape(len(rows), -1)
+        slot_case += [case] * kept[0].size
+    return np.concatenate(verts, axis=1), np.concatenate(keep, axis=1), slot_case
 
 
-def _best_along(case_vertices, weights: np.ndarray):
-    """Best weighted rate over one input's (case, vertices), with the
-    witnessing case and vertex; a score must beat 0 to count."""
-    best = (0.0, None, None)
-    for case, verts in case_vertices:
-        if verts.shape[0] == 0:
-            continue
-        scores = _scores(verts, weights)
-        idx = int(np.argmax(scores))
-        if scores[idx] > best[0]:
-            best = (float(scores[idx]), case, verts[idx])
-    return best
+def _best_vertices(candidates, weights: np.ndarray) -> list:
+    """(score, case, vertex) of each input's first maximum along its row of
+    ``weights``; a score must beat 0 to count, (0.0, None, None) otherwise."""
+    verts, keep, slot_case = candidates
+    scores = np.where(keep, _scores(verts, weights[:, None]), -np.inf)
+    scores = np.concatenate([np.zeros((len(verts), 1)), scores], axis=1)
+    return [(float(scores[i, j]), slot_case[j - 1], verts[i, j - 1]) if j
+            else (0.0, None, None) for i, j in enumerate(np.argmax(scores, axis=1))]
+
+
+def _certified(systems: list, rates: np.ndarray, cases: list) -> list[bool]:
+    """Whether each input's case of ``cases`` holds its row of ``rates``."""
+    held = np.zeros(len(cases), dtype=bool)
+    for case, rows, coeffs, rhs, pieces in systems:
+        sel = np.array([cases[r] == case for r in rows], dtype=bool)
+        mats = coeffs[sel][:, None] if coeffs.ndim == 3 else coeffs
+        held[rows[sel]] = np.any(
+            pieces[sel] & _inside(rates[rows[sel], None], mats, rhs[sel]), axis=1)
+    return held.tolist()
 
 
 @dataclass
@@ -358,27 +329,33 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
         raise ValidationError("mode must be CommonMode or ConferencingMode")
     rng = np.random.default_rng(cfg.seed)
     par = _Parameterization(mac, cfg)
-    score = _Scorer(par, mode)
     dim = 3 if isinstance(mode, CommonMode) else 2
     dirs = _directions(dim, cfg.directions, rng)
+    batches = []  # the size of each batch scored: one profile-kernel call each
+
+    def systems(params) -> list:
+        batches.append(len(params))
+        batch = info_profiles(*par.factors(np.asarray(params)), mac.tensor)
+        return _case_systems(batch.profiles, batch.u_independent, mode)
+
+    def score(params):
+        return _candidates(systems(params), len(params), dim)
 
     budget = cfg.max_evaluations if cfg.max_evaluations is not None else math.inf
     candidates = par.structured()
     for _ in range(cfg.restarts):
         candidates.append(par.random(rng))
 
-    # Coverage pass: best candidate per direction (regions computed once per
+    # Coverage pass: best candidate per direction (vertices computed once per
     # candidate, scored along every direction); the first candidate reaching
     # a direction's maximum wins it.
     evaluations = int(min(len(candidates), budget))
     partial = evaluations < len(candidates)
     per_dir: list[tuple[float, np.ndarray]] = [(-1.0, None)] * len(dirs)
     if evaluations:
-        best = np.full((evaluations, len(dirs)), -np.inf)
-        for i, case_verts in enumerate(score.vertices(candidates[:evaluations])):
-            verts = [v for _, v in case_verts if v.shape[0]]
-            if verts:
-                best[i] = _scores(np.vstack(verts)[:, None], dirs).max(axis=0)
+        verts, keep, _ = score(candidates[:evaluations])
+        best = np.max(_scores(verts[:, :, None], dirs), axis=1, initial=-np.inf,
+                      where=keep[:, :, None])
         for d, i in enumerate(np.argmax(best, axis=0)):
             if best[i, d] > -1.0:
                 per_dir[d] = (float(best[i, d]), candidates[i])
@@ -397,39 +374,32 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
     for it in range(max((len(w.noise) for w in walks.values()), default=0)):
         live = [(d, w) for d, w in walks.items() if it < len(w.noise)]
         trials = [w.params + w.step * w.noise[it] for _, w in live]
-        for (d, w), trial, case_verts in zip(live, trials, score.vertices(trials)):
-            t_score = _best_along(case_verts, dirs[d])[0]
+        found = _best_vertices(score(trials), dirs[[d for d, _ in live]])
+        for (d, w), trial, (t_score, _, _) in zip(live, trials, found):
             if t_score > w.score:
                 w.score, w.params = t_score, trial
             else:
                 w.step *= STEP_DECAY
-    points: list[AchievablePoint] = []
+    points = []  # (rates, case, params) of each walk's best vertex
     if walks:
-        finals = score.vertices([w.params for w in walks.values()])
-        for (d, w), case_verts in zip(walks.items(), finals):
-            _, case, vert = _best_along(case_verts, dirs[d])
-            if vert is not None:
-                points.append(AchievablePoint(vert, case, w.params, d))
+        finals = _best_vertices(score([w.params for w in walks.values()]),
+                                dirs[list(walks)])
+        points = [(vert, case, w.params) for w, (_, case, vert)
+                  in zip(walks.values(), finals) if vert is not None]
 
     # Certification: recompute each generating region and re-check membership.
-    certified: list[AchievablePoint] = []
     if points:
-        for pt, regions in zip(points, score.regions([pt.params for pt in points])):
-            if any(case == pt.case and region.contains(pt.rates, tol=1e-9)
-                   for case, region in regions):
-                certified.append(pt)
-
-    if certified:
-        cloud = np.vstack([pt.rates for pt in certified])
-    else:
-        cloud = np.zeros((1, dim))
+        rates, cases, params = zip(*points)
+        held = _certified(systems(params), np.array(rates), cases)
+        points = [pt for pt, ok in zip(points, held) if ok]
+    cloud = np.vstack([pt[0] for pt in points]) if points else np.zeros((1, dim))
     hull, degenerate = _hull_with_origin(cloud, dim)
     return RegionEstimate(
         mode=mode, dim=dim, points=cloud,
-        cases=[pt.case for pt in certified] or [CaseLabel.CASE0],
-        generators=[par.build(pt.params) for pt in certified],
+        cases=[pt[1] for pt in points] or [CaseLabel.CASE0],
+        generators=[par.build(pt[2]) for pt in points],
         hull_vertices=hull, partial=partial, seed=cfg.seed,
-        aux_sizes=par.sizes, evaluations=evaluations, batches=score.batches,
+        aux_sizes=par.sizes, evaluations=evaluations, batches=len(batches),
         hull_degenerate=degenerate,
     )
 
@@ -461,8 +431,9 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
     par = _Parameterization(mac, cfg)
 
     def objective(params) -> list[float]:
-        batch = info_profiles(*par.factors(np.asarray(params)), mac.tensor)
-        return [prof.it_v12 - prof.iz_v12 for prof in batch.profiles]
+        prof = _columns(info_profiles(*par.factors(np.asarray(params)),
+                                      mac.tensor).profiles)
+        return (prof.it_v12 - prof.iz_v12).tolist()
 
     best_val, best_params = 0.0, None
     starts: list[np.ndarray] = []

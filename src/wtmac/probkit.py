@@ -314,7 +314,9 @@ def mutual_information(joint: JointDist,
                        group_a: Iterable[int],
                        group_b: Iterable[int],
                        cond: Iterable[int] = ()) -> float:
-    """Conditional mutual information I(A ; B | C) in bits.
+    """Conditional mutual information I(A ; B | C) in bits: the generic
+    oracle that tests, demos and the benchmark's leakage check compare the
+    library's kernels against (the library reads ``regions.info_profiles``).
 
     ``group_a``, ``group_b`` and ``cond`` are pairwise disjoint axis index
     sets of ``joint``.  Computed as H(AC) + H(BC) - H(ABC) - H(C).
@@ -358,7 +360,9 @@ def joint_from_factors(p_u: Dist,
                        x_given_v1: Channel,
                        y_given_v2: Channel,
                        mac: WiretapMAC) -> JointDist:
-    """Joint law of (U, V1, V2, X, Y, T, Z) from the factored input chain.
+    """Joint law of (U, V1, V2, X, Y, T, Z) from the factored input chain,
+    behind ``FactoredInput.joint``: for entropies that no profile field
+    holds (``casestudy.example62``) and for the tests' generic oracles.
 
     V1 and V2 are conditionally independent given U by construction, and
     (T, Z) depends on the rest only through (X, Y).
@@ -653,7 +657,8 @@ def _typical_rows(matrix: np.ndarray, context: np.ndarray, seqs: np.ndarray,
 
 
 def typical_membership(law, seq, delta: float, context=None) -> bool:
-    """Counting-typicality test for one sequence.
+    """Counting-typicality test for one sequence: the definition that the
+    stacked typicality kernels implement, for demos and one-off checks.
 
     Unconditional (``law`` a :class:`Dist`): requires
     ``|N(a|seq)/n - P(a)| <= delta`` for every symbol ``a``.
@@ -839,7 +844,9 @@ class ProposalStreams:
 
 def sample_typical(law, n: int, delta: float, rng: np.random.Generator,
                    context=None) -> np.ndarray:
-    """Draw one sequence from the truncated typical law by rejection.
+    """Draw one sequence from the truncated typical law by rejection: the
+    one-stream, one-sequence case of :class:`ProposalStreams`, for callers
+    that need a single draw (codebooks draw through the streams).
 
     Exact: i.i.d. proposals conditioned on acceptance follow the truncated
     law.  Raises :class:`DegenerateTypicalityError` when no draw lands in the

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import astuple, dataclass, field, fields
 from enum import IntEnum
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -62,9 +64,23 @@ def _scores(verts, dirs):
     return total
 
 
-def _pos(x: float) -> float:
-    """Positive part, exact (no tolerance)."""
-    return x if x > 0.0 else 0.0
+def _inside(x, coeffs, rhs, tol: float = VERTEX_TOL):
+    """Whether x (..., dim) lies in {x >= 0 : coeffs x <= rhs} up to ``tol``."""
+    return (x >= -tol).all(-1) & (_scores(x[..., None, :], coeffs) <= rhs + tol).all(-1)
+
+
+def _pos(x):
+    """Positive part, exact (no tolerance), elementwise."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _first(better, *vals):
+    """Elementwise builtin ``max`` (``better=np.greater``) or ``min``
+    (``np.less``): ties and NaNs keep the earlier value, bit for bit."""
+    out = vals[0]
+    for v in vals[1:]:
+        out = np.where(better(v, out), v, out)
+    return out
 
 
 class CaseLabel(IntEnum):
@@ -95,30 +111,39 @@ class InfoProfile:
     iz_v1u: float
     iz_v2u: float
 
+    def array(self) -> np.ndarray:
+        return np.array(astuple(self))  # one row of a profile array
+
     def swapped(self) -> "InfoProfile":
         """The profile with the roles of the two senders exchanged."""
-        return InfoProfile(
-            it_v1_v2u=self.it_v2_v1u, it_v2_v1u=self.it_v1_v2u,
-            it_v12_u=self.it_v12_u, it_v12=self.it_v12,
-            it_v1_u=self.it_v2_u, it_v2_u=self.it_v1_u, it_u=self.it_u,
-            iz_v1_v2u=self.iz_v2_v1u, iz_v2_v1u=self.iz_v1_v2u,
-            iz_v12_u=self.iz_v12_u, iz_v12=self.iz_v12,
-            iz_v1_u=self.iz_v2_u, iz_v2_u=self.iz_v1_u, iz_u=self.iz_u,
-            iz_v1u=self.iz_v2u, iz_v2u=self.iz_v1u,
-        )
+        return InfoProfile(*self.array()[SENDER_SWAP].tolist())
 
     def to_json_dict(self) -> dict:
         return {k: float(v) for k, v in self.__dict__.items()}
 
 
+# A profile array holds one InfoProfile field per column, in field order;
+# exchanging the senders permutes its columns.
+SENDER_SWAP = [1, 0, 2, 3, 5, 4, 6, 8, 7, 9, 10, 12, 11, 13, 15, 14]
+_Columns = namedtuple("_Columns", [f.name for f in fields(InfoProfile)])
+
+
+def _columns(profiles) -> _Columns:
+    a = np.asarray(profiles)  # (..., 16) -> 16 fields of shape (...), by name
+    return _Columns(*a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1))))
+
+
 class ProfileBatch(NamedTuple):
-    """Profiles of a batch of inputs with I(U ; V1 V2) of each, taken from
-    the same entropy table; ``u_independent`` flags (V1, V2) carrying no
+    """Profiles of a batch of inputs as (N, 16) rows, with each I(U ; V1 V2)
+    from the same entropy table; ``u_independent`` flags (V1, V2) carrying no
     information about U (to ``ARITH_TOL``, and always when |U| = 1)."""
 
-    profiles: list[InfoProfile]
+    profiles: np.ndarray
     u_info: np.ndarray
     u_independent: np.ndarray
+
+    def profile(self, i: int) -> InfoProfile:
+        return InfoProfile(*self.profiles[i].tolist())
 
 
 # The 17 distinct marginals the profile reads, over the law's axes
@@ -177,8 +202,7 @@ def _profiles_of_laws(law: np.ndarray) -> ProfileBatch:
     info = h[:, t[:, 0]] + h[:, t[:, 1]] - h[:, t[:, 2]] - h[:, t[:, 3]]
     u_info = info[:, -1]
     u_ind = (u_info <= ARITH_TOL) | (law.shape[1] == 1)
-    profiles = [InfoProfile(*row) for row in info[:, :-1].tolist()]
-    return ProfileBatch(profiles, u_info, u_ind)
+    return ProfileBatch(info[:, :-1], u_info, u_ind)
 
 
 def info_profiles(p_u: np.ndarray, v1_given_u: np.ndarray, v2_given_u: np.ndarray,
@@ -211,11 +235,7 @@ def info_profiles(p_u: np.ndarray, v1_given_u: np.ndarray, v2_given_u: np.ndarra
                      * v2_given_u[sl][:, :, None, :])
         law = joint_uab[..., None] * w[:, None]
         parts.append(_profiles_of_laws(law.reshape(-1, u, a, b, t, z)))
-    if len(parts) == 1:
-        return parts[0]
-    return ProfileBatch([prof for part in parts for prof in part.profiles],
-                        np.concatenate([part.u_info for part in parts]),
-                        np.concatenate([part.u_independent for part in parts]))
+    return ProfileBatch(*(np.concatenate(field) for field in zip(*parts)))
 
 
 def _profile_batch(p: FactoredInput | JointDist) -> ProfileBatch:
@@ -230,8 +250,9 @@ def _profile_batch(p: FactoredInput | JointDist) -> ProfileBatch:
 
 
 def info_profile(p: FactoredInput | JointDist) -> InfoProfile:
-    """Compute the full information profile of a factored input (or its joint)."""
-    return _profile_batch(p).profiles[0]
+    """The information profile of one factored input (or its joint): the
+    batch kernel on one input, for the CLI, codes and single-input calls."""
+    return _profile_batch(p).profile(0)
 
 
 @dataclass(frozen=True)
@@ -261,31 +282,35 @@ def alpha_bounds_case1(prof: InfoProfile, tol: float = EQUALITY_TOL) -> AlphaBou
         return AlphaBounds(None, None, degenerate=True)
     a0 = _pos((prof.it_v2_v1u - prof.iz_v2_v1u) / (prof.iz_v2_u - prof.iz_v2_v1u))
     a1 = min((prof.it_v1_v2u - prof.iz_v1_u) / (prof.iz_v1_v2u - prof.iz_v1_u), 1.0)
-    return AlphaBounds(a0, a1)
+    return AlphaBounds(float(a0), a1)
+
+
+def _case2_interval(p: _Columns, hc: float, tol: float = EQUALITY_TOL):
+    """(alpha0, alpha1, degenerate) of the Case-2 time-sharing interval on
+    profile columns.  The formulas branch on the sign of I(Z^V1|V2U) -
+    I(Z^V2|V1U); the equality branch is degenerate (its ends are not read)."""
+    a, b = p.iz_v1_v2u, p.iz_v2_v1u
+    diff = a - b
+    r1, r2, r12 = p.it_v1_v2u, p.it_v2_v1u, p.it_v12_u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_r2_b = np.where(b > 0.0, r2 / np.where(b > 0.0, b, 1.0), math.inf)
+        ratio_r1_a = np.where(a > 0.0, r1 / np.where(a > 0.0, a, 1.0), math.inf)
+        up = diff > 0.0
+        gate, sum_cap = (p.iz_v1u - hc) / diff, (r12 - b) / diff
+        alpha0 = np.where(up, _first(np.greater, gate, 1.0 - ratio_r2_b, 0.0),
+                          _first(np.greater, 1.0 - ratio_r2_b, sum_cap, 0.0))
+        alpha1 = np.where(up, _first(np.less, ratio_r1_a, sum_cap, 1.0),
+                          _first(np.less, (hc - p.iz_v1u) / (-diff), ratio_r1_a, 1.0))
+    return alpha0, alpha1, np.abs(diff) <= tol
 
 
 def alpha_bounds_case2(prof: InfoProfile, hc: float,
                        tol: float = EQUALITY_TOL) -> AlphaBounds:
-    """Time-sharing interval for Case 2 at common-randomness bound ``hc``.
-
-    The interval formulas branch on the sign of I(Z^V1|V2U) - I(Z^V2|V1U);
-    the equality branch is flagged degenerate (region achieved directly).
-    """
-    a = prof.iz_v1_v2u
-    b = prof.iz_v2_v1u
-    diff = a - b
-    if abs(diff) <= tol:
-        return AlphaBounds(None, None, degenerate=True)
-    r1, r2, r12 = prof.it_v1_v2u, prof.it_v2_v1u, prof.it_v12_u
-    ratio_r2_b = r2 / b if b > 0.0 else math.inf
-    ratio_r1_a = r1 / a if a > 0.0 else math.inf
-    if diff > 0.0:
-        a0 = max((prof.iz_v1u - hc) / diff, 1.0 - ratio_r2_b, 0.0)
-        a1 = min(ratio_r1_a, (r12 - b) / diff, 1.0)
-    else:
-        a0 = max(1.0 - ratio_r2_b, (r12 - b) / diff, 0.0)
-        a1 = min((hc - prof.iz_v1u) / (-diff), ratio_r1_a, 1.0)
-    return AlphaBounds(a0, a1)
+    """Time-sharing interval for Case 2 at common-randomness bound ``hc``:
+    :func:`_case2_interval` on one profile (degenerate: achieved directly)."""
+    alpha0, alpha1, degenerate = _case2_interval(_columns(prof.array()), hc, tol)
+    return (AlphaBounds(None, None, degenerate=True) if degenerate
+            else AlphaBounds(float(alpha0), float(alpha1)))
 
 
 @dataclass(frozen=True)
@@ -302,58 +327,52 @@ class CaseReport:
         return iter(self.cases)
 
 
-def classify_profile(prof: InfoProfile, hc: float,
-                     u_independent: bool = False) -> CaseReport:
-    """Classify an information profile into its applicable coding cases.
-
-    Strict gates are evaluated strictly; a gate within ``BOUNDARY_TOL`` of
-    its threshold is additionally reported as a warning.  ``u_independent``
-    states whether (V1, V2) is independent of U (needed for Case 0).
-    """
+def classify_profiles(profiles: np.ndarray, hc: float,
+                      u_independent=False) -> np.ndarray:
+    """The (N, 4) mask of the cases each row of a profile array classifies
+    into at ``hc``, strict gates strictly; ``u_independent`` (one flag or one
+    per row) says whether (V1, V2) is independent of U, as Case 0 needs."""
     if hc < 0:
         raise PreconditionError("common randomness bound must be nonnegative")
-    cases: set[CaseLabel] = set()
-    warnings: list[str] = []
+    p = _columns(profiles)
+    hc01 = p.iz_v1_u <= p.it_v1_v2u
+    hc02 = p.iz_v2_u <= p.it_v2_v1u
+    case2 = (np.minimum(p.iz_v1u, p.iz_v2u) < hc) & (hc <= p.iz_v12)
+    if case2.any():  # the interval is read only inside the Case-2 window
+        alpha0, alpha1, degenerate = _case2_interval(p, hc)
+        case2 &= degenerate | (alpha0 <= alpha1)
+    mask = np.stack([hc01 & hc02 & u_independent & (hc == 0.0),
+                     (p.iz_u < hc) & hc01 & hc02
+                     & (p.iz_v12_u <= p.it_v1_v2u + p.it_v2_v1u),
+                     case2, p.iz_v12 < hc], axis=-1)
+    return mask & ~(p.iz_v12 > p.it_v12)[:, None]
+
+
+def classify_profile(prof: InfoProfile, hc: float,
+                     u_independent: bool = False) -> CaseReport:
+    """:func:`classify_profiles` on one profile, with a warning for each
+    gate within ``BOUNDARY_TOL`` of its threshold."""
+    mask = classify_profiles(prof.array()[None], hc, u_independent)[0]
+    cases = frozenset(CaseLabel(c) for c in np.nonzero(mask)[0])
+
+    def near(x, y):
+        return abs(x - y) <= BOUNDARY_TOL
+
     if prof.iz_v12 > prof.it_v12:
-        if prof.iz_v12 - prof.it_v12 <= BOUNDARY_TOL:
-            warnings.append("common-gate I(Z^V1V2) <= I(T^V1V2) holds only marginally")
-        return CaseReport(frozenset(), tuple(warnings))
-
-    if hc == 0.0 and u_independent:
-        hc01 = prof.iz_v1_u <= prof.it_v1_v2u
-        hc02 = prof.iz_v2_u <= prof.it_v2_v1u
-        if hc01 and hc02:
-            cases.add(CaseLabel.CASE0)
-        for name, ok, lhs, rhs in (("HC01", hc01, prof.iz_v1_u, prof.it_v1_v2u),
-                                   ("HC02", hc02, prof.iz_v2_u, prof.it_v2_v1u)):
-            if abs(lhs - rhs) <= BOUNDARY_TOL:
-                warnings.append(f"Case-0 condition {name} is on its boundary")
-
-    compi = (prof.iz_v1_u <= prof.it_v1_v2u
-             and prof.iz_v2_u <= prof.it_v2_v1u
-             and prof.iz_v12_u <= prof.it_v1_v2u + prof.it_v2_v1u)
-    if prof.iz_u < hc and compi:
-        cases.add(CaseLabel.CASE1)
-    if abs(prof.iz_u - hc) <= BOUNDARY_TOL:
-        warnings.append("Case-1 gate I(Z^U) < H_C is on its boundary")
-
-    low = min(prof.iz_v1u, prof.iz_v2u)
-    if low < hc <= prof.iz_v12:
-        if abs(prof.iz_v1_v2u - prof.iz_v2_v1u) <= EQUALITY_TOL:
-            cases.add(CaseLabel.CASE2)
-        else:
-            ab = alpha_bounds_case2(prof, hc)
-            if ab.alpha0 <= ab.alpha1:
-                cases.add(CaseLabel.CASE2)
-    if abs(low - hc) <= BOUNDARY_TOL or abs(hc - prof.iz_v12) <= BOUNDARY_TOL:
-        warnings.append("Case-2 gate min{I(Z^V1U), I(Z^V2U)} < H_C <= I(Z^V1V2) "
-                        "is on its boundary")
-
-    if prof.iz_v12 < hc:
-        cases.add(CaseLabel.CASE3)
-    if abs(prof.iz_v12 - hc) <= BOUNDARY_TOL:
-        warnings.append("Case-3 gate I(Z^V1V2) < H_C is on its boundary")
-    return CaseReport(frozenset(cases), tuple(warnings))
+        warn = [(near(prof.iz_v12, prof.it_v12),
+                 "common-gate I(Z^V1V2) <= I(T^V1V2) holds only marginally")]
+    else:
+        warn = [(hc == 0.0 and u_independent and near(lhs, rhs),
+                 f"Case-0 condition {name} is on its boundary")
+                for name, lhs, rhs in (("HC01", prof.iz_v1_u, prof.it_v1_v2u),
+                                       ("HC02", prof.iz_v2_u, prof.it_v2_v1u))]
+        warn += [(near(prof.iz_u, hc), "Case-1 gate I(Z^U) < H_C is on its boundary"),
+                 (near(min(prof.iz_v1u, prof.iz_v2u), hc) or near(hc, prof.iz_v12),
+                  "Case-2 gate min{I(Z^V1U), I(Z^V2U)} < H_C <= I(Z^V1V2) "
+                  "is on its boundary"),
+                 (near(prof.iz_v12, hc),
+                  "Case-3 gate I(Z^V1V2) < H_C is on its boundary")]
+    return CaseReport(cases, tuple(msg for hit, msg in warn if hit))
 
 
 def classify_case(p: FactoredInput, hc: float) -> frozenset:
@@ -397,13 +416,13 @@ class RatePolytope:
         x = np.asarray(point, dtype=float)
         if x.shape != (self.dim,):
             raise ValidationError(f"point dimension {x.shape} != {self.dim}")
-        return bool(np.all(x >= -tol) and np.all(self.coeffs @ x <= self.rhs + tol))
+        return bool(_inside(x, self.coeffs, self.rhs, tol))
 
     def violated(self, point, tol: float = 1e-9) -> list[str]:
         """Names (or indices) of the constraints the point breaks."""
         x = np.asarray(point, dtype=float)
         out = [f"R{i} >= 0" for i in range(self.dim) if x[i] < -tol]
-        slack = self.coeffs @ x - self.rhs
+        slack = _scores(x, self.coeffs) - self.rhs
         for i in np.nonzero(slack > tol)[0]:
             out.append(self.names[i] if self.names else f"constraint[{i}]")
         return out
@@ -412,9 +431,9 @@ class RatePolytope:
         return bool(np.all(self.rhs >= -tol))
 
     def vertices(self) -> np.ndarray:
-        """All vertices (dim <= 3): :func:`batch_vertices` on this polytope
-        alone.  Memoized per instance (the polytope is immutable), so the
-        array returned is read-only."""
+        """All vertices (dim <= 3): :func:`stacked_vertices` on this
+        polytope alone.  Memoized per instance (the polytope is immutable),
+        so the array returned is read-only."""
         return batch_vertices((self,))[0]
 
     def max_weighted(self, weights) -> float:
@@ -431,17 +450,11 @@ class RatePolytope:
         return _ray_points(rng, self.coeffs, self.rhs, count, self.dim)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "dim": self.dim,
-            "constraints": [
-                {"coeffs": [float(c) for c in row], "rhs": float(r)}
-                for row, r in zip(self.coeffs, self.rhs)
-            ],
-        }
-        if self.names:
-            for item, name in zip(out["constraints"], self.names):
-                item["name"] = name
-        return out
+        cons = [{"coeffs": [float(c) for c in row], "rhs": float(r)}
+                for row, r in zip(self.coeffs, self.rhs)]
+        for item, name in zip(cons, self.names):
+            item["name"] = name
+        return {"dim": self.dim, "constraints": cons}
 
     @staticmethod
     def from_json_dict(obj: dict) -> "RatePolytope":
@@ -455,60 +468,66 @@ class RatePolytope:
 
 
 def batch_vertices(polys) -> list[np.ndarray]:
-    """Vertices of each polytope, one stacked solve per constraint matrix.
-
-    Polytopes sharing a coefficient matrix share its active-constraint
-    subsets (``dim`` rows, nonnegativity included) and their determinant
-    test; only the right-hand sides differ, so every nonsingular subset of
-    every polytope of the group is solved in one ``np.linalg.solve``.  A
-    candidate is a vertex when it breaks no constraint by more than
-    ``VERTEX_TOL``.  Each polytope's result is memoized on it, so the arrays
-    are read-only.
-    """
-    groups: dict[tuple, dict[int, RatePolytope]] = {}
-    for poly in polys:
-        if poly._vertices is None:
-            key = (poly.coeffs.shape, poly.coeffs.tobytes())
-            groups.setdefault(key, {})[id(poly)] = poly
+    """Vertices of each polytope: one :func:`stacked_vertices` call per
+    coefficient matrix.  Each polytope's result is memoized on it, so the
+    arrays are read-only."""
+    groups: dict[tuple, list[RatePolytope]] = {}
+    for poly in {id(p): p for p in polys if p._vertices is None}.values():
+        groups.setdefault((poly.coeffs.shape, poly.coeffs.tobytes()), []).append(poly)
     for group in groups.values():
-        _enumerate_group(list(group.values()))
+        pts, keep = stacked_vertices(group[0].coeffs, np.stack([p.rhs for p in group]))
+        for poly, row, kept in zip(group, pts, keep):
+            verts = row[kept]
+            verts.setflags(write=False)
+            object.__setattr__(poly, "_vertices", verts)
     return [poly._vertices for poly in polys]
 
 
-def _enumerate_group(polys: list[RatePolytope]) -> None:
-    """Solve, test and memoize the vertices of polytopes sharing coefficients."""
-    coeffs, dim = polys[0].coeffs, polys[0].dim
-    rows = np.vstack([coeffs, -np.eye(dim)])
-    combos = np.array(list(combinations(range(rows.shape[0]), dim)))
-    mats = rows[combos]
-    regular = np.abs(np.linalg.det(mats)) >= 1e-12
-    combos, mats = combos[regular], mats[regular]
-    rhs = np.stack([poly.rhs for poly in polys])
-    vals = np.concatenate([rhs, np.zeros((len(polys), dim))], axis=1)
-    xs = np.linalg.solve(mats, vals[:, combos][..., None])[..., 0]
-    feasible = (np.all(xs >= -VERTEX_TOL, axis=2)
-                & np.all(xs @ coeffs.T <= rhs[:, None, :] + VERTEX_TOL, axis=2))
-    for poly, pts, ok in zip(polys, xs, feasible):
-        verts = _dedupe(np.clip(pts[ok], 0.0, None), dim)
-        verts.setflags(write=False)
-        object.__setattr__(poly, "_vertices", verts)
+def _active_sets(coeffs: np.ndarray):
+    """Active ``dim``-row subsets of (coeffs, -I), their matrices, which are regular."""
+    dim = coeffs.shape[-1]
+    eye = np.broadcast_to(-np.eye(dim), coeffs.shape[:-2] + (dim, dim))
+    combos = np.array(list(combinations(range(coeffs.shape[-2] + dim), dim)))
+    mats = np.concatenate([coeffs, eye], axis=-2)[..., combos, :]
+    return combos, mats, np.abs(np.linalg.det(mats)) >= 1e-12
 
 
-def _dedupe(pts: np.ndarray, dim: int) -> np.ndarray:
-    """Lexicographically sorted points, dropping each point within 1e-9 (max
-    norm) of the last one kept."""
-    if pts.shape[0] == 0:
-        return np.zeros((0, dim))
-    pts = pts[np.lexsort(pts.T)]
-    if (np.abs(np.diff(pts, axis=0)).max(axis=1, initial=0.0) > 1e-9).all():
-        return pts  # no point near its predecessor: every point is kept
-    rows = pts.tolist()
-    keep, last = [0], rows[0]
-    for i in range(1, len(rows)):
-        if max(abs(p - q) for p, q in zip(rows[i], last)) > 1e-9:
-            keep.append(i)
-            last = rows[i]
-    return pts[keep]
+@lru_cache(maxsize=64)
+def _regular_sets(shape: tuple, data: bytes):
+    """The regular active subsets of one fixed matrix and their matrices."""
+    combos, mats, regular = _active_sets(np.frombuffer(data).reshape(shape))
+    return combos[regular], mats[regular]
+
+
+def stacked_vertices(coeffs: np.ndarray, rhs: np.ndarray):
+    """Vertices of {x >= 0 : coeffs x <= b} for each row b of an (N, m) stack,
+    with one (m, dim) matrix (its regular active subsets found once) or one
+    per row.  Returns (points (N, C, dim), keep (N, C)): each row's candidates
+    clipped at 0 in ``np.lexsort`` order, those off by over ``VERTEX_TOL``
+    last, and its vertex mask, less each within 1e-9 of the last one kept."""
+    rhs = np.asarray(rhs, dtype=float)
+    dim = coeffs.shape[-1]
+    if coeffs.ndim == 2:
+        combos, mats = _regular_sets(coeffs.shape, coeffs.astype(float).tobytes())
+        regular, cons = True, coeffs
+    else:
+        combos, mats, regular = _active_sets(coeffs)
+        mats = np.where(regular[..., None, None], mats, np.eye(dim))
+        cons = coeffs[:, None]
+    vals = np.concatenate([rhs, np.zeros((rhs.shape[0], dim))], axis=1)[:, combos]
+    xs = np.linalg.solve(mats, vals[..., None])[..., 0]
+    feasible = regular & _inside(xs, cons, rhs[:, None])
+    pts = np.clip(xs, 0.0, None)
+    order = np.lexsort((*pts.transpose(2, 0, 1), ~feasible))
+    at = np.arange(len(pts))[:, None]
+    pts, keep = pts[at, order], feasible[at, order]
+    near = keep[:, 1:] & (np.abs(pts[:, 1:] - pts[:, :-1]).max(axis=2) <= 1e-9)
+    rows = np.nonzero(near.any(axis=1))[0]  # the rare rows that drop a point
+    last = pts[rows, 0]
+    for j in range(1, pts.shape[1] if rows.size else 0):
+        keep[rows, j] &= np.abs(pts[rows, j] - last).max(axis=1) > 1e-9
+        last = np.where(keep[rows, j, None], pts[rows, j], last)
+    return pts, keep
 
 
 def _resolve(p_or_prof, u_independent=None):
@@ -516,88 +535,81 @@ def _resolve(p_or_prof, u_independent=None):
     profile passes through with the flag given (False when None)."""
     if isinstance(p_or_prof, FactoredInput):
         batch = _profile_batch(p_or_prof)
-        return batch.profiles[0], bool(batch.u_independent[0])
+        return batch.profile(0), bool(batch.u_independent[0])
     return p_or_prof, bool(u_independent)
+
+
+def case_rhs(profiles: np.ndarray, hc: float, case: CaseLabel):
+    """(coeffs, rhs, ok): one case's region over (R0, R1, R2) for each row
+    of a profile array, regardless of the case's gates; ``ok`` is False where
+    the Case-2 time-sharing interval is empty.  Case 2 has (N, 5, 3)
+    coefficients: its weighted row (0, I(Z^V2|V1U), I(Z^V1|V2U)) bounds the
+    hull facet of the time-sharing corners (the equality branch repeats the
+    R1+R2 row there), and a row whose I(Z^V1|V2U) is the smaller is
+    evaluated on its sender-swapped columns with its R1, R2 columns swapped.
+    """
+    p = _columns(profiles)
+    total = p.it_v12 - p.iz_v12
+    case = CaseLabel(case)
+    if case != CaseLabel.CASE2:
+        b1, b2 = _case1_bounds(p)
+        rhs = {CaseLabel.CASE0: [np.zeros_like(total), b1, b2, total],
+               CaseLabel.CASE1: [b1, b2, p.it_v12_u - p.iz_v12_u, total],
+               CaseLabel.CASE3: [p.it_v1_v2u, p.it_v2_v1u, p.it_v12_u, total]}[case]
+        coeffs = np.vstack([[1, 0, 0], RATE_COEFFS[:3]]) if case == 0 else RATE_COEFFS
+        return coeffs, np.stack(rhs, 1), np.ones(len(profiles), dtype=bool)
+    a, b = p.iz_v1_v2u, p.iz_v2_v1u
+    degenerate = np.abs(a - b) <= EQUALITY_TOL
+    swap = ~degenerate & (a < b)
+    o = _columns(np.where(swap[:, None], profiles[:, SENDER_SWAP], profiles))
+    oa, ob = o.iz_v1_v2u, o.iz_v2_v1u
+    alpha0, alpha1, _ = _case2_interval(o, hc)
+    r1, r2, r12 = o.it_v1_v2u, o.it_v2_v1u, o.it_v12_u
+    with np.errstate(invalid="ignore"):
+        weighted = np.stack([r1 - alpha0 * oa, r2 - (1.0 - alpha1) * ob,
+                             r12 - alpha0 * oa - (1.0 - alpha0) * ob,
+                             r12 * ob + r2 * (oa - ob) - oa * ob, total], 1)
+    direct = np.stack([p.it_v1_v2u, p.it_v2_v1u, *[p.it_v12_u - a] * 2, total], 1)
+    coeffs = np.tile(RATE_COEFFS[[0, 1, 2, 2, 3]], (len(profiles), 1, 1))
+    coeffs[~degenerate, 3, 1:] = np.stack([ob, oa], 1)[~degenerate]
+    coeffs[swap] = coeffs[swap][:, :, [0, 2, 1]]
+    return (coeffs, np.where(degenerate[:, None], direct, weighted),
+            degenerate | ~(alpha0 > alpha1))
 
 
 def region_common(p_or_prof, hc: float, case: CaseLabel, *,
                   check_membership: bool = True,
                   u_independent: bool | None = None) -> RatePolytope:
-    """The case region over (R0, R1, R2) for one factored input.
-
-    With ``check_membership`` (default) the input must actually classify
-    into ``case`` at ``hc``; pass False to evaluate the constraint system of
-    a case regardless of its gates (used by the nesting checks).
-    """
+    """The case region over (R0, R1, R2) of one input or profile: its row
+    of :func:`case_rhs`, for the CLI, codes and single-input calls.  With
+    ``check_membership`` (default) the input must classify into ``case``."""
     prof, u_ind = _resolve(p_or_prof, u_independent)
     case = CaseLabel(case)
-    if check_membership:
-        cases = classify_profile(prof, hc, u_independent=u_ind).cases
-        if case not in cases:
-            raise PreconditionError(
-                f"input does not classify as {case.name} at H_C={hc}"
-            )
-    total = prof.it_v12 - prof.iz_v12
+    if check_membership and case not in classify_profile(prof, hc, u_ind).cases:
+        raise PreconditionError(f"input does not classify as {case.name} at H_C={hc}")
+    coeffs, rhs, ok = case_rhs(prof.array()[None], hc, case)
+    if not ok[0]:
+        raise PreconditionError("Case-2 time-sharing interval is empty")
+    rhs, names = rhs[0], RATE_NAMES
     if case == CaseLabel.CASE0:
-        b1, b2 = _case1_bounds(prof)
-        return RatePolytope(3, np.vstack([[1, 0, 0], RATE_COEFFS[:3]]),
-                            np.array([0.0, b1, b2, total]),
-                            ("R0 = 0",) + RATE_NAMES[:3])
-    if case == CaseLabel.CASE1:
-        b1, b2 = _case1_bounds(prof)
-        return RatePolytope(3, RATE_COEFFS,
-                            np.array([b1, b2, prof.it_v12_u - prof.iz_v12_u, total]),
-                            RATE_NAMES)
-    if case == CaseLabel.CASE2:
-        return _case2_region(prof, hc, total)
-    if case == CaseLabel.CASE3:
-        return RatePolytope(
-            3, RATE_COEFFS,
-            np.array([prof.it_v1_v2u, prof.it_v2_v1u, prof.it_v12_u, total]),
-            RATE_NAMES)
-    raise PreconditionError(f"unknown case {case!r}")
+        names = ("R0 = 0",) + RATE_NAMES[:3]
+    elif case == CaseLabel.CASE2:
+        coeffs = coeffs[0]
+        if abs(prof.iz_v1_v2u - prof.iz_v2_v1u) <= EQUALITY_TOL:
+            coeffs, rhs = np.delete(coeffs, 3, axis=0), np.delete(rhs, 3)
+        else:
+            names = RATE_NAMES[:3] + ("weighted bound",) + RATE_NAMES[3:]
+            if prof.iz_v1_v2u < prof.iz_v2_v1u:
+                names = tuple(n.replace("R1", "#").replace("R2", "R1")
+                              .replace("#", "R2") for n in names)
+    return RatePolytope(3, coeffs, rhs, names)
 
 
-def _case1_bounds(prof: InfoProfile) -> tuple[float, float]:
+def _case1_bounds(prof) -> tuple:
     """The Case-0/1 R1 and R2 bounds: each sender's information given the
     other and U, less its leakage given U and the other's excess leakage."""
     return (prof.it_v1_v2u - prof.iz_v1_u - _pos(prof.iz_v2_v1u - prof.it_v2_v1u),
             prof.it_v2_v1u - prof.iz_v2_u - _pos(prof.iz_v1_v2u - prof.it_v1_v2u))
-
-
-def _case2_region(prof: InfoProfile, hc: float, total: float) -> RatePolytope:
-    a = prof.iz_v1_v2u
-    b = prof.iz_v2_v1u
-    if abs(a - b) <= EQUALITY_TOL:
-        return RatePolytope(3, RATE_COEFFS,
-                            np.array([prof.it_v1_v2u, prof.it_v2_v1u,
-                                      prof.it_v12_u - a, total]),
-                            RATE_NAMES)
-    if a < b:
-        # Roles of the senders are exchanged; the swap is an involution.
-        sw = _case2_region(prof.swapped(), hc, total)
-        coeffs = sw.coeffs.copy()
-        coeffs[:, [1, 2]] = coeffs[:, [2, 1]]
-        names = tuple(n.replace("R1", "#").replace("R2", "R1").replace("#", "R2")
-                      for n in sw.names)
-        return RatePolytope(3, coeffs, sw.rhs, names)
-    ab = alpha_bounds_case2(prof, hc)
-    if ab.alpha0 > ab.alpha1:
-        raise PreconditionError("Case-2 time-sharing interval is empty")
-    a0, a1 = ab.alpha0, ab.alpha1
-    r1, r2, r12 = prof.it_v1_v2u, prof.it_v2_v1u, prof.it_v12_u
-    # Weighted bound: the hull facet traced by the time-sharing corner points.
-    wsum_rhs = r12 * b + r2 * (a - b) - a * b
-    return RatePolytope(
-        3,
-        np.insert(RATE_COEFFS, 3, [0, b, a], axis=0),
-        np.array([r1 - a0 * a,
-                  r2 - (1.0 - a1) * b,
-                  r12 - a0 * a - (1.0 - a0) * b,
-                  wsum_rhs,
-                  total]),
-        RATE_NAMES[:3] + ("weighted bound",) + RATE_NAMES[3:],
-    )
 
 
 def randomization_rates(prof: InfoProfile, case: CaseLabel,
@@ -611,7 +623,8 @@ def randomization_rates(prof: InfoProfile, case: CaseLabel,
     orders (Case 0 reads its row, with no shared index in its code); in
     Case 2 one sender pays its conditional leakage at a time and J0
     interpolates the single-sender-plus-U leakages; Case 3 pays the leakage
-    of the full input pair on the shared index alone.
+    of the full input pair on the shared index alone.  On profile columns
+    (:func:`_columns`) and an array of alphas the rates broadcast.
     """
     case = CaseLabel(case)
     if case == CaseLabel.CASE3:
@@ -759,8 +772,6 @@ def _alpha_windows(x_pts: np.ndarray, family: np.ndarray, alpha0: float,
     lo = np.full(x_pts.shape[0], alpha0, dtype=float)
     hi = np.full(x_pts.shape[0], alpha1, dtype=float)
     feasible = np.ones(x_pts.shape[0], dtype=bool)
-    # A window update keeps the old bound unless the new one is strictly
-    # tighter, as the builtin min/max do: a tie or a NaN keeps the old bound.
     for i in range(len(r)):
         slope = b[i] - a[i]
         if slope == 0.0:
@@ -768,12 +779,10 @@ def _alpha_windows(x_pts: np.ndarray, family: np.ndarray, alpha0: float,
             continue
         bound = (s[:, i] - r[i] + b[i]) / slope - tol / slope
         if slope > 0:
-            lo = np.where(bound > lo, bound, lo)
+            lo = _first(np.greater, lo, bound)
         else:
-            hi = np.where(bound < hi, bound, hi)
-    mid = 0.5 * (lo + hi)
-    alpha = np.where(alpha0 > mid, alpha0, mid)
-    alpha = np.where(alpha1 < alpha, alpha1, alpha)
+            hi = _first(np.less, hi, bound)
+    alpha = _first(np.less, _first(np.greater, 0.5 * (lo + hi), alpha0), alpha1)
     margin = _family_rhs(family, alpha) - s
     return alpha, feasible & (lo <= hi) & (margin.min(axis=1) >= -tol)
 
@@ -787,11 +796,10 @@ def _alpha_set_check(report: LemmaReport, rng: np.random.Generator,
     report: the points checked, and the counterexamples in alpha order, then
     point order."""
     sub = _ray_points(rng, RATE_COEFFS, _family_rhs(family, alphas), count)
-    outside = ~np.all(sub @ k_coeffs.T <= k_rhs + tol, axis=-1)
     report.checked += sub.shape[0] * count
     report.counterexamples += [
         {"direction": direction, "alpha": float(alphas[s]), "point": sub[s, j].tolist()}
-        for s, j in zip(*np.nonzero(outside))]
+        for s, j in zip(*np.nonzero(~_inside(sub, k_coeffs, k_rhs, tol)))]
 
 
 def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
@@ -934,12 +942,11 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     lam = rng.uniform(0.0, 1.0, size=samples)
     lam[:3] = (0.0, 1.0, 0.5)
     combos = lam[:, None] * p_pts + (1.0 - lam)[:, None] * q_pts
-    inside = np.all(combos @ k_coeffs.T <= k_rhs[None, :] + tol, axis=1)
     report.checked += samples
-    for idx in np.nonzero(~inside)[0]:
-        report.counterexamples.append(
-            {"direction": "convex combination escapes the closed form",
-             "lambda": float(lam[idx]), "point": combos[idx].tolist()})
+    report.counterexamples += [
+        {"direction": "convex combination escapes the closed form",
+         "lambda": float(lam[i]), "point": combos[i].tolist()}
+        for i in np.nonzero(~_inside(combos, k_coeffs, k_rhs, tol))[0]]
 
     # Sampled interior alphas stay inside K as well.
     _alpha_set_check(report, rng, family, grid[:: max(len(grid) // 10, 1)],
@@ -970,13 +977,9 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
 
 
 def _witness_valid(x, u, v, lam, rhs0, rhs1, tol) -> bool:
-    if np.any(u < -tol) or np.any(v < -tol):
-        return False
-    if np.max(np.abs(u + v - x)) > 1e-7:
-        return False
-    ok0 = np.all(RATE_COEFFS @ u <= lam * rhs0 + tol)
-    ok1 = np.all(RATE_COEFFS @ v <= (1.0 - lam) * rhs1 + tol)
-    return bool(ok0 and ok1)
+    return bool(np.max(np.abs(u + v - x)) <= 1e-7
+                and _inside(u, RATE_COEFFS, lam * rhs0, tol)
+                and _inside(v, RATE_COEFFS, (1.0 - lam) * rhs1, tol))
 
 
 # ---------------------------------------------------------------------------

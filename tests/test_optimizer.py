@@ -1,24 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import (
     constant_eve_mac,
+    random_factored,
     random_mac,
     reference_info_profile,
     reference_search,
 )
+from wtmac import conferencing, regions
 from wtmac.errors import ValidationError
 from wtmac.optimizer import (
     CommonMode,
     ConferencingMode,
     SearchConfig,
+    _best_vertices,
+    _candidates,
+    _case_systems,
+    _directions,
     achievable_region_estimate,
     prefix_channel,
     single_sender_secrecy_capacity,
 )
-from wtmac.casestudy import example62_channels
+from wtmac.casestudy import discussion_channels, example62_channels
 from wtmac.probkit import Channel, Dist, FactoredInput, WiretapMAC
-from wtmac.regions import info_profile, region_common
+from wtmac.regions import SENDER_SWAP, _scores, info_profile, info_profiles, region_common
 
 
 class TestPrefixChannel:
@@ -219,6 +227,130 @@ class TestBatchedSearch:
         assert cloud.shape[0] > 4  # enough points to ask qhull
         assert np.array_equal(flat.hull_vertices, cloud)
         assert "hull_degenerate" not in flat.to_json_dict()
+
+
+def _row_view(profiles, u_ind, mode, i, dirs):
+    """Everything the scorer computes for input i of a profile batch: its
+    case systems' rows, its kept vertices and their cases, their scores and
+    its best vertex along each direction."""
+    systems = _case_systems(profiles, u_ind, mode)
+    verts, keep, slot_case = cands = _candidates(systems, len(profiles), dirs.shape[1])
+    out = {"cases": [int(case) for case, rows, *_ in systems if i in rows]}
+    for case, rows, coeffs, rhs, pieces in systems:
+        if i in rows:
+            at = int(np.nonzero(rows == i)[0][0])
+            out[f"rhs{case}"] = rhs[at]
+            out[f"pieces{case}"] = pieces[at]
+            out[f"coeffs{case}"] = coeffs if coeffs.ndim == 2 else coeffs[at]
+    out["verts"] = verts[i][keep[i]]
+    out["vert_cases"] = np.array(slot_case, dtype=int)[keep[i]]
+    # scored as the search scores a batch: every direction at once (the
+    # coverage pass), then one direction per input (a refinement step)
+    out["scores"] = _scores(verts[:, :, None], dirs)[i][keep[i]]
+    for d in range(len(dirs)):
+        score, case, vert = _best_vertices(cands, dirs[[d] * len(profiles)])[i]
+        out[f"best{d}"] = np.array([score, -1 if case is None else int(case)]
+                                   + ([] if vert is None else list(vert)))
+    return out
+
+
+@st.composite
+def pipeline_batches(draw):
+    """Profiles of one to four random inputs and of their sender-swapped
+    twins (so that Case 2 meets both sender orders), a mode whose bound
+    sits in the first input's Case-2 window half of the time, and the
+    position of the input to follow."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mac = random_mac(rng, t=draw(st.integers(2, 3)), z=draw(st.integers(2, 3)),
+                     bob_quality=draw(st.sampled_from([0.0, 0.5, 0.9])))
+    u = draw(st.sampled_from([1, 2, 3]))
+    inputs = [random_factored(rng, mac, u=u) for _ in range(draw(st.integers(1, 4)))]
+    batch = info_profiles(*(np.stack(f) for f in zip(*(
+        (p.p_u.mass, p.v1_given_u.matrix, p.v2_given_u.matrix,
+         p.x_given_v1.matrix, p.y_given_v2.matrix) for p in inputs))), mac.tensor)
+    profiles = np.vstack([batch.profiles, batch.profiles[:, SENDER_SWAP]])
+    u_ind = np.concatenate([batch.u_independent] * 2)
+    cols = regions._columns(profiles)
+    low, high = min(cols.iz_v1u[0], cols.iz_v2u[0]), cols.iz_v12[0]
+    frac = draw(st.floats(0.0, 1.0))
+    hc = (low + frac * (high - low) if draw(st.booleans())
+          else frac * 1.3 * max(cols.iz_v12.max(), 1e-3))
+    split = draw(st.floats(0.0, 1.0))
+    mode = draw(st.sampled_from([CommonMode(hc), ConferencingMode(split * hc,
+                                                                  (1 - split) * hc)]))
+    return profiles, u_ind, mode, draw(st.integers(0, len(profiles) - 1))
+
+
+class TestArrayPipeline:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(pipeline_batches())
+    def test_batch_composition_does_not_matter(self, batch):
+        # An input's case mask, right-hand sides, vertices and scores are the
+        # same bits alone, inside its batch, and padded between inputs with
+        # more vertices.
+        profiles, u_ind, mode, i = batch
+        dim = 3 if isinstance(mode, CommonMode) else 2
+        dirs = _directions(dim, 6, np.random.default_rng(0))
+        whole = _row_view(profiles, u_ind, mode, i, dirs)
+        counts = [len(_row_view(profiles, u_ind, mode, j, dirs)["verts"])
+                  for j in range(len(profiles))]
+        big = int(np.argmax(counts))
+        pad = [big, i, big]
+        views = [_row_view(profiles[[i]], u_ind[[i]], mode, 0, dirs),
+                 _row_view(profiles[pad], u_ind[pad], mode, 1, dirs)]
+        for view in views:
+            assert view.keys() == whole.keys()
+            for key, value in whole.items():
+                assert np.array_equal(view[key], value), key
+        # one score rule: the best along a direction is the coverage maximum
+        for d in range(len(dirs)):
+            assert whole[f"best{d}"][0] == max(
+                whole["scores"][:, d].max(initial=0.0), 0.0)
+
+    def test_both_sender_orders_and_pieces_are_met(self):
+        # the strategy reaches Case 2 in both sender orders, in both modes
+        seen = set()
+
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        @given(pipeline_batches())
+        def collect(batch):
+            profiles, u_ind, mode, _ = batch
+            for case, rows, coeffs, rhs, pieces in _case_systems(profiles, u_ind, mode):
+                if case == 2:
+                    cols = regions._columns(profiles[rows])
+                    for a, b in zip(cols.iz_v1_v2u, cols.iz_v2_v1u):
+                        seen.add((type(mode).__name__, bool(a < b), rhs.shape[1]))
+
+        collect()
+        assert {("CommonMode", True, 1), ("CommonMode", False, 1),
+                ("ConferencingMode", True, 21),
+                ("ConferencingMode", False, 21)} <= seen
+
+
+class TestNoPerInputObjects:
+    def test_search_builds_no_profile_or_region_objects(self, monkeypatch):
+        built = []
+        for cls in (regions.InfoProfile, regions.RatePolytope,
+                    conferencing.ConferencingRegion):
+            init = cls.__init__
+
+            def counted(self, *args, _init=init, _name=cls.__name__, **kw):
+                built.append(_name)
+                _init(self, *args, **kw)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        cfg = SearchConfig(u_size=2, restarts=4, refine_iters=3, directions=4, seed=1)
+        for mac, mode in ((example62_channels(), CommonMode(0.3)),
+                          (example62_channels(), ConferencingMode(0.1, 0.1)),
+                          (discussion_channels(), ConferencingMode(0.2, 0.2))):
+            est = achievable_region_estimate(mac, mode, cfg)
+            assert len(est.cases) > 1 and any(est.points.ravel())
+            assert all(isinstance(p, FactoredInput) for p in est.generators)
+        assert built == []
+        info_profile(FactoredInput.independent(Dist.from_mass([0.5, 0.5]),
+                                               Dist.from_mass([0.5, 0.5]),
+                                               example62_channels()))
+        assert built == ["InfoProfile"]  # the counter sees a one-input view
 
 
 class TestSecrecyCapacity:

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from _support import reference_elementary_region
-from wtmac import conferencing, optimizer, regions
+from wtmac import conferencing, regions
 from wtmac.casestudy import discussion_channels, example62_channels
 from wtmac.conferencing import CONF_COEFFS, region_conferencing
 from wtmac.errors import PreconditionError, ResourceBudgetError
-from wtmac.optimizer import ConferencingMode, SearchConfig, achievable_region_estimate
 from wtmac.probkit import (
     AX_T,
     AX_U,
@@ -250,8 +249,10 @@ class TestProfileKernel:
     @given(input_batches())
     def test_batch_matches_reference(self, inputs):
         batch = info_profiles(*stacked_factors(inputs))
-        assert len(batch.profiles) == len(inputs)
-        for p, prof, u_info, u_ind in zip(inputs, *batch):
+        assert batch.profiles.shape == (len(inputs), 16)
+        for i, (p, u_info, u_ind) in enumerate(zip(inputs, batch.u_info,
+                                                    batch.u_independent)):
+            prof = batch.profile(i)
             assert_profiles_close(prof, reference_info_profile(p))
             assert abs(u_info - mutual_information(p.joint, {AX_U},
                                                    {AX_V1, AX_V2})) <= 1e-12
@@ -283,7 +284,7 @@ class TestProfileKernel:
         cells = 3 * 2 * 2 * 3 * 2
         monkeypatch.setattr(regions, "CELL_BUDGET", 2 * cells)  # chunks of 2
         chunked = info_profiles(*stacked_factors(inputs))
-        assert chunked.profiles == whole.profiles
+        assert np.array_equal(chunked.profiles, whole.profiles)
         assert np.array_equal(chunked.u_info, whole.u_info)
         assert np.array_equal(chunked.u_independent, whole.u_independent)
 
@@ -683,33 +684,22 @@ class TestBatchedVertices:
             assert again is poly.vertices()
 
     def test_repeat_calls_reuse_the_enumeration(self, monkeypatch):
-        # Every polytope a conferencing search asks about is enumerated
-        # once; a Case-2 region's pieces are enumerated in one group, and
-        # its hull, its maximum and each piece's vertices then share it.
+        # A Case-2 region's pieces are enumerated in one kernel call, and its
+        # hull, its maximum and each piece's vertices then share it.
         requested, enumerated = [], []
-        batch, enumerate_group = regions.batch_vertices, regions._enumerate_group
+        batch, kernel = regions.batch_vertices, regions.stacked_vertices
 
         def counted_batch(polys, *args, **kw):
             requested.extend(polys)
             return batch(polys, *args, **kw)
 
-        def counted_enumeration(polys):
-            enumerated.append(list(polys))
-            return enumerate_group(polys)
+        def counted_kernel(coeffs, rhs):
+            enumerated.append(np.array(rhs))
+            return kernel(coeffs, rhs)
 
-        for module in (regions, optimizer, conferencing):
+        for module in (regions, conferencing):
             monkeypatch.setattr(module, "batch_vertices", counted_batch)
-        monkeypatch.setattr(regions, "_enumerate_group", counted_enumeration)
-        cfg = SearchConfig(u_size=2, restarts=3, refine_iters=3, directions=3, seed=1)
-        achievable_region_estimate(example62_channels(), ConferencingMode(0.2, 0.2), cfg)
-        distinct = {id(poly): poly for poly in requested}
-        flat = [id(poly) for group in enumerated for poly in group]
-        assert sorted(flat) == sorted(distinct)
-        for poly in distinct.values():
-            assert np.array_equal(poly.vertices(), reference_vertices(poly))
-
-        requested.clear()
-        enumerated.clear()
+        monkeypatch.setattr(regions, "stacked_vertices", counted_kernel)
         prof = info_profile(example62_input())
         region = region_conferencing(prof, 0.1, 0.1, CaseLabel.CASE2, alpha_points=9)
         pieces = [poly for _, poly in region.pieces]
@@ -718,7 +708,8 @@ class TestBatchedVertices:
         region.hull_points
         for poly in pieces:
             assert not poly.vertices().flags.writeable
-        assert [list(map(id, group)) for group in enumerated] == [list(map(id, pieces))]
+        assert len(enumerated) == 1
+        assert np.array_equal(enumerated[0], np.stack([poly.rhs for poly in pieces]))
         assert len(requested) > len(pieces)
 
     def test_empty_polytope(self):

@@ -38,3 +38,27 @@ def test_library_has_no_broad_exception_handlers():
              for path in sorted(root.glob("*.py"))
              for line, text in _broad_handlers(ast.parse(path.read_text()))]
     assert not found, found
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer rebinds its TRACED names by attribute path; a
+    # name deleted or renamed here would only fail the traced benchmark run.
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("_bench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    assert trace.TRACED
+    missing = []
+    for module, attr, _ in trace.TRACED:
+        mod = importlib.import_module(module)
+        owner, _, method = attr.rpartition(".")
+        if owner:
+            found = method in vars(getattr(mod, owner, object))
+        else:
+            found = callable(getattr(mod, attr, None))
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert not missing, missing
