@@ -190,7 +190,6 @@ def sample_codebook_families(p, n: int, l_sizes: Sequence[int], delta: float,
                                           useqs).reshape(size, k1, l1, n)
             y[:, a0, b0] = streams.sample(chain.y_given_u, delta, k2 * l2,
                                           useqs).reshape(size, k2, l2, n)
-    streams.close()
     return [CodebookFamily(chain, n, (k0, k1, k2), (l0, l1, l2), delta, seed,
                            u[i], x[i], y[i], streams.used[i])
             for i, seed in enumerate(seeds)]

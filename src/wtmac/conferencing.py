@@ -36,11 +36,11 @@ from .regions import (
     _first,
     _pos,
     _resolve,
-    batch_vertices,
     classify_profile,
     elementary_region,
     randomization_rates,
     region_common,
+    stacked_vertices,
 )
 
 # The shape of every conferencing region over (R1, R2).
@@ -180,8 +180,15 @@ class ConferencingRegion:
     pieces: tuple
 
     @cached_property
+    def _piece_vertices(self) -> list:
+        """Each piece's vertices, from one :func:`stacked_vertices` call."""
+        pts, keep = stacked_vertices(
+            CONF_COEFFS, np.stack([poly.rhs for _, poly in self.pieces]))
+        return [row[kept] for row, kept in zip(pts, keep)]
+
+    @cached_property
     def hull_points(self) -> np.ndarray:
-        verts = batch_vertices([poly for _, poly in self.pieces])
+        verts = self._piece_vertices
         if self.case != CaseLabel.CASE2:
             return verts[0]
         return _hull_2d(np.vstack(verts))
@@ -196,8 +203,11 @@ class ConferencingRegion:
         return any(poly.contains(point, tol) for _, poly in self.pieces)
 
     def max_weighted(self, weights) -> float:
-        batch_vertices([poly for _, poly in self.pieces])
-        return max(poly.max_weighted(weights) for _, poly in self.pieces)
+        """Maximum of weights @ R over the union (every piece nonempty)."""
+        if any(verts.shape[0] == 0 for verts in self._piece_vertices):
+            raise PreconditionError("empty polytope has no maximum")
+        w = np.asarray(weights, dtype=float)
+        return max(float(np.max(verts @ w)) for verts in self._piece_vertices)
 
     def to_json_dict(self) -> dict:
         return {

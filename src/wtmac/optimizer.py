@@ -81,14 +81,13 @@ class SearchConfig:
     """Knobs of the region search.
 
     ``u_size`` defaults to |X||Y| + 5 (a provably sufficient size for the
-    common auxiliary); the per-sender auxiliaries default to the channel
-    input sizes and are not provably sufficient.  ``max_evaluations`` is a
-    deterministic budget: once exhausted the estimate is returned partial.
+    common auxiliary); the per-sender auxiliaries take the channel input
+    sizes |X| and |Y|, which are not provably sufficient.
+    ``max_evaluations`` is a deterministic budget: once exhausted the
+    estimate is returned partial.
     """
 
     u_size: int | None = None
-    v1_size: int | None = None
-    v2_size: int | None = None
     restarts: int = 30
     refine_iters: int = 40
     directions: int = 16
@@ -99,11 +98,9 @@ class SearchConfig:
     def sizes_for(self, mac: WiretapMAC) -> tuple[int, int, int]:
         nx, ny = mac.x_alphabet.size, mac.y_alphabet.size
         u = self.u_size if self.u_size is not None else nx * ny + 5
-        v1 = self.v1_size if self.v1_size is not None else nx
-        v2 = self.v2_size if self.v2_size is not None else ny
-        if min(u, v1, v2) < 1:
-            raise ValidationError("auxiliary sizes must be >= 1")
-        return u, v1, v2
+        if u < 1:
+            raise ValidationError(f"u_size must be >= 1, got {u}")
+        return u, nx, ny
 
 
 class _Parameterization:

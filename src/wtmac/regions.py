@@ -8,6 +8,9 @@ whose unions rebuild the case regions, and verifies the two polyhedral
 decomposition lemmas by dense sampling with explicit witnesses.  Both
 verifiers state their time-sharing family once, as right-hand sides affine
 in alpha, and read one alpha-window kernel and one stacked alpha-set check.
+The Case-2 region is the convex hull of an alpha-family: it and the hull
+verifier read one closed form, :func:`_hull_rhs`, in the senders' given
+order.
 
 Naming convention for mutual informations (all in bits): ``it_v1_v2u``
 reads I(T ^ V1 | V2 U) -- the token after the quantity is the variable
@@ -393,8 +396,6 @@ class RatePolytope:
     coeffs: np.ndarray  # (k, dim)
     rhs: np.ndarray     # (k,)
     names: tuple[str, ...] = ()
-    _vertices: np.ndarray | None = field(default=None, init=False, repr=False,
-                                         compare=False)
 
     def __post_init__(self):
         co = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -432,9 +433,9 @@ class RatePolytope:
 
     def vertices(self) -> np.ndarray:
         """All vertices (dim <= 3): :func:`stacked_vertices` on this
-        polytope alone.  Memoized per instance (the polytope is immutable),
-        so the array returned is read-only."""
-        return batch_vertices((self,))[0]
+        polytope alone."""
+        pts, keep = stacked_vertices(self.coeffs, self.rhs[None])
+        return pts[0, keep[0]]
 
     def max_weighted(self, weights) -> float:
         """Maximum of weights @ R over the region (vertex enumeration)."""
@@ -465,22 +466,6 @@ class RatePolytope:
             np.array([c["rhs"] for c in cons], dtype=float),
             tuple(c.get("name", f"constraint[{i}]") for i, c in enumerate(cons)),
         )
-
-
-def batch_vertices(polys) -> list[np.ndarray]:
-    """Vertices of each polytope: one :func:`stacked_vertices` call per
-    coefficient matrix.  Each polytope's result is memoized on it, so the
-    arrays are read-only."""
-    groups: dict[tuple, list[RatePolytope]] = {}
-    for poly in {id(p): p for p in polys if p._vertices is None}.values():
-        groups.setdefault((poly.coeffs.shape, poly.coeffs.tobytes()), []).append(poly)
-    for group in groups.values():
-        pts, keep = stacked_vertices(group[0].coeffs, np.stack([p.rhs for p in group]))
-        for poly, row, kept in zip(group, pts, keep):
-            verts = row[kept]
-            verts.setflags(write=False)
-            object.__setattr__(poly, "_vertices", verts)
-    return [poly._vertices for poly in polys]
 
 
 def _active_sets(coeffs: np.ndarray):
@@ -539,14 +524,28 @@ def _resolve(p_or_prof, u_independent=None):
     return p_or_prof, bool(u_independent)
 
 
+def _hull_rhs(r1, r2, r12, total, a, b, alpha0, alpha1):
+    """The five right-hand sides of the convex hull of K_alpha =
+    {x >= 0 : x1 <= r1 - alpha a, x2 <= r2 - (1 - alpha) b,
+    x1 + x2 <= r12 - alpha a - (1 - alpha) b, x0 + x1 + x2 <= total} over
+    alpha in [alpha0, alpha1], in the senders' given order and for either
+    sign of a - b: R1, R2, R1+R2, the weighted row (0, b, a), and the total.
+    Elementwise on arrays: the Case-2 region and the hull verifier both read
+    it."""
+    low = a <= b  # the largest sum bound is K_alpha1's, else K_alpha0's
+    at = np.where(low, alpha1, alpha0)
+    weighted = np.where(low, r12 * a + r1 * (b - a), r12 * b + r2 * (a - b)) - a * b
+    return np.stack([r1 - alpha0 * a, r2 - (1.0 - alpha1) * b,
+                     r12 - at * a - (1.0 - at) * b, weighted, total], axis=-1)
+
+
 def case_rhs(profiles: np.ndarray, hc: float, case: CaseLabel):
     """(coeffs, rhs, ok): one case's region over (R0, R1, R2) for each row
     of a profile array, regardless of the case's gates; ``ok`` is False where
     the Case-2 time-sharing interval is empty.  Case 2 has (N, 5, 3)
     coefficients: its weighted row (0, I(Z^V2|V1U), I(Z^V1|V2U)) bounds the
-    hull facet of the time-sharing corners (the equality branch repeats the
-    R1+R2 row there), and a row whose I(Z^V1|V2U) is the smaller is
-    evaluated on its sender-swapped columns with its R1, R2 columns swapped.
+    hull facet of the time-sharing corners (:func:`_hull_rhs`), and the
+    equality branch repeats the R1+R2 row there.
     """
     p = _columns(profiles)
     total = p.it_v12 - p.iz_v12
@@ -559,21 +558,14 @@ def case_rhs(profiles: np.ndarray, hc: float, case: CaseLabel):
         coeffs = np.vstack([[1, 0, 0], RATE_COEFFS[:3]]) if case == 0 else RATE_COEFFS
         return coeffs, np.stack(rhs, 1), np.ones(len(profiles), dtype=bool)
     a, b = p.iz_v1_v2u, p.iz_v2_v1u
-    degenerate = np.abs(a - b) <= EQUALITY_TOL
-    swap = ~degenerate & (a < b)
-    o = _columns(np.where(swap[:, None], profiles[:, SENDER_SWAP], profiles))
-    oa, ob = o.iz_v1_v2u, o.iz_v2_v1u
-    alpha0, alpha1, _ = _case2_interval(o, hc)
-    r1, r2, r12 = o.it_v1_v2u, o.it_v2_v1u, o.it_v12_u
+    alpha0, alpha1, degenerate = _case2_interval(p, hc)
     with np.errstate(invalid="ignore"):
-        weighted = np.stack([r1 - alpha0 * oa, r2 - (1.0 - alpha1) * ob,
-                             r12 - alpha0 * oa - (1.0 - alpha0) * ob,
-                             r12 * ob + r2 * (oa - ob) - oa * ob, total], 1)
+        hull = _hull_rhs(p.it_v1_v2u, p.it_v2_v1u, p.it_v12_u, total, a, b,
+                         alpha0, alpha1)
     direct = np.stack([p.it_v1_v2u, p.it_v2_v1u, *[p.it_v12_u - a] * 2, total], 1)
     coeffs = np.tile(RATE_COEFFS[[0, 1, 2, 2, 3]], (len(profiles), 1, 1))
-    coeffs[~degenerate, 3, 1:] = np.stack([ob, oa], 1)[~degenerate]
-    coeffs[swap] = coeffs[swap][:, :, [0, 2, 1]]
-    return (coeffs, np.where(degenerate[:, None], direct, weighted),
+    coeffs[~degenerate, 3, 1:] = np.stack([b, a], 1)[~degenerate]
+    return (coeffs, np.where(degenerate[:, None], direct, hull),
             degenerate | ~(alpha0 > alpha1))
 
 
@@ -599,9 +591,6 @@ def region_common(p_or_prof, hc: float, case: CaseLabel, *,
             coeffs, rhs = np.delete(coeffs, 3, axis=0), np.delete(rhs, 3)
         else:
             names = RATE_NAMES[:3] + ("weighted bound",) + RATE_NAMES[3:]
-            if prof.iz_v1_v2u < prof.iz_v2_v1u:
-                names = tuple(n.replace("R1", "#").replace("R2", "R1")
-                              .replace("#", "R2") for n in names)
     return RatePolytope(3, coeffs, rhs, names)
 
 
@@ -923,17 +912,11 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     grid = _alpha_grid(alpha0, alpha1, grid_step)
 
     # Closed form K.
-    if a <= b:
-        conv23 = r12 - alpha1 * a - (1.0 - alpha1) * b
-        conv24 = r12 * a + r1 * (b - a) - a * b
-    else:
-        conv23 = r12 - alpha0 * a - (1.0 - alpha0) * b
-        conv24 = r12 * b + r2 * (a - b) - a * b
-    k_coeffs = RATE_COEFFS
-    k_rhs = np.array([rhs0[0], rhs1[1], conv23, r012 - c])
+    k_rhs = _hull_rhs(r1, r2, r12, r012 - c, a, b, alpha0, alpha1)
     if a > 0 or b > 0:
-        k_coeffs = np.insert(k_coeffs, 3, [0, b, a], axis=0)
-        k_rhs = np.insert(k_rhs, 3, conv24)
+        k_coeffs = np.insert(RATE_COEFFS, 3, [0, b, a], axis=0)
+    else:  # the weighted row reads 0 <= 0
+        k_coeffs, k_rhs = RATE_COEFFS, np.delete(k_rhs, 3)
 
     report = LemmaReport("convex-hull-of-alpha-family", True, 0)
 

@@ -309,7 +309,7 @@ def case2_sum_bound_min_form(prof, hc):
 
 def reference_vertices(poly, tol=1e-9):
     """Vertices by solving each active-constraint subset in turn: the
-    reference for the stacked enumeration of ``regions.batch_vertices``."""
+    reference for the stacked enumeration of ``regions.stacked_vertices``."""
     rows = np.vstack([poly.coeffs, -np.eye(poly.dim)])
     vals = np.concatenate([poly.rhs, np.zeros(poly.dim)])
     found = []

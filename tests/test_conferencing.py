@@ -14,8 +14,10 @@ from _support import (
     sample_case_profiles,
 )
 from wtmac.conferencing import (
+    CONF_COEFFS,
     CONF_NAMES,
     ConferencingCapacities,
+    ConferencingRegion,
     beta_bounds,
     build_conference,
     elementary_conf_region,
@@ -31,6 +33,7 @@ from wtmac.errors import (
 )
 from wtmac.regions import (
     CaseLabel,
+    RatePolytope,
     _pos,
     alpha_bounds_case2,
     info_profile,
@@ -209,6 +212,16 @@ class TestRegions:
             for alpha, poly in region.pieces[::5]:
                 for point in poly.sample(rng, 5):
                     assert region.contains(point, tol=1e-9)
+            for weights in ((1.0, 1.0), (0.3, 1.0), (1.0, 0.0)):
+                assert region.max_weighted(weights) == max(
+                    poly.max_weighted(weights) for _, poly in region.pieces)
+
+    def test_union_maximum_refuses_an_empty_piece(self):
+        pieces = tuple((alpha, RatePolytope(2, CONF_COEFFS, np.array(rhs), CONF_NAMES))
+                       for alpha, rhs in ((0.0, [1.0, 1.0, 1.5]), (1.0, [-0.5, 1.0, 1.0])))
+        region = ConferencingRegion(CaseLabel.CASE2, pieces)
+        with pytest.raises(PreconditionError, match="empty"):
+            region.max_weighted((1.0, 1.0))
 
     def test_region_json(self):
         rng = np.random.default_rng(13)

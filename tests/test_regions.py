@@ -26,6 +26,7 @@ from wtmac.probkit import (
 )
 from wtmac.regions import (
     RATE_COEFFS,
+    RATE_NAMES,
     AlphaBounds,
     CaseLabel,
     RatePolytope,
@@ -672,45 +673,25 @@ class TestBatchedVertices:
         for poly in polys:
             assert np.array_equal(poly.vertices(), reference_vertices(poly))
 
-    def test_one_batch_of_mixed_shapes(self):
-        rng = np.random.default_rng(30)
-        polys = list(swept_polytopes(rng, 40))
-        assert len({(p.coeffs.shape, p.coeffs.tobytes()) for p in polys}) > 3
-        batch = regions.batch_vertices(polys + polys[:5])
-        for poly, verts in zip(polys, batch):
-            assert not verts.flags.writeable
-            assert np.array_equal(verts, reference_vertices(poly))
-        for poly, again in zip(polys[:5], batch[-5:]):
-            assert again is poly.vertices()
-
     def test_repeat_calls_reuse_the_enumeration(self, monkeypatch):
-        # A Case-2 region's pieces are enumerated in one kernel call, and its
-        # hull, its maximum and each piece's vertices then share it.
-        requested, enumerated = [], []
-        batch, kernel = regions.batch_vertices, regions.stacked_vertices
-
-        def counted_batch(polys, *args, **kw):
-            requested.extend(polys)
-            return batch(polys, *args, **kw)
+        # A Case-2 region's pieces are enumerated in one kernel call, which
+        # its hull and its maximum then share.
+        enumerated, kernel = [], regions.stacked_vertices
 
         def counted_kernel(coeffs, rhs):
             enumerated.append(np.array(rhs))
             return kernel(coeffs, rhs)
 
         for module in (regions, conferencing):
-            monkeypatch.setattr(module, "batch_vertices", counted_batch)
-        monkeypatch.setattr(regions, "stacked_vertices", counted_kernel)
+            monkeypatch.setattr(module, "stacked_vertices", counted_kernel)
         prof = info_profile(example62_input())
         region = region_conferencing(prof, 0.1, 0.1, CaseLabel.CASE2, alpha_points=9)
         pieces = [poly for _, poly in region.pieces]
         assert len(pieces) == 9
         region.max_weighted((1.0, 1.0))
         region.hull_points
-        for poly in pieces:
-            assert not poly.vertices().flags.writeable
         assert len(enumerated) == 1
         assert np.array_equal(enumerated[0], np.stack([poly.rhs for poly in pieces]))
-        assert len(requested) > len(pieces)
 
     def test_empty_polytope(self):
         poly = RatePolytope(3, RATE_COEFFS, np.array([-0.5, 1.0, 1.0, 2.0]))
@@ -1143,6 +1124,52 @@ class TestConvexHullLemma:
             verify_convexhull_lemma(**inst)
 
 
+@st.composite
+def case2_profiles(draw):
+    """A profile of a random factored input, in a drawn sender order, with
+    an H_C at which it classifies as non-degenerate Case 2."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mac = random_mac(rng, bob_quality=draw(st.sampled_from([0.0, 0.5])))
+    prof = info_profile(random_factored(rng, mac, u=draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        prof = prof.swapped()
+    low = min(prof.iz_v1u, prof.iz_v2u)
+    hc = low + draw(st.floats(0.0, 1.0)) * (prof.iz_v12 - low)
+    assume(abs(prof.iz_v1_v2u - prof.iz_v2_v1u) > regions.EQUALITY_TOL)
+    assume(CaseLabel.CASE2 in classify_profile(prof, hc).cases)
+    return prof, hc
+
+
+class TestCase2HullInGivenOrder:
+    def test_region_and_verifier_read_the_given_order(self):
+        # The Case-2 region names its rows in the senders' given order, and
+        # the hull verifier passes on the instance its profile gives, with
+        # either conditional leakage the larger.
+        orders, verified = set(), set()
+
+        @PROPERTY_SETTINGS
+        @given(case2_profiles())
+        def check(drawn):
+            prof, hc = drawn
+            a, b = prof.iz_v1_v2u, prof.iz_v2_v1u
+            orders.add(bool(a < b))
+            region = region_common(prof, hc, CaseLabel.CASE2)
+            assert region.names == RATE_NAMES[:3] + ("weighted bound",) + RATE_NAMES[3:]
+            ab = alpha_bounds_case2(prof, hc)
+            try:
+                rep = verify_convexhull_lemma(
+                    prof.it_v1_v2u, prof.it_v2_v1u, prof.it_v12_u,
+                    prof.it_v12 - prof.iz_v12, a, b, 0.0, ab.alpha0, ab.alpha1,
+                    samples=60, seed=0)
+            except PreconditionError:
+                return
+            assert rep.passed and not rep.counterexamples
+            verified.add(bool(a < b))
+
+        check()
+        assert orders == verified == {False, True}
+
+
 class TestNesting:
     def test_case1_inside_case2_and_case3(self):
         rng = np.random.default_rng(29)
@@ -1212,12 +1239,13 @@ class TestBoundaryWarnings:
 class TestCase2Endpoints:
     def test_alpha0_elementary_matches_region_r1_bound(self):
         # at the left endpoint the elementary R1 bound must reproduce the
-        # case region's R1 bound (both are computed independently)
+        # case region's R1 bound (both are computed independently), in
+        # either sender order
         rng = np.random.default_rng(33)
         checked = 0
         while checked < 10:
             prof = info_profile(random_factored(rng, random_mac(rng, bob_quality=0.5)))
-            if prof.iz_v1_v2u <= prof.iz_v2_v1u + 1e-6:
+            if abs(prof.iz_v1_v2u - prof.iz_v2_v1u) <= 1e-6:
                 continue
             if prof.iz_v12 > prof.it_v12:
                 continue
