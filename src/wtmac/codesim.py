@@ -320,8 +320,8 @@ class WiretapCode:
 
     @cached_property
     def eve_conditionals(self) -> np.ndarray:
-        """:func:`eavesdropper_conditionals` of the MAC's own eavesdropper,
-        computed once per code; read-only."""
+        """:func:`eavesdropper_conditionals`, computed once per code;
+        read-only."""
         cond = eavesdropper_conditionals(self)
         cond.setflags(write=False)
         return cond
@@ -751,11 +751,10 @@ def mac_average_error(code: WiretapCode, w_b: Channel | None = None,
 # Eavesdropper audits
 # ---------------------------------------------------------------------------
 
-def eavesdropper_conditionals(code: WiretapCode,
-                              w_e: Channel | None = None) -> np.ndarray:
+def eavesdropper_conditionals(code: WiretapCode) -> np.ndarray:
     """Matrix of P(eavesdropper output | message), one row per message."""
     mac = code.chain.mac
-    matrix = (w_e or mac.eve).matrix
+    matrix = mac.eve.matrix
     z_count = matrix.shape[1] ** code.n_total
     messages = list(code.messages())
     if z_count * len(messages) > CELL_BUDGET:
@@ -772,28 +771,30 @@ def eavesdropper_conditionals(code: WiretapCode,
     return out
 
 
-def _conditionals(code: WiretapCode, w_e: Channel | None) -> np.ndarray:
-    """The code's memo under the MAC's own eavesdropper; fresh under ``w_e``."""
-    return code.eve_conditionals if w_e is None else eavesdropper_conditionals(code, w_e)
+def exact_leakage(code: WiretapCode, w_e: None = None) -> float:
+    """Exact eavesdropper message information in bits, by enumeration.
 
-
-def exact_leakage(code: WiretapCode, w_e: Channel | None = None) -> float:
-    """Exact eavesdropper message information in bits, by enumeration."""
-    cond = _conditionals(code, w_e)
+    ``w_e`` must be None: the leakage is measured on the MAC's own
+    eavesdropper.  The parameter remains only because the benchmark's
+    leakage-perturbation self-test wraps this function as
+    ``(code, w_e=None)``."""
+    if w_e is not None:
+        raise ValidationError("exact_leakage measures the MAC's own "
+                              "eavesdropper; pass no channel")
+    cond = code.eve_conditionals
     mean = cond.mean(axis=0)
     return entropy_bits(mean) - float(np.mean([entropy_bits(r) for r in cond]))
 
 
-def eve_map_error(code: WiretapCode, w_e: Channel | None = None) -> float:
+def eve_map_error(code: WiretapCode) -> float:
     """Exact average error of the eavesdropper's optimal decoder."""
-    cond = _conditionals(code, w_e)
+    cond = code.eve_conditionals
     return 1.0 - float(cond.max(axis=0).sum()) / cond.shape[0]
 
 
-def max_message_variation(code: WiretapCode,
-                          w_e: Channel | None = None) -> float:
+def max_message_variation(code: WiretapCode) -> float:
     """max over messages of the L1 distance to the mean output law."""
-    cond = _conditionals(code, w_e)
+    cond = code.eve_conditionals
     mean = cond.mean(axis=0)
     return float(np.abs(cond - mean[None, :]).sum(axis=1).max())
 
@@ -821,17 +822,16 @@ class LeakageChainReport:
     holds: bool
 
 
-def leakage_chain_check(code: WiretapCode,
-                        w_e: Channel | None = None) -> LeakageChainReport:
+def leakage_chain_check(code: WiretapCode) -> LeakageChainReport:
     """Verify the variation-to-leakage chain on one concrete code."""
-    eps = max_message_variation(code, w_e)
-    leak = exact_leakage(code, w_e)
+    eps = max_message_variation(code)
+    leak = exact_leakage(code)
     if eps <= 0.0:
         return LeakageChainReport(eps, True, 0.0, leak, leak <= 1e-12)
     if eps > 0.5:
         return LeakageChainReport(eps, False, None, leak, True)
-    z_size = (w_e or code.chain.mac.eve).matrix.shape[1]
-    bound = secrecy_from_variation(eps, z_size, code.n_total)
+    bound = secrecy_from_variation(eps, code.chain.mac.z_alphabet.size,
+                                   code.n_total)
     return LeakageChainReport(eps, True, bound, leak, leak <= bound + 1e-12)
 
 

@@ -156,12 +156,6 @@ class _Workspace:
             self._typ_cache[key] = out
         return out
 
-    def typical_count(self, useq, xs, yseq) -> int:
-        """How many rows of ``xs`` are conditionally typical given (y, u)."""
-        ctx, _ = zip_sequences(yseq, useq, [self.ny, self.nu])
-        return int(_typical_rows(self.x_given_yu.matrix, ctx, xs,
-                                 self.delta).sum())
-
     def theta_uy(self, useq, yseq):
         """Exact reference measure given (u, y), cut to its support, that
         support, and the typical-x average of the inner rows zeroed off E2
@@ -175,20 +169,11 @@ class _Workspace:
             ctx, _ = zip_sequences(yseq, useq, [self.ny, self.nu])
             zy_mask = typical_mask(self.z_given_yu, 2 * self.nx * self.delta,
                                    self.n, ctx)
-            theta = probs @ (rows * (zy_mask & capped))
-            count = max(int(zy_mask.sum()), 1)
-            f1 = zy_mask & (theta >= self.eps / count)
-            out = (theta * f1, f1, probs @ (rows * (f1 & capped)))
+            theta_hat, f1 = _cut(probs @ (rows * (zy_mask & capped)), zy_mask,
+                                 self.eps / max(int(zy_mask.sum()), 1))
+            out = (theta_hat, f1, probs @ (rows * (f1 & capped)))
             self._uy_cache[key] = out
         return out
-
-    def inner_mean(self, useq, xs, yseq):
-        """Average row of the inner sequences ``xs`` given (u, y), zeroed off
-        E2 (probability-capped, on the support of the (u, y) reference, which
-        lies inside the typical set given (y, u)), and that reference."""
-        theta_hat, f1, _ = self.theta_uy(useq, yseq)
-        rows = _channel_rows(self.we, xs, yseq, self.ny)
-        return (rows * (f1 & (rows <= self.cap))).mean(axis=0), theta_hat
 
     def theta_u(self, useq):
         """Exact reference measure given u alone (pairs enumerated), cut to
@@ -204,25 +189,9 @@ class _Workspace:
             zmask = typical_mask(self.z_given_u,
                                  3 * self.ny * self.nx * self.delta,
                                  self.n, ctx)
-            count = max(int(zmask.sum()), 1)
-            f2 = zmask & (theta >= self.eps / count)
-            out = (theta * f2, f2)
+            out = _cut(theta, zmask, self.eps / max(int(zmask.sum()), 1))
             self._u_cache[key] = out
         return out
-
-    def pair_mean(self, fam: CodebookFamily, a: int):
-        """Average E0 row over the (x, y) pairs of shared index ``a`` and the
-        per-u reference it concentrates around."""
-        _, l1, l2 = fam.l_sizes
-        useq = fam.u[0, a]
-        theta_hat_u, f2 = self.theta_u(useq)
-        ys = fam.y[0, a, 0]
-        f1 = np.array([self.theta_uy(useq, yseq)[1] for yseq in ys])
-        # pairs (b, c) in b-major order
-        rows = _channel_rows(self.we, np.repeat(fam.x[0, a, 0], l2, axis=0),
-                             np.tile(ys, (l1, 1)), self.ny)
-        e0 = (rows <= self.cap) & np.tile(f1, (l1, 1)) & f2
-        return (rows * e0).sum(axis=0) / (l1 * l2), theta_hat_u
 
     def outer_rows(self, xs, ys) -> np.ndarray:
         """Output rows of the pairs (``xs``, ``ys``), zeroed off E3:
@@ -252,8 +221,7 @@ class _Workspace:
                 for pyv, y_rows in zip(yp[block.start // len(xs):],
                                        rows.reshape(-1, len(xs), theta.size)):
                     theta += (pu * pyv) * (xp @ y_rows)
-        f3 = self.t_z_big_mask & (theta >= self.eps / max(self.t_z_plain, 1))
-        return theta * f3, f3
+        return _cut(theta, self.t_z_big_mask, self.eps / max(self.t_z_plain, 1))
 
     # -- bound formulas -------------------------------------------------------
 
@@ -271,6 +239,13 @@ class _Workspace:
         if self.mu <= 0.0:
             return 1.0
         return min(math.exp(-size * self.eps ** 2 * self.mu / (2.0 * LN2)), 1.0)
+
+
+def _cut(theta: np.ndarray, mask: np.ndarray, floor: float):
+    """A reference measure kept on ``mask`` where it reaches ``floor``, and
+    that support."""
+    support = mask & (theta >= floor)
+    return theta * support, support
 
 
 def _check(name: str, bound: float, freq: float, events: int,
@@ -335,11 +310,13 @@ def concentration_report(family: CodebookFamily, eps: float, *,
 
 
 def _pair_checks(ws: _Workspace, fams) -> list:
-    """The Case-1/2 checks in one pass over the resampled families: per
-    (a, c) one typical count and one inner mean, and in Case 1 one pair mean
-    per a.  Each index's corridor test (width eps for Case-2 inner means,
-    3 eps for Case-1 pair means) feeds both its own check and the family
-    means, which are then checked against an estimated reference."""
+    """The Case-1/2 checks in one pass over the resampled families.  Each
+    shared index a reads one block of channel rows over its l1 x l2 (x, y)
+    pairs (b-major) and one typicality test of every x given each partner's
+    (y, u): per partner c a typical count and an inner mean, and in Case 1
+    one pair mean.  Each index's corridor test (width eps for Case-2 inner
+    means, 3 eps for Case-1 pair means) feeds both its own check and the
+    family means, which are then checked against an estimated reference."""
     l0, l1, l2 = fams[0].l_sizes
     size = ws.nz ** ws.n
     threshold = ws.typical_fraction_threshold(l1)
@@ -351,15 +328,29 @@ def _pair_checks(ws: _Workspace, fams) -> list:
         total = np.zeros(size)
         ok = np.ones(size, dtype=bool)
         for a in range(l0):
-            useq, xs = fam.u[0, a], fam.x[0, a, 0]
-            for yseq in fam.y[0, a, 0]:
-                star_fail += ws.typical_count(useq, xs, yseq) < threshold
-                mean, ref = ws.inner_mean(useq, xs, yseq)
-                out = _outside(mean, ref, ws.eps)
-                inner_fail += out
-            # with a single partner (l2 = 1) the family means read its inner mean
-            if l2 > 1:
-                mean, ref = ws.pair_mean(fam, a)
+            useq, partners = fam.u[0, a], fam.y[0, a, 0]
+            xs = np.repeat(fam.x[0, a, 0], l2, axis=0)
+            ys = np.tile(partners, (l1, 1))
+            ctx, _ = zip_sequences(ys, np.broadcast_to(useq, ys.shape),
+                                   [ws.ny, ws.nu])
+            good = _typical_rows(ws.x_given_yu.matrix, ctx, xs, ws.delta)
+            star_fail += int((good.reshape(l1, l2).sum(axis=0)
+                              < threshold).sum())
+            refs, f1 = map(np.array, zip(*(ws.theta_uy(useq, y)[:2]
+                                           for y in partners)))
+            # rows zeroed off E2: probability-capped, on each partner's
+            # (u, y) support
+            rows = _channel_rows(ws.we, xs, ys, ws.ny).reshape(l1, l2, size)
+            kept = rows * (f1 & (rows <= ws.cap))
+            means = kept.mean(axis=0)
+            outs = _outside(means, refs, ws.eps)
+            inner_fail += outs.sum(axis=0)
+            if l2 == 1:
+                # a single partner: the family means read its inner mean
+                mean, ref, out = means[0], refs[0], outs[0]
+            else:
+                ref, f2 = ws.theta_u(useq)
+                mean = (kept * f2).reshape(-1, size).sum(axis=0) / (l1 * l2)
                 out = _outside(mean, ref, 3 * ws.eps)
                 pair_fail += out
             ok &= ~out
@@ -409,8 +400,7 @@ def _estimated_reference_check(ws: _Workspace, per_fam, floor: float,
         acc += np.where(ok, first, 0.0)
         cnt += ok
     theta_est = np.divide(acc, np.maximum(cnt, 1.0))
-    support = ws.t_z_big_mask & (theta_est >= floor)
-    theta_hat = theta_est * support
+    theta_hat, support = _cut(theta_est, ws.t_z_big_mask, floor)
     fail_by_z = np.zeros(ws.nz ** ws.n)
     for mean, _, _ in per_fam:
         fail_by_z += support & _outside(mean, theta_hat, width)

@@ -295,13 +295,29 @@ def _certified(systems: list, rates: np.ndarray, cases: list) -> list[bool]:
 
 @dataclass
 class _Walk:
-    """One direction's refinement walk: its best score and input so far, the
-    noise of each of its steps, and the current step size."""
+    """One refinement walk (a search direction's, or the capacity's): its
+    best score and input so far, the noise of each of its steps, and the
+    current step size."""
 
     score: float
     params: np.ndarray
     noise: np.ndarray
     step: float = STEP_INIT
+
+
+def _refine(walks: dict, evaluate) -> None:
+    """Run every walk's accept/reject steps in lockstep.  Each step scores
+    one trial per live walk as one batch: ``evaluate(trials, keys)`` takes
+    the trials and their walks' keys, in the order of ``walks``."""
+    for it in range(max((len(w.noise) for w in walks.values()), default=0)):
+        live = [(k, w) for k, w in walks.items() if it < len(w.noise)]
+        trials = [w.params + w.step * w.noise[it] for _, w in live]
+        scores = evaluate(trials, [k for k, _ in live])
+        for (_, w), trial, t_score in zip(live, trials, scores):
+            if t_score > w.score:
+                w.score, w.params = t_score, trial
+            else:
+                w.step *= STEP_DECAY
 
 
 def _directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -368,15 +384,8 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
         partial |= steps < cfg.refine_iters
         evaluations += steps
         walks[d] = _Walk(s, params, rng.standard_normal((steps, par.length)))
-    for it in range(max((len(w.noise) for w in walks.values()), default=0)):
-        live = [(d, w) for d, w in walks.items() if it < len(w.noise)]
-        trials = [w.params + w.step * w.noise[it] for _, w in live]
-        found = _best_vertices(score(trials), dirs[[d for d, _ in live]])
-        for (d, w), trial, (t_score, _, _) in zip(live, trials, found):
-            if t_score > w.score:
-                w.score, w.params = t_score, trial
-            else:
-                w.step *= STEP_DECAY
+    _refine(walks, lambda trials, keys: [
+        t for t, _, _ in _best_vertices(score(trials), dirs[keys])])
     points = []  # (rates, case, params) of each walk's best vertex
     if walks:
         finals = _best_vertices(score([w.params for w in walks.values()]),
@@ -422,7 +431,8 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
 
     Maximizes the legitimate-minus-eavesdropper information gap over the
     factored input family; monotone nondecreasing in the search budget.
-    The starts are scored as one batch, the refinement one trial at a time.
+    The starts are scored as one batch; the refinement is one walk of
+    :func:`_refine`, one trial per step.
     """
     rng = np.random.default_rng(cfg.seed)
     par = _Parameterization(mac, cfg)
@@ -443,13 +453,7 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
             best_val, best_params = val, params
     if best_params is None:
         return 0.0
-    step = STEP_INIT
-    val, params = best_val, best_params
-    for _ in range(cfg.refine_iters):
-        trial = params + step * rng.standard_normal(par.length)
-        t_val = objective([trial])[0]
-        if t_val > val:
-            val, params = t_val, trial
-        else:
-            step *= STEP_DECAY
-    return float(max(val, 0.0))
+    walk = _Walk(best_val, best_params,
+                 rng.standard_normal((cfg.refine_iters, par.length)))
+    _refine({0: walk}, lambda trials, _: objective(trials))
+    return float(max(walk.score, 0.0))

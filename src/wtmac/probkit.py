@@ -57,22 +57,10 @@ class Alphabet:
     """A finite symbol set identified with {0, ..., size-1}."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise ValidationError(f"alphabet size must be >= 1, got {self.size}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.size:
-                raise ValidationError(
-                    f"{len(self.labels)} labels for alphabet of size {self.size}"
-                )
-
-    def label(self, symbol: int) -> str:
-        if self.labels is not None:
-            return self.labels[symbol]
-        return str(symbol)
 
 
 def _as_prob_vector(mass, size: int | None = None) -> np.ndarray:

@@ -26,6 +26,7 @@ from wtmac.probkit import (
     _draw,
     _inverse_cdf,
     _sequence_law,
+    _typical_rows,
     mutual_information,
     typical_mask,
     typical_membership,
@@ -653,7 +654,7 @@ def reference_case3_theta(ws):
 def reference_pair_mean(ws, fam, a):
     """Average E0 row over the l1 x l2 pairs of shared index ``a``, one
     per-pair row and typical output mask at a time: the reference for
-    ``_Workspace.pair_mean``."""
+    :func:`pair_mean`."""
     _, l1, l2 = fam.l_sizes
     useq = fam.u[0, a]
     theta_hat_u, f2 = ws.theta_u(useq)
@@ -668,6 +669,39 @@ def reference_pair_mean(ws, fam, a):
             mean += row * e0
     mean /= l1 * l2
     return mean, theta_hat_u
+
+
+# The per-call forms of the means ``concentration._pair_checks`` reads from
+# one row block and one typicality test per shared index.
+
+def typical_count(ws, useq, xs, yseq) -> int:
+    """How many rows of ``xs`` are conditionally typical given (y, u)."""
+    ctx, _ = zip_sequences(yseq, useq, [ws.ny, ws.nu])
+    return int(_typical_rows(ws.x_given_yu.matrix, ctx, xs, ws.delta).sum())
+
+
+def inner_mean(ws, useq, xs, yseq):
+    """Average row of the inner sequences ``xs`` given (u, y), zeroed off
+    E2 (probability-capped, on the support of the (u, y) reference, which
+    lies inside the typical set given (y, u)), and that reference."""
+    theta_hat, f1, _ = ws.theta_uy(useq, yseq)
+    rows = _channel_rows(ws.we, xs, yseq, ws.ny)
+    return (rows * (f1 & (rows <= ws.cap))).mean(axis=0), theta_hat
+
+
+def pair_mean(ws, fam, a):
+    """Average E0 row over the (x, y) pairs of shared index ``a`` and the
+    per-u reference it concentrates around."""
+    _, l1, l2 = fam.l_sizes
+    useq = fam.u[0, a]
+    theta_hat_u, f2 = ws.theta_u(useq)
+    ys = fam.y[0, a, 0]
+    f1 = np.array([ws.theta_uy(useq, yseq)[1] for yseq in ys])
+    # pairs (b, c) in b-major order
+    rows = _channel_rows(ws.we, np.repeat(fam.x[0, a, 0], l2, axis=0),
+                         np.tile(ys, (l1, 1)), ws.ny)
+    e0 = (rows <= ws.cap) & np.tile(f1, (l1, 1)) & f2
+    return (rows * e0).sum(axis=0) / (l1 * l2), theta_hat_u
 
 
 def reference_theta_u(ws, useq):
@@ -695,7 +729,7 @@ def reference_case3_checks(ws, fams, l0):
     fail_by_z = np.zeros(ws.nz ** ws.n)
     for fam in fams:
         us, xs, ys = fam.u[0], fam.x[0, :, 0, 0], fam.y[0, :, 0, 0]
-        good = sum(ws.typical_count(useq, xseq[None, :], yseq)
+        good = sum(typical_count(ws, useq, xseq[None, :], yseq)
                    for useq, xseq, yseq in zip(us, xs, ys))
         if good < threshold:
             star_fail += 1
@@ -733,8 +767,8 @@ def _pair_typicality_check(ws, fams):
     for fam in fams:
         for a in range(l0):
             for c in range(l2):
-                good = ws.typical_count(fam.u[0, a], fam.x[0, a, 0],
-                                        fam.y[0, a, 0, c])
+                good = typical_count(ws, fam.u[0, a], fam.x[0, a, 0],
+                                     fam.y[0, a, 0, c])
                 events += 1
                 if good < threshold:
                     failures += 1
@@ -750,8 +784,8 @@ def _mean_corridor_check(ws, fams):
     for fam in fams:
         for a in range(l0):
             for c in range(l2):
-                fail_by_z += _outside(*ws.inner_mean(fam.u[0, a], fam.x[0, a, 0],
-                                                     fam.y[0, a, 0, c]), ws.eps)
+                fail_by_z += _outside(*inner_mean(ws, fam.u[0, a], fam.x[0, a, 0],
+                                                  fam.y[0, a, 0, c]), ws.eps)
                 events += 1
     return _check("inner-mean corridor (per output sequence)",
                   min(2.0 * ws.tail(l1, ws.i_z_x_yu, 2.0), 1.0),
@@ -767,7 +801,7 @@ def _joint_mean_check(ws, fams):
     events = 0
     for fam in fams:
         for a in range(l0):
-            fail_by_z += _outside(*ws.pair_mean(fam, a), 3 * ws.eps)
+            fail_by_z += _outside(*pair_mean(ws, fam, a), 3 * ws.eps)
             events += 1
     return _check("pair-mean corridor (per shared sequence)", bound,
                   float(fail_by_z.max()) / events, events)
@@ -797,7 +831,8 @@ def _outer_mean_check_case1(ws, fams):
     bound = min(2.0 * l0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
                 + 2.0 * l0 * ws.tail(l2, ws.i_z_y_u, 4.0)
                 + 2.0 * ws.tail(l0, ws.i_z_u, 4.0), 1.0)
-    per_fam = _family_means(ws, fams, ws.pair_mean, 3 * ws.eps)
+    per_fam = _family_means(ws, fams, lambda fam, a: pair_mean(ws, fam, a),
+                             3 * ws.eps)
     return _estimated_reference_check(
         ws, per_fam, 1.0 / max(int(ws.t_z_big_mask.sum()), 1), 5 * ws.eps,
         "family-mean corridor (common index, estimated reference)", bound)
@@ -809,8 +844,8 @@ def _outer_mean_check_case2(ws, fams):
                 + 2.0 * ws.tail(l0, ws.i_z_yu, 4.0), 1.0)
     per_fam = _family_means(
         ws, fams,
-        lambda fam, a: ws.inner_mean(fam.u[0, a], fam.x[0, a, 0],
-                                     fam.y[0, a, 0, 0]),
+        lambda fam, a: inner_mean(ws, fam.u[0, a], fam.x[0, a, 0],
+                                  fam.y[0, a, 0, 0]),
         ws.eps)
     return _estimated_reference_check(
         ws, per_fam, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,

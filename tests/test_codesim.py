@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _support import (
     constant_eve_mac,
     example62_input,
+    pair_mean,
     point_mass,
     random_mac,
     reference_case3_checks,
@@ -1133,7 +1134,7 @@ class TestWorkspaceReferences:
                 assert np.array_equal(f1[far], (zy & (theta >= cut))[far])
                 assert not np.any(f1 & ~zy)
                 assert np.allclose(theta_hat, theta * f1, rtol=0.0, atol=1e-14)
-            mean, ref = ws.pair_mean(fam, a)
+            mean, ref = pair_mean(ws, fam, a)
             want, want_ref = reference_pair_mean(ws, fam, a)
             assert np.allclose(mean, want, rtol=0.0, atol=1e-14)
             assert ref is want_ref
@@ -1209,20 +1210,28 @@ class TestPairChecks:
     @pytest.mark.parametrize("l_sizes", [(2, 2, 2), (3, 2, 3), (3, 2, 1),
                                          (1, 4, 1)])
     def test_each_family_mean_computed_once(self, monkeypatch, l_sizes):
-        calls = {"pair_mean": 0, "inner_mean": 0}
+        # every mean of a (family, shared index) reads one row block and one
+        # typicality test; a first pass fills the theta_uy and theta_u
+        # caches, so the counted second pass makes only those calls
+        chain = TestConcentration().chain(seed=131)
+        n, delta, resamples = 4, 0.45, 5
+        ws = _Workspace(chain, n, delta, 0.3, DEFAULT_SLACK,
+                        DEFAULT_TAIL_EXPONENT)
+        fams = sample_codebook_families(chain, n, l_sizes, delta,
+                                        [133 + 7919 * i
+                                         for i in range(resamples)])
+        first = concentration._pair_checks(ws, fams)
+        calls = {"_channel_rows": 0, "_typical_rows": 0}
         for name in calls:
-            method = getattr(concentration._Workspace, name)
-
-            def counted(self, *args, _method=method, _name=name):
+            def counted(*args, _kernel=getattr(concentration, name),
+                        _name=name):
                 calls[_name] += 1
-                return _method(self, *args)
-            monkeypatch.setattr(concentration._Workspace, name, counted)
-        resamples = 5
-        l0, _, l2 = l_sizes
-        rep = TestConcentrationContract().report(l_sizes, resamples)
-        assert not rep.partial
-        assert calls == {"pair_mean": resamples * l0 if l2 > 1 else 0,
-                         "inner_mean": resamples * l0 * l2}
+                return _kernel(*args)
+            monkeypatch.setattr(concentration, name, counted)
+        assert concentration._pair_checks(ws, fams) == first
+        per_index = resamples * l_sizes[0]
+        assert calls == {"_channel_rows": per_index,
+                         "_typical_rows": per_index}
 
 
 class TestCase3Checks:
@@ -1350,10 +1359,13 @@ class TestSimReport:
         assert len(calls) == 1
         assert not code.eve_conditionals.flags.writeable
         assert np.array_equal(code.eve_conditionals, compute(code))
-        # an explicit eavesdropper is computed fresh, to the same values
-        assert leakage_chain_check(code, mac.eve) == chain_rep
-        assert len(calls) == 3
-        assert rep.leakage_bits == exact_leakage(code, mac.eve)
+        assert chain_rep.leakage == rep.leakage_bits
+        # the leakage takes w_e=None, as the benchmark's wrapper passes it,
+        # and refuses any other eavesdropper
+        assert exact_leakage(code, None) == rep.leakage_bits
+        with pytest.raises(ValidationError):
+            exact_leakage(code, mac.eve)
+        assert len(calls) == 1
 
 
 class TestBudgets:

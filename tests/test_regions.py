@@ -482,12 +482,12 @@ class TestRegionCommon:
             poly = region_common(prof, hc, CaseLabel.CASE2, check_membership=False)
             sw = region_common(prof.swapped(), hc, CaseLabel.CASE2,
                                check_membership=False)
-            resw = sw.coeffs.copy()
-            resw[:, [1, 2]] = resw[:, [2, 1]]
+            # each region, its R1 and R2 coordinates swapped, lies in the other
             rng2 = np.random.default_rng(checked)
             for point in poly.sample(rng2, 20):
-                swapped_point = point[[0, 2, 1]]
-                assert sw.contains(swapped_point, tol=1e-9)
+                assert sw.contains(point[[0, 2, 1]], tol=1e-9)
+            for point in sw.sample(rng2, 20):
+                assert poly.contains(point[[0, 2, 1]], tol=1e-9)
 
 
 class TestElementaryRegions:

@@ -62,3 +62,52 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append(f"{module}.{attr}")
     assert not missing, missing
+
+
+LIBRARY_MODULES = ("casestudy", "codesim", "conferencing", "optimizer",
+                   "probkit", "regions")
+
+
+def _module_calls(tree):
+    """{(module, attr): [(positional count or None, keywords), ...]} of every
+    ``module.attr`` in ``tree`` over the library modules, one entry per call
+    through it (None counts a call with ``*args``)."""
+    found = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in LIBRARY_MODULES):
+            found.setdefault((node.value.id, node.attr), [])
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)):
+            continue
+        key = (node.func.value.id, node.func.attr)
+        if key in found:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            found[key].append((None if starred else len(node.args),
+                               [kw.arg for kw in node.keywords if kw.arg]))
+    return found
+
+
+def test_every_benchmark_call_resolves():
+    # The benchmark's jobs reach the library as module.attr; a name deleted,
+    # or a parameter it passes removed, would only fail a benchmark run.
+    import importlib
+    import inspect
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_workloads.py"
+    calls = _module_calls(ast.parse(path.read_text()))
+    assert calls
+    broken = []
+    for (module, attr), uses in sorted(calls.items()):
+        target = getattr(importlib.import_module(f"wtmac.{module}"), attr, None)
+        if target is None:
+            broken.append(f"{module}.{attr}: missing")
+            continue
+        for count, keywords in uses:
+            try:
+                inspect.signature(target).bind_partial(
+                    *[None] * (count or 0), **dict.fromkeys(keywords))
+            except TypeError as exc:
+                broken.append(f"{module}.{attr}{tuple(keywords)}: {exc}")
+    assert not broken, broken
