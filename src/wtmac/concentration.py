@@ -37,6 +37,7 @@ from .probkit import (
     Channel,
     Dist,
     _typical_rows,
+    all_sequences,
     truncated_typical_dist,
     typical_mask,
     zip_sequences,
@@ -88,10 +89,14 @@ class _Workspace:
     Channel rows come only from stacked :func:`~wtmac.codesim._channel_rows`
     calls.  It keeps three caches: ``_typ_cache`` (truncated typical
     supports per law and context), ``_uy_cache`` (:meth:`theta_uy` per
-    (u, y)) and ``_u_cache`` (:meth:`theta_u` per u).  :meth:`theta_uy`
-    returns three arrays: the cut (u, y) reference, its support f1, and the
-    typical-x average of the rows zeroed off E2, which :meth:`theta_u`
-    weights by p(y) so that it builds no row of its own.  The (u, y) support
+    (u, y)) and ``_u_cache`` (:meth:`theta_u` per u).  ``_uy_cache`` is
+    filled per u by :meth:`fill_uy`, all of that u's missing ys in one
+    stacked pass; :meth:`theta_uy` fills a single missing key that way, and
+    :meth:`theta_u` fills every typical y given u before it sums their
+    terms.  :meth:`theta_uy` returns three arrays: the cut (u, y)
+    reference, its support f1, and the typical-x average of the rows zeroed
+    off E2, which :meth:`theta_u` weights by p(y) so that it builds no row
+    of its own.  The (u, y) support
     f1 lies inside the typical output set given (y, u), so masking a row
     with f1 also masks it with that set.
     """
@@ -161,19 +166,41 @@ class _Workspace:
         support, and the typical-x average of the inner rows zeroed off E2
         (the term of y in :meth:`theta_u`)."""
         key = (useq.tobytes(), yseq.tobytes())
-        out = self._uy_cache.get(key)
-        if out is None:
-            xs, probs = self.typical_given(self.chain.x_given_u, useq)
-            rows = _channel_rows(self.we, xs, yseq, self.ny)
-            capped = rows <= self.cap
-            ctx, _ = zip_sequences(yseq, useq, [self.ny, self.nu])
-            zy_mask = typical_mask(self.z_given_yu, 2 * self.nx * self.delta,
-                                   self.n, ctx)
-            theta_hat, f1 = _cut(probs @ (rows * (zy_mask & capped)), zy_mask,
-                                 self.eps / max(int(zy_mask.sum()), 1))
-            out = (theta_hat, f1, probs @ (rows * (f1 & capped)))
-            self._uy_cache[key] = out
-        return out
+        if key not in self._uy_cache:
+            self.fill_uy(useq, yseq[None, :])
+        return self._uy_cache[key]
+
+    def fill_uy(self, useq, ys) -> None:
+        """Fill the :meth:`theta_uy` entries of the rows of ``ys`` given
+        ``useq`` that the cache misses.  Per block of whole ys that fits
+        ``CELL_BUDGET`` cells: one channel-row call over the typical xs
+        times those ys (y-major) and one typicality test of their output
+        masks given (y, u), one context per row; then one dot per y."""
+        by_key = {(useq.tobytes(), yseq.tobytes()): yseq for yseq in ys}
+        keys = [key for key in by_key if key not in self._uy_cache]
+        if not keys:
+            return
+        ys = np.array([by_key[key] for key in keys])
+        xs, probs = self.typical_given(self.chain.x_given_u, useq)
+        zs = all_sequences(self.nz, self.n)
+        ctx, _ = zip_sequences(ys, np.broadcast_to(useq, ys.shape),
+                               [self.ny, self.nu])
+        for block, part in self.pair_blocks(len(ys), len(xs)):
+            count = len(keys[part])
+            rows = _channel_rows(self.we, np.tile(xs, (count, 1)),
+                                 np.repeat(ys[part], len(xs), axis=0), self.ny)
+            zy = _typical_rows(self.z_given_yu.matrix,
+                               np.repeat(ctx[part], len(zs), axis=0),
+                               np.tile(zs, (count, 1)),
+                               2 * self.nx * self.delta).reshape(count, -1)
+            for key, zy_mask, y_rows in zip(keys[part], zy,
+                                            rows.reshape(count, len(xs), -1)):
+                capped = y_rows <= self.cap
+                theta_hat, f1 = _cut(probs @ (y_rows * (zy_mask & capped)),
+                                     zy_mask,
+                                     self.eps / max(int(zy_mask.sum()), 1))
+                self._uy_cache[key] = (theta_hat, f1,
+                                       probs @ (y_rows * (f1 & capped)))
 
     def theta_u(self, useq):
         """Exact reference measure given u alone (pairs enumerated), cut to
@@ -182,8 +209,9 @@ class _Workspace:
         out = self._u_cache.get(key)
         if out is None:
             theta = np.zeros(self.nz ** self.n)
-            for yseq, pyv in zip(*self.typical_given(self.chain.y_given_u,
-                                                      useq)):
+            ys, yp = self.typical_given(self.chain.y_given_u, useq)
+            self.fill_uy(useq, ys)
+            for yseq, pyv in zip(ys, yp):
                 theta += pyv * self.theta_uy(useq, yseq)[2]
             ctx = np.asarray(useq, dtype=np.int64)
             zmask = typical_mask(self.z_given_u,
@@ -200,11 +228,12 @@ class _Workspace:
         return rows * (self.t_z_big_mask & (rows <= self.cap))
 
     def pair_blocks(self, groups: int, group: int) -> list:
-        """Slices over ``groups`` runs of ``group`` pairs each, whole runs
-        only, whose output rows fit in ``CELL_BUDGET`` cells (at least one
-        run per slice)."""
-        step = max(CELL_BUDGET // (group * self.nz ** self.n), 1) * group
-        return [slice(lo, lo + step) for lo in range(0, groups * group, step)]
+        """Blocks of whole runs over ``groups`` runs of ``group`` pairs each,
+        whose output rows fit in ``CELL_BUDGET`` cells (at least one run per
+        block), each as its slice of the pairs and its slice of the runs."""
+        step = max(CELL_BUDGET // (group * self.nz ** self.n), 1)
+        return [(slice(lo * group, (lo + step) * group), slice(lo, lo + step))
+                for lo in range(0, groups, step)]
 
     def theta_case3(self):
         """Exact Case-3 reference measure (typical triples enumerated), cut
@@ -216,9 +245,9 @@ class _Workspace:
             # the (y, x) pairs y-major, in as few calls as the budget
             # allows; one dot per y
             pairs = (np.tile(xs, (len(ys), 1)), np.repeat(ys, len(xs), axis=0))
-            for block in self.pair_blocks(len(ys), len(xs)):
+            for block, part in self.pair_blocks(len(ys), len(xs)):
                 rows = self.outer_rows(pairs[0][block], pairs[1][block])
-                for pyv, y_rows in zip(yp[block.start // len(xs):],
+                for pyv, y_rows in zip(yp[part],
                                        rows.reshape(-1, len(xs), theta.size)):
                     theta += (pu * pyv) * (xp @ y_rows)
         return _cut(theta, self.t_z_big_mask, self.eps / max(self.t_z_plain, 1))
@@ -310,56 +339,67 @@ def concentration_report(family: CodebookFamily, eps: float, *,
 
 
 def _pair_checks(ws: _Workspace, fams) -> list:
-    """The Case-1/2 checks in one pass over the resampled families.  Each
-    shared index a reads one block of channel rows over its l1 x l2 (x, y)
-    pairs (b-major) and one typicality test of every x given each partner's
-    (y, u): per partner c a typical count and an inner mean, and in Case 1
-    one pair mean.  Each index's corridor test (width eps for Case-2 inner
-    means, 3 eps for Case-1 pair means) feeds both its own check and the
-    family means, which are then checked against an estimated reference."""
-    l0, l1, l2 = fams[0].l_sizes
-    size = ws.nz ** ws.n
-    threshold = ws.typical_fraction_threshold(l1)
-    star_fail = 0
-    inner_fail = np.zeros(size)
-    pair_fail = np.zeros(size)
-    per_fam = []
-    for fam in fams:
-        total = np.zeros(size)
-        ok = np.ones(size, dtype=bool)
-        for a in range(l0):
-            useq, partners = fam.u[0, a], fam.y[0, a, 0]
-            xs = np.repeat(fam.x[0, a, 0], l2, axis=0)
-            ys = np.tile(partners, (l1, 1))
-            ctx, _ = zip_sequences(ys, np.broadcast_to(useq, ys.shape),
-                                   [ws.ny, ws.nu])
-            good = _typical_rows(ws.x_given_yu.matrix, ctx, xs, ws.delta)
-            star_fail += int((good.reshape(l1, l2).sum(axis=0)
-                              < threshold).sum())
-            refs, f1 = map(np.array, zip(*(ws.theta_uy(useq, y)[:2]
-                                           for y in partners)))
-            # rows zeroed off E2: probability-capped, on each partner's
-            # (u, y) support
-            rows = _channel_rows(ws.we, xs, ys, ws.ny).reshape(l1, l2, size)
-            kept = rows * (f1 & (rows <= ws.cap))
-            means = kept.mean(axis=0)
-            outs = _outside(means, refs, ws.eps)
-            inner_fail += outs.sum(axis=0)
-            if l2 == 1:
-                # a single partner: the family means read its inner mean
-                mean, ref, out = means[0], refs[0], outs[0]
-            else:
-                ref, f2 = ws.theta_u(useq)
-                mean = (kept * f2).reshape(-1, size).sum(axis=0) / (l1 * l2)
-                out = _outside(mean, ref, 3 * ws.eps)
-                pair_fail += out
-            ok &= ~out
-            total += mean
-            if a == 0:
-                first = ref
-        per_fam.append((total / l0, ok, first))
+    """The Case-1/2 checks in one stacked pass over all resampled families.
 
-    events = len(fams) * l0 * l2
+    Each (family, shared index a) group holds l1 x l2 (x, y) pairs, b-major.
+    One typicality test of all pairs gives the typical counts.  The (u, y)
+    references are filled per distinct u first, in Case 1 over every typical
+    y (:meth:`_Workspace.theta_u` reads them).  Rows come in blocks of whole
+    groups that fit ``CELL_BUDGET``; each group's means are axis reductions
+    of its block, and its corridor test (width eps for Case-2 inner means,
+    3 eps for Case-1 pair means) feeds both its own check and the family
+    means, which are then checked against an estimated reference."""
+    l0, l1, l2 = fams[0].l_sizes
+    n, size = ws.n, ws.nz ** ws.n
+    us = np.stack([fam.u[0] for fam in fams]).reshape(-1, n)
+    xs = np.stack([fam.x[0, :, 0] for fam in fams]).reshape(-1, l1, 1, n)
+    ys = np.stack([fam.y[0, :, 0] for fam in fams]).reshape(-1, l2, n)
+    groups = len(us)
+    pair_x, pair_y, pair_u = (
+        np.broadcast_to(v, (groups, l1, l2, n)).reshape(-1, n)
+        for v in (xs, ys[:, None], us[:, None, None]))
+    ctx, _ = zip_sequences(pair_y, pair_u, [ws.ny, ws.nu])
+    good = _typical_rows(ws.x_given_yu.matrix, ctx, pair_x, ws.delta)
+    star_fail = int((good.reshape(groups, l1, l2).sum(axis=1)
+                     < ws.typical_fraction_threshold(l1)).sum())
+
+    by_u = {}
+    for useq, partners in zip(us, ys):
+        by_u.setdefault(useq.tobytes(), (useq, []))[1].append(partners)
+    for useq, partners in by_u.values():
+        if l2 > 1:
+            partners.append(ws.typical_given(ws.chain.y_given_u, useq)[0])
+        ws.fill_uy(useq, np.concatenate(partners))
+    refs, f1 = (np.array(v).reshape(groups, l2, size) for v in zip(
+        *(ws.theta_uy(useq, y)[:2] for useq, partners in zip(us, ys)
+          for y in partners)))
+    if l2 > 1:
+        ref_u, f2 = map(np.array, zip(*map(ws.theta_u, us)))
+    mean = np.empty((groups, size))
+    out = np.empty((groups, size), dtype=bool)
+    inner_fail = np.zeros(size, dtype=np.int64)
+    for block, g in ws.pair_blocks(groups, l1 * l2):
+        rows = _channel_rows(ws.we, pair_x[block], pair_y[block], ws.ny)
+        rows = rows.reshape(-1, l1, l2, size)
+        # zeroed off E2: probability-capped, on each partner's (u, y) support
+        rows *= f1[g, None] & (rows <= ws.cap)
+        means = rows.mean(axis=1)
+        outs = _outside(means, refs[g], ws.eps)
+        inner_fail += outs.sum(axis=(0, 1))
+        if l2 == 1:
+            # a single partner: the family means read its inner mean
+            mean[g], out[g] = means[:, 0], outs[:, 0]
+        else:
+            mean[g] = (rows * f2[g, None, None]).reshape(
+                len(rows), -1, size).sum(axis=1) / (l1 * l2)
+            out[g] = _outside(mean[g], ref_u[g], 3 * ws.eps)
+    # per family: the mean over its shared indices, the outputs where all
+    # of them passed, and index 0's reference
+    means = mean.reshape(len(fams), l0, size).sum(axis=1) / l0
+    ok = ~out.reshape(len(fams), l0, size).any(axis=1)
+    first = (refs[:, 0] if l2 == 1 else ref_u)[::l0]
+
+    events = groups * l2
     checks = [
         _check("typical-fraction (inner sequences vs partner)",
                ws.star_bound(l1), star_fail / events, events),
@@ -371,41 +411,37 @@ def _pair_checks(ws: _Workspace, fams) -> list:
         bound = min(2.0 * l0 * ws.tail(l1, ws.i_z_x_yu, 2.0)
                     + 2.0 * ws.tail(l0, ws.i_z_yu, 4.0), 1.0)
         return checks + [_estimated_reference_check(
-            ws, per_fam, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,
+            ws, means, ok, first, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,
             "family-mean corridor (single partner, estimated reference)",
             bound)]
-    events = len(fams) * l0
     checks.append(_check(
         "pair-mean corridor (per shared sequence)",
         min(2.0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
             + 2.0 * ws.tail(l2, ws.i_z_y_u, 4.0), 1.0),
-        float(pair_fail.max()) / events, events))
+        float(out.sum(axis=0).max()) / groups, groups))
     bound = min(2.0 * l0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
                 + 2.0 * l0 * ws.tail(l2, ws.i_z_y_u, 4.0)
                 + 2.0 * ws.tail(l0, ws.i_z_u, 4.0), 1.0)
     return checks + [_estimated_reference_check(
-        ws, per_fam, 1.0 / max(int(ws.t_z_big_mask.sum()), 1), 5 * ws.eps,
+        ws, means, ok, first, 1.0 / max(int(ws.t_z_big_mask.sum()), 1),
+        5 * ws.eps,
         "family-mean corridor (common index, estimated reference)", bound)]
 
 
-def _estimated_reference_check(ws: _Workspace, per_fam, floor: float,
-                               width: float, name: str,
+def _estimated_reference_check(ws: _Workspace, means: np.ndarray,
+                               ok: np.ndarray, first: np.ndarray,
+                               floor: float, width: float, name: str,
                                bound: float) -> LemmaCheck:
-    """Corridor check of the family means around a reference estimated as the
-    average index-0 reference over the families whose indices all passed,
-    kept where it reaches ``floor`` on the enlarged typical output set."""
-    acc = np.zeros(ws.nz ** ws.n)
-    cnt = np.zeros(ws.nz ** ws.n)
-    for _, ok, first in per_fam:
-        acc += np.where(ok, first, 0.0)
-        cnt += ok
-    theta_est = np.divide(acc, np.maximum(cnt, 1.0))
+    """Corridor check of the (R, size) family means around a reference
+    estimated as the average index-0 reference (``first``) over the families
+    whose indices all passed (``ok``), kept where it reaches ``floor`` on the
+    enlarged typical output set."""
+    acc = np.where(ok, first, 0.0).sum(axis=0)
+    theta_est = np.divide(acc, np.maximum(ok.sum(axis=0), 1.0))
     theta_hat, support = _cut(theta_est, ws.t_z_big_mask, floor)
-    fail_by_z = np.zeros(ws.nz ** ws.n)
-    for mean, _, _ in per_fam:
-        fail_by_z += support & _outside(mean, theta_hat, width)
-    return _check(name, bound, float(fail_by_z.max()) / len(per_fam),
-                  len(per_fam), note="reference measure estimated from resamples")
+    fail_by_z = (support & _outside(means, theta_hat, width)).sum(axis=0)
+    return _check(name, bound, float(fail_by_z.max()) / len(means),
+                  len(means), note="reference measure estimated from resamples")
 
 
 def _case3_checks(ws: _Workspace, fams, l0: int) -> list:
@@ -421,7 +457,7 @@ def _case3_checks(ws: _Workspace, fams, l0: int) -> list:
     star_fail = int((good.reshape(len(fams), l0).sum(axis=1)
                      < ws.typical_fraction_threshold(l0)).sum())
     fail_by_z = np.zeros(ws.nz ** ws.n, dtype=np.int64)
-    for block in ws.pair_blocks(len(fams), l0):
+    for block, _ in ws.pair_blocks(len(fams), l0):
         means = ws.outer_rows(xs[block], ys[block]).reshape(
             -1, l0, fail_by_z.size).sum(axis=1) / l0
         fail_by_z += (f3 & _outside(means, theta_hat, ws.eps)).sum(axis=0)

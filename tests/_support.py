@@ -672,7 +672,7 @@ def reference_pair_mean(ws, fam, a):
 
 
 # The per-call forms of the means ``concentration._pair_checks`` reads from
-# one row block and one typicality test per shared index.
+# its stacked row blocks and typicality test.
 
 def typical_count(ws, useq, xs, yseq) -> int:
     """How many rows of ``xs`` are conditionally typical given (y, u)."""
@@ -810,7 +810,7 @@ def _joint_mean_check(ws, fams):
 def _family_means(ws, fams, mean_of, width):
     """Per family: the average over shared indices a of ``mean_of(fam, a)``'s
     means, the outputs where every one of them stays within ``width`` of its
-    reference, and index 0's reference."""
+    reference, and index 0's reference, each stacked over the families."""
     out = []
     for fam in fams:
         l0 = fam.l_sizes[0]
@@ -823,7 +823,7 @@ def _family_means(ws, fams, mean_of, width):
             if a == 0:
                 first = ref
         out.append((total / l0, ok, first))
-    return out
+    return map(np.array, zip(*out))
 
 
 def _outer_mean_check_case1(ws, fams):
@@ -831,10 +831,10 @@ def _outer_mean_check_case1(ws, fams):
     bound = min(2.0 * l0 * ws.ny ** ws.n * ws.tail(l1, ws.i_z_x_yu, 2.0)
                 + 2.0 * l0 * ws.tail(l2, ws.i_z_y_u, 4.0)
                 + 2.0 * ws.tail(l0, ws.i_z_u, 4.0), 1.0)
-    per_fam = _family_means(ws, fams, lambda fam, a: pair_mean(ws, fam, a),
-                             3 * ws.eps)
+    means, ok, first = _family_means(
+        ws, fams, lambda fam, a: pair_mean(ws, fam, a), 3 * ws.eps)
     return _estimated_reference_check(
-        ws, per_fam, 1.0 / max(int(ws.t_z_big_mask.sum()), 1), 5 * ws.eps,
+        ws, means, ok, first, 1.0 / max(int(ws.t_z_big_mask.sum()), 1), 5 * ws.eps,
         "family-mean corridor (common index, estimated reference)", bound)
 
 
@@ -842,13 +842,13 @@ def _outer_mean_check_case2(ws, fams):
     l0, l1, _ = fams[0].l_sizes
     bound = min(2.0 * l0 * ws.tail(l1, ws.i_z_x_yu, 2.0)
                 + 2.0 * ws.tail(l0, ws.i_z_yu, 4.0), 1.0)
-    per_fam = _family_means(
+    means, ok, first = _family_means(
         ws, fams,
         lambda fam, a: inner_mean(ws, fam.u[0, a], fam.x[0, a, 0],
                                   fam.y[0, a, 0, 0]),
         ws.eps)
     return _estimated_reference_check(
-        ws, per_fam, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,
+        ws, means, ok, first, ws.eps / max(ws.t_z_plain, 1), 3 * ws.eps,
         "family-mean corridor (single partner, estimated reference)", bound)
 
 

@@ -22,6 +22,7 @@ from _support import (
     reference_pair_mean,
     reference_theta_u,
     reference_theta_uy,
+    reference_z_mask,
     sequence_mass,
 )
 from wtmac.codesim import (
@@ -1123,17 +1124,20 @@ class TestWorkspaceReferences:
         assert np.allclose(theta_hat, theta * f3, rtol=0.0, atol=1e-14)
 
     @staticmethod
-    def check_inner_and_pair_rows(ws, fam):
+    def check_theta_uy(ws, useq, yseq):
+        theta_hat, f1 = ws.theta_uy(useq, yseq)[:2]
+        theta, zy = reference_theta_uy(ws, useq, yseq)
+        cut = ws.eps / max(int(zy.sum()), 1)
+        far = np.abs(theta - cut) > 1e-12
+        assert np.array_equal(f1[far], (zy & (theta >= cut))[far])
+        assert not np.any(f1 & ~zy)
+        assert np.allclose(theta_hat, theta * f1, rtol=0.0, atol=1e-14)
+
+    def check_inner_and_pair_rows(self, ws, fam):
         for a in range(fam.l_sizes[0]):
             useq = fam.u[0, a]
             for yseq in fam.y[0, a, 0]:
-                theta_hat, f1 = ws.theta_uy(useq, yseq)[:2]
-                theta, zy = reference_theta_uy(ws, useq, yseq)
-                cut = ws.eps / max(int(zy.sum()), 1)
-                far = np.abs(theta - cut) > 1e-12
-                assert np.array_equal(f1[far], (zy & (theta >= cut))[far])
-                assert not np.any(f1 & ~zy)
-                assert np.allclose(theta_hat, theta * f1, rtol=0.0, atol=1e-14)
+                self.check_theta_uy(ws, useq, yseq)
             mean, ref = pair_mean(ws, fam, a)
             want, want_ref = reference_pair_mean(ws, fam, a)
             assert np.allclose(mean, want, rtol=0.0, atol=1e-14)
@@ -1150,24 +1154,66 @@ class TestWorkspaceReferences:
         self.check_inner_and_pair_rows(
             ws, sample_codebook_family(chain, 5, l_sizes, 0.2, seed=seed))
 
-    def test_typical_output_mask_cuts_inner_rows(self):
-        # the mask given (y, u) has width 2 |X| delta = 0.25 at n = 8; with
-        # u mostly 0 and y = 1 - u, the context (y, u) = (1, 0) fills most
-        # positions, and its Z law (z = 0 w.p. 0.905) is far from the law
-        # of (y, u) = (0, 1) (z = 1 w.p. 0.896), so reading the two the
-        # wrong way round moves the support f1
+    @staticmethod
+    def skewed_chain(y_given_u):
+        # u mostly 0; the Z law of (y, u) = (1, 0) (z = 0 w.p. 0.905) is far
+        # from that of (y, u) = (0, 1) (z = 1 w.p. 0.896), so at n = 8 the
+        # typical output masks given (y, u) depend on y
         we = np.array([[0.4, 0.6], [0.95, 0.05], [0.03, 0.97], [0.5, 0.5]])
         bob = np.array([[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.3, 0.7]])
         mac = WiretapMAC.from_rows(np.einsum("it,iz->itz", bob, we)
                                    .reshape(4, 4), 2, 2, 2, 2)
-        chain = CodeChain(Dist.from_mass([0.9, 0.1]),
-                          Channel.from_matrix([[0.9, 0.1], [0.2, 0.8]]),
-                          Channel.from_matrix([[0.0, 1.0], [1.0, 0.0]]), mac)
+        return CodeChain(Dist.from_mass([0.9, 0.1]),
+                         Channel.from_matrix([[0.9, 0.1], [0.2, 0.8]]),
+                         Channel.from_matrix(y_given_u), mac)
+
+    def test_typical_output_mask_cuts_inner_rows(self):
+        # the mask given (y, u) has width 2 |X| delta = 0.25 at n = 8; with
+        # y = 1 - u, the context (y, u) = (1, 0) fills most positions, so
+        # reading (y, u) the wrong way round moves the support f1
+        chain = self.skewed_chain([[0.0, 1.0], [1.0, 0.0]])
         ws = _Workspace(chain, 8, 0.125, 0.3, 0.05, 2.0)
         fam = sample_codebook_family(chain, 8, (2, 2, 1), 0.125, seed=0)
         _, zy = reference_theta_uy(ws, fam.u[0, 0], fam.y[0, 0, 0, 0])
         assert not zy.all()
         self.check_inner_and_pair_rows(ws, fam)
+
+    # the ys one u's fill reads in _pair_checks: its partners (Case 2), or
+    # its partners and every typical y given it (Case 1)
+    def check_stacked_fill(self, chain, n, delta, fam):
+        """Fills one u's ys at once and compares every entry with the
+        per-key path and the reference; returns the ys' typical output
+        masks."""
+        stacked = _Workspace(chain, n, delta, 0.3, 0.05, 2.0)
+        per_key = _Workspace(chain, n, delta, 0.3, 0.05, 2.0)
+        masks = []
+        for useq, partners in zip(fam.u[0], fam.y[0, :, 0]):
+            ys = partners if fam.l_sizes[2] == 1 else np.concatenate(
+                [partners, stacked.typical_given(chain.y_given_u, useq)[0]])
+            stacked.fill_uy(useq, ys)
+            for yseq in ys:
+                got = stacked._uy_cache[(useq.tobytes(), yseq.tobytes())]
+                want = per_key.theta_uy(useq, yseq)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                self.check_theta_uy(stacked, useq, yseq)
+                masks.append(reference_z_mask(stacked, useq, yseq))
+        return masks
+
+    @CHAIN_SETTINGS
+    @given(random_chains(), st.sampled_from([1, 3]), st.integers(0, 2**16))
+    def test_stacked_theta_uy_fill_matches_per_key_path(self, chain, l2, seed):
+        self.check_stacked_fill(
+            chain, 4, 0.25,
+            sample_codebook_family(chain, 4, (2, 2, l2), 0.25, seed=seed))
+
+    def test_stacked_fill_reads_each_ys_own_output_mask(self):
+        # at n = 4 the masks given (y, u) of a random chain hold almost
+        # every output; here they differ from y to y
+        chain = self.skewed_chain([[0.25, 0.75], [0.75, 0.25]])
+        for l2 in (1, 3):
+            fam = sample_codebook_family(chain, 8, (2, 2, l2), 0.125, seed=7)
+            masks = self.check_stacked_fill(chain, 8, 0.125, fam)
+            assert len({m.tobytes() for m in masks}) > 1
 
     @CHAIN_SETTINGS
     @given(random_chains(), st.integers(0, 2**16))
@@ -1184,15 +1230,18 @@ class TestWorkspaceReferences:
 
 
 class TestPairChecks:
-    """The one-pass Case-1/2 checks against the per-check walks over the
+    """The stacked Case-1/2 checks against the per-check walks over the
     resampled families in ``tests/_support.py``."""
 
+    # 1 to 6 resamples: a single family, and more families than shared
+    # indices
     @CHAIN_SETTINGS
     @given(random_chains(), st.integers(1, 3), st.integers(1, 3),
-           st.integers(1, 3), st.integers(0, 2**16))
-    def test_report_matches_per_check_reference(self, chain, l0, l1, l2, seed):
+           st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**16))
+    def test_report_matches_per_check_reference(self, chain, l0, l1, l2,
+                                                resamples, seed):
         assume((l1, l2) != (1, 1))
-        n, delta, eps, resamples = 4, 0.25, 0.3, 3
+        n, delta, eps = 4, 0.25, 0.3
         l_sizes = (l0, l1, l2)
         fam = sample_codebook_family(chain, n, l_sizes, delta, seed=seed)
         rep = concentration_report(fam, eps=eps, resamples=resamples,
@@ -1210,28 +1259,42 @@ class TestPairChecks:
     @pytest.mark.parametrize("l_sizes", [(2, 2, 2), (3, 2, 3), (3, 2, 1),
                                          (1, 4, 1)])
     def test_each_family_mean_computed_once(self, monkeypatch, l_sizes):
-        # every mean of a (family, shared index) reads one row block and one
-        # typicality test; a first pass fills the theta_uy and theta_u
-        # caches, so the counted second pass makes only those calls
+        # one stacked pass over all resamples: once a first pass has filled
+        # the theta_uy and theta_u caches, a second makes one typicality test
+        # and one channel-row call per cell-budget block, at any resample
+        # count; blocks of one (family, shared index) each, in the pass and
+        # in a cold fill, leave the checks unchanged
         chain = TestConcentration().chain(seed=131)
-        n, delta, resamples = 4, 0.45, 5
-        ws = _Workspace(chain, n, delta, 0.3, DEFAULT_SLACK,
-                        DEFAULT_TAIL_EXPONENT)
-        fams = sample_codebook_families(chain, n, l_sizes, delta,
-                                        [133 + 7919 * i
-                                         for i in range(resamples)])
-        first = concentration._pair_checks(ws, fams)
-        calls = {"_channel_rows": 0, "_typical_rows": 0}
-        for name in calls:
-            def counted(*args, _kernel=getattr(concentration, name),
-                        _name=name):
-                calls[_name] += 1
-                return _kernel(*args)
-            monkeypatch.setattr(concentration, name, counted)
-        assert concentration._pair_checks(ws, fams) == first
-        per_index = resamples * l_sizes[0]
-        assert calls == {"_channel_rows": per_index,
-                         "_typical_rows": per_index}
+        n, delta = 4, 0.45
+
+        def counted_pass(ws, fams):
+            calls = {"_channel_rows": 0, "_typical_rows": 0}
+            with monkeypatch.context() as patch:
+                for name in calls:
+                    def counted(*args, _kernel=getattr(concentration, name),
+                                _name=name):
+                        calls[_name] += 1
+                        return _kernel(*args)
+                    patch.setattr(concentration, name, counted)
+                return concentration._pair_checks(ws, fams), calls
+
+        for resamples in (5, 50):
+            ws = _Workspace(chain, n, delta, 0.3, DEFAULT_SLACK,
+                            DEFAULT_TAIL_EXPONENT)
+            fams = sample_codebook_families(chain, n, l_sizes, delta,
+                                            [133 + 7919 * i
+                                             for i in range(resamples)])
+            first = concentration._pair_checks(ws, fams)
+            assert counted_pass(ws, fams) == (
+                first, {"_channel_rows": 1, "_typical_rows": 1})
+            with monkeypatch.context() as patch:
+                patch.setattr(concentration, "CELL_BUDGET", 1)
+                assert counted_pass(ws, fams) == (
+                    first, {"_channel_rows": resamples * l_sizes[0],
+                            "_typical_rows": 1})
+                cold = _Workspace(chain, n, delta, 0.3, DEFAULT_SLACK,
+                                  DEFAULT_TAIL_EXPONENT)
+                assert concentration._pair_checks(cold, fams) == first
 
 
 class TestCase3Checks:
