@@ -9,9 +9,10 @@ instantiations of the) codebook concentration bounds and measures the
 empirical failure frequencies of their events over resampled codebooks.
 
 The typicality slack functions have no closed form at this scale; every
-size window carries a single configurable slack parameter (bits, default
-0.05) and the tail exponent constant is likewise configurable (default the
-Hoeffding-style 2*log2(e)).
+size window carries a single slack parameter (bits, ``DEFAULT_SLACK`` =
+0.05 unless a code is built with its own), and the concentration checks
+use a fixed tail exponent constant, ``DEFAULT_TAIL_EXPONENT``, the
+Hoeffding-style 2*log2(e).
 """
 
 from __future__ import annotations
@@ -643,21 +644,10 @@ def _codeword_pairs(code: WiretapCode) -> tuple[np.ndarray, np.ndarray]:
     return np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
 
 
-def _bob_matrix(code: WiretapCode, w_b: Channel | None) -> np.ndarray:
-    """Bob's channel matrix; it must map the MAC's input pairs to its |T|."""
-    mac = code.chain.mac
-    matrix = (w_b or mac.bob).matrix
-    want = (mac.x_alphabet.size * mac.y_alphabet.size, mac.t_alphabet.size)
-    if matrix.shape != want:
-        raise ValidationError(
-            f"Bob's channel has shape {matrix.shape}; the code decodes {want}")
-    return matrix
-
-
-def _bob_rows(code: WiretapCode, w_b: Channel | None) -> np.ndarray:
+def _bob_rows(code: WiretapCode) -> np.ndarray:
     """Bob's rows over all output sequences, one per index tuple."""
     mac = code.chain.mac
-    matrix = _bob_matrix(code, w_b)
+    matrix = mac.bob.matrix
     count = matrix.shape[1] ** code.n_total
     n_tuples = len(code.decode_plan.tuples)
     if count * n_tuples > CELL_BUDGET:
@@ -666,12 +656,11 @@ def _bob_rows(code: WiretapCode, w_b: Channel | None) -> np.ndarray:
     return _channel_rows(matrix, *_codeword_pairs(code), mac.y_alphabet.size)
 
 
-def _exact_error_terms(code: WiretapCode, w_b: Channel | None,
-                       delta: float) -> np.ndarray:
+def _exact_error_terms(code: WiretapCode) -> np.ndarray:
     """(tuples, 2): per index tuple i, by enumeration of every output
     sequence, the probability that the decoder misses i, then i's message."""
-    rows = _bob_rows(code, w_b)
-    decoded = _decode_all(code, delta)
+    rows = _bob_rows(code)
+    decoded = _decode_all(code, code.delta)
     message_ids = code.decode_plan.message_ids
     decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
     return np.array([(row @ (decoded != i), row @ (decoded_msg != message_ids[i]))
@@ -690,18 +679,17 @@ class ErrorEstimate:
     wilson_interval: tuple[float, float] | None = None
 
 
-def average_error(code: WiretapCode, w_b: Channel | None = None,
-                  mode: str = "exact", trials: int = 2000,
-                  seed: int = 0, decode_delta: float | None = None) -> ErrorEstimate:
-    """Average decoding error under uniform messages and uniform mixing.
+def average_error(code: WiretapCode, mode: str = "exact", trials: int = 2000,
+                  seed: int = 0) -> ErrorEstimate:
+    """Average decoding error of the code on its own MAC, decoded at its own
+    delta, under uniform messages and uniform mixing.
 
     Exact mode enumerates every output sequence; Monte Carlo mode reports a
     Wilson 95% interval on the tuple criterion.  Decode failures count as
     errors.
     """
-    delta = code.delta if decode_delta is None else decode_delta
     if mode == "exact":
-        terms = _exact_error_terms(code, w_b, delta)
+        terms = _exact_error_terms(code)
         # accumulate adds in row order: the sums of a per-row loop, to the bit
         sums = np.add.accumulate(terms * (1.0 / len(terms)))[-1]
         return ErrorEstimate(float(sums[0]), float(sums[1]), "exact")
@@ -711,7 +699,7 @@ def average_error(code: WiretapCode, w_b: Channel | None = None,
         raise ValidationError(f"Monte Carlo mode needs trials >= 1, got {trials}")
     # per trial the index tuple, then one uniform per output symbol: the
     # draws a per-symbol rng.choice makes, so the seeded stream is unchanged
-    cdf = _inverse_cdf(_bob_matrix(code, w_b))
+    cdf = _inverse_cdf(code.chain.mac.bob.matrix)
     xs, ys = _codeword_pairs(code)
     bases = xs * code.chain.mac.y_alphabet.size + ys
     rng = np.random.default_rng(seed)
@@ -720,7 +708,7 @@ def average_error(code: WiretapCode, w_b: Channel | None = None,
     for trial in range(trials):
         picks[trial] = rng.integers(0, len(bases))
         outputs[trial] = _draw(cdf[bases[picks[trial]]], rng)
-    decoded = _unique_hits(_typical_matrix(code, delta, outputs))
+    decoded = _unique_hits(_typical_matrix(code, code.delta, outputs))
     message_ids = code.decode_plan.message_ids
     decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
     hits = int(np.count_nonzero(decoded != picks))
@@ -735,15 +723,13 @@ def average_error(code: WiretapCode, w_b: Channel | None = None,
                          (max(center - half, 0.0), min(center + half, 1.0)))
 
 
-def mac_average_error(code: WiretapCode, w_b: Channel | None = None,
-                      decode_delta: float | None = None) -> float:
+def mac_average_error(code: WiretapCode) -> float:
     """Average error of the deterministic code over the full index tuples.
 
     The uniform mixing of the stochastic encoders makes this coincide with
     the tuple-criterion average error of the wiretap code.
     """
-    delta = code.delta if decode_delta is None else decode_delta
-    terms = _exact_error_terms(code, w_b, delta)[:, 0]
+    terms = _exact_error_terms(code)[:, 0]
     return float(np.add.accumulate(terms)[-1]) / len(terms)
 
 

@@ -6,9 +6,9 @@ channel-output average stays within a relative corridor of its reference
 measure.  At desk scale the reference measures are computed exactly by
 enumerating the truncated typical supports, events are evaluated on
 resampled families, and the observed failure frequencies are compared
-against the bound formulas (with the typicality slacks and the tail
-exponent supplied as parameters, since their asymptotic forms carry
-unspecified constants).
+against the bound formulas (with the fixed typicality slack
+``DEFAULT_SLACK`` and tail exponent ``DEFAULT_TAIL_EXPONENT``, since their
+asymptotic forms carry unspecified constants).
 
 Reference measures defined through conditioning on a success event of the
 inner indices cannot be enumerated directly; they are estimated from the
@@ -33,7 +33,6 @@ from .codesim import (
 from .errors import PreconditionError, ResourceBudgetError
 from .probkit import (
     Alphabet,
-    CELL_BUDGET,
     Channel,
     Dist,
     _typical_rows,
@@ -44,6 +43,9 @@ from .probkit import (
 )
 
 LN2 = math.log(2.0)
+# Cells of channel rows one workspace block holds: every benchmark shape fits
+# in one block, and criterion 7's 1000-resample report stays near 100 MB.
+ROW_BLOCK_CELLS = 1 << 20
 
 
 @dataclass
@@ -101,13 +103,11 @@ class _Workspace:
     with f1 also masks it with that set.
     """
 
-    def __init__(self, chain: CodeChain, n: int, delta: float, eps: float,
-                 slack: float, tail_exponent: float):
+    def __init__(self, chain: CodeChain, n: int, delta: float, eps: float):
         self.chain = chain
         self.n = n
         self.delta = delta
         self.eps = eps
-        self.slack = slack
         mac = chain.mac
         self.nx = mac.x_alphabet.size
         self.ny = mac.y_alphabet.size
@@ -125,8 +125,8 @@ class _Workspace:
         self.i_z_yu = prof.iz_v2u
         self.we = mac.eve.matrix
         # probability cap of the E1 outputs and typical-draw success floor
-        self.cap = 2.0 ** (-n * (h_z_xy - slack))
-        self.mu = 1.0 - 2.0 * 2.0 ** (-n * tail_exponent * delta ** 2)
+        self.cap = 2.0 ** (-n * (h_z_xy - DEFAULT_SLACK))
+        self.mu = 1.0 - 2.0 * 2.0 ** (-n * DEFAULT_TAIL_EXPONENT * delta ** 2)
 
         # conditional laws for typicality tests, context symbol y*|U| + u
         pair = Alphabet(self.ny * self.nu)
@@ -173,7 +173,7 @@ class _Workspace:
     def fill_uy(self, useq, ys) -> None:
         """Fill the :meth:`theta_uy` entries of the rows of ``ys`` given
         ``useq`` that the cache misses.  Per block of whole ys that fits
-        ``CELL_BUDGET`` cells: one channel-row call over the typical xs
+        ``ROW_BLOCK_CELLS`` cells: one channel-row call over the typical xs
         times those ys (y-major) and one typicality test of their output
         masks given (y, u), one context per row; then one dot per y."""
         by_key = {(useq.tobytes(), yseq.tobytes()): yseq for yseq in ys}
@@ -229,9 +229,10 @@ class _Workspace:
 
     def pair_blocks(self, groups: int, group: int) -> list:
         """Blocks of whole runs over ``groups`` runs of ``group`` pairs each,
-        whose output rows fit in ``CELL_BUDGET`` cells (at least one run per
-        block), each as its slice of the pairs and its slice of the runs."""
-        step = max(CELL_BUDGET // (group * self.nz ** self.n), 1)
+        whose output rows fit in ``ROW_BLOCK_CELLS`` cells (at least one run
+        per block), each as its slice of the pairs and its slice of the
+        runs."""
+        step = max(ROW_BLOCK_CELLS // (group * self.nz ** self.n), 1)
         return [(slice(lo * group, (lo + step) * group), slice(lo, lo + step))
                 for lo in range(0, groups, step)]
 
@@ -258,7 +259,7 @@ class _Workspace:
         """One-sided corridor tail of a mean over ``size`` draws whose
         output information is ``info``."""
         return math.exp(-size * self.eps ** 3
-                        * 2.0 ** (-self.n * (info + 2 * self.slack))
+                        * 2.0 ** (-self.n * (info + 2 * DEFAULT_SLACK))
                         / (denom * LN2))
 
     def typical_fraction_threshold(self, size: int) -> float:
@@ -295,9 +296,7 @@ def _outside(mean: np.ndarray, ref: np.ndarray, width: float) -> np.ndarray:
 
 
 def concentration_report(family: CodebookFamily, eps: float, *,
-                         resamples: int = 300, seed: int = 12345,
-                         slack: float = DEFAULT_SLACK,
-                         tail_exponent: float = DEFAULT_TAIL_EXPONENT
+                         resamples: int = 300, seed: int = 12345
                          ) -> ConcentrationReport:
     """Evaluate the applicable concentration bounds for one family shape.
 
@@ -319,11 +318,11 @@ def concentration_report(family: CodebookFamily, eps: float, *,
     l0, l1, l2 = family.l_sizes
     params = {
         "n": n, "l_sizes": list(family.l_sizes), "delta": family.delta,
-        "eps": eps, "resamples": resamples, "slack": slack,
-        "tail_exponent": tail_exponent, "seed": seed,
+        "eps": eps, "resamples": resamples, "slack": DEFAULT_SLACK,
+        "tail_exponent": DEFAULT_TAIL_EXPONENT, "seed": seed,
     }
     try:
-        ws = _Workspace(chain, n, family.delta, eps, slack, tail_exponent)
+        ws = _Workspace(chain, n, family.delta, eps)
     except ResourceBudgetError as exc:
         return ConcentrationReport([], params, partial=True,
                                    notes=(f"budget exceeded: {exc}",))
@@ -345,7 +344,7 @@ def _pair_checks(ws: _Workspace, fams) -> list:
     One typicality test of all pairs gives the typical counts.  The (u, y)
     references are filled per distinct u first, in Case 1 over every typical
     y (:meth:`_Workspace.theta_u` reads them).  Rows come in blocks of whole
-    groups that fit ``CELL_BUDGET``; each group's means are axis reductions
+    groups that fit ``ROW_BLOCK_CELLS``; each group's means are axis reductions
     of its block, and its corridor test (width eps for Case-2 inner means,
     3 eps for Case-1 pair means) feeds both its own check and the family
     means, which are then checked against an estimated reference."""

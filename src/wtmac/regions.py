@@ -7,7 +7,9 @@ constraint shape), exposes the time-sharing ("alpha") elementary regions
 whose unions rebuild the case regions, and verifies the two polyhedral
 decomposition lemmas by dense sampling with explicit witnesses.  Both
 verifiers state their time-sharing family once, as right-hand sides affine
-in alpha, and read one alpha-window kernel and one stacked alpha-set check.
+in alpha, and read one stacked alpha-set check (union -> closed form) and
+one alpha-window check (closed form -> union): a closed-form point is
+certified exactly when its alpha-window hits.
 The Case-2 region is the convex hull of an alpha-family: it and the hull
 verifier read one closed form, :func:`_hull_rhs`, in the senders' given
 order.
@@ -791,6 +793,23 @@ def _alpha_set_check(report: LemmaReport, rng: np.random.Generator,
         for s, j in zip(*np.nonzero(~_inside(sub, k_coeffs, k_rhs, tol)))]
 
 
+def _k_to_union_check(report: LemmaReport, rng: np.random.Generator,
+                      family: np.ndarray, alpha0: float, alpha1: float,
+                      count: int, k_coeffs: np.ndarray, k_rhs: np.ndarray,
+                      tol: float, direction: str
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample ``count`` points of the closed form K = {x : k_coeffs x <=
+    k_rhs}, count them as checked, and add each point whose alpha-window
+    misses to the counterexamples.  Returns the points, their window alphas
+    and their hits."""
+    pts = _ray_points(rng, k_coeffs, k_rhs, count)
+    report.checked += pts.shape[0]
+    alphas, hits = _alpha_windows(pts, family, alpha0, alpha1, tol)
+    report.counterexamples += [{"direction": direction, "point": x}
+                               for x in pts[~hits].tolist()]
+    return pts, alphas, hits
+
+
 def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
                        alpha0, alpha1, samples: int = 200, *,
                        grid_step: float = 1e-3, tol: float = 1e-9,
@@ -838,12 +857,9 @@ def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
                                 "hypothesis fails")
 
     # K -> union direction.
-    pts = _ray_points(rng, RATE_COEFFS, k_rhs, samples)
-    report.checked += pts.shape[0]
-    _, hit = _alpha_windows(pts, family, alpha0, alpha1, tol)
-    report.counterexamples += [
-        {"direction": "closed-form point not covered by any alpha", "point": x}
-        for x in pts[~hit].tolist()]
+    _k_to_union_check(report, rng, family, alpha0, alpha1, samples,
+                      RATE_COEFFS, k_rhs, tol,
+                      "closed-form point not covered by any alpha")
 
     # union -> K direction (decimated alpha subsample).
     _alpha_set_check(report, rng, family, grid[:: max(len(grid) // 20, 1)],
@@ -851,31 +867,6 @@ def verify_union_lemma(a1, a2, b1, b2, c, d, r1, r2, r12, r012,
                      "alpha-set point outside the closed form")
     report.passed = not report.counterexamples
     return report
-
-
-def _lp_witness(x: np.ndarray, rhs0: np.ndarray, rhs1: np.ndarray, tol: float):
-    """LP fallback: find (u, v, lam) with u + v = x, u in lam*K0, v in (1-lam)*K1."""
-    from scipy.optimize import linprog
-
-    # variables: u (3), v (3), lam
-    a_ub = np.zeros((8, 7))
-    b_ub = np.zeros(8)
-    a_ub[:4, :3] = RATE_COEFFS
-    a_ub[:4, 6] = -rhs0
-    a_ub[4:, 3:6] = RATE_COEFFS
-    a_ub[4:, 6] = rhs1
-    b_ub[4:] = rhs1
-    a_eq = np.zeros((3, 7))
-    a_eq[:, :3] = np.eye(3)
-    a_eq[:, 3:6] = np.eye(3)
-    b_eq = x
-    bounds = [(0, None)] * 6 + [(0, 1)]
-    res = linprog(np.zeros(7), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    u, v, lam = res.x[:3], res.x[3:6], res.x[6]
-    return u, v, float(lam)
 
 
 def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
@@ -886,9 +877,12 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
     Direction one samples convex combinations of endpoint-set members (and
     interior-alpha members) and tests them against the closed form.
     Direction two certifies sampled closed-form points as members of the
-    family: each point's feasible alpha-window gives a single-alpha
-    membership as the witness; an LP decomposition over the endpoint sets is
-    the fallback for the points the window misses.
+    family by their alpha-windows: a point is certified exactly when its
+    window hits, and the witness is that single-alpha membership.  No
+    mixture of alphas can certify more: every row of K_alpha is affine in
+    (x, alpha), so {(x, alpha) : x in K_alpha} is one convex polyhedron and
+    the union over [alpha0, alpha1] is its projection, which is convex and
+    contains conv(K_alpha0 u K_alpha1).
     """
     for name, v in dict(r1=r1, r2=r2, r12=r12, r012=r012, a=a, b=b, c=c).items():
         if v < 0:
@@ -936,33 +930,14 @@ def verify_convexhull_lemma(r1, r2, r12, r012, a, b, c, alpha0, alpha1,
                      max(samples // 20, 4), k_coeffs, k_rhs, tol,
                      "alpha-set point escapes the closed form")
 
-    # K -> union direction.  The union over the whole alpha-interval is
-    # already convex here (every group bound is a minimum of functions linear
-    # in alpha, hence concave, so mixtures never beat a single alpha), so a
-    # point of K is certified by one alpha of its window.
-    x_pts = _ray_points(rng, k_coeffs, k_rhs, samples)
-    report.checked += x_pts.shape[0]
-    alphas, hits = _alpha_windows(x_pts, family, alpha0, alpha1, tol)
-    for x, hit, alpha in zip(x_pts, hits, alphas):
-        if hit:
-            report.witnesses.append({"point": x.tolist(), "alpha": float(alpha)})
-            continue
-        lp = _lp_witness(x, rhs0, rhs1, tol)
-        if lp is not None and _witness_valid(x, *lp, rhs0, rhs1, tol):
-            report.witnesses.append({"point": x.tolist(), "lambda": lp[2]})
-        else:
-            report.counterexamples.append(
-                {"direction": "closed-form point not reachable by the family",
-                 "point": x.tolist()})
-
+    # K -> union direction.
+    pts, alphas, hits = _k_to_union_check(
+        report, rng, family, alpha0, alpha1, samples, k_coeffs, k_rhs, tol,
+        "closed-form point not reachable by the family")
+    report.witnesses = [{"point": x, "alpha": alpha} for x, alpha
+                        in zip(pts[hits].tolist(), alphas[hits].tolist())]
     report.passed = not report.counterexamples
     return report
-
-
-def _witness_valid(x, u, v, lam, rhs0, rhs1, tol) -> bool:
-    return bool(np.max(np.abs(u + v - x)) <= 1e-7
-                and _inside(u, RATE_COEFFS, lam * rhs0, tol)
-                and _inside(v, RATE_COEFFS, (1.0 - lam) * rhs1, tol))
 
 
 # ---------------------------------------------------------------------------

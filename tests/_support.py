@@ -572,14 +572,14 @@ def reference_codebook_family(chain, n, l_sizes, delta, seed,
     return u, x, y, proposals
 
 
-def reference_mc_error(code, w_b=None, trials=2000, seed=0, decode_delta=None):
+def reference_mc_error(code, trials=2000, seed=0):
     """Monte Carlo error one trial at a time: draw an index tuple, draw each
     output symbol with ``rng.choice`` and decode the output alone.  The
     reference for ``average_error(mode="mc")``; returns the tuple and message
     error fractions and the drawn outputs."""
-    delta = code.delta if decode_delta is None else decode_delta
+    delta = code.delta
     mac = code.chain.mac
-    matrix = (w_b or mac.bob).matrix
+    matrix = mac.bob.matrix
     tuples = list(code.index_tuples())
     rng = np.random.default_rng(seed)
     hits = msg_hits = 0

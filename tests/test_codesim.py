@@ -117,11 +117,11 @@ def reference_decode(code, delta, t_seq):
     return hit
 
 
-def reference_errors(code, delta, w_b=None):
+def reference_errors(code, delta):
     """Per-output reference decodes, then the tuple, message and MAC errors
     from per-output tuple comparisons."""
     tuples = list(code.index_tuples())
-    rows = _bob_rows(code, w_b)
+    rows = _bob_rows(code)
     seqs = all_sequences(code.chain.mac.t_alphabet.size, code.n_total)
     decoded = [reference_decode(code, delta, t) for t in seqs]
     tuple_err = msg_err = mac_err = 0.0
@@ -484,11 +484,12 @@ class TestReferenceDecode:
     """The vectorized decode against the per-output reference, exactly."""
 
     @staticmethod
-    def noisy_mac(seed):
-        return random_mac(np.random.default_rng(seed), t=4, bob_quality=0.7)
+    def noisy_mac(seed, bob_quality=0.7):
+        return random_mac(np.random.default_rng(seed), t=4,
+                          bob_quality=bob_quality)
 
-    def one_family_case3(self, seed=101):
-        chain = coupled_chain(self.noisy_mac(seed))
+    def one_family_case3(self, seed=101, bob_quality=0.7):
+        chain = coupled_chain(self.noisy_mac(seed, bob_quality))
         fam = sample_codebook_family(chain, 5, (2, 1, 1), 0.3, seed=seed,
                                      k_sizes=(2, 1, 1))
         return WiretapCode(CaseLabel.CASE3, 2.0, 0.3, 0.25, None, (fam,),
@@ -516,17 +517,16 @@ class TestReferenceDecode:
         return WiretapCode(CaseLabel.CASE3, 2.0, 0.3, 0.25, None, (forced,),
                            (0.0, 0.0, 0.0))
 
-    def assert_matches(self, code, decode_delta=None, w_b=None):
-        delta = code.delta if decode_delta is None else decode_delta
-        decoded, tuple_err, msg_err, mac_err = reference_errors(code, delta,
-                                                                w_b)
+    def assert_matches(self, code):
+        decoded, tuple_err, msg_err, mac_err = reference_errors(code,
+                                                                code.delta)
         tuples = list(code.index_tuples())
         assert [None if i < 0 else tuples[i]
-                for i in _decode_all(code, delta)] == decoded
-        est = average_error(code, w_b, decode_delta=decode_delta)
+                for i in _decode_all(code, code.delta)] == decoded
+        est = average_error(code)
         assert est.tuple_error == tuple_err
         assert est.message_error == msg_err
-        assert mac_average_error(code, w_b, decode_delta=decode_delta) == mac_err
+        assert mac_average_error(code) == mac_err
         return decoded
 
     def test_one_family_case3(self):
@@ -550,15 +550,18 @@ class TestReferenceDecode:
 
     def test_decode_delta_differs_from_code_delta(self):
         code = self.one_family_case3(seed=107)
+        tuples = list(code.index_tuples())
+        seqs = all_sequences(4, code.n_total)
         for delta in (0.2, 0.45):
-            self.assert_matches(code, decode_delta=delta)
+            assert delta != code.delta
+            assert [None if i < 0 else tuples[i]
+                    for i in _decode_all(code, delta)] \
+                == [reference_decode(code, delta, t) for t in seqs]
 
     def test_noisy_bob_channel(self):
-        code = self.one_family_case3(seed=109)
-        rng = np.random.default_rng(110)
-        w_b = Channel.from_matrix(0.6 * code.chain.mac.bob.matrix
-                                  + 0.4 * rng.dirichlet(np.ones(4), size=4))
-        self.assert_matches(code, w_b=w_b)
+        decoded = self.assert_matches(
+            self.one_family_case3(seed=109, bob_quality=0.3))
+        assert any(d is not None for d in decoded)
 
 
     def test_counts_split_across_output_blocks(self, monkeypatch):
@@ -590,57 +593,44 @@ class TestReferenceMonteCarlo:
 
     codes = TestReferenceDecode()
 
-    def assert_matches(self, monkeypatch, code, trials, seed, w_b=None,
-                       decode_delta=None):
+    def assert_matches(self, monkeypatch, code, trials, seed):
+        """Returns the estimate and the drawn outputs."""
         from wtmac import codesim
 
         seen = []
         decode = codesim._typical_matrix
         monkeypatch.setattr(codesim, "_typical_matrix",
                             lambda *args: seen.append(args[2]) or decode(*args))
-        est = average_error(code, w_b, mode="mc", trials=trials, seed=seed,
-                            decode_delta=decode_delta)
+        est = average_error(code, mode="mc", trials=trials, seed=seed)
         monkeypatch.undo()
-        tuple_err, msg_err, outputs = reference_mc_error(
-            code, w_b, trials, seed, decode_delta)
+        tuple_err, msg_err, outputs = reference_mc_error(code, trials, seed)
         assert len(seen) == 1 and np.array_equal(seen[0], outputs)
         assert (est.tuple_error, est.message_error) == (tuple_err, msg_err)
         assert est.trials == trials
-        return est
+        return est, outputs
 
     def test_noisy_bob_channel(self, monkeypatch):
-        code = self.codes.one_family_case3(seed=109)
-        rng = np.random.default_rng(110)
-        w_b = Channel.from_matrix(0.6 * code.chain.mac.bob.matrix
-                                  + 0.4 * rng.dirichlet(np.ones(4), size=4))
-        est = self.assert_matches(monkeypatch, code, 300, 111, w_b=w_b)
+        code = self.codes.one_family_case3(seed=109, bob_quality=0.3)
+        est, _ = self.assert_matches(monkeypatch, code, 300, 111)
         assert 0.0 < est.message_error < est.tuple_error < 1.0
 
     def test_decode_delta_differs_from_code_delta(self, monkeypatch):
+        # the Monte Carlo outputs decoded at other deltas than the code's
         code = self.codes.one_family_case3(seed=107)
         for delta, seed in ((0.2, 112), (0.45, 113)):
             assert delta != code.delta
-            self.assert_matches(monkeypatch, code, 200, seed,
-                                decode_delta=delta)
+            _, outputs = self.assert_matches(monkeypatch, code, 200, seed)
+            for t_seq in outputs:
+                assert joint_typicality_decode(code, delta, t_seq) \
+                    == reference_decode(code, delta, t_seq)
 
     def test_two_family_code(self, monkeypatch):
-        est = self.assert_matches(monkeypatch, self.codes.two_family(), 300,
-                                  114)
+        est, _ = self.assert_matches(monkeypatch, self.codes.two_family(),
+                                     300, 114)
         assert 0.0 < est.tuple_error < 1.0
 
 
 class TestBobChannelShape:
-    @pytest.mark.parametrize("t_out", [3, 5])
-    def test_mis_sized_channel_rejected(self, t_out):
-        code = TestReferenceDecode().one_family_case3()
-        w_b = Channel.from_matrix(np.full((4, t_out), 1.0 / t_out))
-        with pytest.raises(ValidationError):
-            average_error(code, w_b, mode="exact")
-        with pytest.raises(ValidationError):
-            average_error(code, w_b, mode="mc", trials=5)
-        with pytest.raises(ValidationError):
-            mac_average_error(code, w_b)
-
     def test_out_of_alphabet_output_rejected(self):
         code = TestReferenceDecode().one_family_case3()
         with pytest.raises(ValidationError):
@@ -797,7 +787,7 @@ class TestChannelRows:
         code = self.code()
         mac = code.chain.mac
         tuples = list(code.index_tuples())
-        rows = _bob_rows(code, None)
+        rows = _bob_rows(code)
         want = [reference_channel_row(mac.bob.matrix, *code.codeword_pair(k, ls),
                                       mac.y_alphabet.size) for k, ls in tuples]
         assert np.array_equal(rows, np.array(want))
@@ -985,6 +975,9 @@ class TestConcentration:
         obj = concentration_report(fam, eps=0.3, resamples=15,
                                    seed=65).to_json_dict()
         assert obj["params"]["n"] == 4 and isinstance(obj["checks"], list)
+        # the fixed slack and tail exponent stay in every report's params
+        assert (obj["params"]["slack"], obj["params"]["tail_exponent"]) \
+            == (DEFAULT_SLACK, DEFAULT_TAIL_EXPONENT)
 
 
 class TestConcentrationContract:
@@ -1047,7 +1040,7 @@ class TestConcentrationContract:
     def test_typical_supports_match_truncated_laws(self):
         chain = TestConcentration().chain(seed=134)
         n, delta = 5, 0.35
-        ws = _Workspace(chain, n, delta, 0.3, 0.05, 2.0)
+        ws = _Workspace(chain, n, delta, 0.3)
         useqs, pu = ws.typical_given(chain.p_u)
         law = truncated_typical_dist(chain.p_u, n, delta)
         assert len(useqs) == int((law.mass > 0).sum())
@@ -1095,7 +1088,7 @@ class TestProfileReaders:
     @given(random_chains())
     def test_workspace_informations_match_definitions(self, chain):
         # (U, X, Y, T, Z) = axes 0..4 of the chain's joint
-        ws = _Workspace(chain, 3, 0.3, 0.3, 0.05, 2.0)
+        ws = _Workspace(chain, 3, 0.3, 0.3)
         j = chain.joint
         for got, (a, b, c) in ((ws.i_z_x_yu, ({4}, {1}, {2, 0})),
                                (ws.i_z_y_u, ({4}, {2}, {0})),
@@ -1114,7 +1107,7 @@ class TestWorkspaceReferences:
     @CHAIN_SETTINGS
     @given(random_chains())
     def test_case3_theta_matches_triple_loop(self, chain):
-        ws = _Workspace(chain, 3, 0.45, 0.3, 0.05, 2.0)
+        ws = _Workspace(chain, 3, 0.45, 0.3)
         theta_hat, f3 = ws.theta_case3()
         theta = reference_case3_theta(ws)
         cut = ws.eps / max(ws.t_z_plain, 1)
@@ -1150,7 +1143,7 @@ class TestWorkspaceReferences:
            st.sampled_from([(3, 1, 1), (2, 2, 1), (2, 2, 2), (1, 3, 2)]),
            st.integers(0, 2**16))
     def test_inner_and_pair_rows_match_pair_loops(self, chain, l_sizes, seed):
-        ws = _Workspace(chain, 5, 0.2, 0.3, 0.05, 2.0)
+        ws = _Workspace(chain, 5, 0.2, 0.3)
         self.check_inner_and_pair_rows(
             ws, sample_codebook_family(chain, 5, l_sizes, 0.2, seed=seed))
 
@@ -1172,7 +1165,7 @@ class TestWorkspaceReferences:
         # y = 1 - u, the context (y, u) = (1, 0) fills most positions, so
         # reading (y, u) the wrong way round moves the support f1
         chain = self.skewed_chain([[0.0, 1.0], [1.0, 0.0]])
-        ws = _Workspace(chain, 8, 0.125, 0.3, 0.05, 2.0)
+        ws = _Workspace(chain, 8, 0.125, 0.3)
         fam = sample_codebook_family(chain, 8, (2, 2, 1), 0.125, seed=0)
         _, zy = reference_theta_uy(ws, fam.u[0, 0], fam.y[0, 0, 0, 0])
         assert not zy.all()
@@ -1184,8 +1177,8 @@ class TestWorkspaceReferences:
         """Fills one u's ys at once and compares every entry with the
         per-key path and the reference; returns the ys' typical output
         masks."""
-        stacked = _Workspace(chain, n, delta, 0.3, 0.05, 2.0)
-        per_key = _Workspace(chain, n, delta, 0.3, 0.05, 2.0)
+        stacked = _Workspace(chain, n, delta, 0.3)
+        per_key = _Workspace(chain, n, delta, 0.3)
         masks = []
         for useq, partners in zip(fam.u[0], fam.y[0, :, 0]):
             ys = partners if fam.l_sizes[2] == 1 else np.concatenate(
@@ -1218,7 +1211,7 @@ class TestWorkspaceReferences:
     @CHAIN_SETTINGS
     @given(random_chains(), st.integers(0, 2**16))
     def test_theta_u_matches_per_y_loop(self, chain, seed):
-        ws = _Workspace(chain, 5, 0.2, 0.3, 0.05, 2.0)
+        ws = _Workspace(chain, 5, 0.2, 0.3)
         fam = sample_codebook_family(chain, 5, (3, 1, 1), 0.2, seed=seed)
         for useq in fam.u[0]:
             theta_hat, f2 = ws.theta_u(useq)
@@ -1247,8 +1240,7 @@ class TestPairChecks:
         rep = concentration_report(fam, eps=eps, resamples=resamples,
                                    seed=seed)
         # the resampled families of concentration_report, rebuilt
-        ws = _Workspace(chain, n, delta, eps, DEFAULT_SLACK,
-                        DEFAULT_TAIL_EXPONENT)
+        ws = _Workspace(chain, n, delta, eps)
         fams = [sample_codebook_family(chain, n, l_sizes, delta,
                                        seed + 7919 * i)
                 for i in range(resamples)]
@@ -1279,8 +1271,7 @@ class TestPairChecks:
                 return concentration._pair_checks(ws, fams), calls
 
         for resamples in (5, 50):
-            ws = _Workspace(chain, n, delta, 0.3, DEFAULT_SLACK,
-                            DEFAULT_TAIL_EXPONENT)
+            ws = _Workspace(chain, n, delta, 0.3)
             fams = sample_codebook_families(chain, n, l_sizes, delta,
                                             [133 + 7919 * i
                                              for i in range(resamples)])
@@ -1288,12 +1279,11 @@ class TestPairChecks:
             assert counted_pass(ws, fams) == (
                 first, {"_channel_rows": 1, "_typical_rows": 1})
             with monkeypatch.context() as patch:
-                patch.setattr(concentration, "CELL_BUDGET", 1)
+                patch.setattr(concentration, "ROW_BLOCK_CELLS", 1)
                 assert counted_pass(ws, fams) == (
                     first, {"_channel_rows": resamples * l_sizes[0],
                             "_typical_rows": 1})
-                cold = _Workspace(chain, n, delta, 0.3, DEFAULT_SLACK,
-                                  DEFAULT_TAIL_EXPONENT)
+                cold = _Workspace(chain, n, delta, 0.3)
                 assert concentration._pair_checks(cold, fams) == first
 
 
@@ -1309,8 +1299,7 @@ class TestCase3Checks:
         fam = sample_codebook_family(chain, n, (l0, 1, 1), delta, seed=seed)
         rep = concentration_report(fam, eps=eps, resamples=resamples,
                                    seed=seed)
-        ws = _Workspace(chain, n, delta, eps, DEFAULT_SLACK,
-                        DEFAULT_TAIL_EXPONENT)
+        ws = _Workspace(chain, n, delta, eps)
         fams = [sample_codebook_family(chain, n, (l0, 1, 1), delta,
                                        seed + 7919 * i)
                 for i in range(resamples)]
@@ -1323,11 +1312,11 @@ class TestCase3Checks:
                                                       budget):
         chain = TestConcentration().chain(seed=57)
         fam = sample_codebook_family(chain, 5, (3, 1, 1), 0.35, seed=58)
-        ws = _Workspace(chain, 5, 0.35, 0.3, 0.05, 2.0)
+        ws = _Workspace(chain, 5, 0.35, 0.3)
         theta = ws.theta_case3()
         rep = concentration_report(fam, eps=0.3, resamples=7, seed=59)
-        monkeypatch.setattr(concentration, "CELL_BUDGET", budget)
-        blocked = _Workspace(chain, 5, 0.35, 0.3, 0.05, 2.0).theta_case3()
+        monkeypatch.setattr(concentration, "ROW_BLOCK_CELLS", budget)
+        blocked = _Workspace(chain, 5, 0.35, 0.3).theta_case3()
         assert all(np.array_equal(a, b) for a, b in zip(theta, blocked))
         assert (concentration_report(fam, eps=0.3, resamples=7,
                                      seed=59).to_json_dict()
@@ -1359,7 +1348,7 @@ class TestCase3Checks:
             rep = concentration_report(fam, eps=0.3, resamples=7, seed=59)
             assert not rep.partial
             assert len(draws) == 1 and len(draws[0][4]) == 7
-        ws = _Workspace(chain, 5, 0.35, 0.3, 0.05, 2.0)
+        ws = _Workspace(chain, 5, 0.35, 0.3)
         row_calls.clear()
         ws.theta_case3()
         useqs = ws.typical_given(chain.p_u)[0]

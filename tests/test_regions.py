@@ -859,19 +859,18 @@ class TestUnionWindow:
         assert pts[~hit].tolist() == [m["point"] for m in misses]
 
 
-def reference_k_to_union(x_pts, rhs0, rhs1, r1, r2, r12, a, b, alpha0, alpha1,
-                         tol):
+def reference_k_to_union(x_pts, r1, r2, r12, total, a, b, alpha0, alpha1, tol):
     """Each point's feasible alpha-window in turn, derived by hand for the
-    hull's family, then the LP fallback: the reference for the hull
-    verifier's K -> union certification."""
+    hull's family: the reference for the hull verifier's K -> union
+    certification."""
     def alpha_rhs(alpha):
         return np.array([r1 - alpha * a, r2 - (1.0 - alpha) * b,
-                         r12 - alpha * a - (1.0 - alpha) * b, rhs0[3]])
+                         r12 - alpha * a - (1.0 - alpha) * b, total])
 
     witnesses, misses = [], []
     for x in x_pts:
         lo, hi = alpha0, alpha1
-        feasible = x.sum() <= rhs0[3] + tol
+        feasible = x.sum() <= total + tol
         if a > 0:
             hi = min(hi, (r1 - x[1]) / a + tol / a)
         else:
@@ -888,22 +887,13 @@ def reference_k_to_union(x_pts, rhs0, rhs1, r1, r2, r12, a, b, alpha0, alpha1,
             lo = max(lo, (x12 - r12 + b) / slope - tol / slope)
         else:
             hi = min(hi, (x12 - r12 + b) / slope - tol / slope)
-        witness = None
-        if feasible and lo <= hi:
-            alpha_star = min(max(0.5 * (lo + hi), alpha0), alpha1)
-            margin = alpha_rhs(alpha_star) - RATE_COEFFS @ x
-            if margin.min() >= -tol:
-                witness = {"point": x.tolist(), "alpha": float(alpha_star)}
-        if witness is None:
-            lp = regions._lp_witness(x, rhs0, rhs1, tol)
-            if lp is not None and regions._witness_valid(x, lp[0], lp[1], lp[2],
-                                                         rhs0, rhs1, tol):
-                witness = {"point": x.tolist(), "lambda": lp[2]}
-        if witness is None:
+        alpha_star = min(max(0.5 * (lo + hi), alpha0), alpha1)
+        if (feasible and lo <= hi
+                and (alpha_rhs(alpha_star) - RATE_COEFFS @ x).min() >= -tol):
+            witnesses.append({"point": x.tolist(), "alpha": float(alpha_star)})
+        else:
             misses.append({"direction": "closed-form point not reachable by the family",
                            "point": x.tolist()})
-        else:
-            witnesses.append(witness)
     return witnesses, misses
 
 
@@ -916,13 +906,23 @@ def hull_alpha_rhs(inst, alpha):
 
 def k_to_union_args(inst, tol=1e-9):
     """``reference_k_to_union``'s arguments after the points, for a hull instance."""
-    return (hull_alpha_rhs(inst, inst["alpha0"]), hull_alpha_rhs(inst, inst["alpha1"]),
-            *(inst[k] for k in ("r1", "r2", "r12", "a", "b", "alpha0", "alpha1")), tol)
+    return (inst["r1"], inst["r2"], inst["r12"], inst["r012"] - inst["c"],
+            *(inst[k] for k in ("a", "b", "alpha0", "alpha1")), tol)
+
+
+def hull_closed_form(inst):
+    """(coefficients, right-hand side) of the hull lemma's closed form K: the
+    rate rows and the weighted row b R1 + a R2 (which reads 0 <= 0 when
+    a = b = 0)."""
+    k_rhs = regions._hull_rhs(*(inst[k] for k in ("r1", "r2", "r12")),
+                              inst["r012"] - inst["c"],
+                              *(inst[k] for k in ("a", "b", "alpha0", "alpha1")))
+    return np.insert(RATE_COEFFS, 3, [0.0, inst["b"], inst["a"]], axis=0), k_rhs
 
 
 def hull_points(rng, inst, per_alpha=12):
     """Boundary and interior points of K_alpha at five alphas, plus two points
-    past the R0 + R1 + R2 bound that only the LP fallback can rule on."""
+    past the R0 + R1 + R2 bound, outside K."""
     pts = [regions._ray_points(rng, RATE_COEFFS, hull_alpha_rhs(inst, alpha), per_alpha)
            for alpha in np.linspace(inst["alpha0"], inst["alpha1"], 5)]
     total = inst["r012"] - inst["c"]
@@ -979,30 +979,20 @@ class TestKToUnion:
         witnesses, misses = hull_certification(inst, pts)
         want_witnesses, want_misses = reference_k_to_union(pts, *k_to_union_args(inst))
         assert misses == want_misses
-        assert len(witnesses) == len(want_witnesses)
-        for got, want in zip(witnesses, want_witnesses):
-            assert got.keys() == want.keys() and got["point"] == want["point"]
-            if "alpha" in want:
-                assert abs(got["alpha"] - want["alpha"]) <= 1e-15
-            else:
-                assert got["lambda"] == want["lambda"]
+        assert [w.keys() for w in witnesses] == [w.keys() for w in want_witnesses]
+        assert [w["point"] for w in witnesses] == [w["point"] for w in want_witnesses]
+        assert np.allclose([w["alpha"] for w in witnesses],
+                           [w["alpha"] for w in want_witnesses], rtol=0.0, atol=1e-15)
 
-    def test_lp_fallback_only_on_misses(self, monkeypatch):
+    def test_misses_are_the_points_outside_k(self):
         inst = random_hull_instance(np.random.default_rng(30))
         pts = hull_points(np.random.default_rng(31), inst)
-        lp_points = []
-        lp_witness = regions._lp_witness
-
-        def counted(x, *rest):
-            lp_points.append(x.tolist())
-            return lp_witness(x, *rest)
-
-        monkeypatch.setattr(regions, "_lp_witness", counted)
         witnesses, misses = hull_certification(inst, pts)
-        assert [m["point"] for m in misses] == pts[-2:].tolist()
-        assert lp_points == pts[-2:].tolist()
-        assert len(witnesses) == pts.shape[0] - 2
-        assert all("alpha" in w for w in witnesses)
+        outside = ~regions._inside(pts, *hull_closed_form(inst), 1e-9)
+        assert outside.tolist() == [False] * (pts.shape[0] - 2) + [True, True]
+        assert [m["point"] for m in misses] == pts[outside].tolist()
+        assert [w["point"] for w in witnesses] == pts[~outside].tolist()
+        assert all(w.keys() == {"point", "alpha"} for w in witnesses)
 
     def test_verifier_certifies_its_samples_like_the_reference(self, monkeypatch):
         inst = random_hull_instance(np.random.default_rng(32))
@@ -1017,6 +1007,30 @@ class TestKToUnion:
         rep = verify_convexhull_lemma(**inst, samples=120, seed=7)
         witnesses, misses = reference_k_to_union(drawn[-1], *k_to_union_args(inst))
         assert rep.witnesses == witnesses and not misses and rep.passed
+
+
+class TestHullWindowsCoverTheHull:
+    """Why a closed-form point needs no certificate but its alpha-window:
+    every row of K_alpha is affine in (x, alpha), so the union over
+    [alpha0, alpha1] is the projection of one convex polyhedron.  It is
+    convex, so it holds every mixture of K_alpha0 and K_alpha1 points, the
+    only points a decomposition over the endpoint sets could certify."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(hull_instances(), st.integers(0, 2**32 - 1))
+    def test_windows_hit_closed_form_points_and_endpoint_mixtures(self, inst, seed):
+        rng = np.random.default_rng(seed)
+        family = hull_family(inst)
+        alpha0, alpha1 = inst["alpha0"], inst["alpha1"]
+        closed = regions._ray_points(rng, *hull_closed_form(inst), 40)
+        p_pts, q_pts = regions._ray_points(
+            rng, RATE_COEFFS, regions._family_rhs(family, (alpha0, alpha1)), 40)
+        lam = rng.uniform(0.0, 1.0, size=(40, 1))
+        lam[:3, 0] = (0.0, 1.0, 0.5)
+        mixtures = lam * p_pts + (1.0 - lam) * q_pts
+        for pts in (closed, mixtures):
+            _, hit = regions._alpha_windows(pts, family, alpha0, alpha1, 1e-9)
+            assert hit.all(), pts[~hit]
 
 
 @st.composite

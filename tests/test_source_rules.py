@@ -1,6 +1,9 @@
 """Rules on the library source that no single behaviour test would catch."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wtmac
@@ -38,6 +41,53 @@ def test_library_has_no_broad_exception_handlers():
              for path in sorted(root.glob("*.py"))
              for line, text in _broad_handlers(ast.parse(path.read_text()))]
     assert not found, found
+
+
+def _optimize_names(tree):
+    """Line of every import of ``scipy.optimize`` (or a name from it) and of
+    every ``scipy.optimize`` attribute in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "optimize"
+                and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            names = ["scipy.optimize"]
+        else:
+            continue
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
+               for name in names):
+            yield node.lineno
+
+
+def test_optimize_name_detector():
+    code = ("import scipy.optimize\n"
+            "from scipy.optimize import linprog\n"
+            "from scipy import optimize\n"
+            "import scipy\nscipy.optimize.linprog\n"
+            "from scipy.spatial import ConvexHull\n")
+    assert list(_optimize_names(ast.parse(code))) == [1, 2, 3, 5]
+
+
+def test_library_names_no_scipy_optimize():
+    # The lemma verifiers certify by alpha-windows; no solver is a dependency.
+    root = Path(wtmac.__file__).parent
+    found = [f"{path.name}:{line}"
+             for path in sorted(root.glob("*.py"))
+             for line in _optimize_names(ast.parse(path.read_text()))]
+    assert not found, found
+
+
+def test_import_loads_no_scipy():
+    # Importing the package stays cheap: scipy loads only where a function
+    # that needs it runs.
+    code = ("import sys, wtmac\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(wtmac.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_every_traced_name_resolves():
