@@ -821,24 +821,6 @@ def leakage_chain_check(code: WiretapCode) -> LeakageChainReport:
     return LeakageChainReport(eps, True, bound, leak, leak <= bound + 1e-12)
 
 
-def chernoff_bound(count: int, eps: float, mu: float, b: float) -> float:
-    """Tail bound for means of independent [0, b]-valued variables.
-
-    Probability that the mean of ``count`` variables leaves
-    ``(1 +/- eps) * mu`` on one side, bounded by
-    ``exp(-count * eps^2 * mu / (2 b ln 2))``.
-    """
-    if count < 0:
-        raise PreconditionError("count must be nonnegative")
-    if not 0.0 < eps < 0.5:
-        raise PreconditionError(f"the bound needs 0 < eps < 1/2, got {eps}")
-    if b <= 0.0:
-        raise PreconditionError("the range bound b must be positive")
-    if not 0.0 <= mu <= b:
-        raise PreconditionError("the mean must lie in [0, b]")
-    return math.exp(-count * eps * eps * mu / (2.0 * b * math.log(2.0)))
-
-
 @dataclass(frozen=True)
 class SimReport:
     """One-stop summary of a built code's reliability and secrecy numbers."""

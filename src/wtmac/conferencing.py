@@ -34,6 +34,7 @@ from .regions import (
     _case2_interval,
     _columns,
     _first,
+    _hull_vertices,
     _pos,
     _resolve,
     classify_profile,
@@ -141,39 +142,15 @@ def elementary_conf_region(prof: InfoProfile, case: CaseLabel, alpha: float,
                         CONF_NAMES)
 
 
-def _hull_2d(points: np.ndarray) -> np.ndarray:
-    """Convex hull vertices of a 2-D point cloud (monotone chain)."""
-    pts = np.unique(np.round(points, 12), axis=0)
-    if pts.shape[0] <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def build(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                d1 = out[-1] - out[-2]
-                d2 = p - out[-2]
-                if d1[0] * d2[1] - d1[1] * d2[0] > 0:
-                    break
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
 @dataclass(frozen=True)
 class ConferencingRegion:
     """A conferencing rate region over (R1, R2).
 
     Cases 1 and 3 are single polytopes.  Case 2 is a union over the
     time-sharing parameter: ``pieces`` holds (alpha, polytope) pairs on a
-    grid and ``hull_points`` the convex hull of the union's vertices (the
-    vertices of the single piece otherwise), computed on first use.
-    Membership is union membership (any piece).
+    grid and ``hull_points`` the hull vertices of the union's vertices,
+    counterclockwise (``regions._hull_vertices``; the single piece's
+    vertices otherwise), computed on first use.  Membership is any piece's.
     """
 
     case: CaseLabel
@@ -189,9 +166,8 @@ class ConferencingRegion:
     @cached_property
     def hull_points(self) -> np.ndarray:
         verts = self._piece_vertices
-        if self.case != CaseLabel.CASE2:
-            return verts[0]
-        return _hull_2d(np.vstack(verts))
+        return (_hull_vertices(np.vstack(verts)) if self.case == CaseLabel.CASE2
+                else verts[0])
 
     @property
     def polytope(self) -> RatePolytope:

@@ -23,6 +23,7 @@ from .probkit import Alphabet, Channel, Dist, FactoredInput, WiretapMAC
 from .regions import (
     CaseLabel,
     _columns,
+    _hull_vertices,
     _inside,
     _scores,
     case_rhs,
@@ -182,12 +183,11 @@ def _wrapped_identity(rows: int, cols: int) -> np.ndarray:
 class RegionEstimate:
     """Point cloud of certified achievable rate tuples plus its convex closure.
 
-    ``evaluations`` is the number of inputs the search scored, the count
-    that ``SearchConfig.max_evaluations`` bounds; ``batches`` the number of
-    batches it scored them in (one profile-kernel call each);
-    ``hull_degenerate`` is set when qhull rejected the cloud and the hull
-    vertices are the deduplicated points themselves.  None of the three is
-    written to JSON.
+    ``hull_vertices`` are the hull vertices of the points and the origin
+    within their span (``regions._hull_vertices``).  ``evaluations`` counts
+    the inputs the search scored, which ``SearchConfig.max_evaluations``
+    bounds, and ``batches`` the batches (profile-kernel calls) it scored
+    them in; neither is in the JSON.
     """
 
     mode: object
@@ -201,7 +201,6 @@ class RegionEstimate:
     aux_sizes: tuple
     evaluations: int
     batches: int
-    hull_degenerate: bool
 
     def max_sum_rate(self) -> float:
         if self.points.shape[0] == 0:
@@ -399,31 +398,14 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
         held = _certified(systems(params), np.array(rates), cases)
         points = [pt for pt, ok in zip(points, held) if ok]
     cloud = np.vstack([pt[0] for pt in points]) if points else np.zeros((1, dim))
-    hull, degenerate = _hull_with_origin(cloud, dim)
     return RegionEstimate(
         mode=mode, dim=dim, points=cloud,
         cases=[pt[1] for pt in points] or [CaseLabel.CASE0],
         generators=[par.build(pt[2]) for pt in points],
-        hull_vertices=hull, partial=partial, seed=cfg.seed,
-        aux_sizes=par.sizes, evaluations=evaluations, batches=len(batches),
-        hull_degenerate=degenerate,
+        hull_vertices=_hull_vertices(np.vstack([np.zeros((1, dim)), cloud])),
+        partial=partial, seed=cfg.seed, aux_sizes=par.sizes,
+        evaluations=evaluations, batches=len(batches),
     )
-
-
-def _hull_with_origin(cloud: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    """Hull vertices of the cloud and the origin, and whether qhull rejected
-    the points as degenerate (the deduplicated points are returned then)."""
-    pts = np.vstack([np.zeros((1, dim)), cloud])
-    pts = np.unique(np.round(pts, 12), axis=0)
-    if pts.shape[0] <= dim + 1:
-        return pts, False
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(pts, qhull_options="QJ")
-    except QhullError:
-        return pts, True
-    return pts[hull.vertices], False
 
 
 def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:

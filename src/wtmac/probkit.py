@@ -463,19 +463,6 @@ class FactoredInput:
             raise ValidationError(f"input JSON missing field {exc}") from None
 
 
-def variation_distance(m1, m2) -> float:
-    """Total variation distance: the plain L1 sum over points.
-
-    Accepts distributions, sequence distributions, or raw (possibly
-    subnormalized) measure vectors of matching length.
-    """
-    v1 = m1.mass if hasattr(m1, "mass") else np.asarray(m1, dtype=float)
-    v2 = m2.mass if hasattr(m2, "mass") else np.asarray(m2, dtype=float)
-    if v1.shape != v2.shape:
-        raise ValidationError(f"measure shapes differ: {v1.shape} vs {v2.shape}")
-    return float(np.abs(v1 - v2).sum())
-
-
 # ---------------------------------------------------------------------------
 # Sequence machinery
 # ---------------------------------------------------------------------------

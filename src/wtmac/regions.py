@@ -51,6 +51,7 @@ EQUALITY_TOL = 1e-12
 VERTEX_TOL = 1e-9
 # Distance from a gate's threshold within which classification warns.
 BOUNDARY_TOL = 1e-9
+HULL_TOL = 2e-13  # on a line or plane: within this, per unit of the largest coordinate
 
 # The constraint shape every case region over (R0, R1, R2) shares; the
 # decomposition lemmas only move its right-hand side.
@@ -517,6 +518,77 @@ def stacked_vertices(coeffs: np.ndarray, rhs: np.ndarray):
     return pts, keep
 
 
+@lru_cache(maxsize=None)
+def _triples(n: int) -> np.ndarray:  # the C(n, 3) index triples, as 3 rows
+    if math.comb(n, 3) * n > CELL_BUDGET:
+        raise ResourceBudgetError(f"a hull of {n} points exceeds the cell budget")
+    return np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+
+
+def _chain(xy: list, tol: float) -> list:
+    """Monotone-chain hull corners of 2-D points, counterclockwise from the
+    lexicographic minimum, less each within ``tol`` of its neighbours' chord."""
+    order = sorted(range(len(xy)), key=xy.__getitem__)
+    p = [xy[o] for o in order]
+
+    def bend(a, b, c):  # |c - a| times how far b lies right of a -> c
+        (x0, y0), (x1, y1), (x2, y2) = p[a], p[b], p[c]
+        return (x2 - x1) * (y0 - y1) - (y2 - y1) * (x0 - x1)  # -bend(c, b, a)
+
+    def build(ranks):
+        out = []
+        for r in ranks:
+            while len(out) >= 2 and bend(out[-2], out[-1], r) <= 0.0:
+                out.pop()
+            out.append(r)
+        return out[:-1]
+
+    def flat(k):  # whether corner k lies within tol of its neighbours' segment
+        a, b, c = hull[k - 1], hull[k], hull[(k + 1) % len(hull)]
+        (x0, y0), (x1, y1), (x2, y2) = p[a], p[b], p[c]
+        along, span = (x1 - x0) * (x2 - x0) + (y1 - y0) * (y2 - y0), math.dist(p[a], p[c])
+        return bend(a, b, c) <= tol * span and 0.0 <= along <= span * span
+
+    hull = build(range(len(p))) + build(reversed(range(len(p))))
+    while len(hull) > 2 and (flats := [k for k in range(len(hull)) if flat(k)]):
+        del hull[flats[0]]
+    return [order[r] for r in hull[hull.index(min(hull)):] + hull[:hull.index(min(hull))]]
+
+
+def _hull_vertices(points) -> np.ndarray:
+    """Hull vertices of a 2-D or 3-D cloud, rounded to 12 decimals and
+    deduplicated, within its affine span (on a line or plane means within
+    ``HULL_TOL`` of it per unit of the largest coordinate): a point gives
+    itself, a collinear cloud its ends, a 2-D cloud its :func:`_chain`.  In
+    3-D a plane through a point triple with the cloud on one side supports
+    the hull (the cloud's own plane when flat); a vertex lies on one and is
+    a corner of the 2-D hull of each it lies on, in lexicographic order."""
+    pts = np.unique(np.round(points, 12), axis=0)
+    if len(pts) <= 1:
+        return pts
+    tol = HULL_TOL * np.abs(pts).max()
+    if pts.shape[1] == 2:
+        return pts[_chain(pts.tolist(), tol)]
+    i, j, k = _triples(len(pts))
+    u, v = pts[j] - pts[i], pts[k] - pts[i]
+    normal = np.cross(u, v)
+    area2 = np.linalg.norm(normal, axis=1)
+    planar = area2 > tol * np.linalg.norm([u, v, v - u], axis=2).max(axis=0)
+    if not planar.any():  # collinear: the point farthest from the first, and its farthest
+        far = np.linalg.norm(pts - pts[0], axis=1).argmax()
+        return pts[sorted({far, np.linalg.norm(pts - pts[far], axis=1).argmax()})]
+    i, u, normal = i[planar], u[planar], normal[planar] / area2[planar, None]
+    dist = (pts @ normal.T - np.einsum("td,td->t", pts[i], normal)).T
+    support = np.nonzero((dist <= tol).all(axis=1) | (dist >= -tol).all(axis=1))[0]
+    planes, first = np.unique(np.abs(dist[support]) <= tol, axis=0, return_index=True)
+    inner, rows = np.zeros(len(pts), dtype=bool), np.nonzero(planes.sum(axis=1) > 3)[0]
+    for on, t in zip(planes[rows], support[first[rows]]):  # triangles have no inner point
+        idx, e1 = np.nonzero(on)[0], u[t] / np.linalg.norm(u[t])
+        xy = (pts[idx] - pts[i[t]]) @ np.stack([e1, np.cross(normal[t], e1)]).T
+        inner[np.delete(idx, _chain(xy.tolist(), tol))] = True
+    return pts[planes.any(axis=0) & ~inner]
+
+
 def _resolve(p_or_prof, u_independent=None):
     """(profile, u-independence flag) of an input, from one kernel call; a
     profile passes through with the flag given (False when None)."""
@@ -545,9 +617,10 @@ def case_rhs(profiles: np.ndarray, hc: float, case: CaseLabel):
     """(coeffs, rhs, ok): one case's region over (R0, R1, R2) for each row
     of a profile array, regardless of the case's gates; ``ok`` is False where
     the Case-2 time-sharing interval is empty.  Case 2 has (N, 5, 3)
-    coefficients: its weighted row (0, I(Z^V2|V1U), I(Z^V1|V2U)) bounds the
-    hull facet of the time-sharing corners (:func:`_hull_rhs`), and the
-    equality branch repeats the R1+R2 row there.
+    coefficients: its weighted row (0, I(Z^V2|V1U), I(Z^V1|V2U)), scaled with
+    its right-hand side to unit norm, bounds the hull facet of the
+    time-sharing corners (:func:`_hull_rhs`), and the equality branch
+    repeats the R1+R2 row there.
     """
     p = _columns(profiles)
     total = p.it_v12 - p.iz_v12
@@ -566,7 +639,9 @@ def case_rhs(profiles: np.ndarray, hc: float, case: CaseLabel):
                          alpha0, alpha1)
     direct = np.stack([p.it_v1_v2u, p.it_v2_v1u, *[p.it_v12_u - a] * 2, total], 1)
     coeffs = np.tile(RATE_COEFFS[[0, 1, 2, 2, 3]], (len(profiles), 1, 1))
-    coeffs[~degenerate, 3, 1:] = np.stack([b, a], 1)[~degenerate]
+    norm = np.where(degenerate, 1.0, np.hypot(a, b))
+    coeffs[~degenerate, 3, 1:] = (np.stack([b, a], 1) / norm[:, None])[~degenerate]
+    hull[:, 3] /= norm
     return (coeffs, np.where(degenerate[:, None], direct, hull),
             degenerate | ~(alpha0 > alpha1))
 

@@ -3,6 +3,7 @@ and the one-input-at-a-time reference paths the batched kernels are checked
 against."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,11 @@ from wtmac.casestudy import coupled_input
 from wtmac.codesim import _channel_rows, joint_typicality_decode
 from wtmac.concentration import _check, _estimated_reference_check, _outside
 from wtmac.conferencing import region_conferencing
-from wtmac.errors import DegenerateTypicalityError, PreconditionError
+from wtmac.errors import (
+    DegenerateTypicalityError,
+    PreconditionError,
+    ValidationError,
+)
 from wtmac.probkit import (
     AX_T,
     AX_U,
@@ -181,6 +186,37 @@ def sample_case_profiles(rng, count, case, bob_quality=(0.3, 0.9)):
 # Reference paths: one input, one polytope at a time
 # ---------------------------------------------------------------------------
 
+def variation_distance(m1, m2) -> float:
+    """Total variation distance: the plain L1 sum over points.
+
+    Accepts distributions, sequence distributions, or raw (possibly
+    subnormalized) measure vectors of matching length.
+    """
+    v1 = m1.mass if hasattr(m1, "mass") else np.asarray(m1, dtype=float)
+    v2 = m2.mass if hasattr(m2, "mass") else np.asarray(m2, dtype=float)
+    if v1.shape != v2.shape:
+        raise ValidationError(f"measure shapes differ: {v1.shape} vs {v2.shape}")
+    return float(np.abs(v1 - v2).sum())
+
+
+def chernoff_bound(count: int, eps: float, mu: float, b: float) -> float:
+    """Tail bound for means of independent [0, b]-valued variables.
+
+    Probability that the mean of ``count`` variables leaves
+    ``(1 +/- eps) * mu`` on one side, bounded by
+    ``exp(-count * eps^2 * mu / (2 b ln 2))``.
+    """
+    if count < 0:
+        raise PreconditionError("count must be nonnegative")
+    if not 0.0 < eps < 0.5:
+        raise PreconditionError(f"the bound needs 0 < eps < 1/2, got {eps}")
+    if b <= 0.0:
+        raise PreconditionError("the range bound b must be positive")
+    if not 0.0 <= mu <= b:
+        raise PreconditionError("the mean must lie in [0, b]")
+    return math.exp(-count * eps * eps * mu / (2.0 * b * math.log(2.0)))
+
+
 def reference_info_profile(p) -> InfoProfile:
     """The profile as 16 mutual informations of the 7-D joint: the
     reference for the batched profile kernel ``regions.info_profiles``."""
@@ -331,6 +367,45 @@ def reference_vertices(poly, tol=1e-9):
         if np.max(np.abs(pts[i] - pts[keep[-1]])) > 1e-9:
             keep.append(i)
     return pts[keep]
+
+
+def _in_simplex(q, simplex) -> bool:
+    """Whether q is a convex combination of the points of ``simplex``, by
+    exact elimination; False when those points are affinely dependent (a
+    smaller subset then decides)."""
+    k = len(simplex) - 1
+    base = simplex[0]
+    rows = [[p[r] - base[r] for p in simplex[1:]] + [q[r] - base[r]]
+            for r in range(len(q))]
+    for col in range(k):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(len(rows)):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    if any(row[k] != 0 for row in rows[k:]):
+        return False
+    lam = [rows[r][k] / rows[r][r] for r in range(k)]
+    return all(v >= 0 for v in lam) and sum(lam) <= 1
+
+
+def reference_hull(points) -> list[int]:
+    """Indices of the hull vertices of distinct points, in exact rationals:
+    a point is a vertex when no affinely independent set of at most dim + 1
+    other points holds it (Caratheodory).  The exact reference for
+    ``regions._hull_vertices`` on flat and collinear clouds."""
+    pts = [[Fraction(v) for v in p] for p in points]
+    out = []
+    for i, q in enumerate(pts):
+        others = pts[:i] + pts[i + 1:]
+        if not any(_in_simplex(q, subset)
+                   for size in range(2, len(q) + 2)
+                   for subset in combinations(others, size)):
+            out.append(i)
+    return out
 
 
 def reference_ray_points(rng, coeffs, rhs, count, dim=3):

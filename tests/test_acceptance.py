@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from _support import sample_case1_profiles, sample_case_profiles
+from _support import chernoff_bound, sample_case1_profiles, sample_case_profiles
 from wtmac.casestudy import (
     concavity_scan,
     coupled_input,
@@ -26,7 +26,6 @@ from wtmac.codesim import (
     WiretapCode,
     average_error,
     build_wiretap_code,
-    chernoff_bound,
     concentration_report,
     eavesdropper_conditionals,
     eve_map_error,

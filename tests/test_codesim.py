@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from _support import (
+    chernoff_bound,
     constant_eve_mac,
     example62_input,
     pair_mean,
@@ -36,7 +37,6 @@ from wtmac.codesim import (
     _decode_all,
     average_error,
     build_wiretap_code,
-    chernoff_bound,
     concentration_report,
     eavesdropper_conditionals,
     eve_map_error,

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from _support import (
     constant_eve_mac,
     random_factored,
     random_mac,
+    reference_hull,
     reference_info_profile,
     reference_search,
 )
@@ -206,27 +208,38 @@ class TestBatchedSearch:
         assert est.generators
         assert est.batches == 1 + 3 + 1 + 1
 
-    def test_degenerate_hull_flagged(self, monkeypatch):
-        import scipy.spatial
-
-        mac = example62_channels()
+    def test_flat_cloud_gets_its_in_plane_hull(self):
+        # Case-0 points have R0 = 0: this cloud is flat, qhull refuses it,
+        # and its hull is the exact polygon within the plane, less the
+        # points inside it
+        mac = random_mac(np.random.default_rng(11), bob_quality=0.8)
         cfg = SearchConfig(restarts=6, refine_iters=4, directions=6, seed=3,
-                           u_size=2)
-        est = achievable_region_estimate(mac, CommonMode(0.3), cfg)
-        assert not est.hull_degenerate
-
-        def refuse(*args, **kwargs):
-            raise scipy.spatial.QhullError("QH6154 initial simplex is flat")
-
-        monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
-        flat = achievable_region_estimate(mac, CommonMode(0.3), cfg)
-        assert flat.hull_degenerate
-        assert np.array_equal(flat.points, est.points)
+                           independent_only=True)
+        est = achievable_region_estimate(mac, CommonMode(0.0), cfg)
         cloud = np.unique(np.round(np.vstack([np.zeros((1, 3)), est.points]), 12),
                           axis=0)
-        assert cloud.shape[0] > 4  # enough points to ask qhull
-        assert np.array_equal(flat.hull_vertices, cloud)
-        assert "hull_degenerate" not in flat.to_json_dict()
+        assert (cloud[:, 0] == 0.0).all()
+        assert len(cloud) > len(est.hull_vertices) == 3
+        with pytest.raises(QhullError):
+            ConvexHull(cloud)
+        assert np.array_equal(est.hull_vertices, cloud[reference_hull(cloud)])
+        assert "hull_degenerate" not in est.to_json_dict()
+
+    def test_seed1_clouds_within_tolerance_of_a_face(self):
+        # Two seed-1 benchmark search clouds (random MACs, H_C = 0.3): in the
+        # |T| = 4, |Z| = 2 one the fourth point lies 5.0e-14 inside the
+        # R2 = 0 face, in the |T| = 2, |Z| = 4 one 7.6e-14 outside it.  Both
+        # are within HULL_TOL of the face's edge, so neither is a vertex, as
+        # qhull without its joggle finds; with the joggle it listed both.
+        for cloud in ([[0, 0, 0], [0, 0, 0.431789015724], [0, 0.349441562713, 0],
+                       [0.661406018601, 1e-12, 0], [0.661406018603, 0, 0]],
+                      [[0, 0, 0], [0, 0, 0.000236041988], [0, 0.766728409845, 0],
+                       [0.783435167098, 5e-12, 0], [0.783435167103, 0, 0]]):
+            cloud = np.array(cloud, dtype=float)
+            hull = regions._hull_vertices(cloud)
+            assert np.array_equal(hull, np.delete(cloud, 3, axis=0))
+            ref = cloud[ConvexHull(cloud).vertices]
+            assert sorted(map(tuple, hull.tolist())) == sorted(map(tuple, ref.tolist()))
 
 
 def _row_view(profiles, u_ind, mode, i, dirs):

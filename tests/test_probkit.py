@@ -11,6 +11,7 @@ from _support import (
     sequence_index,
     sequence_mass,
     sequence_prob,
+    variation_distance,
 )
 from wtmac.errors import (
     DegenerateTypicalityError,
@@ -42,7 +43,6 @@ from wtmac.probkit import (
     truncated_typical_dist,
     typical_mask,
     typical_membership,
-    variation_distance,
 )
 
 WB_62 = np.array([[0.6178, 0.3822], [0.0624, 0.9376],

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from _support import reference_elementary_region
 from wtmac import conferencing, regions
@@ -90,6 +92,7 @@ from _support import (  # noqa: E402  (shared generator and references)
     case2_sum_bound_min_form,
     hull_family,
     reference_alpha_windows,
+    reference_hull,
     reference_info_profile,
     reference_ray_points,
     reference_union_cover,
@@ -1184,6 +1187,35 @@ class TestCase2HullInGivenOrder:
         assert orders == verified == {False, True}
 
 
+def squared_excess(poly, point) -> Fraction:
+    """The largest squared distance, per unit normal and in exact rationals,
+    by which ``point`` breaks a row of ``poly`` (0 when it breaks none)."""
+    x = [Fraction(v) for v in point]
+    worst = Fraction(0)
+    for row, rhs in zip(poly.coeffs, poly.rhs):
+        row = [Fraction(c) for c in row]
+        excess = sum(c * v for c, v in zip(row, x)) - Fraction(rhs)
+        if excess > 0:
+            worst = max(worst, excess * excess / sum(c * c for c in row))
+    return worst
+
+
+class TestCase2WeightedRowScale:
+    def test_kept_vertices_within_vertex_tol_per_unit_normal(self):
+        # The weighted row (0, b, a) is divided by its norm, so VERTEX_TOL
+        # is a distance in rates on it as on every other row.  Unscaled, 41
+        # of these regions kept a vertex more than 1e-9 outside the region,
+        # the worst 1.24e-5 (a, b about 4e-5 and 6e-5).
+        pairs = sample_case1_profiles(np.random.default_rng(5), 400,
+                                      require_case2=True,
+                                      sufficient_randomness=True)
+        worst = max(squared_excess(poly, vertex)
+                    for poly in (region_common(prof, hc, CaseLabel.CASE2)
+                                 for prof, hc in pairs)
+                    for vertex in poly.vertices())
+        assert worst <= Fraction(regions.VERTEX_TOL) ** 2
+
+
 class TestNesting:
     def test_case1_inside_case2_and_case3(self):
         rng = np.random.default_rng(29)
@@ -1277,3 +1309,84 @@ class TestCase2Endpoints:
             assert sub.rhs[0] == pytest.approx(region.rhs[0], abs=1e-12)
             sub1 = elementary_region(prof, CaseLabel.CASE2, ab.alpha1, hc)
             assert sub1.rhs[1] == pytest.approx(region.rhs[1], abs=1e-12)
+
+
+HULL_SCALES = (1e-11, 1e-6, 1.0, 1e3)
+
+
+@st.composite
+def lattice_clouds(draw, dim):
+    """(points, scale): distinct points of the lattice {0..6}^dim, enough to
+    span it, and the scale they are taken at."""
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), min_size=dim + 1,
+                        max_size=9, unique=True))
+    return np.array(pts, dtype=float), draw(st.sampled_from(HULL_SCALES))
+
+
+@st.composite
+def flat_lattice_clouds(draw, dim):
+    """(points, scale): distinct lattice points on a line, or in 3-D on a
+    plane, through a lattice point along independent lattice vectors."""
+    rank = draw(st.integers(1, dim - 1))
+    base = np.array(draw(st.tuples(*[st.integers(0, 6)] * dim)))
+    spans = np.array([draw(st.tuples(*[st.integers(-2, 2)] * dim))
+                      for _ in range(rank)])
+    assume(np.linalg.matrix_rank(spans) == rank)
+    coords = draw(st.lists(st.tuples(*[st.integers(0, 3)] * rank), min_size=1,
+                           max_size=8, unique=True))
+    pts = np.unique(base + np.array(coords) @ spans, axis=0)
+    return pts.astype(float), draw(st.sampled_from(HULL_SCALES))
+
+
+def same_rows(got, want) -> bool:
+    return sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+
+class TestHullKernel:
+    @PROPERTY_SETTINGS
+    @given(st.sampled_from([2, 3]).flatmap(lattice_clouds))
+    def test_matches_qhull_where_qhull_accepts(self, drawn):
+        lattice, scale = drawn
+        pts = np.round(lattice * scale, 12)
+        try:
+            ref = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            assume(False)
+        got = regions._hull_vertices(lattice * scale)
+        assert same_rows(got, ref)
+        if got.shape[1] == 3:  # lexicographic order
+            assert np.array_equal(got, np.unique(got, axis=0))
+        else:  # counterclockwise from the lexicographic minimum
+            assert np.array_equal(got[0], np.unique(got, axis=0)[0])
+            d1, d2 = np.roll(got, -1, axis=0) - got, np.roll(got, -2, axis=0) - got
+            assert (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0).all()
+
+    @PROPERTY_SETTINGS
+    @given(st.sampled_from([2, 3]).flatmap(flat_lattice_clouds))
+    def test_flat_clouds_match_exact_reference(self, drawn):
+        # qhull refuses these; the kernel returns the hull within their
+        # affine span: a point, a segment's two ends or a polygon
+        lattice, scale = drawn
+        got = regions._hull_vertices(lattice * scale)
+        assert same_rows(got, np.round(lattice[reference_hull(lattice)] * scale, 12))
+
+    def test_keeps_vertices_at_1e_11(self):
+        # additive-channel search clouds: rates of 3.83e-11 and 1.58e-11
+        # (3.8e-11 and 1.6e-11 at 12 decimals) beside rates near 0.5 are
+        # real vertices
+        for cloud in ([[0, 0, 0], [0.4955380298022, 0, 0], [0, 3.83e-11, 0],
+                       [0, 0, 3.83e-11]],
+                      [[0, 0, 0], [0.4999999998831, 0, 0], [0, 0.052002292103, 0],
+                       [0, 1.58e-11, 0.0996407749325]]):
+            pts = np.round(cloud, 12)
+            got = regions._hull_vertices(pts)
+            assert same_rows(got, pts)
+            assert same_rows(got, pts[ConvexHull(pts).vertices])
+
+    def test_refuses_clouds_beyond_the_cell_budget(self):
+        # every point's distance to every triple's plane: 90 points need
+        # C(90, 3) * 90 > CELL_BUDGET cells
+        cloud = np.random.default_rng(0).uniform(size=(90, 3))
+        with pytest.raises(ResourceBudgetError):
+            regions._hull_vertices(cloud)
+        assert len(regions._hull_vertices(cloud[:60])) >= 4

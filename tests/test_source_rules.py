@@ -43,21 +43,19 @@ def test_library_has_no_broad_exception_handlers():
     assert not found, found
 
 
-def _optimize_names(tree):
-    """Line of every import of ``scipy.optimize`` (or a name from it) and of
-    every ``scipy.optimize`` attribute in ``tree``."""
+def _scipy_names(tree):
+    """Line of every import of ``scipy`` (or of a name from it) and of every
+    ``scipy`` attribute in ``tree``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
-        elif (isinstance(node, ast.Attribute) and node.attr == "optimize"
-                and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
-            names = ["scipy.optimize"]
+            names = [node.module or ""]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [node.value.id]
         else:
             continue
-        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
-               for name in names):
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
             yield node.lineno
 
 
@@ -66,28 +64,59 @@ def test_optimize_name_detector():
             "from scipy.optimize import linprog\n"
             "from scipy import optimize\n"
             "import scipy\nscipy.optimize.linprog\n"
-            "from scipy.spatial import ConvexHull\n")
-    assert list(_optimize_names(ast.parse(code))) == [1, 2, 3, 5]
+            "from scipy.spatial import ConvexHull\n"
+            "import numpy\nnumpy.linalg.solve\nfrom numpy import linalg\n")
+    assert sorted(_scipy_names(ast.parse(code))) == [1, 2, 3, 4, 5, 6]
 
 
 def test_library_names_no_scipy_optimize():
-    # The lemma verifiers certify by alpha-windows; no solver is a dependency.
+    # numpy is the one runtime dependency: no module under src/ names scipy
+    # (the lemma verifiers certify by alpha-windows, hulls come from
+    # regions._hull_vertices).
     root = Path(wtmac.__file__).parent
     found = [f"{path.name}:{line}"
              for path in sorted(root.glob("*.py"))
-             for line in _optimize_names(ast.parse(path.read_text()))]
+             for line in _scipy_names(ast.parse(path.read_text()))]
     assert not found, found
 
 
+def _loaded_scipy(code: str) -> str:
+    """The scipy modules in ``sys.modules`` after running ``code`` in a fresh
+    interpreter on the library and the test helpers."""
+    code += ("\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(wtmac.__file__).parents[1]), str(tests)])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def test_import_loads_no_scipy():
-    # Importing the package stays cheap: scipy loads only where a function
-    # that needs it runs.
-    code = ("import sys, wtmac\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": str(Path(wtmac.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    # Importing the package stays cheap.
+    assert _loaded_scipy("import wtmac") == "[]"
+
+
+def test_searches_and_conferencing_hull_load_no_scipy():
+    # Both search modes and a Case-2 conferencing hull run on numpy alone.
+    code = (
+        "import numpy as np\n"
+        "from _support import sample_case_profiles\n"
+        "from wtmac.casestudy import example62_channels\n"
+        "from wtmac.conferencing import region_conferencing\n"
+        "from wtmac.optimizer import (CommonMode, ConferencingMode, SearchConfig,\n"
+        "                             achievable_region_estimate)\n"
+        "from wtmac.regions import CaseLabel\n"
+        "cfg = SearchConfig(restarts=6, refine_iters=4, directions=6, seed=3,\n"
+        "                   u_size=2)\n"
+        "for mode in (CommonMode(0.3), ConferencingMode(0.1, 0.1)):\n"
+        "    est = achievable_region_estimate(example62_channels(), mode, cfg)\n"
+        "    assert len(est.hull_vertices) > est.dim\n"
+        "rng = np.random.default_rng(12)\n"
+        "prof, hc, _ = sample_case_profiles(rng, 1, CaseLabel.CASE2)[0]\n"
+        "region = region_conferencing(prof, hc / 2, hc / 2, CaseLabel.CASE2)\n"
+        "assert len(region.pieces) > 1 and len(region.hull_points) >= 3\n")
+    assert _loaded_scipy(code) == "[]"
 
 
 def test_every_traced_name_resolves():
