@@ -39,9 +39,10 @@ from .probkit import (
     JointDist,
     ProposalStreams,
     WiretapMAC,
-    _BLOCK_CELLS,
+    _WINDOW_CELLS,
     _draw,
     _inverse_cdf,
+    _typical_rows,
     all_sequences,
     entropy_bits,
 )
@@ -488,38 +489,23 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _FamilyCodewords:
-    """One family's decode data, one column c per (message, l-tuple) codeword.
-
-    Each codeword position carries the base symbol (u*|X| + x)*|Y| + y.
-    ``positions[c]`` is each position's offset (c*D + rank)*|T|, with rank
-    the base's rank among codeword c's distinct bases and D the most
-    distinct bases of any codeword; ``rows[c]`` holds the decode law's
-    masses on (distinct base, t), zero-padded to D bases; ``absent[c]`` is
-    the largest law mass on a base the codeword never uses, which every
-    output counts 0 times.
-    """
-
-    start: int
-    n: int
-    positions: np.ndarray  # (columns, n)
-    rows: np.ndarray  # (columns, D, |T|)
-    absent: np.ndarray  # (columns,)
-
-
-@dataclass(frozen=True)
 class _DecodePlan:
     """The per-code half of joint-typicality decoding, fixed at build time.
 
     ``tuples`` lists the index tuples in :meth:`WiretapCode.index_tuples`
-    order; ``columns[i, f]`` is tuple i's codeword column in family f and
-    ``message_ids[i]`` the position of its message triple.
+    order; ``columns[i, f]`` is tuple i's codeword in family f and
+    ``message_ids[i]`` the position of its message triple.  ``families``
+    holds per family its output start, ``offsets`` (codewords, n): each
+    position's base symbol (u*|X| + x)*|Y| + y as its rank among the bases
+    the family uses, times |T|; ``law``, the decode law on (used base, t) as
+    one row, rank*|T| + t; and ``unused``, the largest law mass on a base
+    the family never uses.
     """
 
     tuples: list
     message_ids: np.ndarray
     columns: np.ndarray
-    families: tuple[_FamilyCodewords, ...]
+    families: tuple  # (start, offsets, law, unused) per family
 
     @staticmethod
     def build(code: "WiretapCode") -> "_DecodePlan":
@@ -531,23 +517,14 @@ class _DecodePlan:
         families = []
         start = 0
         for fam in code.families:
-            words = [fam.codeword(k, l) for k in messages for l in fam.l_tuples()]
-            bases, ranks, absent = [], [], []
-            for u, x, y in words:
-                distinct, rank = np.unique((u * x_size + x) * y_size + y,
-                                           return_inverse=True)
-                bases.append(distinct)
-                ranks.append(rank.reshape(-1))
-                others = np.delete(law, distinct, axis=0)
-                absent.append(float(others.max()) if others.size else 0.0)
-            depth = max(len(d) for d in bases)
-            rows = np.zeros((len(words), depth, t_size))
-            for c, distinct in enumerate(bases):
-                rows[c, :len(distinct)] = law[distinct]
-            positions = (np.arange(len(words))[:, None] * depth
-                         + np.array(ranks)) * t_size
-            families.append(_FamilyCodewords(start, fam.n, positions, rows,
-                                             np.array(absent)))
+            u, x, y = np.array([fam.codeword(k, l) for k in messages
+                                for l in fam.l_tuples()]).transpose(1, 0, 2)
+            bases, ranks = np.unique((u * x_size + x) * y_size + y,
+                                     return_inverse=True)
+            unused = np.delete(law, bases, axis=0)
+            families.append((start, ranks.reshape(u.shape) * t_size,
+                             law[bases].reshape(1, -1),
+                             float(unused.max()) if unused.size else 0.0))
             start += fam.n
         l_counts = [math.prod(fam.l_sizes) for fam in code.families]
         grid = np.indices((len(messages), *l_counts)).reshape(
@@ -563,33 +540,32 @@ def _typical_matrix(code: WiretapCode, delta: float,
     """Joint typicality of each output sequence (rows) with each index tuple
     (columns); concatenated codes need every segment typical.
 
-    Per segment this is :func:`~wtmac.probkit.typical_membership` of the
-    zipped (u, x, y, t) sequence under the decode law, with the same
-    arithmetic ``|count/n - P| <= delta``, so every decision matches it bit
-    for bit.  Only (distinct base, t) pairs of a codeword are counted; a
-    base the codeword never uses passes iff its law mass is <= delta, and
-    the zero padding passes as 0 <= delta.
+    Per segment, each codeword zipped with each output, rank*|T| + t, goes
+    through the pair-count kernel :func:`~wtmac.probkit._typical_rows` under
+    the all-zero context: the arithmetic ``|count/n - P| <= delta`` of
+    :func:`~wtmac.probkit.typical_membership` on the zipped (u, x, y, t)
+    sequence under the decode law.  A base that another codeword of the
+    family uses counts 0 times, so it passes iff its law mass is <= delta;
+    a base the family never uses passes on the same rule, through the
+    family's ``unused`` mass.
     """
     if delta <= 0:
         raise ValidationError("typicality needs delta > 0")
     plan = code.decode_plan
     count = outputs.shape[0]
     typical = np.ones((count, len(plan.tuples)), dtype=bool)
-    for fam, columns in zip(plan.families, plan.columns.T):
-        width = fam.rows.size
-        step = max(_BLOCK_CELLS // width, 1)
-        hits = np.empty((count, len(fam.absent)), dtype=bool)
-        for lo in range(0, count, step):
-            segment = outputs[lo:lo + step, fam.start:fam.start + fam.n]
-            m = segment.shape[0]
-            offsets = np.arange(0, m * width, width)[:, None, None]
-            flat = (segment[:, None, :] + fam.positions + offsets).ravel()
-            counts = np.bincount(flat, minlength=m * width)
-            dev = counts.reshape(m, *fam.rows.shape) / fam.n
-            np.subtract(dev, fam.rows, out=dev)
-            np.abs(dev, out=dev)
-            hits[lo:lo + m] = np.all(dev <= delta, axis=(2, 3))
-        hits &= fam.absent <= delta
+    for (start, offsets, law, unused), columns in zip(plan.families,
+                                                      plan.columns.T):
+        words, n = offsets.shape
+        hits = np.zeros((count, words), dtype=bool)
+        if unused <= delta:
+            context = np.zeros(n, dtype=np.int64)
+            step = max(_WINDOW_CELLS // (words * n), 1)
+            for lo in range(0, count, step):
+                segment = outputs[lo:lo + step, start:start + n]
+                zipped = (segment[:, None, :] + offsets).reshape(-1, n)
+                hits[lo:lo + len(segment)] = _typical_rows(
+                    law, context, zipped, delta).reshape(-1, words)
         typical &= hits[:, columns]
     return typical
 
@@ -601,7 +577,9 @@ def _unique_hits(typical: np.ndarray) -> np.ndarray:
 
 def joint_typicality_decode(code: WiretapCode, delta: float, t_seq):
     """Decode an output sequence to the unique jointly typical index tuple:
-    the one-output form of the stacked decode that the error audits run.
+    the one-output form of the stacked decode that the error audits run
+    (:func:`_typical_matrix`, through the pair-count kernel of
+    :mod:`wtmac.probkit`).
 
     Returns (message triple, per-family l-tuples) or None on a miss or tie;
     concatenated codes require every segment to be typical.

@@ -38,7 +38,6 @@ from .probkit import (
     _typical_rows,
     all_sequences,
     truncated_typical_dist,
-    typical_mask,
     zip_sequences,
 )
 
@@ -143,10 +142,13 @@ class _Workspace:
         self._typ_cache: dict = {}
         self._uy_cache: dict = {}
         self._u_cache: dict = {}
+        # every output sequence, lexicographic: the rows of each output mask
+        self.zs = all_sequences(self.nz, n)
+        plain = (p_z.mass[None, :], np.zeros(n, dtype=np.int64), self.zs)
         # plain typical-Z count at delta (threshold denominators)
-        self.t_z_plain = int(typical_mask(p_z, delta, n).sum())
+        self.t_z_plain = int(_typical_rows(*plain, delta).sum())
         big = 4 * self.ny * self.nx * self.nu * delta
-        self.t_z_big_mask = typical_mask(p_z, big, n)
+        self.t_z_big_mask = _typical_rows(*plain, big)
 
     # -- sequence-level pieces ------------------------------------------------
 
@@ -182,7 +184,6 @@ class _Workspace:
             return
         ys = np.array([by_key[key] for key in keys])
         xs, probs = self.typical_given(self.chain.x_given_u, useq)
-        zs = all_sequences(self.nz, self.n)
         ctx, _ = zip_sequences(ys, np.broadcast_to(useq, ys.shape),
                                [self.ny, self.nu])
         for block, part in self.pair_blocks(len(ys), len(xs)):
@@ -190,8 +191,8 @@ class _Workspace:
             rows = _channel_rows(self.we, np.tile(xs, (count, 1)),
                                  np.repeat(ys[part], len(xs), axis=0), self.ny)
             zy = _typical_rows(self.z_given_yu.matrix,
-                               np.repeat(ctx[part], len(zs), axis=0),
-                               np.tile(zs, (count, 1)),
+                               np.repeat(ctx[part], len(self.zs), axis=0),
+                               np.tile(self.zs, (count, 1)),
                                2 * self.nx * self.delta).reshape(count, -1)
             for key, zy_mask, y_rows in zip(keys[part], zy,
                                             rows.reshape(count, len(xs), -1)):
@@ -213,10 +214,8 @@ class _Workspace:
             self.fill_uy(useq, ys)
             for yseq, pyv in zip(ys, yp):
                 theta += pyv * self.theta_uy(useq, yseq)[2]
-            ctx = np.asarray(useq, dtype=np.int64)
-            zmask = typical_mask(self.z_given_u,
-                                 3 * self.ny * self.nx * self.delta,
-                                 self.n, ctx)
+            zmask = _typical_rows(self.z_given_u.matrix, useq, self.zs,
+                                  3 * self.ny * self.nx * self.delta)
             out = _cut(theta, zmask, self.eps / max(int(zmask.sum()), 1))
             self._u_cache[key] = out
         return out

@@ -148,9 +148,9 @@ class ConferencingRegion:
 
     Cases 1 and 3 are single polytopes.  Case 2 is a union over the
     time-sharing parameter: ``pieces`` holds (alpha, polytope) pairs on a
-    grid and ``hull_points`` the hull vertices of the union's vertices,
-    counterclockwise (``regions._hull_vertices``; the single piece's
-    vertices otherwise), computed on first use.  Membership is any piece's.
+    grid.  ``hull_points`` are the hull vertices of every piece's vertices
+    (``regions._hull_vertices``, counterclockwise), computed on first use.
+    Membership is any piece's.
     """
 
     case: CaseLabel
@@ -165,9 +165,7 @@ class ConferencingRegion:
 
     @cached_property
     def hull_points(self) -> np.ndarray:
-        verts = self._piece_vertices
-        return (_hull_vertices(np.vstack(verts)) if self.case == CaseLabel.CASE2
-                else verts[0])
+        return _hull_vertices(np.vstack(self._piece_vertices))
 
     @property
     def polytope(self) -> RatePolytope:

@@ -187,8 +187,8 @@ class WiretapMAC:
 
         ``w_bob`` has shape (|X||Y|, |T|), ``w_eve`` shape (|X||Y|, |Z|); rows
         are indexed by ``x * |Y| + y``.  Handy for examples specified through
-        their marginal matrices.  |X| = |Y| = 2 is assumed unless the row
-        count says otherwise (it must be a perfect square split).
+        their marginal matrices.  The inputs are taken as |X| = |Y| = the
+        square root of the row count; a non-square row count is refused.
         """
         wb = np.asarray(w_bob, dtype=float)
         we = np.asarray(w_eve, dtype=float)
@@ -528,7 +528,11 @@ class SequenceDist:
         object.__setattr__(self, "mass", m)
 
     def support(self) -> np.ndarray:
-        return all_sequences(self.alphabet.size, self.blocklength)[self.mass > 0.0]
+        """The sequences of positive mass, lexicographic like
+        :func:`all_sequences`, shape (count, n)."""
+        return np.stack(np.unravel_index(np.flatnonzero(self.mass > 0.0),
+                                         (self.alphabet.size,) * self.blocklength),
+                        axis=1)
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         idx = rng.choice(self.mass.shape[0], size=count, p=self.mass)
@@ -558,7 +562,7 @@ def n_fold(ch: Channel, n: int) -> Channel:
 
 
 # Count cells per bincount block; bounds the transient arrays of a count over
-# many sequences (typical masks here, decodes in codesim) to about 128 kB each.
+# many sequences (typical masks, decodes) to about 128 kB each.
 _BLOCK_CELLS = 1 << 14
 # Proposals the rejection sampler makes before it gives up.
 _MAX_TRIES = 100_000
@@ -598,7 +602,9 @@ def _typical_rows(matrix: np.ndarray, context: np.ndarray, seqs: np.ndarray,
     ``|N(a,b)/n - P(a|b) * N(b)/n| <= delta`` for every pair (a, b).
 
     ``context`` is one (n,) sequence shared by all rows, or an (m, n) array
-    of one per row; each row's decision is the same either way."""
+    of one per row; each row's decision is the same either way.  This is the
+    library's one pair count: membership, masks, the sampler, the
+    concentration checks and the decoder all call it."""
     if delta <= 0:
         raise ValidationError("typicality needs delta > 0")
     m, n = seqs.shape

@@ -565,9 +565,12 @@ class TestReferenceDecode:
 
 
     def test_counts_split_across_output_blocks(self, monkeypatch):
-        from wtmac import codesim
+        # outputs split into chunks of a few, and each chunk's zipped
+        # sequences into several count blocks of the kernel
+        from wtmac import codesim, probkit
 
-        monkeypatch.setattr(codesim, "_BLOCK_CELLS", 100)
+        monkeypatch.setattr(codesim, "_WINDOW_CELLS", 40)
+        monkeypatch.setattr(probkit, "_BLOCK_CELLS", 100)
         self.assert_matches(self.two_family(seed=111))
 
     def test_absent_base_on_the_boundary(self):
@@ -585,6 +588,39 @@ class TestReferenceDecode:
                             (np.nextafter(0.25, 0.0), None)):
             assert reference_decode(code, delta, t_seq) == want
             assert joint_typicality_decode(code, delta, t_seq) == want
+
+    def test_base_the_family_never_uses(self):
+        # base (1, 1, 1) carries decode-law mass 0.3: a family that never
+        # uses it decodes every output to a miss at delta = 0.25, and one in
+        # which another codeword uses it decodes as the reference does
+        chain = coupled_chain(noiseless_bob_mac(), p0=0.7)
+        words = np.array([[0, 0, 0, 0, 0], [0, 0, 0, 1, 1]], dtype=np.int64)
+        seqs = all_sequences(4, 5)
+
+        def code_of(rows):
+            u = rows[None, :, :]
+            fam = CodebookFamily(chain, 5, (1, 1, 1), (len(rows), 1, 1),
+                                 0.25, 0, u, u[:, :, None, None, :],
+                                 u[:, :, None, None, :])
+            return WiretapCode(CaseLabel.CASE3, 2.0, 0.25, 0.25, None,
+                               (fam,), (0.0, 0.0, 0.0))
+
+        lone = code_of(words[:1])
+        assert (_decode_all(lone, 0.25) == -1).all()
+        assert all(joint_typicality_decode(lone, 0.25, t) is None
+                   for t in seqs)
+        assert all(reference_decode(lone, 0.25, t) is None for t in seqs)
+        # above the base's mass the all-zero output decodes
+        zero = ((0, 0, 0), ((0, 0, 0),))
+        assert joint_typicality_decode(lone, 0.35, seqs[0]) == zero
+        shared = code_of(words)
+        tuples = list(shared.index_tuples())
+        reference = [reference_decode(shared, 0.25, t) for t in seqs]
+        assert [None if i < 0 else tuples[i]
+                for i in _decode_all(shared, 0.25)] == reference
+        assert [joint_typicality_decode(shared, 0.25, t)
+                for t in seqs] == reference
+        assert tuples[1] in reference and zero not in reference
 
 
 class TestReferenceMonteCarlo:

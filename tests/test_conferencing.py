@@ -216,6 +216,25 @@ class TestRegions:
                 assert region.max_weighted(weights) == max(
                     poly.max_weighted(weights) for _, poly in region.pieces)
 
+    @pytest.mark.parametrize("case", [CaseLabel.CASE1, CaseLabel.CASE3])
+    def test_single_piece_hull_walks_counterclockwise(self, case):
+        # one hull path for every case: a single piece's hull points are its
+        # vertices to 12 decimals, counterclockwise from the lexicographic
+        # minimum, as a Case-2 union's are
+        for prof, hc, _ in sample_case_profiles(np.random.default_rng(3), 20,
+                                                case):
+            for c1 in (hc / 4, hc / 2):
+                region = region_conferencing(prof, c1, hc - c1, case)
+                pts = region.hull_points
+                verts = np.unique(np.round(region.polytope.vertices(), 12),
+                                  axis=0)
+                assert sorted(map(tuple, pts)) == list(map(tuple, verts))
+                assert tuple(pts[0]) == tuple(verts[0])
+                edges = np.roll(pts, -1, axis=0) - pts
+                after = np.roll(edges, -1, axis=0)
+                turns = edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0]
+                assert len(pts) < 3 or (turns > 0).all()
+
     def test_union_maximum_refuses_an_empty_piece(self):
         pieces = tuple((alpha, RatePolytope(2, CONF_COEFFS, np.array(rhs), CONF_NAMES))
                        for alpha, rhs in ((0.0, [1.0, 1.0, 1.5]), (1.0, [-0.5, 1.0, 1.0])))

@@ -80,6 +80,49 @@ def test_library_names_no_scipy_optimize():
     assert not found, found
 
 
+def _bincount_calls(tree, owner=""):
+    """(innermost enclosing function, line) of every ``bincount`` call in
+    ``tree``, as ``np.bincount``, ``numpy.bincount`` or a bare name; the
+    function is "" at module level."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _bincount_calls(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name == "bincount":
+                yield owner, node.lineno
+        yield from _bincount_calls(node, owner)
+
+
+def test_bincount_detector():
+    code = ("import numpy as np\n"
+            "np.bincount([0])\n"
+            "def f(a):\n"
+            "    def g():\n"
+            "        return numpy.bincount(a)\n"
+            "    return bincount(a) + g()\n"
+            "class C:\n"
+            "    def h(self):\n"
+            "        return np.add.reduce(np.count_nonzero(self))\n")
+    assert sorted(_bincount_calls(ast.parse(code))) == [
+        ("", 2), ("f", 6), ("g", 5)]
+
+
+def test_pair_counts_only_in_the_typicality_kernel():
+    # One pair-count kernel, probkit._typical_rows, states the counting
+    # typicality test; membership, masks, the sampler, the concentration
+    # checks and the decoder all call it.
+    root = Path(wtmac.__file__).parent
+    found = [f"{path.name}:{line} in {owner or 'module'}"
+             for path in sorted(root.glob("*.py"))
+             for owner, line in _bincount_calls(ast.parse(path.read_text()))
+             if (path.name, owner) != ("probkit.py", "_typical_rows")]
+    assert not found, found
+
+
 def _loaded_scipy(code: str) -> str:
     """The scipy modules in ``sys.modules`` after running ``code`` in a fresh
     interpreter on the library and the test helpers."""
