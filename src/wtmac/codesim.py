@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -127,14 +128,19 @@ class CodebookFamily:
     y: np.ndarray
     proposals: int = 0
 
-    def l_tuples(self):
-        l0, l1, l2 = self.l_sizes
-        for a in range(l0):
-            for b in range(l1):
-                for c in range(l2):
-                    yield (a, b, c)
+    def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The u, x and y codewords of every (message, l-tuple) pair as
+        (K*L, n) arrays: message-major, each triple in C order, the order
+        of :meth:`WiretapCode.index_tuples` for one family."""
+        k0, k1, k2 = np.indices(self.k_sizes).reshape(3, -1, 1)
+        l0, l1, l2 = np.indices(self.l_sizes).reshape(3, 1, -1)
+        return tuple(a.reshape(-1, self.n) for a in (
+            self.u[k0, l0], self.x[k0, l0, k1, l1], self.y[k0, l0, k2, l2]))
 
     def codeword(self, k, l) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (u, x, y) codeword of one message triple ``k`` and l-tuple
+        ``l``: single-index access for callers and tests; the library reads
+        every codeword at once through :meth:`words`."""
         k0, k1, k2 = k
         l0, l1, l2 = l
         return (self.u[k0, l0], self.x[k0, l0, k1, l1], self.y[k0, l0, k2, l2])
@@ -279,16 +285,11 @@ class WiretapCode:
 
     @property
     def message_count(self) -> int:
-        k0, k1, k2 = self.k_sizes
-        return k0 * k1 * k2
+        return math.prod(self.k_sizes)
 
     @property
     def randomization_count(self) -> int:
-        out = 1
-        for fam in self.families:
-            l0, l1, l2 = fam.l_sizes
-            out *= l0 * l1 * l2
-        return out
+        return math.prod(math.prod(fam.l_sizes) for fam in self.families)
 
     @property
     def common_randomness_rate(self) -> float:
@@ -301,19 +302,13 @@ class WiretapCode:
         return (math.log2(k0) / self.n_total, math.log2(k1) / self.n_total,
                 math.log2(k2) / self.n_total)
 
-    def messages(self):
-        k0, k1, k2 = self.k_sizes
-        for a in range(k0):
-            for b in range(k1):
-                for c in range(k2):
-                    yield (a, b, c)
-
     def index_tuples(self):
-        """All (message, per-family l-tuples) index combinations."""
-        fams = self.families
-        for k in self.messages():
-            for ls in _product_l(fams):
-                yield k, ls
+        """All (message triple, per-family l-tuples) index combinations,
+        message-major and each triple in C order, the row order of
+        :meth:`CodebookFamily.words`."""
+        return product(product(*map(range, self.k_sizes)),
+                       product(*(product(*map(range, fam.l_sizes))
+                                 for fam in self.families)))
 
     @cached_property
     def decode_plan(self) -> "_DecodePlan":
@@ -327,25 +322,6 @@ class WiretapCode:
         cond = eavesdropper_conditionals(self)
         cond.setflags(write=False)
         return cond
-
-    def codeword_pair(self, k, ls) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (x, y) sequences for one full index tuple."""
-        xs, ys = [], []
-        for fam, l in zip(self.families, ls):
-            _, xseq, yseq = fam.codeword(k, l)
-            xs.append(xseq)
-            ys.append(yseq)
-        return np.concatenate(xs), np.concatenate(ys)
-
-
-def _product_l(fams):
-    if len(fams) == 1:
-        for l in fams[0].l_tuples():
-            yield (l,)
-    else:
-        for l1 in fams[0].l_tuples():
-            for l2 in fams[1].l_tuples():
-                yield (l1, l2)
 
 
 def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
@@ -513,12 +489,10 @@ class _DecodePlan:
         x_size, y_size = mac.x_alphabet.size, mac.y_alphabet.size
         t_size = mac.t_alphabet.size
         law = code.chain.decode_law.mass.reshape(-1, t_size)
-        messages = list(code.messages())
         families = []
         start = 0
         for fam in code.families:
-            u, x, y = np.array([fam.codeword(k, l) for k in messages
-                                for l in fam.l_tuples()]).transpose(1, 0, 2)
+            u, x, y = fam.words()
             bases, ranks = np.unique((u * x_size + x) * y_size + y,
                                      return_inverse=True)
             unused = np.delete(law, bases, axis=0)
@@ -527,7 +501,7 @@ class _DecodePlan:
                              float(unused.max()) if unused.size else 0.0))
             start += fam.n
         l_counts = [math.prod(fam.l_sizes) for fam in code.families]
-        grid = np.indices((len(messages), *l_counts)).reshape(
+        grid = np.indices((code.message_count, *l_counts)).reshape(
             1 + len(families), -1)
         columns = np.stack([grid[0] * count + grid[1 + f]
                             for f, count in enumerate(l_counts)], axis=1)
@@ -617,9 +591,13 @@ def _channel_rows(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
 def _codeword_pairs(code: WiretapCode) -> tuple[np.ndarray, np.ndarray]:
     """Stacked x and y codewords of every index tuple, in
-    :meth:`WiretapCode.index_tuples` order (message-major)."""
-    pairs = [code.codeword_pair(k, ls) for k, ls in code.index_tuples()]
-    return np.array([x for x, _ in pairs]), np.array([y for _, y in pairs])
+    :meth:`WiretapCode.index_tuples` order (message-major): each family's
+    :meth:`CodebookFamily.words` rows gathered by the plan's ``columns`` and
+    concatenated along time."""
+    words = [fam.words() for fam in code.families]
+    columns = code.decode_plan.columns.T
+    return tuple(np.concatenate([w[kind][c] for w, c in zip(words, columns)],
+                                axis=1) for kind in (1, 2))
 
 
 def _bob_rows(code: WiretapCode) -> np.ndarray:
@@ -720,16 +698,16 @@ def eavesdropper_conditionals(code: WiretapCode) -> np.ndarray:
     mac = code.chain.mac
     matrix = mac.eve.matrix
     z_count = matrix.shape[1] ** code.n_total
-    messages = list(code.messages())
-    if z_count * len(messages) > CELL_BUDGET:
+    messages = code.message_count
+    if z_count * messages > CELL_BUDGET:
         raise ResourceBudgetError(
-            f"exact leakage needs {len(messages)} x {z_count} entries")
+            f"exact leakage needs {messages} x {z_count} entries")
     # one message's l-tuples at a time, so that the rows held at once are one
     # message's, not every index tuple's
-    xs, ys = (a.reshape(len(messages), -1, code.n_total)
+    xs, ys = (a.reshape(messages, -1, code.n_total)
               for a in _codeword_pairs(code))
-    out = np.empty((len(messages), z_count))
-    for i in range(len(messages)):
+    out = np.empty((messages, z_count))
+    for i in range(messages):
         out[i] = _channel_rows(matrix, xs[i], ys[i],
                                mac.y_alphabet.size).mean(axis=0)
     return out

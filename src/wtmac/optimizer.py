@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ValidationError
 from .probkit import Alphabet, Channel, Dist, FactoredInput, WiretapMAC
 from .regions import (
+    EQUALITY_TOL,
     CaseLabel,
     _columns,
     _hull_vertices,
@@ -271,14 +272,24 @@ def _candidates(systems: list, n: int, dim: int):
     return np.concatenate(verts, axis=1), np.concatenate(keep, axis=1), slot_case
 
 
+def _near_top(scores: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Where ``scores`` lie within ``EQUALITY_TOL``*|top| of ``top``: the tie
+    margin that keeps a choice from turning on the scores' last bits."""
+    return scores >= top - EQUALITY_TOL * np.abs(top)
+
+
 def _best_vertices(candidates, weights: np.ndarray) -> list:
-    """(score, case, vertex) of each input's first maximum along its row of
-    ``weights``; a score must beat 0 to count, (0.0, None, None) otherwise."""
+    """(score, case, vertex) of each input along its row of ``weights``: the
+    first vertex, in case -> alpha-piece -> lexsort order, within the tie
+    margin of the row's maximum, scored as that maximum; a score must beat 0
+    to count, (0.0, None, None) otherwise."""
     verts, keep, slot_case = candidates
     scores = np.where(keep, _scores(verts, weights[:, None]), -np.inf)
-    scores = np.concatenate([np.zeros((len(verts), 1)), scores], axis=1)
-    return [(float(scores[i, j]), slot_case[j - 1], verts[i, j - 1]) if j
-            else (0.0, None, None) for i, j in enumerate(np.argmax(scores, axis=1))]
+    top = np.max(scores, axis=1, initial=0.0)[:, None]
+    first = np.argmax(np.concatenate([top <= 0.0, _near_top(scores, top)],
+                                     axis=1), axis=1)
+    return [(float(top[i, 0]), slot_case[j - 1], verts[i, j - 1]) if j
+            else (0.0, None, None) for i, j in enumerate(first)]
 
 
 def _certified(systems: list, rates: np.ndarray, cases: list) -> list[bool]:
@@ -359,8 +370,8 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
         candidates.append(par.random(rng))
 
     # Coverage pass: best candidate per direction (vertices computed once per
-    # candidate, scored along every direction); the first candidate reaching
-    # a direction's maximum wins it.
+    # candidate, scored along every direction); the first candidate within
+    # the tie margin of a direction's maximum wins it, scored as the maximum.
     evaluations = int(min(len(candidates), budget))
     partial = evaluations < len(candidates)
     per_dir: list[tuple[float, np.ndarray]] = [(-1.0, None)] * len(dirs)
@@ -368,9 +379,10 @@ def achievable_region_estimate(mac: WiretapMAC, mode,
         verts, keep, _ = score(candidates[:evaluations])
         best = np.max(_scores(verts[:, :, None], dirs), axis=1, initial=-np.inf,
                       where=keep[:, :, None])
-        for d, i in enumerate(np.argmax(best, axis=0)):
-            if best[i, d] > -1.0:
-                per_dir[d] = (float(best[i, d]), candidates[i])
+        top = best.max(axis=0)
+        for d, i in enumerate(np.argmax(_near_top(best, top), axis=0)):
+            if top[d] > -1.0:
+                per_dir[d] = (float(top[d]), candidates[i])
 
     # Refinement: every direction's accept/reject walk, in lockstep.  The
     # budget is spent in direction order and the noise drawn in that order,

@@ -534,11 +534,6 @@ class SequenceDist:
                                          (self.alphabet.size,) * self.blocklength),
                         axis=1)
 
-    def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        idx = rng.choice(self.mass.shape[0], size=count, p=self.mass)
-        seqs = all_sequences(self.alphabet.size, self.blocklength)
-        return seqs[idx]
-
 
 def n_fold(ch: Channel, n: int) -> Channel:
     """Memoryless n-fold extension of a channel, dense.

@@ -647,6 +647,17 @@ def reference_codebook_family(chain, n, l_sizes, delta, seed,
     return u, x, y, proposals
 
 
+def reference_codeword_pair(code, k, ls):
+    """Concatenated (x, y) sequences of one full index tuple, one family's
+    ``codeword`` at a time: the reference for ``codesim._codeword_pairs``."""
+    xs, ys = [], []
+    for fam, l in zip(code.families, ls):
+        _, xseq, yseq = fam.codeword(k, l)
+        xs.append(xseq)
+        ys.append(yseq)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 def reference_mc_error(code, trials=2000, seed=0):
     """Monte Carlo error one trial at a time: draw an index tuple, draw each
     output symbol with ``rng.choice`` and decode the output alone.  The
@@ -661,7 +672,7 @@ def reference_mc_error(code, trials=2000, seed=0):
     outputs = []
     for _ in range(trials):
         k, ls = tuples[rng.integers(0, len(tuples))]
-        xseq, yseq = code.codeword_pair(k, ls)
+        xseq, yseq = reference_codeword_pair(code, k, ls)
         t_seq = np.array([rng.choice(matrix.shape[1],
                                      p=matrix[xi * mac.y_alphabet.size + yi])
                           for xi, yi in zip(xseq, yseq)], dtype=np.int64)

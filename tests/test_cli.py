@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _support import WB_62, WE_62, constant_eve_mac, example62_input
+import wtmac
 from wtmac.cli import run
 from wtmac.codesim import CodeChain
 from wtmac.probkit import WiretapMAC
@@ -256,3 +261,24 @@ class TestInvalidArgumentExit:
         err = capsys.readouterr().err
         assert any(line.startswith("error:") for line in err.splitlines())
         assert "Traceback" not in err
+
+
+def run_module(*argv):
+    """``python -m wtmac.cli`` in a fresh interpreter on the library."""
+    env = {**os.environ, "PYTHONPATH": str(Path(wtmac.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "wtmac.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+class TestModuleEntry:
+    def test_example62_prints_its_artifact(self):
+        done = run_module("example62")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["command"] == "example62"
+
+    def test_missing_channel_file_exits_one(self, tmp_path):
+        missing = str(tmp_path / "absent.json")
+        done = run_module("info", "--channel", missing, "--p", missing)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert "file not found" in done.stderr

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from _support import (
     reference_case_j_values,
     reference_channel_row,
     reference_codebook_family,
+    reference_codeword_pair,
     reference_mc_error,
     reference_pair_checks,
     reference_pair_mean,
@@ -34,6 +36,7 @@ from wtmac.codesim import (
     WiretapCode,
     _bob_rows,
     _channel_rows,
+    _codeword_pairs,
     _decode_all,
     average_error,
     build_wiretap_code,
@@ -454,7 +457,7 @@ class TestDecode:
 
         def oracle(t_seq):
             hits = []
-            for k in code.messages():
+            for k in product(*map(range, code.k_sizes)):
                 for ls in [((a, b, c),) for a in range(2) for b in range(2)
                            for c in range(1)]:
                     useq, xseq, yseq = fam.codeword(k, ls[0])
@@ -724,6 +727,58 @@ class TestDecodeProperty:
                 for i in _decode_all(code, delta)] == reference
 
 
+def table_family(chain, n, k, l, symbols):
+    """A hand-built family of the given sizes whose u, x and y arrays are
+    filled from ``symbols(shape)``."""
+    return CodebookFamily(chain, n, k, l, 0.3, 0,
+                          symbols((k[0], l[0], n)),
+                          symbols((k[0], l[0], k[1], l[1], n)),
+                          symbols((k[0], l[0], k[2], l[2], n)))
+
+
+SIZES = st.tuples(*[st.integers(1, 3)] * 3)
+
+
+class TestCodewordTable:
+    # words() and _codeword_pairs read every codeword by one fancy index;
+    # the references walk one index tuple at a time
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(SIZES, SIZES, st.integers(1, 4))
+    def test_words_equal_nested_codewords(self, k, l, n):
+        # distinct symbols everywhere, so any reordering shows
+        count = iter(range(10**6))
+
+        def fresh(shape):
+            return np.fromiter(count, np.int64, math.prod(shape)).reshape(shape)
+
+        fam = table_family(coupled_chain(noiseless_bob_mac()), n, k, l, fresh)
+        want = [fam.codeword(kk, ll) for kk in product(*map(range, k))
+                for ll in product(*map(range, l))]
+        for kind, got in enumerate(fam.words()):
+            assert got.shape == (math.prod(k) * math.prod(l), n)
+            assert np.array_equal(got, np.array([w[kind] for w in want]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(SIZES, st.lists(SIZES, min_size=1, max_size=2),
+           st.integers(0, 2**32 - 1))
+    def test_codeword_pairs_equal_reference(self, k, l_sizes, seed):
+        rng = np.random.default_rng(seed)
+        chain = coupled_chain(noiseless_bob_mac())
+        families = tuple(table_family(chain, 4 + i, k, l,
+                                      lambda shape: rng.integers(0, 2, shape))
+                         for i, l in enumerate(l_sizes))
+        code = WiretapCode(CaseLabel.CASE3, 2.0, 0.3, 0.25, None, families,
+                           (0.0, 0.0, 0.0))
+        tuples = list(code.index_tuples())
+        assert code.decode_plan.tuples == tuples
+        assert len(tuples) == code.message_count * code.randomization_count
+        want = [reference_codeword_pair(code, kk, ls) for kk, ls in tuples]
+        xs, ys = _codeword_pairs(code)
+        assert np.array_equal(xs, np.array([x for x, _ in want]))
+        assert np.array_equal(ys, np.array([y for _, y in want]))
+
+
 class TestAverageError:
     def build_tiny_code(self, seed=21, l0=3):
         mac = noiseless_bob_mac()
@@ -824,13 +879,14 @@ class TestChannelRows:
         mac = code.chain.mac
         tuples = list(code.index_tuples())
         rows = _bob_rows(code)
-        want = [reference_channel_row(mac.bob.matrix, *code.codeword_pair(k, ls),
+        want = [reference_channel_row(mac.bob.matrix,
+                                      *reference_codeword_pair(code, k, ls),
                                       mac.y_alphabet.size) for k, ls in tuples]
         assert np.array_equal(rows, np.array(want))
         cond = eavesdropper_conditionals(code)
-        for i, k in enumerate(code.messages()):
+        for i, k in enumerate(product(*map(range, code.k_sizes))):
             per_l = [reference_channel_row(mac.eve.matrix,
-                                           *code.codeword_pair(k2, ls),
+                                           *reference_codeword_pair(code, k2, ls),
                                            mac.y_alphabet.size)
                      for k2, ls in tuples if k2 == k]
             assert np.array_equal(cond[i], np.mean(per_l, axis=0))
@@ -1494,7 +1550,7 @@ class TestTimeSharing:
         code = self.two_family_code()
         assert code.n_total == 7
         (k, ls) = next(code.index_tuples())
-        xseq, yseq = code.codeword_pair(k, ls)
+        xseq, yseq = reference_codeword_pair(code, k, ls)
         assert xseq.shape == (7,) and yseq.shape == (7,)
         assert np.array_equal(xseq[:4], code.families[0].codeword(k, ls[0])[1])
         assert np.array_equal(xseq[4:], code.families[1].codeword(k, ls[1])[1])
@@ -1502,7 +1558,7 @@ class TestTimeSharing:
     def test_decode_requires_both_halves(self):
         code = self.two_family_code()
         k, ls = (0, 0, 0), ((0, 0, 0), (0, 0, 0))
-        xseq, yseq = code.codeword_pair(k, ls)
+        xseq, yseq = reference_codeword_pair(code, k, ls)
         t = 2 * xseq + yseq  # noiseless pair output
         out = joint_typicality_decode(code, 0.4, t)
         if out is not None:

@@ -12,7 +12,7 @@ from _support import (
     reference_info_profile,
     reference_search,
 )
-from wtmac import conferencing, regions
+from wtmac import conferencing, optimizer, regions
 from wtmac.errors import ValidationError
 from wtmac.optimizer import (
     CommonMode,
@@ -338,6 +338,53 @@ class TestArrayPipeline:
         assert {("CommonMode", True, 1), ("CommonMode", False, 1),
                 ("ConferencingMode", True, 21),
                 ("ConferencingMode", False, 21)} <= seen
+
+
+def _perturbed_profiles(rng):
+    """``optimizer.info_profiles`` with every profile entry moved by a draw
+    of -2..+2 ulps from ``rng``."""
+    original = info_profiles
+
+    def perturbed(*args):
+        batch = original(*args)
+        steps = rng.integers(-2, 3, batch.profiles.shape)
+        moved = batch.profiles
+        for i in range(2):
+            moved = np.where(steps > i, np.nextafter(moved, np.inf), moved)
+            moved = np.where(steps < -i, np.nextafter(moved, -np.inf), moved)
+        return batch._replace(profiles=moved)
+
+    return perturbed
+
+
+class TestTieRule:
+    def test_first_vertex_within_the_margin_wins(self):
+        # the second vertex scores one ulp above the first: the first is
+        # chosen, scored as the maximum; a row with no kept vertex scores 0
+        verts = np.array([[[0.5, 0.0], [np.nextafter(0.5, 1.0), 0.0]],
+                          [[0.5, 0.0], [0.0, 0.0]]])
+        keep = np.array([[True, True], [False, False]])
+        best = _best_vertices((verts, keep, [1, 3]), np.array([[1.0, 0.0]] * 2))
+        assert best[0][0] == np.nextafter(0.5, 1.0) and best[0][1] == 1
+        assert np.array_equal(best[0][2], [0.5, 0.0])
+        assert best[1] == (0.0, None, None)
+
+    @pytest.mark.parametrize("seed, shape, u_size", [
+        (9, (4, 2), 2), (19, (4, 2), 2), (27, (4, 4), None)])
+    def test_last_bit_profile_changes_move_no_point(self, monkeypatch, seed,
+                                                    shape, u_size):
+        # Without the margin, 2-ulp profile changes move a point of each of
+        # these searches (by up to 0.36) or change its case list.
+        mac = random_mac(np.random.default_rng(seed), t=shape[0], z=shape[1])
+        cfg = SearchConfig(restarts=6, refine_iters=6, directions=4, seed=seed,
+                           u_size=u_size)
+        plain = achievable_region_estimate(mac, CommonMode(0.3), cfg)
+        monkeypatch.setattr(optimizer, "info_profiles",
+                            _perturbed_profiles(np.random.default_rng(seed)))
+        moved = achievable_region_estimate(mac, CommonMode(0.3), cfg)
+        assert moved.cases == plain.cases
+        assert moved.points.shape == plain.points.shape
+        assert np.max(np.abs(moved.points - plain.points)) <= 1e-12
 
 
 class TestNoPerInputObjects:

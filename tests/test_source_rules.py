@@ -123,6 +123,36 @@ def test_pair_counts_only_in_the_typicality_kernel():
     assert not found, found
 
 
+def _method_calls(tree, name):
+    """Line of every call of a ``name`` attribute (``obj.name(...)``, on any
+    expression) in ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == name):
+            yield node.lineno
+
+
+def test_method_call_detector():
+    code = ("fam.codeword(k, l)\n"
+            "code.families[0].codeword((0, 0, 0), l)[1]\n"
+            "codeword(k, l)\n"
+            "fam.codeword\n"
+            "fam.codewords(k)\n"
+            "[f.codeword(k, l) for f in fams]\n")
+    assert sorted(_method_calls(ast.parse(code), "codeword")) == [1, 2, 6]
+
+
+def test_library_reads_no_single_codeword():
+    # The library reads a family's codewords as one table,
+    # CodebookFamily.words(); the single-index accessor is for callers and
+    # the tests' references.
+    root = Path(wtmac.__file__).parent
+    found = [f"{path.name}:{line}"
+             for path in sorted(root.glob("*.py"))
+             for line in _method_calls(ast.parse(path.read_text()), "codeword")]
+    assert not found, found
+
+
 def _loaded_scipy(code: str) -> str:
     """The scipy modules in ``sys.modules`` after running ``code`` in a fresh
     interpreter on the library and the test helpers."""
