@@ -316,6 +316,19 @@ class WiretapCode:
         return _DecodePlan.build(self)
 
     @cached_property
+    def error_terms(self) -> np.ndarray:
+        """(tuples, 2): per index tuple, the exact probability that the
+        decoder misses it, then its message; once per code, read-only."""
+        rows = _bob_rows(self)
+        decoded = _decode_all(self, self.delta)
+        message_ids = self.decode_plan.message_ids
+        decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
+        terms = np.array([(row @ (decoded != i), row @ (decoded_msg != m))
+                          for i, (row, m) in enumerate(zip(rows, message_ids))])
+        terms.setflags(write=False)
+        return terms
+
+    @cached_property
     def eve_conditionals(self) -> np.ndarray:
         """:func:`eavesdropper_conditionals`, computed once per code;
         read-only."""
@@ -466,11 +479,13 @@ def build_wiretap_code(p, case: CaseLabel, rates: Sequence[float], hc: float,
 
 @dataclass(frozen=True)
 class _DecodePlan:
-    """The per-code half of joint-typicality decoding, fixed at build time.
+    """The per-code codeword data, from one ``words()`` call per family.
 
     ``tuples`` lists the index tuples in :meth:`WiretapCode.index_tuples`
-    order; ``columns[i, f]`` is tuple i's codeword in family f and
-    ``message_ids[i]`` the position of its message triple.  ``families``
+    order; ``columns[i, f]`` is tuple i's codeword in family f,
+    ``message_ids[i]`` the position of its message triple, and ``xs``,
+    ``ys`` the (tuples, n_total) x and y codewords, each family's words
+    gathered by its column and concatenated along time.  ``families``
     holds per family its output start, ``offsets`` (codewords, n): each
     position's base symbol (u*|X| + x)*|Y| + y as its rank among the bases
     the family uses, times |T|; ``law``, the decode law on (used base, t) as
@@ -481,6 +496,8 @@ class _DecodePlan:
     tuples: list
     message_ids: np.ndarray
     columns: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
     families: tuple  # (start, offsets, law, unused) per family
 
     @staticmethod
@@ -489,10 +506,11 @@ class _DecodePlan:
         x_size, y_size = mac.x_alphabet.size, mac.y_alphabet.size
         t_size = mac.t_alphabet.size
         law = code.chain.decode_law.mass.reshape(-1, t_size)
-        families = []
+        families, pairs = [], []
         start = 0
         for fam in code.families:
             u, x, y = fam.words()
+            pairs.append((x, y))
             bases, ranks = np.unique((u * x_size + x) * y_size + y,
                                      return_inverse=True)
             unused = np.delete(law, bases, axis=0)
@@ -505,7 +523,9 @@ class _DecodePlan:
             1 + len(families), -1)
         columns = np.stack([grid[0] * count + grid[1 + f]
                             for f, count in enumerate(l_counts)], axis=1)
-        return _DecodePlan(list(code.index_tuples()), grid[0], columns,
+        xs, ys = (np.concatenate([p[kind][c] for p, c in zip(pairs, columns.T)],
+                                 axis=1) for kind in (0, 1))
+        return _DecodePlan(list(code.index_tuples()), grid[0], columns, xs, ys,
                            tuple(families))
 
 
@@ -589,38 +609,16 @@ def _channel_rows(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     return rows
 
 
-def _codeword_pairs(code: WiretapCode) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked x and y codewords of every index tuple, in
-    :meth:`WiretapCode.index_tuples` order (message-major): each family's
-    :meth:`CodebookFamily.words` rows gathered by the plan's ``columns`` and
-    concatenated along time."""
-    words = [fam.words() for fam in code.families]
-    columns = code.decode_plan.columns.T
-    return tuple(np.concatenate([w[kind][c] for w, c in zip(words, columns)],
-                                axis=1) for kind in (1, 2))
-
-
 def _bob_rows(code: WiretapCode) -> np.ndarray:
     """Bob's rows over all output sequences, one per index tuple."""
     mac = code.chain.mac
     matrix = mac.bob.matrix
     count = matrix.shape[1] ** code.n_total
-    n_tuples = len(code.decode_plan.tuples)
-    if count * n_tuples > CELL_BUDGET:
+    plan = code.decode_plan
+    if count * len(plan.tuples) > CELL_BUDGET:
         raise ResourceBudgetError(
-            f"exact error needs {count} x {n_tuples} likelihoods")
-    return _channel_rows(matrix, *_codeword_pairs(code), mac.y_alphabet.size)
-
-
-def _exact_error_terms(code: WiretapCode) -> np.ndarray:
-    """(tuples, 2): per index tuple i, by enumeration of every output
-    sequence, the probability that the decoder misses i, then i's message."""
-    rows = _bob_rows(code)
-    decoded = _decode_all(code, code.delta)
-    message_ids = code.decode_plan.message_ids
-    decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
-    return np.array([(row @ (decoded != i), row @ (decoded_msg != message_ids[i]))
-                     for i, row in enumerate(rows)])
+            f"exact error needs {count} x {len(plan.tuples)} likelihoods")
+    return _channel_rows(matrix, plan.xs, plan.ys, mac.y_alphabet.size)
 
 
 @dataclass(frozen=True)
@@ -645,7 +643,7 @@ def average_error(code: WiretapCode, mode: str = "exact", trials: int = 2000,
     errors.
     """
     if mode == "exact":
-        terms = _exact_error_terms(code)
+        terms = code.error_terms
         # accumulate adds in row order: the sums of a per-row loop, to the bit
         sums = np.add.accumulate(terms * (1.0 / len(terms)))[-1]
         return ErrorEstimate(float(sums[0]), float(sums[1]), "exact")
@@ -656,8 +654,8 @@ def average_error(code: WiretapCode, mode: str = "exact", trials: int = 2000,
     # per trial the index tuple, then one uniform per output symbol: the
     # draws a per-symbol rng.choice makes, so the seeded stream is unchanged
     cdf = _inverse_cdf(code.chain.mac.bob.matrix)
-    xs, ys = _codeword_pairs(code)
-    bases = xs * code.chain.mac.y_alphabet.size + ys
+    plan = code.decode_plan
+    bases = plan.xs * code.chain.mac.y_alphabet.size + plan.ys
     rng = np.random.default_rng(seed)
     picks = np.empty(trials, dtype=np.int64)
     outputs = np.empty((trials, code.n_total), dtype=np.int64)
@@ -665,7 +663,7 @@ def average_error(code: WiretapCode, mode: str = "exact", trials: int = 2000,
         picks[trial] = rng.integers(0, len(bases))
         outputs[trial] = _draw(cdf[bases[picks[trial]]], rng)
     decoded = _unique_hits(_typical_matrix(code, code.delta, outputs))
-    message_ids = code.decode_plan.message_ids
+    message_ids = plan.message_ids
     decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
     hits = int(np.count_nonzero(decoded != picks))
     msg_hits = int(np.count_nonzero(decoded_msg != message_ids[picks]))
@@ -680,12 +678,11 @@ def average_error(code: WiretapCode, mode: str = "exact", trials: int = 2000,
 
 
 def mac_average_error(code: WiretapCode) -> float:
-    """Average error of the deterministic code over the full index tuples.
-
-    The uniform mixing of the stochastic encoders makes this coincide with
-    the tuple-criterion average error of the wiretap code.
-    """
-    terms = _exact_error_terms(code)[:, 0]
+    """Average error of the deterministic code over the full index tuples:
+    the column of :attr:`WiretapCode.error_terms` that the exact tuple error
+    of :func:`average_error` reads (uniform mixing makes the two equal),
+    summed in another order."""
+    terms = code.error_terms[:, 0]
     return float(np.add.accumulate(terms)[-1]) / len(terms)
 
 
@@ -704,8 +701,8 @@ def eavesdropper_conditionals(code: WiretapCode) -> np.ndarray:
             f"exact leakage needs {messages} x {z_count} entries")
     # one message's l-tuples at a time, so that the rows held at once are one
     # message's, not every index tuple's
-    xs, ys = (a.reshape(messages, -1, code.n_total)
-              for a in _codeword_pairs(code))
+    plan = code.decode_plan
+    xs, ys = (a.reshape(messages, -1, code.n_total) for a in (plan.xs, plan.ys))
     out = np.empty((messages, z_count))
     for i in range(messages):
         out[i] = _channel_rows(matrix, xs[i], ys[i],

@@ -424,9 +424,9 @@ def single_sender_secrecy_capacity(mac: WiretapMAC, cfg: SearchConfig) -> float:
     """Search lower bound on the secrecy capacity with both senders combined.
 
     Maximizes the legitimate-minus-eavesdropper information gap over the
-    factored input family; monotone nondecreasing in the search budget.
-    The starts are scored as one batch; the refinement is one walk of
-    :func:`_refine`, one trial per step.
+    factored input family; the same value for a fixed (channel, config),
+    though a larger budget may find less.  The starts are scored as one
+    batch; the refinement is one walk of :func:`_refine`, one trial per step.
     """
     rng = np.random.default_rng(cfg.seed)
     par = _Parameterization(mac, cfg)

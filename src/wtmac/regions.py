@@ -416,18 +416,20 @@ class RatePolytope:
         if self.names and len(self.names) != rh.shape[0]:
             raise ValidationError("one name per constraint required")
 
-    def contains(self, point, tol: float = 1e-9) -> bool:
+    def _point(self, point) -> np.ndarray:
         x = np.asarray(point, dtype=float)
         if x.shape != (self.dim,):
             raise ValidationError(f"point dimension {x.shape} != {self.dim}")
-        return bool(_inside(x, self.coeffs, self.rhs, tol))
+        return x
+
+    def contains(self, point, tol: float = 1e-9) -> bool:
+        return bool(_inside(self._point(point), self.coeffs, self.rhs, tol))
 
     def violated(self, point, tol: float = 1e-9) -> list[str]:
-        """Names (or indices) of the constraints the point breaks."""
-        x = np.asarray(point, dtype=float)
-        out = [f"R{i} >= 0" for i in range(self.dim) if x[i] < -tol]
-        slack = _scores(x, self.coeffs) - self.rhs
-        for i in np.nonzero(slack > tol)[0]:
+        """The constraints (names or indices) that make :meth:`contains` fail."""
+        x = self._point(point)
+        out = [f"R{i} >= 0" for i in range(self.dim) if not x[i] >= -tol]
+        for i in np.nonzero(~(_scores(x, self.coeffs) <= self.rhs + tol))[0]:
             out.append(self.names[i] if self.names else f"constraint[{i}]")
         return out
 

@@ -649,7 +649,8 @@ def reference_codebook_family(chain, n, l_sizes, delta, seed,
 
 def reference_codeword_pair(code, k, ls):
     """Concatenated (x, y) sequences of one full index tuple, one family's
-    ``codeword`` at a time: the reference for ``codesim._codeword_pairs``."""
+    ``codeword`` at a time: the reference for the decode plan's ``xs`` and
+    ``ys``."""
     xs, ys = [], []
     for fam, l in zip(code.families, ls):
         _, xseq, yseq = fam.codeword(k, l)

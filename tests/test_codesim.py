@@ -36,7 +36,6 @@ from wtmac.codesim import (
     WiretapCode,
     _bob_rows,
     _channel_rows,
-    _codeword_pairs,
     _decode_all,
     average_error,
     build_wiretap_code,
@@ -740,8 +739,8 @@ SIZES = st.tuples(*[st.integers(1, 3)] * 3)
 
 
 class TestCodewordTable:
-    # words() and _codeword_pairs read every codeword by one fancy index;
-    # the references walk one index tuple at a time
+    # words() and the decode plan's xs, ys read every codeword by one fancy
+    # index; the references walk one index tuple at a time
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(SIZES, SIZES, st.integers(1, 4))
@@ -774,7 +773,7 @@ class TestCodewordTable:
         assert code.decode_plan.tuples == tuples
         assert len(tuples) == code.message_count * code.randomization_count
         want = [reference_codeword_pair(code, kk, ls) for kk, ls in tuples]
-        xs, ys = _codeword_pairs(code)
+        xs, ys = code.decode_plan.xs, code.decode_plan.ys
         assert np.array_equal(xs, np.array([x for x, _ in want]))
         assert np.array_equal(ys, np.array([y for _, y in want]))
 
@@ -1510,6 +1509,47 @@ class TestSimReport:
         with pytest.raises(ValidationError):
             exact_leakage(code, mac.eve)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("two_families", [False, True])
+    def test_one_decode_per_exact_audit(self, monkeypatch, two_families):
+        # the benchmark's exact audit reads Bob's error terms twice (the
+        # report's average error and mac_average_error), and the decoder,
+        # Bob's rows and the eavesdropper's conditionals all read codewords:
+        # the code builds Bob's rows, decodes its outputs and reads each
+        # family's codeword table once
+        from wtmac import codesim
+
+        rng = np.random.default_rng(77)
+        mac = random_mac(rng, bob_quality=0.8)
+        fams = [sample_codebook_family(coupled_chain(mac), 4, (2, 1, 1), 0.3,
+                                       seed=78 + i, k_sizes=(2, 1, 1))
+                for i in range(1 + two_families)]
+        code = WiretapCode(CaseLabel.CASE3, 1.0, 0.3, 0.25, None, tuple(fams),
+                           (0.0, 0.0, 0.0))
+        calls = {"_typical_matrix": 0, "_bob_rows": 0, "words": 0}
+
+        def counting(name, compute):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return compute(*args, **kwargs)
+            return counted
+
+        for name in ("_typical_matrix", "_bob_rows"):
+            monkeypatch.setattr(codesim, name,
+                                counting(name, getattr(codesim, name)))
+        monkeypatch.setattr(CodebookFamily, "words",
+                            counting("words", CodebookFamily.words))
+        rep = simulate_report(code)
+        mac_err = mac_average_error(code)
+        leakage_chain_check(code)
+        once = {"_typical_matrix": 1, "_bob_rows": 1, "words": len(fams)}
+        assert calls == once
+        assert not code.error_terms.flags.writeable
+        est = average_error(code)
+        assert (est.tuple_error, est.message_error, est.mode) \
+            == (rep.tuple_error, rep.message_error, "exact")
+        assert mac_err == pytest.approx(est.tuple_error, abs=1e-12)
+        assert calls == once
 
 
 class TestBudgets:

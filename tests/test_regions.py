@@ -12,7 +12,11 @@ from _support import reference_elementary_region
 from wtmac import conferencing, regions
 from wtmac.casestudy import discussion_channels, example62_channels
 from wtmac.conferencing import CONF_COEFFS, region_conferencing
-from wtmac.errors import PreconditionError, ResourceBudgetError
+from wtmac.errors import (
+    PreconditionError,
+    ResourceBudgetError,
+    ValidationError,
+)
 from wtmac.probkit import (
     AX_T,
     AX_U,
@@ -619,6 +623,29 @@ class TestPolytopeOps:
             direct = (all(float(coeffs[i] @ pt) <= rhs[i] + 1e-9 for i in range(4))
                       and all(pt >= -1e-9))
             assert poly.contains(pt, 1e-9) == direct
+
+    @pytest.mark.parametrize("poly", [
+        RatePolytope(2, CONF_COEFFS, np.ones(3)),
+        RatePolytope(3, RATE_COEFFS, np.ones(4), RATE_NAMES)])
+    def test_point_of_wrong_length_refused(self, poly):
+        # contains and violated check the point's shape the same way
+        for length in (poly.dim - 1, poly.dim + 1):
+            for method in (poly.contains, poly.violated):
+                with pytest.raises(ValidationError, match="point dimension"):
+                    method(np.zeros(length))
+        assert poly.violated(np.zeros(poly.dim)) == []
+
+    def test_violated_empty_exactly_when_contained(self):
+        # points within rounding of a face's tolerance boundary: violated
+        # compares as contains does, so the two never disagree
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            rhs = rng.uniform(0.1, 2.0, 4)
+            poly = RatePolytope(3, RATE_COEFFS, rhs, RATE_NAMES)
+            x = rng.uniform(0.0, 1.0, 3)
+            row = rng.integers(0, 4)
+            x *= (rhs[row] + 1e-9) / (RATE_COEFFS[row] @ x)
+            assert poly.contains(x) == (poly.violated(x) == [])
 
     def test_vertices_of_simplex(self):
         poly = RatePolytope(2, np.array([[1.0, 1.0]]), np.array([1.0]))

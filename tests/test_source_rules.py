@@ -153,6 +153,45 @@ def test_library_reads_no_single_codeword():
     assert not found, found
 
 
+def _calls_outside(tree, name, owner, method):
+    """Line of every call of a ``name`` attribute in ``tree`` outside the
+    method ``owner.method``."""
+    inside = {line for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == owner
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == method
+              for line in _method_calls(node, name)}
+    return sorted(set(_method_calls(tree, name)) - inside)
+
+
+def test_calls_outside_detector():
+    code = ("class _DecodePlan:\n"
+            "    def build(code):\n"
+            "        return [fam.words() for fam in code.families]\n"
+            "    def other(fam):\n"
+            "        return fam.words()\n"
+            "class Other:\n"
+            "    def build(fam):\n"
+            "        return fam.words()\n"
+            "def build(fam):\n"
+            "    return fam.words\n"
+            "fam.words()[1]\n")
+    assert _calls_outside(ast.parse(code), "words", "_DecodePlan",
+                          "build") == [5, 8, 11]
+
+
+def test_only_the_decode_plan_reads_the_codeword_table():
+    # _DecodePlan.build reads each family's CodebookFamily.words() once;
+    # Bob's rows, the Monte Carlo draws and the eavesdropper's conditionals
+    # read the plan's xs and ys.
+    root = Path(wtmac.__file__).parent
+    found = [f"{path.name}:{line}"
+             for path in sorted(root.glob("*.py"))
+             for line in _calls_outside(ast.parse(path.read_text()), "words",
+                                        "_DecodePlan", "build")]
+    assert not found, found
+
+
 def _loaded_scipy(code: str) -> str:
     """The scipy modules in ``sys.modules`` after running ``code`` in a fresh
     interpreter on the library and the test helpers."""
