@@ -63,6 +63,9 @@ DEFAULT_TAIL_EXPONENT = 2.0 * math.log2(math.e)  # Hoeffding-style surrogate
 GAMMA = 0.05
 # Largest message size, and largest per-family randomization size of a pair.
 SIZE_CAP = 4096
+# Output cells of channel rows one per-symbol product pass writes (256 kB):
+# its writes stride by |Z|, so the block it sweeps |Z| times stays in cache.
+_ROW_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -602,10 +605,20 @@ def _channel_rows(matrix: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     per input pair; the (m, n) or (n,) arrays ``xs`` and ``ys`` broadcast
     against each other."""
     bases = np.atleast_2d(np.asarray(xs) * y_size + ys)
+    symbols = matrix.shape[1]
     rows = np.ones((bases.shape[0], 1))
     for col in bases.T:
         step = matrix[col]
-        rows = (rows[:, :, None] * step[:, None, :]).reshape(len(col), -1)
+        new = np.empty((len(col), rows.shape[1] * symbols))
+        # the products rows[:, :, None] * step[:, None, :], one output symbol
+        # b at a time over blocks of whole rows, so the inner loop is long
+        block = max(_ROW_CELLS // new.shape[1], 1)
+        for lo in range(0, len(col), block):
+            part = slice(lo, lo + block)
+            for b in range(symbols):
+                np.multiply(rows[part], step[part, b, None],
+                            out=new[part, b::symbols])
+        rows = new
     return rows
 
 

@@ -30,7 +30,11 @@ from .codesim import (
     _channel_rows,
     sample_codebook_families,
 )
-from .errors import PreconditionError, ResourceBudgetError
+from .errors import (
+    DegenerateTypicalityError,
+    PreconditionError,
+    ResourceBudgetError,
+)
 from .probkit import (
     Alphabet,
     Channel,
@@ -88,18 +92,22 @@ class _Workspace:
     """Exact per-(u, y), per-u and Case-3 reference measures for one chain.
 
     Channel rows come only from stacked :func:`~wtmac.codesim._channel_rows`
-    calls.  It keeps three caches: ``_typ_cache`` (truncated typical
-    supports per law and context), ``_uy_cache`` (:meth:`theta_uy` per
-    (u, y)) and ``_u_cache`` (:meth:`theta_u` per u).  ``_uy_cache`` is
-    filled per u by :meth:`fill_uy`, all of that u's missing ys in one
-    stacked pass; :meth:`theta_uy` fills a single missing key that way, and
-    :meth:`theta_u` fills every typical y given u before it sums their
-    terms.  :meth:`theta_uy` returns three arrays: the cut (u, y)
-    reference, its support f1, and the typical-x average of the rows zeroed
-    off E2, which :meth:`theta_u` weights by p(y) so that it builds no row
-    of its own.  The (u, y) support
-    f1 lies inside the typical output set given (y, u), so masking a row
-    with f1 also masks it with that set.
+    calls.  It keeps four caches: ``_typ_cache`` (:meth:`typical_given`,
+    the truncated typical support of the shared-sequence law p_u),
+    ``_ctx_cache`` (:meth:`context_table` rows per conditional law and
+    context u), ``_uy_cache`` (:meth:`theta_uy` per (u, y)) and
+    ``_u_cache`` (:meth:`theta_u` per u).  The x and y laws given u are
+    read only from :meth:`context_table`, which tests every context it
+    misses at once.  ``_uy_cache`` is filled per u by :meth:`fill_uy`, all
+    of that u's missing ys in one stacked pass; :meth:`theta_uy` fills a
+    single missing key that way, and :meth:`theta_u` fills every typical y
+    given u before it sums their terms.  :meth:`theta_uy` returns three
+    arrays: the cut (u, y) reference, its support f1, and the typical-x
+    average of the rows zeroed off E2, which :meth:`theta_u` weights by
+    p(y) so that it builds no row of its own.  The (u, y) support f1 lies
+    inside the typical output set given (y, u), so masking a row with f1
+    also masks it with that set.  :meth:`theta_case3` builds one row per
+    distinct typical (x, y) pair.
     """
 
     def __init__(self, chain: CodeChain, n: int, delta: float, eps: float):
@@ -140,6 +148,7 @@ class _Workspace:
         self.z_given_u = Channel(Alphabet(self.nu), Alphabet(self.nz), zu_rows)
         p_z = Dist(Alphabet(self.nz), joint.marginal_mass({4}))
         self._typ_cache: dict = {}
+        self._ctx_cache: dict = {}
         self._uy_cache: dict = {}
         self._u_cache: dict = {}
         # every output sequence, lexicographic: the rows of each output mask
@@ -152,16 +161,62 @@ class _Workspace:
 
     # -- sequence-level pieces ------------------------------------------------
 
-    def typical_given(self, law, useq: np.ndarray | None = None):
-        """Support of ``law``'s truncated typical law (given ``useq`` for a
-        channel) and its masses, both in lexicographic order."""
-        key = (id(law), None if useq is None else useq.tobytes())
-        out = self._typ_cache.get(key)
+    def typical_given(self, law: Dist):
+        """Support of the unconditional ``law``'s truncated typical law and
+        its masses, both in lexicographic order."""
+        out = self._typ_cache.get(id(law))
         if out is None:
-            sd = truncated_typical_dist(law, self.n, self.delta, useq)
+            sd = truncated_typical_dist(law, self.n, self.delta)
             out = (sd.support(), sd.mass[sd.mass > 0.0])
-            self._typ_cache[key] = out
+            self._typ_cache[id(law)] = out
         return out
+
+    def context_table(self, law: Channel, useqs: np.ndarray) -> np.ndarray:
+        """Masses of ``law``'s truncated typical law given each row of
+        ``useqs``, one row per context over all sequences (lexicographic):
+        :func:`~wtmac.probkit.truncated_typical_dist` given that row, to the
+        bit.  The contexts the cache misses take one typicality test per
+        block of whole contexts whose sequences fit ``ROW_BLOCK_CELLS``
+        cells (at least one context), one context per row over the block's
+        contexts times all sequences.  Raises
+        :class:`DegenerateTypicalityError` when a typical set is empty."""
+        cache = self._ctx_cache.setdefault(id(law), {})
+        missing = {useq.tobytes(): useq for useq in useqs
+                   if useq.tobytes() not in cache}
+        if missing:
+            seqs = all_sequences(law.output_alphabet.size, self.n)
+            contexts = np.array(list(missing.values()))
+            table = np.empty((len(contexts), len(seqs)))
+            step = max(ROW_BLOCK_CELLS // seqs.size, 1)
+            for lo in range(0, len(contexts), step):
+                block = contexts[lo:lo + step]
+                ctx = np.repeat(block, len(seqs), axis=0)
+                stacked = np.tile(seqs, (len(block), 1))
+                mask = _typical_rows(law.matrix, ctx, stacked,
+                                     self.delta).reshape(len(block), -1)
+                probs = np.prod(law.matrix[ctx, stacked],
+                                axis=1).reshape(len(block), -1)
+                # per row, the sum of its typical masses that the
+                # one-context law takes, in the same order
+                totals = np.array([p[keep].sum()
+                                   for p, keep in zip(probs, mask)])
+                if not (totals > 0.0).all():
+                    raise DegenerateTypicalityError(
+                        f"empty {self.delta}-typical set at blocklength "
+                        f"{self.n}")
+                table[lo:lo + step] = (np.where(mask, probs, 0.0)
+                                       / totals[:, None])
+            cache.update(zip(missing, table))
+        return np.array([cache[useq.tobytes()] for useq in useqs])
+
+    def support_given(self, law: Channel, useq: np.ndarray):
+        """Support of ``law``'s truncated typical law given ``useq`` and its
+        masses, both in lexicographic order: one :meth:`context_table`
+        row."""
+        mass = self.context_table(law, useq[None])[0]
+        ranks = np.flatnonzero(mass)
+        return (_sequences(ranks, law.output_alphabet.size, self.n),
+                mass[ranks])
 
     def theta_uy(self, useq, yseq):
         """Exact reference measure given (u, y), cut to its support, that
@@ -183,7 +238,7 @@ class _Workspace:
         if not keys:
             return
         ys = np.array([by_key[key] for key in keys])
-        xs, probs = self.typical_given(self.chain.x_given_u, useq)
+        xs, probs = self.support_given(self.chain.x_given_u, useq)
         ctx, _ = zip_sequences(ys, np.broadcast_to(useq, ys.shape),
                                [self.ny, self.nu])
         for block, part in self.pair_blocks(len(ys), len(xs)):
@@ -210,7 +265,7 @@ class _Workspace:
         out = self._u_cache.get(key)
         if out is None:
             theta = np.zeros(self.nz ** self.n)
-            ys, yp = self.typical_given(self.chain.y_given_u, useq)
+            ys, yp = self.support_given(self.chain.y_given_u, useq)
             self.fill_uy(useq, ys)
             for yseq, pyv in zip(ys, yp):
                 theta += pyv * self.theta_uy(useq, yseq)[2]
@@ -237,19 +292,32 @@ class _Workspace:
 
     def theta_case3(self):
         """Exact Case-3 reference measure (typical triples enumerated), cut
-        to its support, and that support."""
+        to its support, and that support.  Each typical (u, y, x) triple
+        adds the weight p(u) p(y|u) p(x|u) to its pair's rank
+        rank_y |X|^n + rank_x; each distinct pair's row is built once."""
+        useqs, pu = self.typical_given(self.chain.p_u)
+        x_table = self.context_table(self.chain.x_given_u, useqs)
+        y_table = self.context_table(self.chain.y_given_u, useqs)
+        size_x = x_table.shape[1]
+        ranks, weights = [], []
+        for pu_v, x_mass, y_mass in zip(pu, x_table, y_table):
+            xr, yr = np.flatnonzero(x_mass), np.flatnonzero(y_mass)
+            ranks.append((yr[:, None] * size_x + xr).ravel())
+            weights.append(((pu_v * y_mass[yr])[:, None] * x_mass[xr]).ravel())
+        pairs, inverse = np.unique(np.concatenate(ranks), return_inverse=True)
+        # each pair's weights summed in triple order
+        weight = np.zeros(len(pairs))
+        np.add.at(weight, inverse, np.concatenate(weights))
+        y_ranks, x_ranks = np.divmod(pairs, size_x)
+        xs = _sequences(x_ranks, self.nx, self.n)
+        ys = _sequences(y_ranks, self.ny, self.n)
         theta = np.zeros(self.nz ** self.n)
-        for useq, pu in zip(*self.typical_given(self.chain.p_u)):
-            xs, xp = self.typical_given(self.chain.x_given_u, useq)
-            ys, yp = self.typical_given(self.chain.y_given_u, useq)
-            # the (y, x) pairs y-major, in as few calls as the budget
-            # allows; one dot per y
-            pairs = (np.tile(xs, (len(ys), 1)), np.repeat(ys, len(xs), axis=0))
-            for block, part in self.pair_blocks(len(ys), len(xs)):
-                rows = self.outer_rows(pairs[0][block], pairs[1][block])
-                for pyv, y_rows in zip(yp[part],
-                                       rows.reshape(-1, len(xs), theta.size)):
-                    theta += (pu * pyv) * (xp @ y_rows)
+        for block, _ in self.pair_blocks(len(pairs), 1):
+            terms = weight[block, None] * self.outer_rows(xs[block], ys[block])
+            # theta, then each pair's term in pair order: a sequential fold,
+            # the same sum at any block size
+            terms[0] += theta
+            theta = terms.sum(axis=0)
         return _cut(theta, self.t_z_big_mask, self.eps / max(self.t_z_plain, 1))
 
     # -- bound formulas -------------------------------------------------------
@@ -268,6 +336,12 @@ class _Workspace:
         if self.mu <= 0.0:
             return 1.0
         return min(math.exp(-size * self.eps ** 2 * self.mu / (2.0 * LN2)), 1.0)
+
+
+def _sequences(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
+    """The length-n sequences over {0..size-1} of lexicographic ``ranks``,
+    shape (len(ranks), n)."""
+    return np.stack(np.unravel_index(ranks, (size,) * n), axis=1)
 
 
 def _cut(theta: np.ndarray, mask: np.ndarray, floor: float):
@@ -340,13 +414,15 @@ def _pair_checks(ws: _Workspace, fams) -> list:
     """The Case-1/2 checks in one stacked pass over all resampled families.
 
     Each (family, shared index a) group holds l1 x l2 (x, y) pairs, b-major.
-    One typicality test of all pairs gives the typical counts.  The (u, y)
-    references are filled per distinct u first, in Case 1 over every typical
-    y (:meth:`_Workspace.theta_u` reads them).  Rows come in blocks of whole
-    groups that fit ``ROW_BLOCK_CELLS``; each group's means are axis reductions
-    of its block, and its corridor test (width eps for Case-2 inner means,
-    3 eps for Case-1 pair means) feeds both its own check and the family
-    means, which are then checked against an estimated reference."""
+    One typicality test of all pairs gives the typical counts.  The x laws
+    (and in Case 1 the y laws) given every distinct u come from one context
+    table each; the (u, y) references are then filled per distinct u, in
+    Case 1 over every typical y (:meth:`_Workspace.theta_u` reads them).
+    Rows come in blocks of whole groups that fit ``ROW_BLOCK_CELLS``; each
+    group's means are axis reductions of its block, and its corridor test
+    (width eps for Case-2 inner means, 3 eps for Case-1 pair means) feeds
+    both its own check and the family means, which are then checked against
+    an estimated reference."""
     l0, l1, l2 = fams[0].l_sizes
     n, size = ws.n, ws.nz ** ws.n
     us = np.stack([fam.u[0] for fam in fams]).reshape(-1, n)
@@ -364,9 +440,14 @@ def _pair_checks(ws: _Workspace, fams) -> list:
     by_u = {}
     for useq, partners in zip(us, ys):
         by_u.setdefault(useq.tobytes(), (useq, []))[1].append(partners)
+    # the x laws, and in Case 1 the y laws, given every distinct u at once
+    distinct = np.array([useq for useq, _ in by_u.values()])
+    ws.context_table(ws.chain.x_given_u, distinct)
+    if l2 > 1:
+        ws.context_table(ws.chain.y_given_u, distinct)
     for useq, partners in by_u.values():
         if l2 > 1:
-            partners.append(ws.typical_given(ws.chain.y_given_u, useq)[0])
+            partners.append(ws.support_given(ws.chain.y_given_u, useq)[0])
         ws.fill_uy(useq, np.concatenate(partners))
     refs, f1 = (np.array(v).reshape(groups, l2, size) for v in zip(
         *(ws.theta_uy(useq, y)[:2] for useq, partners in zip(us, ys)

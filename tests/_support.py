@@ -33,6 +33,7 @@ from wtmac.probkit import (
     _sequence_law,
     _typical_rows,
     mutual_information,
+    truncated_typical_dist,
     typical_mask,
     typical_membership,
     zip_sequences,
@@ -705,11 +706,20 @@ def reference_z_mask(ws, useq, yseq):
                         ws.n, ctx)
 
 
+def reference_typical_given(ws, law, useq=None):
+    """Support of ``law``'s truncated typical law (given ``useq`` for a
+    channel) and its masses, lexicographic, from one
+    :func:`truncated_typical_dist` call: the reference for
+    ``_Workspace.context_table`` that the workspace references read."""
+    sd = truncated_typical_dist(law, ws.n, ws.delta, useq)
+    return sd.support(), sd.mass[sd.mass > 0.0]
+
+
 def reference_theta_uy(ws, useq, yseq):
     """The (u, y) reference measure one inner sequence x at a time, before
     its cut, and the typical output mask given (y, u): the reference for
     ``_Workspace.theta_uy``."""
-    xs, xp = ws.typical_given(ws.chain.x_given_u, useq)
+    xs, xp = reference_typical_given(ws, ws.chain.x_given_u, useq)
     zy = reference_z_mask(ws, useq, yseq)
     theta = np.zeros(ws.nz ** ws.n)
     for xseq, pxv in zip(xs, xp):
@@ -724,9 +734,9 @@ def reference_case3_theta(ws):
     its cut: the reference for ``_Workspace.theta_case3``."""
     theta = np.zeros(ws.nz ** ws.n)
     rows = {}
-    for useq, pu in zip(*ws.typical_given(ws.chain.p_u)):
-        xs, xp = ws.typical_given(ws.chain.x_given_u, useq)
-        ys, yp = ws.typical_given(ws.chain.y_given_u, useq)
+    for useq, pu in zip(*reference_typical_given(ws, ws.chain.p_u)):
+        xs, xp = reference_typical_given(ws, ws.chain.x_given_u, useq)
+        ys, yp = reference_typical_given(ws, ws.chain.y_given_u, useq)
         for yseq, pyv in zip(ys, yp):
             for xseq, pxv in zip(xs, xp):
                 key = (xseq.tobytes(), yseq.tobytes())
@@ -795,8 +805,8 @@ def reference_theta_u(ws, useq):
     """The per-u reference measure built from its own inner rows, one typical
     y at a time, before its cut, and the typical output mask given u: the
     reference for ``_Workspace.theta_u``."""
-    xs, xp = ws.typical_given(ws.chain.x_given_u, useq)
-    ys, yp = ws.typical_given(ws.chain.y_given_u, useq)
+    xs, xp = reference_typical_given(ws, ws.chain.x_given_u, useq)
+    ys, yp = reference_typical_given(ws, ws.chain.y_given_u, useq)
     theta = np.zeros(ws.nz ** ws.n)
     for yseq, pyv in zip(ys, yp):
         f1 = ws.theta_uy(useq, yseq)[1]

@@ -25,6 +25,7 @@ from _support import (
     reference_pair_mean,
     reference_theta_u,
     reference_theta_uy,
+    reference_typical_given,
     reference_z_mask,
     sequence_mass,
 )
@@ -53,6 +54,7 @@ from wtmac.codesim import (
 )
 from wtmac.errors import (
     BlocklengthTooSmallError,
+    DegenerateTypicalityError,
     PreconditionError,
     ValidationError,
 )
@@ -873,6 +875,26 @@ class TestChannelRows:
         assert np.array_equal(_channel_rows(matrix, xs[3], ys[3], 2)[0],
                               reference_channel_row(matrix, xs[3], ys[3], 2))
 
+    # |Z| from 1 to 4, n from 1 to 6, m = 0 included, and one (n,) sequence
+    # broadcast against (m, n) in either argument
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 6), st.integers(0, 5),
+           st.sampled_from(["none", "x", "y"]), st.integers(0, 2**32 - 1))
+    def test_rows_equal_reference_bit_for_bit(self, nx, ny, nz, n, m, single,
+                                              seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.dirichlet(np.ones(nz), size=nx * ny)
+        xs = rng.integers(0, nx, (m, n)) if single != "x" \
+            else rng.integers(0, nx, n)
+        ys = rng.integers(0, ny, (m, n)) if single != "y" \
+            else rng.integers(0, ny, n)
+        rows = _channel_rows(matrix, xs, ys, ny)
+        assert rows.shape == (m, nz ** n)
+        for x, y, row in zip(*np.broadcast_arrays(xs, ys), rows):
+            assert np.array_equal(row, reference_channel_row(matrix, x, y, ny))
+
     def test_bob_and_eve_rows_equal_reference(self):
         code = self.code()
         mac = code.chain.mac
@@ -1138,7 +1160,7 @@ class TestConcentrationContract:
         assert [float(m) for m in pu] == [sequence_mass(law, s) for s in useqs]
         for useq in useqs:
             for given in (chain.x_given_u, chain.y_given_u):
-                seqs, masses = ws.typical_given(given, useq)
+                seqs, masses = ws.support_given(given, useq)
                 law = truncated_typical_dist(given, n, delta, useq)
                 assert len(seqs) == int((law.mass > 0).sum())
                 assert [float(m) for m in masses] \
@@ -1273,7 +1295,8 @@ class TestWorkspaceReferences:
         masks = []
         for useq, partners in zip(fam.u[0], fam.y[0, :, 0]):
             ys = partners if fam.l_sizes[2] == 1 else np.concatenate(
-                [partners, stacked.typical_given(chain.y_given_u, useq)[0]])
+                [partners,
+                 reference_typical_given(stacked, chain.y_given_u, useq)[0]])
             stacked.fill_uy(useq, ys)
             for yseq in ys:
                 got = stacked._uy_cache[(useq.tobytes(), yseq.tobytes())]
@@ -1298,6 +1321,48 @@ class TestWorkspaceReferences:
             fam = sample_codebook_family(chain, 8, (2, 2, l2), 0.125, seed=7)
             masks = self.check_stacked_fill(chain, 8, 0.125, fam)
             assert len({m.tobytes() for m in masks}) > 1
+
+    @CHAIN_SETTINGS
+    @given(random_chains())
+    def test_context_table_matches_per_context_laws(self, chain):
+        # every context at n = 3, each law in one stacked test; a second
+        # call, in reverse order, reads the cached rows, and blocks of one
+        # context each give the same table
+        n, delta = 3, 0.45
+        ws = _Workspace(chain, n, delta, 0.3)
+        useqs = all_sequences(ws.nu, n)
+        for law in (chain.x_given_u, chain.y_given_u):
+            table = ws.context_table(law, useqs)
+            for useq, row in zip(useqs, table):
+                want = truncated_typical_dist(law, n, delta, useq).mass
+                assert np.array_equal(row > 0.0, want > 0.0)
+                assert np.allclose(row, want, rtol=0.0, atol=1e-15)
+            assert np.array_equal(ws.context_table(law, useqs[::-1]),
+                                  table[::-1])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(concentration, "ROW_BLOCK_CELLS", 1)
+                blocked = _Workspace(chain, n, delta, 0.3)
+                assert np.array_equal(blocked.context_table(law, useqs),
+                                      table)
+
+    def test_context_table_refuses_an_empty_typical_set(self):
+        # at n = 3 and delta = 0.01 the x law (0.3, 0.7) given u = 1 has no
+        # typical sequence (counts 0.9 and 2.1); given u = 0 its one typical
+        # sequence is 000
+        mac = random_mac(np.random.default_rng(60))
+        chain = CodeChain(Dist.uniform(2),
+                          Channel.from_matrix([[1.0, 0.0], [0.3, 0.7]]),
+                          Channel.identity(2), mac)
+        ws = _Workspace(chain, 3, 0.01, 0.3)
+        zeros = np.zeros((1, 3), dtype=np.int64)
+        ones = np.ones((1, 3), dtype=np.int64)
+        with pytest.raises(DegenerateTypicalityError):
+            truncated_typical_dist(chain.x_given_u, 3, 0.01, ones[0])
+        for useqs in (ones, np.concatenate([zeros, ones])):
+            with pytest.raises(DegenerateTypicalityError):
+                ws.context_table(chain.x_given_u, useqs)
+        assert np.array_equal(ws.context_table(chain.x_given_u, zeros),
+                              np.eye(1, 8))
 
     @CHAIN_SETTINGS
     @given(random_chains(), st.integers(0, 2**16))
@@ -1338,6 +1403,19 @@ class TestPairChecks:
         want = ConcentrationReport(reference_pair_checks(ws, fams), rep.params,
                                    notes=rep.notes)
         assert rep.to_json_dict() == want.to_json_dict()
+
+    # budget 384 holds three Case-1 and six Case-2 groups of 2^5-output rows
+    @pytest.mark.parametrize("l_sizes", [(2, 2, 2), (2, 2, 1)])
+    @pytest.mark.parametrize("budget", [1, 3 * 4 * 2**5])
+    def test_cell_budget_blocks_keep_report(self, monkeypatch, l_sizes,
+                                            budget):
+        chain = TestConcentration().chain(seed=57)
+        fam = sample_codebook_family(chain, 5, l_sizes, 0.35, seed=58)
+        rep = concentration_report(fam, eps=0.3, resamples=7, seed=59)
+        monkeypatch.setattr(concentration, "ROW_BLOCK_CELLS", budget)
+        assert (concentration_report(fam, eps=0.3, resamples=7,
+                                     seed=59).to_json_dict()
+                == rep.to_json_dict())
 
     @pytest.mark.parametrize("l_sizes", [(2, 2, 2), (3, 2, 3), (3, 2, 1),
                                          (1, 4, 1)])
@@ -1413,8 +1491,8 @@ class TestCase3Checks:
                                      seed=59).to_json_dict()
                 == rep.to_json_dict())
 
-    def test_one_family_draw_per_report_one_row_call_per_u(self,
-                                                           monkeypatch):
+    def test_one_family_draw_per_report_one_row_per_distinct_pair(
+            self, monkeypatch):
         draws = []
         draw = concentration.sample_codebook_families
 
@@ -1424,14 +1502,23 @@ class TestCase3Checks:
 
         monkeypatch.setattr(concentration, "sample_codebook_families",
                             counted_draw)
-        row_calls = []
+        built = []
         rows = _Workspace.outer_rows
 
         def counted_rows(self, xs, ys):
-            row_calls.append(len(xs))
+            built.extend(zip(map(bytes, xs), map(bytes, ys)))
             return rows(self, xs, ys)
 
         monkeypatch.setattr(_Workspace, "outer_rows", counted_rows)
+        contexts = []
+        law = concentration.truncated_typical_dist
+
+        def counted_law(*args):
+            contexts.append(args[3:])
+            return law(*args)
+
+        monkeypatch.setattr(concentration, "truncated_typical_dist",
+                            counted_law)
         chain = TestConcentration().chain(seed=57)
         for l_sizes in ((3, 1, 1), (2, 2, 2)):
             draws.clear()
@@ -1439,13 +1526,21 @@ class TestCase3Checks:
             rep = concentration_report(fam, eps=0.3, resamples=7, seed=59)
             assert not rep.partial
             assert len(draws) == 1 and len(draws[0][4]) == 7
+        # theta_case3 builds one row per distinct typical (x, y) pair, from
+        # the context tables: its only truncated law is the one of u
         ws = _Workspace(chain, 5, 0.35, 0.3)
-        row_calls.clear()
+        built.clear()
+        contexts.clear()
         ws.theta_case3()
-        useqs = ws.typical_given(chain.p_u)[0]
-        assert len(row_calls) == len(useqs)
-        ys = [len(ws.typical_given(chain.y_given_u, u)[0]) for u in useqs]
-        assert max(ys) > 1
+        pairs, triples = set(), 0
+        for useq in reference_typical_given(ws, chain.p_u)[0]:
+            xs = reference_typical_given(ws, chain.x_given_u, useq)[0]
+            ys = reference_typical_given(ws, chain.y_given_u, useq)[0]
+            pairs |= {(bytes(x), bytes(y)) for x in xs for y in ys}
+            triples += len(xs) * len(ys)
+        assert len(built) == len(pairs) < triples
+        assert set(built) == pairs
+        assert contexts == [()]
 
 
 class TestSimReport:
