@@ -30,18 +30,15 @@ from .codesim import (
     _channel_rows,
     sample_codebook_families,
 )
-from .errors import (
-    DegenerateTypicalityError,
-    PreconditionError,
-    ResourceBudgetError,
-)
+from .errors import PreconditionError, ResourceBudgetError
 from .probkit import (
+    CELL_BUDGET,
     Alphabet,
     Channel,
     Dist,
+    _truncated_laws,
     _typical_rows,
     all_sequences,
-    truncated_typical_dist,
     zip_sequences,
 )
 
@@ -89,25 +86,22 @@ class ConcentrationReport:
 
 
 class _Workspace:
-    """Exact per-(u, y), per-u and Case-3 reference measures for one chain.
+    """Exact reference measures for one chain: per (u, y), per u and Case 3.
 
-    Channel rows come only from stacked :func:`~wtmac.codesim._channel_rows`
-    calls.  It keeps four caches: ``_typ_cache`` (:meth:`typical_given`,
-    the truncated typical support of the shared-sequence law p_u),
-    ``_ctx_cache`` (:meth:`context_table` rows per conditional law and
-    context u), ``_uy_cache`` (:meth:`theta_uy` per (u, y)) and
-    ``_u_cache`` (:meth:`theta_u` per u).  The x and y laws given u are
-    read only from :meth:`context_table`, which tests every context it
-    misses at once.  ``_uy_cache`` is filled per u by :meth:`fill_uy`, all
-    of that u's missing ys in one stacked pass; :meth:`theta_uy` fills a
-    single missing key that way, and :meth:`theta_u` fills every typical y
-    given u before it sums their terms.  :meth:`theta_uy` returns three
-    arrays: the cut (u, y) reference, its support f1, and the typical-x
-    average of the rows zeroed off E2, which :meth:`theta_u` weights by
-    p(y) so that it builds no row of its own.  The (u, y) support f1 lies
-    inside the typical output set given (y, u), so masking a row with f1
-    also masks it with that set.  :meth:`theta_case3` builds one row per
-    distinct typical (x, y) pair.
+    It holds no memo state: each report knows the keys it needs before it
+    starts and computes each reference once per distinct key.  Truncated
+    typical laws are rows of the one kernel,
+    :func:`~wtmac.probkit._truncated_laws`, one table per law over many
+    contexts.  :meth:`uy_refs` gives the (u, y) references of many
+    ys given one u as arrays: the cut reference, its support f1, and the
+    typical-x average of the inner rows zeroed off E2 (the term of y), one
+    dot per y over channel rows built in :meth:`pair_blocks` blocks.
+    :meth:`u_ref` folds the terms of the typical ys given u, weighted by
+    p(y|u), in lexicographic y order.  The (u, y) support f1 lies inside the
+    typical output set given (y, u), so masking a row with f1 also masks it
+    with that set.  :meth:`theta_case3` builds one row per distinct typical
+    (x, y) pair.  Channel rows come only from stacked
+    :func:`~wtmac.codesim._channel_rows` calls.
     """
 
     def __init__(self, chain: CodeChain, n: int, delta: float, eps: float):
@@ -122,6 +116,11 @@ class _Workspace:
         self.nu = chain.p_u.alphabet.size
         if self.nz ** n > 1 << 20:
             raise ResourceBudgetError(f"|Z|^{n} output space too large")
+        # the u, x and y sequence spaces the references enumerate or rank
+        for size in (self.nu, self.nx, self.ny):
+            if size ** n * n > CELL_BUDGET:
+                raise ResourceBudgetError(
+                    f"enumerating {size ** n} sequences exceeds the budget")
         joint = chain.joint  # axes (U, X, Y, T, Z)
         h_z_xy = joint.entropy({1, 2, 4}) - joint.entropy({1, 2})
         prof = chain.profile  # V1 = X, V2 = Y
@@ -147,10 +146,6 @@ class _Workspace:
                             chain.y_given_u.matrix, we3)
         self.z_given_u = Channel(Alphabet(self.nu), Alphabet(self.nz), zu_rows)
         p_z = Dist(Alphabet(self.nz), joint.marginal_mass({4}))
-        self._typ_cache: dict = {}
-        self._ctx_cache: dict = {}
-        self._uy_cache: dict = {}
-        self._u_cache: dict = {}
         # every output sequence, lexicographic: the rows of each output mask
         self.zs = all_sequences(self.nz, n)
         plain = (p_z.mass[None, :], np.zeros(n, dtype=np.int64), self.zs)
@@ -161,119 +156,50 @@ class _Workspace:
 
     # -- sequence-level pieces ------------------------------------------------
 
-    def typical_given(self, law: Dist):
-        """Support of the unconditional ``law``'s truncated typical law and
-        its masses, both in lexicographic order."""
-        out = self._typ_cache.get(id(law))
-        if out is None:
-            sd = truncated_typical_dist(law, self.n, self.delta)
-            out = (sd.support(), sd.mass[sd.mass > 0.0])
-            self._typ_cache[id(law)] = out
-        return out
-
-    def context_table(self, law: Channel, useqs: np.ndarray) -> np.ndarray:
-        """Masses of ``law``'s truncated typical law given each row of
-        ``useqs``, one row per context over all sequences (lexicographic):
-        :func:`~wtmac.probkit.truncated_typical_dist` given that row, to the
-        bit.  The contexts the cache misses take one typicality test per
-        block of whole contexts whose sequences fit ``ROW_BLOCK_CELLS``
-        cells (at least one context), one context per row over the block's
-        contexts times all sequences.  Raises
-        :class:`DegenerateTypicalityError` when a typical set is empty."""
-        cache = self._ctx_cache.setdefault(id(law), {})
-        missing = {useq.tobytes(): useq for useq in useqs
-                   if useq.tobytes() not in cache}
-        if missing:
-            seqs = all_sequences(law.output_alphabet.size, self.n)
-            contexts = np.array(list(missing.values()))
-            table = np.empty((len(contexts), len(seqs)))
-            step = max(ROW_BLOCK_CELLS // seqs.size, 1)
-            for lo in range(0, len(contexts), step):
-                block = contexts[lo:lo + step]
-                ctx = np.repeat(block, len(seqs), axis=0)
-                stacked = np.tile(seqs, (len(block), 1))
-                mask = _typical_rows(law.matrix, ctx, stacked,
-                                     self.delta).reshape(len(block), -1)
-                probs = np.prod(law.matrix[ctx, stacked],
-                                axis=1).reshape(len(block), -1)
-                # per row, the sum of its typical masses that the
-                # one-context law takes, in the same order
-                totals = np.array([p[keep].sum()
-                                   for p, keep in zip(probs, mask)])
-                if not (totals > 0.0).all():
-                    raise DegenerateTypicalityError(
-                        f"empty {self.delta}-typical set at blocklength "
-                        f"{self.n}")
-                table[lo:lo + step] = (np.where(mask, probs, 0.0)
-                                       / totals[:, None])
-            cache.update(zip(missing, table))
-        return np.array([cache[useq.tobytes()] for useq in useqs])
-
-    def support_given(self, law: Channel, useq: np.ndarray):
-        """Support of ``law``'s truncated typical law given ``useq`` and its
-        masses, both in lexicographic order: one :meth:`context_table`
-        row."""
-        mass = self.context_table(law, useq[None])[0]
-        ranks = np.flatnonzero(mass)
-        return (_sequences(ranks, law.output_alphabet.size, self.n),
-                mass[ranks])
-
-    def theta_uy(self, useq, yseq):
-        """Exact reference measure given (u, y), cut to its support, that
-        support, and the typical-x average of the inner rows zeroed off E2
-        (the term of y in :meth:`theta_u`)."""
-        key = (useq.tobytes(), yseq.tobytes())
-        if key not in self._uy_cache:
-            self.fill_uy(useq, yseq[None, :])
-        return self._uy_cache[key]
-
-    def fill_uy(self, useq, ys) -> None:
-        """Fill the :meth:`theta_uy` entries of the rows of ``ys`` given
-        ``useq`` that the cache misses.  Per block of whole ys that fits
-        ``ROW_BLOCK_CELLS`` cells: one channel-row call over the typical xs
-        times those ys (y-major) and one typicality test of their output
-        masks given (y, u), one context per row; then one dot per y."""
-        by_key = {(useq.tobytes(), yseq.tobytes()): yseq for yseq in ys}
-        keys = [key for key in by_key if key not in self._uy_cache]
-        if not keys:
-            return
-        ys = np.array([by_key[key] for key in keys])
-        xs, probs = self.support_given(self.chain.x_given_u, useq)
+    def uy_refs(self, useq, x_mass, ys):
+        """The (u, y) references given ``useq`` of the rows of ``ys``, each
+        cut to its support, those supports f1, and the typical-x averages of
+        the inner rows zeroed off E2 (the terms of :meth:`u_ref`), as three
+        (len(ys), |Z|^n) arrays; ``x_mass`` is the x law given ``useq``.
+        Per block of whole ys that fits ``ROW_BLOCK_CELLS`` cells: one
+        channel-row call over the typical xs times those ys (y-major) and
+        one typicality test of their output masks given (y, u), one context
+        per row; then one dot per y."""
+        ranks = np.flatnonzero(x_mass)
+        xs, probs = _sequences(ranks, self.nx, self.n), x_mass[ranks]
         ctx, _ = zip_sequences(ys, np.broadcast_to(useq, ys.shape),
                                [self.ny, self.nu])
+        theta = np.empty((len(ys), len(self.zs)))
+        f1 = np.empty(theta.shape, dtype=bool)
+        terms = np.empty(theta.shape)
         for block, part in self.pair_blocks(len(ys), len(xs)):
-            count = len(keys[part])
+            count = len(ys[part])
             rows = _channel_rows(self.we, np.tile(xs, (count, 1)),
                                  np.repeat(ys[part], len(xs), axis=0), self.ny)
             zy = _typical_rows(self.z_given_yu.matrix,
                                np.repeat(ctx[part], len(self.zs), axis=0),
                                np.tile(self.zs, (count, 1)),
                                2 * self.nx * self.delta).reshape(count, -1)
-            for key, zy_mask, y_rows in zip(keys[part], zy,
-                                            rows.reshape(count, len(xs), -1)):
+            for i, zy_mask, y_rows in zip(range(len(ys))[part], zy,
+                                          rows.reshape(count, len(xs), -1)):
                 capped = y_rows <= self.cap
-                theta_hat, f1 = _cut(probs @ (y_rows * (zy_mask & capped)),
-                                     zy_mask,
-                                     self.eps / max(int(zy_mask.sum()), 1))
-                self._uy_cache[key] = (theta_hat, f1,
-                                       probs @ (y_rows * (f1 & capped)))
+                theta[i], f1[i] = _cut(probs @ (y_rows * (zy_mask & capped)),
+                                       zy_mask,
+                                       self.eps / max(int(zy_mask.sum()), 1))
+                terms[i] = probs @ (y_rows * (f1[i] & capped))
+        return theta, f1, terms
 
-    def theta_u(self, useq):
+    def u_ref(self, useq, y_probs, terms):
         """Exact reference measure given u alone (pairs enumerated), cut to
-        its support, and that support."""
-        key = useq.tobytes()
-        out = self._u_cache.get(key)
-        if out is None:
-            theta = np.zeros(self.nz ** self.n)
-            ys, yp = self.support_given(self.chain.y_given_u, useq)
-            self.fill_uy(useq, ys)
-            for yseq, pyv in zip(ys, yp):
-                theta += pyv * self.theta_uy(useq, yseq)[2]
-            zmask = _typical_rows(self.z_given_u.matrix, useq, self.zs,
-                                  3 * self.ny * self.nx * self.delta)
-            out = _cut(theta, zmask, self.eps / max(int(zmask.sum()), 1))
-            self._u_cache[key] = out
-        return out
+        its support, and that support: the :meth:`uy_refs` ``terms`` of the
+        typical ys given ``useq``, weighted by their masses ``y_probs`` and
+        summed in lexicographic y order."""
+        theta = np.zeros(len(self.zs))
+        for pyv, term in zip(y_probs, terms):
+            theta += pyv * term
+        zmask = _typical_rows(self.z_given_u.matrix, useq, self.zs,
+                              3 * self.ny * self.nx * self.delta)
+        return _cut(theta, zmask, self.eps / max(int(zmask.sum()), 1))
 
     def outer_rows(self, xs, ys) -> np.ndarray:
         """Output rows of the pairs (``xs``, ``ys``), zeroed off E3:
@@ -295,12 +221,18 @@ class _Workspace:
         to its support, and that support.  Each typical (u, y, x) triple
         adds the weight p(u) p(y|u) p(x|u) to its pair's rank
         rank_y |X|^n + rank_x; each distinct pair's row is built once."""
-        useqs, pu = self.typical_given(self.chain.p_u)
-        x_table = self.context_table(self.chain.x_given_u, useqs)
-        y_table = self.context_table(self.chain.y_given_u, useqs)
+        u_mass = _truncated_laws(self.chain.p_u.mass[None, :],
+                                 np.zeros((1, self.n), dtype=np.int64),
+                                 self.delta)[0]
+        u_ranks = np.flatnonzero(u_mass)
+        useqs = _sequences(u_ranks, self.nu, self.n)
+        x_table = _truncated_laws(self.chain.x_given_u.matrix, useqs,
+                                  self.delta)
+        y_table = _truncated_laws(self.chain.y_given_u.matrix, useqs,
+                                  self.delta)
         size_x = x_table.shape[1]
         ranks, weights = [], []
-        for pu_v, x_mass, y_mass in zip(pu, x_table, y_table):
+        for pu_v, x_mass, y_mass in zip(u_mass[u_ranks], x_table, y_table):
             xr, yr = np.flatnonzero(x_mass), np.flatnonzero(y_mass)
             ranks.append((yr[:, None] * size_x + xr).ravel())
             weights.append(((pu_v * y_mass[yr])[:, None] * x_mass[xr]).ravel())
@@ -311,7 +243,7 @@ class _Workspace:
         y_ranks, x_ranks = np.divmod(pairs, size_x)
         xs = _sequences(x_ranks, self.nx, self.n)
         ys = _sequences(y_ranks, self.ny, self.n)
-        theta = np.zeros(self.nz ** self.n)
+        theta = np.zeros(len(self.zs))
         for block, _ in self.pair_blocks(len(pairs), 1):
             terms = weight[block, None] * self.outer_rows(xs[block], ys[block])
             # theta, then each pair's term in pair order: a sequential fold,
@@ -342,6 +274,12 @@ def _sequences(ranks: np.ndarray, size: int, n: int) -> np.ndarray:
     """The length-n sequences over {0..size-1} of lexicographic ``ranks``,
     shape (len(ranks), n)."""
     return np.stack(np.unravel_index(ranks, (size,) * n), axis=1)
+
+
+def _runs(labels: np.ndarray, count: int) -> list:
+    """The slice of each label 0..count-1's run in the sorted ``labels``."""
+    bounds = np.searchsorted(labels, np.arange(count + 1))
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _cut(theta: np.ndarray, mask: np.ndarray, floor: float):
@@ -415,14 +353,16 @@ def _pair_checks(ws: _Workspace, fams) -> list:
 
     Each (family, shared index a) group holds l1 x l2 (x, y) pairs, b-major.
     One typicality test of all pairs gives the typical counts.  The x laws
-    (and in Case 1 the y laws) given every distinct u come from one context
-    table each; the (u, y) references are then filled per distinct u, in
-    Case 1 over every typical y (:meth:`_Workspace.theta_u` reads them).
-    Rows come in blocks of whole groups that fit ``ROW_BLOCK_CELLS``; each
-    group's means are axis reductions of its block, and its corridor test
-    (width eps for Case-2 inner means, 3 eps for Case-1 pair means) feeds
-    both its own check and the family means, which are then checked against
-    an estimated reference."""
+    (and in Case 1 the y laws) given every distinct u come from one law
+    table each.  Sequences are keyed by integer ranks: per distinct u, one
+    :meth:`_Workspace.uy_refs` call computes the references of its distinct
+    partner ys, in Case 1 with every typical y given it, which
+    :meth:`_Workspace.u_ref` folds; the results are scattered to the groups
+    by index.  Rows come in blocks of whole groups that fit
+    ``ROW_BLOCK_CELLS``; each group's means are axis reductions of its
+    block, and its corridor test (width eps for Case-2 inner means, 3 eps
+    for Case-1 pair means) feeds both its own check and the family means,
+    which are then checked against an estimated reference."""
     l0, l1, l2 = fams[0].l_sizes
     n, size = ws.n, ws.nz ** ws.n
     us = np.stack([fam.u[0] for fam in fams]).reshape(-1, n)
@@ -437,23 +377,37 @@ def _pair_checks(ws: _Workspace, fams) -> list:
     star_fail = int((good.reshape(groups, l1, l2).sum(axis=1)
                      < ws.typical_fraction_threshold(l1)).sum())
 
-    by_u = {}
-    for useq, partners in zip(us, ys):
-        by_u.setdefault(useq.tobytes(), (useq, []))[1].append(partners)
-    # the x laws, and in Case 1 the y laws, given every distinct u at once
-    distinct = np.array([useq for useq, _ in by_u.values()])
-    ws.context_table(ws.chain.x_given_u, distinct)
+    # the distinct us and, per u, the distinct (u, y) keys by rank: its
+    # partners and, in Case 1, every typical y given it
+    _, first, u_of = np.unique(np.ravel_multi_index(us.T, (ws.nu,) * n),
+                               return_index=True, return_inverse=True)
+    distinct = us[first]
+    x_table = _truncated_laws(ws.chain.x_given_u.matrix, distinct, ws.delta)
+    y_space = ws.ny ** n
+    keys = [np.repeat(u_of, l2) * y_space
+            + np.ravel_multi_index(ys.reshape(-1, n).T, (ws.ny,) * n)]
     if l2 > 1:
-        ws.context_table(ws.chain.y_given_u, distinct)
-    for useq, partners in by_u.values():
-        if l2 > 1:
-            partners.append(ws.support_given(ws.chain.y_given_u, useq)[0])
-        ws.fill_uy(useq, np.concatenate(partners))
-    refs, f1 = (np.array(v).reshape(groups, l2, size) for v in zip(
-        *(ws.theta_uy(useq, y)[:2] for useq, partners in zip(us, ys)
-          for y in partners)))
+        y_table = _truncated_laws(ws.chain.y_given_u.matrix, distinct,
+                                  ws.delta)
+        typ_u, typ_y = np.nonzero(y_table)
+        keys.append(typ_u * y_space + typ_y)
+    keys, key_of = np.unique(np.concatenate(keys), return_inverse=True)
+    key_u, key_y = np.divmod(keys, y_space)
+    key_ys = _sequences(key_y, ws.ny, n)
+    theta, f1, terms = (np.empty((len(keys), size), dtype=t)
+                        for t in (float, bool, float))
+    for useq, x_mass, part in zip(distinct, x_table,
+                                  _runs(key_u, len(distinct))):
+        theta[part], f1[part], terms[part] = ws.uy_refs(useq, x_mass,
+                                                        key_ys[part])
+    refs, f1 = (v[key_of[:groups * l2]].reshape(groups, l2, size)
+                for v in (theta, f1))
     if l2 > 1:
-        ref_u, f2 = map(np.array, zip(*map(ws.theta_u, us)))
+        # each u's typical ys, lexicographic within its run
+        typical, y_probs = key_of[groups * l2:], y_table[typ_u, typ_y]
+        ref_u, f2 = (np.array(v)[u_of] for v in zip(*(
+            ws.u_ref(useq, y_probs[part], terms[typical[part]])
+            for useq, part in zip(distinct, _runs(typ_u, len(distinct))))))
     mean = np.empty((groups, size))
     out = np.empty((groups, size), dtype=bool)
     inner_fail = np.zeros(size, dtype=np.int64)

@@ -561,7 +561,8 @@ def n_fold(ch: Channel, n: int) -> Channel:
 _BLOCK_CELLS = 1 << 14
 # Proposals the rejection sampler makes before it gives up.
 _MAX_TRIES = 100_000
-# Uniforms one stacked sampling round tests, about 4 MB.
+# Cells of one stacked window, about 4 MB: the uniforms one sampling round
+# tests, or the sequences one window of truncated laws tests.
 _WINDOW_CELLS = 1 << 19
 
 
@@ -661,24 +662,46 @@ def typical_mask(law, delta: float, n: int, context=None) -> np.ndarray:
                          delta)
 
 
+def _truncated_laws(matrix: np.ndarray, contexts: np.ndarray,
+                    delta: float) -> np.ndarray:
+    """Masses of the truncated typical law of ``matrix[b, a] = P(a|b)``
+    given each row of ``contexts`` (shape (m, n)): the i.i.d. law conditioned
+    and renormalized on its delta-typical set, one row per context over all
+    |A|^n sequences (lexicographic).  The (context, sequence) pairs are
+    tested in windows of ``_WINDOW_CELLS`` cells, and each row is normalized
+    by the sum of its own typical masses, so every row is the same in any
+    stack.  This is the library's one truncated law.  Raises
+    :class:`DegenerateTypicalityError` when a typical set is empty."""
+    m, n = contexts.shape
+    seqs = all_sequences(matrix.shape[1], n)
+    probs = np.empty((m, len(seqs)))
+    mask = np.empty(probs.shape, dtype=bool)
+    step = max(_WINDOW_CELLS // n, 1)
+    for lo in range(0, probs.size, step):
+        rows, cols = np.divmod(np.arange(lo, min(lo + step, probs.size)),
+                               len(seqs))
+        ctx, seq = contexts[rows], seqs[cols]
+        mask.reshape(-1)[lo:lo + step] = _typical_rows(matrix, ctx, seq, delta)
+        probs.reshape(-1)[lo:lo + step] = np.prod(matrix[ctx, seq], axis=1)
+    totals = np.array([p[keep].sum() for p, keep in zip(probs, mask)])
+    if not (totals > 0.0).all():
+        raise DegenerateTypicalityError(
+            f"empty {delta}-typical set at blocklength {n}")
+    probs[~mask] = 0.0
+    probs /= totals[:, None]
+    return probs
+
+
 def truncated_typical_dist(law, n: int, delta: float, context=None) -> SequenceDist:
     """The i.i.d. law conditioned and renormalized on its delta-typical set.
 
     ``law`` is a :class:`Dist` (unconditional) or a :class:`Channel` with a
-    conditioning ``context`` sequence.  Raises
-    :class:`DegenerateTypicalityError` when the typical set is empty.
+    conditioning ``context`` sequence: one row of :func:`_truncated_laws`.
+    Raises :class:`DegenerateTypicalityError` when the typical set is empty.
     """
     matrix, context, alphabet = _sequence_law(law, n, context)
-    seqs = all_sequences(matrix.shape[1], n)
-    mask = _typical_rows(matrix, context, seqs, delta)
-    probs = np.prod(matrix[context[None, :], seqs], axis=1)
-    total = float(probs[mask].sum())
-    if total <= 0.0:
-        raise DegenerateTypicalityError(
-            f"empty {delta}-typical set at blocklength {n}"
-        )
-    out = np.where(mask, probs, 0.0) / total
-    return SequenceDist(alphabet, n, out)
+    return SequenceDist(alphabet, n,
+                        _truncated_laws(matrix, context[None, :], delta)[0])
 
 
 def _inverse_cdf(matrix: np.ndarray) -> np.ndarray:

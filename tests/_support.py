@@ -31,6 +31,7 @@ from wtmac.probkit import (
     _draw,
     _inverse_cdf,
     _sequence_law,
+    _truncated_laws,
     _typical_rows,
     mutual_information,
     truncated_typical_dist,
@@ -709,16 +710,35 @@ def reference_z_mask(ws, useq, yseq):
 def reference_typical_given(ws, law, useq=None):
     """Support of ``law``'s truncated typical law (given ``useq`` for a
     channel) and its masses, lexicographic, from one
-    :func:`truncated_typical_dist` call: the reference for
-    ``_Workspace.context_table`` that the workspace references read."""
+    :func:`truncated_typical_dist` call: the reference for the rows of
+    ``probkit._truncated_laws`` that the workspace references read."""
     sd = truncated_typical_dist(law, ws.n, ws.delta, useq)
     return sd.support(), sd.mass[sd.mass > 0.0]
+
+
+def workspace_uy(ws, useq, ys):
+    """The workspace's (u, y) references, supports and typical-x terms of
+    the rows of ``ys`` given ``useq``, as ``_pair_checks`` computes them,
+    from the x law given ``useq`` alone."""
+    x_mass = _truncated_laws(ws.chain.x_given_u.matrix, useq[None],
+                             ws.delta)[0]
+    return ws.uy_refs(useq, x_mass, ys)
+
+
+def workspace_u(ws, useq):
+    """The workspace's per-u reference and its support, folded from the
+    terms of every typical y given ``useq`` (lexicographic)."""
+    y_mass = _truncated_laws(ws.chain.y_given_u.matrix, useq[None],
+                             ws.delta)[0]
+    ranks = np.flatnonzero(y_mass)
+    ys = np.stack(np.unravel_index(ranks, (ws.ny,) * ws.n), axis=1)
+    return ws.u_ref(useq, y_mass[ranks], workspace_uy(ws, useq, ys)[2])
 
 
 def reference_theta_uy(ws, useq, yseq):
     """The (u, y) reference measure one inner sequence x at a time, before
     its cut, and the typical output mask given (y, u): the reference for
-    ``_Workspace.theta_uy``."""
+    ``_Workspace.uy_refs``."""
     xs, xp = reference_typical_given(ws, ws.chain.x_given_u, useq)
     zy = reference_z_mask(ws, useq, yseq)
     theta = np.zeros(ws.nz ** ws.n)
@@ -754,14 +774,14 @@ def reference_pair_mean(ws, fam, a):
     :func:`pair_mean`."""
     _, l1, l2 = fam.l_sizes
     useq = fam.u[0, a]
-    theta_hat_u, f2 = ws.theta_u(useq)
+    theta_hat_u, f2 = workspace_u(ws, useq)
     mean = np.zeros_like(theta_hat_u)
     for b in range(l1):
         for c in range(l2):
             xseq = fam.x[0, a, 0, b]
             yseq = fam.y[0, a, 0, c]
             row = reference_channel_row(ws.we, xseq, yseq, ws.ny)
-            _, f1 = ws.theta_uy(useq, yseq)[:2]
+            f1 = workspace_uy(ws, useq, yseq[None])[1][0]
             e0 = reference_z_mask(ws, useq, yseq) & (row <= ws.cap) & f1 & f2
             mean += row * e0
     mean /= l1 * l2
@@ -781,7 +801,7 @@ def inner_mean(ws, useq, xs, yseq):
     """Average row of the inner sequences ``xs`` given (u, y), zeroed off
     E2 (probability-capped, on the support of the (u, y) reference, which
     lies inside the typical set given (y, u)), and that reference."""
-    theta_hat, f1, _ = ws.theta_uy(useq, yseq)
+    theta_hat, f1, _ = (v[0] for v in workspace_uy(ws, useq, yseq[None]))
     rows = _channel_rows(ws.we, xs, yseq, ws.ny)
     return (rows * (f1 & (rows <= ws.cap))).mean(axis=0), theta_hat
 
@@ -791,9 +811,9 @@ def pair_mean(ws, fam, a):
     per-u reference it concentrates around."""
     _, l1, l2 = fam.l_sizes
     useq = fam.u[0, a]
-    theta_hat_u, f2 = ws.theta_u(useq)
+    theta_hat_u, f2 = workspace_u(ws, useq)
     ys = fam.y[0, a, 0]
-    f1 = np.array([ws.theta_uy(useq, yseq)[1] for yseq in ys])
+    f1 = workspace_uy(ws, useq, ys)[1]
     # pairs (b, c) in b-major order
     rows = _channel_rows(ws.we, np.repeat(fam.x[0, a, 0], l2, axis=0),
                          np.tile(ys, (l1, 1)), ws.ny)
@@ -804,12 +824,12 @@ def pair_mean(ws, fam, a):
 def reference_theta_u(ws, useq):
     """The per-u reference measure built from its own inner rows, one typical
     y at a time, before its cut, and the typical output mask given u: the
-    reference for ``_Workspace.theta_u``."""
+    reference for ``_Workspace.u_ref``."""
     xs, xp = reference_typical_given(ws, ws.chain.x_given_u, useq)
     ys, yp = reference_typical_given(ws, ws.chain.y_given_u, useq)
     theta = np.zeros(ws.nz ** ws.n)
     for yseq, pyv in zip(ys, yp):
-        f1 = ws.theta_uy(useq, yseq)[1]
+        f1 = workspace_uy(ws, useq, yseq[None])[1][0]
         rows = _channel_rows(ws.we, xs, yseq, ws.ny)
         theta += pyv * (xp @ (rows * (f1 & (rows <= ws.cap))))
     zmask = typical_mask(ws.z_given_u, 3 * ws.ny * ws.nx * ws.delta, ws.n,

@@ -28,6 +28,8 @@ from _support import (
     reference_typical_given,
     reference_z_mask,
     sequence_mass,
+    workspace_u,
+    workspace_uy,
 )
 from wtmac.codesim import (
     DEFAULT_SLACK,
@@ -68,7 +70,7 @@ from wtmac.probkit import (
     typical_membership,
     zip_sequences,
 )
-from wtmac import concentration
+from wtmac import concentration, probkit
 from wtmac.concentration import ConcentrationReport, _Workspace, _check
 from wtmac.regions import (
     CaseLabel,
@@ -1154,13 +1156,20 @@ class TestConcentrationContract:
         chain = TestConcentration().chain(seed=134)
         n, delta = 5, 0.35
         ws = _Workspace(chain, n, delta, 0.3)
-        useqs, pu = ws.typical_given(chain.p_u)
+
+        def support(size, mass):
+            ranks = np.flatnonzero(mass)
+            return all_sequences(size, n)[ranks], mass[ranks]
+
+        useqs, pu = support(ws.nu, probkit._truncated_laws(
+            chain.p_u.mass[None, :], np.zeros((1, n), dtype=int), delta)[0])
         law = truncated_typical_dist(chain.p_u, n, delta)
         assert len(useqs) == int((law.mass > 0).sum())
         assert [float(m) for m in pu] == [sequence_mass(law, s) for s in useqs]
-        for useq in useqs:
-            for given in (chain.x_given_u, chain.y_given_u):
-                seqs, masses = ws.support_given(given, useq)
+        for given in (chain.x_given_u, chain.y_given_u):
+            table = probkit._truncated_laws(given.matrix, useqs, delta)
+            for useq, mass in zip(useqs, table):
+                seqs, masses = support(given.output_alphabet.size, mass)
                 law = truncated_typical_dist(given, n, delta, useq)
                 assert len(seqs) == int((law.mass > 0).sum())
                 assert [float(m) for m in masses] \
@@ -1183,6 +1192,47 @@ def random_chains(draw):
 
 CHAIN_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                           database=None)
+
+
+class TestTruncatedLaws:
+    """The stacked truncated-law kernel against one-row
+    ``truncated_typical_dist`` calls and the per-sequence definition."""
+
+    @staticmethod
+    def check_rows(law, matrix, contexts, n, delta):
+        seqs = all_sequences(matrix.shape[1], n)
+        try:
+            want = np.array([truncated_typical_dist(law, n, delta, c).mass
+                             for c in contexts]) if isinstance(law, Channel) \
+                else truncated_typical_dist(law, n, delta).mass[None, :]
+        except DegenerateTypicalityError:
+            with pytest.raises(DegenerateTypicalityError):
+                probkit._truncated_laws(matrix, contexts, delta)
+            return
+        got = probkit._truncated_laws(matrix, contexts, delta)
+        assert np.array_equal(got, want)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(probkit, "_WINDOW_CELLS", 1)
+            assert np.array_equal(
+                probkit._truncated_laws(matrix, contexts, delta), want)
+        for context, row in zip(contexts, got):
+            given = context if isinstance(law, Channel) else None
+            typical = np.array([typical_membership(law, s, delta, given)
+                                for s in seqs])
+            probs = np.prod(matrix[context, seqs], axis=1) * typical
+            assert np.allclose(row, probs / probs.sum(), rtol=0.0, atol=1e-15)
+
+    @CHAIN_SETTINGS
+    @given(random_chains(), st.integers(1, 3), st.sampled_from([0.25, 0.45]))
+    def test_rows_match_per_context_laws(self, chain, n, delta):
+        # every context of the x and y laws, and the law of u as one row
+        # under the all-zero context; windows of one (context, sequence)
+        # pair give the same
+        contexts = all_sequences(chain.p_u.alphabet.size, n)
+        for law in (chain.x_given_u, chain.y_given_u):
+            self.check_rows(law, law.matrix, contexts, n, delta)
+        self.check_rows(chain.p_u, chain.p_u.mass[None, :],
+                        np.zeros((1, n), dtype=np.int64), n, delta)
 
 
 class TestProfileReaders:
@@ -1231,7 +1281,7 @@ class TestWorkspaceReferences:
 
     @staticmethod
     def check_theta_uy(ws, useq, yseq):
-        theta_hat, f1 = ws.theta_uy(useq, yseq)[:2]
+        theta_hat, f1 = (v[0] for v in workspace_uy(ws, useq, yseq[None])[:2])
         theta, zy = reference_theta_uy(ws, useq, yseq)
         cut = ws.eps / max(int(zy.sum()), 1)
         far = np.abs(theta - cut) > 1e-12
@@ -1247,7 +1297,7 @@ class TestWorkspaceReferences:
             mean, ref = pair_mean(ws, fam, a)
             want, want_ref = reference_pair_mean(ws, fam, a)
             assert np.allclose(mean, want, rtol=0.0, atol=1e-14)
-            assert ref is want_ref
+            assert np.array_equal(ref, want_ref)
 
     # n * delta = 1 keeps every typical set non-empty: rounding n * P to
     # counts is off by less than 1 per symbol
@@ -1284,26 +1334,25 @@ class TestWorkspaceReferences:
         assert not zy.all()
         self.check_inner_and_pair_rows(ws, fam)
 
-    # the ys one u's fill reads in _pair_checks: its partners (Case 2), or
-    # its partners and every typical y given it (Case 1)
+    # the ys one u's uy_refs call reads in _pair_checks: its partners
+    # (Case 2), or its partners and every typical y given it (Case 1)
     def check_stacked_fill(self, chain, n, delta, fam):
-        """Fills one u's ys at once and compares every entry with the
-        per-key path and the reference; returns the ys' typical output
+        """Computes one u's ys at once and compares every row with the
+        one-y call and the reference; returns the ys' typical output
         masks."""
-        stacked = _Workspace(chain, n, delta, 0.3)
-        per_key = _Workspace(chain, n, delta, 0.3)
+        ws = _Workspace(chain, n, delta, 0.3)
         masks = []
         for useq, partners in zip(fam.u[0], fam.y[0, :, 0]):
             ys = partners if fam.l_sizes[2] == 1 else np.concatenate(
                 [partners,
-                 reference_typical_given(stacked, chain.y_given_u, useq)[0]])
-            stacked.fill_uy(useq, ys)
-            for yseq in ys:
-                got = stacked._uy_cache[(useq.tobytes(), yseq.tobytes())]
-                want = per_key.theta_uy(useq, yseq)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
-                self.check_theta_uy(stacked, useq, yseq)
-                masks.append(reference_z_mask(stacked, useq, yseq))
+                 reference_typical_given(ws, chain.y_given_u, useq)[0]])
+            stacked = workspace_uy(ws, useq, ys)
+            for k, yseq in enumerate(ys):
+                want = workspace_uy(ws, useq, yseq[None])
+                assert all(np.array_equal(g[k], w[0])
+                           for g, w in zip(stacked, want))
+                self.check_theta_uy(ws, useq, yseq)
+                masks.append(reference_z_mask(ws, useq, yseq))
         return masks
 
     @CHAIN_SETTINGS
@@ -1325,25 +1374,24 @@ class TestWorkspaceReferences:
     @CHAIN_SETTINGS
     @given(random_chains())
     def test_context_table_matches_per_context_laws(self, chain):
-        # every context at n = 3, each law in one stacked test; a second
-        # call, in reverse order, reads the cached rows, and blocks of one
-        # context each give the same table
+        # every context at n = 3, each law in one stacked table; the
+        # contexts in reverse order give the rows in reverse order, and
+        # windows of one (context, sequence) pair give the same table
         n, delta = 3, 0.45
-        ws = _Workspace(chain, n, delta, 0.3)
-        useqs = all_sequences(ws.nu, n)
+        useqs = all_sequences(chain.p_u.alphabet.size, n)
         for law in (chain.x_given_u, chain.y_given_u):
-            table = ws.context_table(law, useqs)
+            table = probkit._truncated_laws(law.matrix, useqs, delta)
             for useq, row in zip(useqs, table):
                 want = truncated_typical_dist(law, n, delta, useq).mass
                 assert np.array_equal(row > 0.0, want > 0.0)
                 assert np.allclose(row, want, rtol=0.0, atol=1e-15)
-            assert np.array_equal(ws.context_table(law, useqs[::-1]),
-                                  table[::-1])
+            assert np.array_equal(
+                probkit._truncated_laws(law.matrix, useqs[::-1], delta),
+                table[::-1])
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(concentration, "ROW_BLOCK_CELLS", 1)
-                blocked = _Workspace(chain, n, delta, 0.3)
-                assert np.array_equal(blocked.context_table(law, useqs),
-                                      table)
+                patch.setattr(probkit, "_WINDOW_CELLS", 1)
+                assert np.array_equal(
+                    probkit._truncated_laws(law.matrix, useqs, delta), table)
 
     def test_context_table_refuses_an_empty_typical_set(self):
         # at n = 3 and delta = 0.01 the x law (0.3, 0.7) given u = 1 has no
@@ -1353,15 +1401,15 @@ class TestWorkspaceReferences:
         chain = CodeChain(Dist.uniform(2),
                           Channel.from_matrix([[1.0, 0.0], [0.3, 0.7]]),
                           Channel.identity(2), mac)
-        ws = _Workspace(chain, 3, 0.01, 0.3)
         zeros = np.zeros((1, 3), dtype=np.int64)
         ones = np.ones((1, 3), dtype=np.int64)
         with pytest.raises(DegenerateTypicalityError):
             truncated_typical_dist(chain.x_given_u, 3, 0.01, ones[0])
         for useqs in (ones, np.concatenate([zeros, ones])):
             with pytest.raises(DegenerateTypicalityError):
-                ws.context_table(chain.x_given_u, useqs)
-        assert np.array_equal(ws.context_table(chain.x_given_u, zeros),
+                probkit._truncated_laws(chain.x_given_u.matrix, useqs, 0.01)
+        assert np.array_equal(probkit._truncated_laws(chain.x_given_u.matrix,
+                                                      zeros, 0.01),
                               np.eye(1, 8))
 
     @CHAIN_SETTINGS
@@ -1370,7 +1418,7 @@ class TestWorkspaceReferences:
         ws = _Workspace(chain, 5, 0.2, 0.3)
         fam = sample_codebook_family(chain, 5, (3, 1, 1), 0.2, seed=seed)
         for useq in fam.u[0]:
-            theta_hat, f2 = ws.theta_u(useq)
+            theta_hat, f2 = workspace_u(ws, useq)
             theta, zmask = reference_theta_u(ws, useq)
             cut = ws.eps / max(int(zmask.sum()), 1)
             far = np.abs(theta - cut) > 1e-12
@@ -1420,37 +1468,56 @@ class TestPairChecks:
     @pytest.mark.parametrize("l_sizes", [(2, 2, 2), (3, 2, 3), (3, 2, 1),
                                          (1, 4, 1)])
     def test_each_family_mean_computed_once(self, monkeypatch, l_sizes):
-        # one stacked pass over all resamples: once a first pass has filled
-        # the theta_uy and theta_u caches, a second makes one typicality test
-        # and one channel-row call per cell-budget block, at any resample
-        # count; blocks of one (family, shared index) each, in the pass and
-        # in a cold fill, leave the checks unchanged
+        # one stacked pass over all resamples: one truncated-law table per
+        # law read, one uy_refs call per distinct u (and in Case 1 one u_ref
+        # call), and outside them one typicality test and one channel-row
+        # call per cell-budget block of groups, at any resample count;
+        # blocks of one (family, shared index) each leave the checks
+        # unchanged
         chain = TestConcentration().chain(seed=131)
         n, delta = 4, 0.45
 
         def counted_pass(ws, fams):
-            calls = {"_channel_rows": 0, "_typical_rows": 0}
+            calls = dict.fromkeys(("uy_refs", "u_ref", "_truncated_laws",
+                                   "_channel_rows", "_typical_rows"), 0)
+            inside = []
             with monkeypatch.context() as patch:
-                for name in calls:
-                    def counted(*args, _kernel=getattr(concentration, name),
-                                _name=name):
+                for name in ("uy_refs", "u_ref"):
+                    def method(self, *args, _method=getattr(_Workspace, name),
+                               _name=name):
                         calls[_name] += 1
+                        inside.append(_name)
+                        try:
+                            return _method(self, *args)
+                        finally:
+                            inside.pop()
+                    patch.setattr(_Workspace, name, method)
+                for name in ("_truncated_laws", "_channel_rows",
+                             "_typical_rows"):
+                    def kernel(*args, _kernel=getattr(concentration, name),
+                               _name=name):
+                        calls[_name] += not inside
                         return _kernel(*args)
-                    patch.setattr(concentration, name, counted)
+                    patch.setattr(concentration, name, kernel)
                 return concentration._pair_checks(ws, fams), calls
 
+        l0, _, l2 = l_sizes
         for resamples in (5, 50):
             ws = _Workspace(chain, n, delta, 0.3)
             fams = sample_codebook_families(chain, n, l_sizes, delta,
                                             [133 + 7919 * i
                                              for i in range(resamples)])
             first = concentration._pair_checks(ws, fams)
+            distinct = len({fam.u[0, a].tobytes() for fam in fams
+                            for a in range(l0)})
+            per_u = {"uy_refs": distinct, "u_ref": distinct if l2 > 1 else 0,
+                     "_truncated_laws": 1 + (l2 > 1)}
             assert counted_pass(ws, fams) == (
-                first, {"_channel_rows": 1, "_typical_rows": 1})
+                first, {**per_u, "_channel_rows": 1, "_typical_rows": 1})
             with monkeypatch.context() as patch:
                 patch.setattr(concentration, "ROW_BLOCK_CELLS", 1)
                 assert counted_pass(ws, fams) == (
-                    first, {"_channel_rows": resamples * l_sizes[0],
+                    first, {**per_u, "_channel_rows": resamples * l0,
                             "_typical_rows": 1})
                 cold = _Workspace(chain, n, delta, 0.3)
                 assert concentration._pair_checks(cold, fams) == first
@@ -1511,14 +1578,13 @@ class TestCase3Checks:
 
         monkeypatch.setattr(_Workspace, "outer_rows", counted_rows)
         contexts = []
-        law = concentration.truncated_typical_dist
+        laws = concentration._truncated_laws
 
-        def counted_law(*args):
-            contexts.append(args[3:])
-            return law(*args)
+        def counted_laws(matrix, ctx, delta):
+            contexts.append(len(ctx))
+            return laws(matrix, ctx, delta)
 
-        monkeypatch.setattr(concentration, "truncated_typical_dist",
-                            counted_law)
+        monkeypatch.setattr(concentration, "_truncated_laws", counted_laws)
         chain = TestConcentration().chain(seed=57)
         for l_sizes in ((3, 1, 1), (2, 2, 2)):
             draws.clear()
@@ -1527,20 +1593,22 @@ class TestCase3Checks:
             assert not rep.partial
             assert len(draws) == 1 and len(draws[0][4]) == 7
         # theta_case3 builds one row per distinct typical (x, y) pair, from
-        # the context tables: its only truncated law is the one of u
+        # three law tables: the law of u, and the x and y laws given every
+        # typical u
         ws = _Workspace(chain, 5, 0.35, 0.3)
         built.clear()
         contexts.clear()
         ws.theta_case3()
         pairs, triples = set(), 0
-        for useq in reference_typical_given(ws, chain.p_u)[0]:
+        useqs = reference_typical_given(ws, chain.p_u)[0]
+        for useq in useqs:
             xs = reference_typical_given(ws, chain.x_given_u, useq)[0]
             ys = reference_typical_given(ws, chain.y_given_u, useq)[0]
             pairs |= {(bytes(x), bytes(y)) for x in xs for y in ys}
             triples += len(xs) * len(ys)
         assert len(built) == len(pairs) < triples
         assert set(built) == pairs
-        assert contexts == [()]
+        assert contexts == [1, len(useqs), len(useqs)]
 
 
 class TestSimReport:
@@ -1668,6 +1736,31 @@ class TestBudgets:
         rep = concentration_report(fam, eps=0.3, resamples=2, seed=85)
         assert rep.partial and not rep.checks
         assert any("budget" in n for n in rep.notes)
+
+    @pytest.mark.parametrize("wide", ["u", "x", "y"])
+    def test_concentration_sequence_budget_refused_before_the_draw(
+            self, monkeypatch, wide):
+        # at n = 15 a 3-letter alphabet has 3^15 sequences, past
+        # all_sequences' budget, while the 2^15 outputs fit
+        rng = np.random.default_rng(86)
+        size = {k: 3 if k == wide else 2 for k in "uxy"}
+        mac = random_mac(rng, x=size["x"], y=size["y"])
+        chain = CodeChain(
+            Dist.uniform(size["u"]),
+            Channel.from_matrix(rng.dirichlet(np.ones(size["x"]),
+                                              size=size["u"])),
+            Channel.from_matrix(rng.dirichlet(np.ones(size["y"]),
+                                              size=size["u"])), mac)
+        fam = sample_codebook_family(chain, 15, (2, 1, 1), 0.3, seed=87)
+
+        def no_draw(*args):
+            raise AssertionError("resamples drawn before the budget check")
+
+        monkeypatch.setattr(concentration, "sample_codebook_families", no_draw)
+        rep = concentration_report(fam, eps=0.3, resamples=3, seed=88)
+        assert rep.partial and not rep.checks
+        assert rep.notes == ("budget exceeded: enumerating 14348907 "
+                             "sequences exceeds the budget",)
 
 
 class TestTimeSharing:

@@ -153,6 +153,60 @@ def test_library_reads_no_single_codeword():
     assert not found, found
 
 
+def test_concentration_keys_by_rank_not_bytes():
+    # The concentration checks group sequences by integer ranks
+    # (np.ravel_multi_index); no dict keyed by a sequence's bytes.
+    path = Path(wtmac.__file__).parent / "concentration.py"
+    found = list(_method_calls(ast.parse(path.read_text()), "tobytes"))
+    assert not found, found
+
+
+def _empty_set_raises(tree, owner=""):
+    """(innermost enclosing function, line) of every ``raise
+    DegenerateTypicalityError(...)`` in ``tree`` whose message names an
+    empty typical set; the function is "" at module level."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _empty_set_raises(node, node.name)
+            continue
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None)
+                == "DegenerateTypicalityError"):
+            text = "".join(c.value for c in ast.walk(node.exc)
+                           if isinstance(c, ast.Constant)
+                           and isinstance(c.value, str))
+            if "typical set" in text:
+                yield owner, node.lineno
+        yield from _empty_set_raises(node, owner)
+
+
+def test_empty_set_raise_detector():
+    code = ("def f(delta, n):\n"
+            "    raise DegenerateTypicalityError(\n"
+            "        f'empty {delta}-typical set at blocklength {n}')\n"
+            "def g(delta):\n"
+            "    raise DegenerateTypicalityError(f'no {delta}-typical draw')\n"
+            "class C:\n"
+            "    def h(self):\n"
+            "        if self:\n"
+            "            raise DegenerateTypicalityError('empty typical set')\n"
+            "        raise ValueError('empty typical set')\n"
+            "raise DegenerateTypicalityError('typical set')\n")
+    assert sorted(_empty_set_raises(ast.parse(code))) == [
+        ("", 11), ("f", 2), ("h", 9)]
+
+
+def test_one_truncated_law_kernel():
+    # One kernel, probkit._truncated_laws, normalizes a truncated typical
+    # law and refuses an empty typical set; truncated_typical_dist and the
+    # concentration workspace read its rows.
+    root = Path(wtmac.__file__).parent
+    found = [(path.name, owner)
+             for path in sorted(root.glob("*.py"))
+             for owner, _ in _empty_set_raises(ast.parse(path.read_text()))]
+    assert found == [("probkit.py", "_truncated_laws")], found
+
+
 def _calls_outside(tree, name, owner, method):
     """Line of every call of a ``name`` attribute in ``tree`` outside the
     method ``owner.method``."""
