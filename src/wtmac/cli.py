@@ -22,6 +22,7 @@ from .casestudy import (
     lessnoisy_gap,
 )
 from .codesim import (
+    SAMPLER_VERSION,
     build_wiretap_code,
     exact_leakage,
     leakage_chain_check,
@@ -188,6 +189,7 @@ def _cmd_leakage(args) -> dict:
         "chain_holds": chain.holds,
         "message_count": code.message_count,
         "n_total": code.n_total,
+        "sampler_version": SAMPLER_VERSION,
     }
 
 

@@ -38,10 +38,9 @@ from .probkit import (
     Dist,
     FactoredInput,
     JointDist,
-    ProposalStreams,
     WiretapMAC,
+    _CountBoxes,
     _WINDOW_CELLS,
-    _draw,
     _inverse_cdf,
     _typical_rows,
     all_sequences,
@@ -66,6 +65,9 @@ SIZE_CAP = 4096
 # Output cells of channel rows one per-symbol product pass writes (256 kB):
 # its writes stride by |Z|, so the block it sweeps |Z| times stays in cache.
 _ROW_CELLS = 1 << 15
+# The seeded streams of codebooks and Monte Carlo outputs: 1 drew them by
+# rejection and one trial at a time, 2 by count boxes and in one draw.
+SAMPLER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,9 @@ class CodebookFamily:
 
     Arrays: ``u`` has shape (K0, L0, n); ``x`` (K0, L0, K1, L1, n);
     ``y`` (K0, L0, K2, L2, n).  Every u is delta-typical and every private
-    sequence conditionally delta-typical given its u.  ``proposals`` counts
-    the rejection sampler's proposals behind u, x and y (0 for a family
-    built by hand); :meth:`to_csv` leaves it out.
+    sequence conditionally delta-typical given its u; a drawn family holds
+    exact draws of the truncated typical laws
+    (:func:`sample_codebook_families`).
     """
 
     chain: CodeChain
@@ -129,7 +131,6 @@ class CodebookFamily:
     u: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    proposals: int = 0
 
     def words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The u, x and y codewords of every (message, l-tuple) pair as
@@ -172,13 +173,15 @@ def sample_codebook_families(p, n: int, l_sizes: Sequence[int], delta: float,
                              k_sizes: Sequence[int] = (1, 1, 1)
                              ) -> list[CodebookFamily]:
     """Draw one codebook family per seed from the truncated typical laws of
-    ``p``, all families in lockstep.
+    ``p``.
 
     ``p`` is a factored input or a :class:`CodeChain`; per-sender sequences
     are conditionally independent given their shared sequence.  Each family
-    reads its own seed's proposal stream (a u, then the x's and the y's
-    under it), so it is the family :func:`sample_codebook_family` draws
-    from that seed.
+    reads its own seed's generator, all its uniforms in one call: per u,
+    then per x and per y (message-major), |B| + n uniforms, where |B| is 1
+    for u and |U| for x and y (:meth:`~wtmac.probkit._CountBoxes.draw`).
+    The u's, x's and y's of every family are then drawn in one kernel call
+    each, so a family is the same drawn alone or with others.
     """
     if n < 1:
         raise ValidationError(f"blocklength must be at least 1, got {n}")
@@ -189,20 +192,28 @@ def sample_codebook_families(p, n: int, l_sizes: Sequence[int], delta: float,
         raise ValidationError("codebook sizes must be positive")
     seeds = [int(s) for s in seeds]
     size = len(seeds)
-    streams = ProposalStreams([np.random.default_rng(s) for s in seeds], n)
-    u = np.empty((size, k0, l0, n), dtype=np.int64)
-    x = np.empty((size, k0, l0, k1, l1, n), dtype=np.int64)
-    y = np.empty((size, k0, l0, k2, l2, n), dtype=np.int64)
-    for a0 in range(k0):
-        for b0 in range(l0):
-            useqs = streams.sample(chain.p_u, delta, 1)[:, 0]
-            u[:, a0, b0] = useqs
-            x[:, a0, b0] = streams.sample(chain.x_given_u, delta, k1 * l1,
-                                          useqs).reshape(size, k1, l1, n)
-            y[:, a0, b0] = streams.sample(chain.y_given_u, delta, k2 * l2,
-                                          useqs).reshape(size, k2, l2, n)
+    laws = (chain.p_u.mass[None, :], chain.x_given_u.matrix,
+            chain.y_given_u.matrix)
+    # per family: K0*L0 u rows, then K1*L1 x rows and K2*L2 y rows per u
+    rows = [k0 * l0, k0 * l0 * k1 * l1, k0 * l0 * k2 * l2]
+    cuts = np.cumsum([r * (len(m) + n) for r, m in zip(rows, laws)])
+    draws = np.split(np.stack([np.random.default_rng(s).random(cuts[-1])
+                               for s in seeds]), cuts[:-1], axis=1)
+    u = _CountBoxes.build(laws[0], n, delta).draw(
+        np.zeros((size * rows[0], n), dtype=np.int64),
+        draws[0].reshape(size * rows[0], -1))
+    # one table per distinct law: senders that share X|U share it
+    x_boxes = _CountBoxes.build(laws[1], n, delta)
+    y_boxes = (x_boxes if np.array_equal(laws[1], laws[2])
+               else _CountBoxes.build(laws[2], n, delta))
+    x, y = (boxes.draw(np.repeat(u, r // rows[0], axis=0),
+                       d.reshape(size * r, -1))
+            for boxes, r, d in zip((x_boxes, y_boxes), rows[1:], draws[1:]))
+    u = u.reshape(size, k0, l0, n)
+    x = x.reshape(size, k0, l0, k1, l1, n)
+    y = y.reshape(size, k0, l0, k2, l2, n)
     return [CodebookFamily(chain, n, (k0, k1, k2), (l0, l1, l2), delta, seed,
-                           u[i], x[i], y[i], streams.used[i])
+                           u[i], x[i], y[i])
             for i, seed in enumerate(seeds)]
 
 
@@ -664,17 +675,20 @@ def average_error(code: WiretapCode, mode: str = "exact", trials: int = 2000,
         raise ValidationError("mode must be 'exact' or 'mc'")
     if trials < 1:
         raise ValidationError(f"Monte Carlo mode needs trials >= 1, got {trials}")
-    # per trial the index tuple, then one uniform per output symbol: the
-    # draws a per-symbol rng.choice makes, so the seeded stream is unchanged
+    # every trial's index tuple in one call, then one uniform per output
+    # symbol in one call, read through Bob's row in blocks of trials
     cdf = _inverse_cdf(code.chain.mac.bob.matrix)
     plan = code.decode_plan
     bases = plan.xs * code.chain.mac.y_alphabet.size + plan.ys
     rng = np.random.default_rng(seed)
-    picks = np.empty(trials, dtype=np.int64)
+    picks = rng.integers(0, len(bases), size=trials)
+    draws = rng.random((trials, code.n_total))
     outputs = np.empty((trials, code.n_total), dtype=np.int64)
-    for trial in range(trials):
-        picks[trial] = rng.integers(0, len(bases))
-        outputs[trial] = _draw(cdf[bases[picks[trial]]], rng)
+    step = max(_WINDOW_CELLS // (code.n_total * cdf.shape[1]), 1)
+    for lo in range(0, trials, step):
+        rows = cdf[bases[picks[lo:lo + step]]]
+        outputs[lo:lo + step] = (rows <= draws[lo:lo + step, :, None]).sum(
+            axis=2)
     decoded = _unique_hits(_typical_matrix(code, code.delta, outputs))
     message_ids = plan.message_ids
     decoded_msg = np.where(decoded >= 0, message_ids[decoded], -1)
@@ -803,6 +817,7 @@ class SimReport:
     n_total: int
     common_randomness_rate: float
     seed: int
+    sampler_version: int = SAMPLER_VERSION
 
     def to_json_dict(self) -> dict:
         out = dict(self.__dict__)

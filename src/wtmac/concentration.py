@@ -27,6 +27,7 @@ from .codesim import (
     CodebookFamily,
     DEFAULT_SLACK,
     DEFAULT_TAIL_EXPONENT,
+    SAMPLER_VERSION,
     _channel_rows,
     sample_codebook_families,
 )
@@ -331,6 +332,7 @@ def concentration_report(family: CodebookFamily, eps: float, *,
         "n": n, "l_sizes": list(family.l_sizes), "delta": family.delta,
         "eps": eps, "resamples": resamples, "slack": DEFAULT_SLACK,
         "tail_exponent": DEFAULT_TAIL_EXPONENT, "seed": seed,
+        "sampler_version": SAMPLER_VERSION,
     }
     try:
         ws = _Workspace(chain, n, family.delta, eps)

@@ -24,6 +24,7 @@ pure, so everything here is safe for concurrent read access.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -559,10 +560,9 @@ def n_fold(ch: Channel, n: int) -> Channel:
 # Count cells per bincount block; bounds the transient arrays of a count over
 # many sequences (typical masks, decodes) to about 128 kB each.
 _BLOCK_CELLS = 1 << 14
-# Proposals the rejection sampler makes before it gives up.
-_MAX_TRIES = 100_000
-# Cells of one stacked window, about 4 MB: the uniforms one sampling round
-# tests, or the sequences one window of truncated laws tests.
+# Cells of one stacked window, about 4 MB: the sequences one window of
+# truncated laws tests, or the output cells one block of Monte Carlo draws
+# compares.
 _WINDOW_CELLS = 1 << 19
 
 
@@ -599,7 +599,7 @@ def _typical_rows(matrix: np.ndarray, context: np.ndarray, seqs: np.ndarray,
 
     ``context`` is one (n,) sequence shared by all rows, or an (m, n) array
     of one per row; each row's decision is the same either way.  This is the
-    library's one pair count: membership, masks, the sampler, the
+    library's one pair count: membership, masks, the truncated laws, the
     concentration checks and the decoder all call it."""
     if delta <= 0:
         raise ValidationError("typicality needs delta > 0")
@@ -706,154 +706,120 @@ def truncated_typical_dist(law, n: int, delta: float, context=None) -> SequenceD
 
 def _inverse_cdf(matrix: np.ndarray) -> np.ndarray:
     """Per row of a stochastic matrix, the normalized cumulative sums that
-    :meth:`numpy.random.Generator.choice` draws from."""
+    one uniform each reads as a symbol: the count of entries <= it."""
     cdf = np.cumsum(matrix, axis=1)
     cdf /= cdf[:, -1:]
     return cdf
 
 
-def _draw(cdf_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One symbol per row of ``cdf_rows`` (rows of :func:`_inverse_cdf`), one
-    uniform each: bit for bit the draws, and the generator state after them,
-    of one ``rng.choice(size, p=row)`` per row in order."""
-    return (cdf_rows <= rng.random(len(cdf_rows))[:, None]).sum(axis=1)
+@dataclass(frozen=True)
+class _CountBoxes:
+    """The count-box table of ``matrix[b, a] = P(a|b)`` at (n, delta).
 
-
-class ProposalStreams:
-    """The rejection sampler's proposal streams over a stack of generators.
-
-    Proposal j of a generator is its uniforms [j*n, (j+1)*n), read as one
-    symbol per position by inverse CDF, and every sequence a stream yields
-    is its next accepted proposal: bit for bit the draws of one
-    ``rng.choice`` per symbol, one proposal after another.  :meth:`sample`
-    tests a window of proposals of all streams in one kernel call.
-    Uniforms are drawn ahead; :meth:`close` leaves each generator just
-    after its last used proposal, and ``used`` counts each stream's
-    proposals.
+    Counting typicality given a context constrains each context symbol b's
+    counts on their own: the count vector c of b's N(b) positions must lie
+    in b's box ``|c/n - P(.|b) * (N(b)/n)| <= delta``, the float expression
+    of :func:`_typical_rows`.  So the truncated typical law given a context
+    is, per context symbol, a count vector drawn by its multinomial mass
+    within the box, in a uniform arrangement over b's positions
+    (Csiszar-Korner, ch. 2).  ``counts`` lists every box vector that puts
+    no count on a zero-mass symbol, grouped by key b*(n+1) + N in ascending
+    order; ``mass`` is its multinomial mass normalized over its group,
+    ``cum`` its key plus its group's running mass (the group's last is
+    key + 1 exactly), and key k's group is ``counts[first[k]:first[k+1]]``.
     """
 
-    def __init__(self, rngs, n: int):
-        if n < 1:
-            raise ValidationError(f"blocklength must be at least 1, got {n}")
-        self.rngs = list(rngs)
-        self.n = n
-        self.used = [0] * len(self.rngs)
-        self._start = [g.bit_generator.state for g in self.rngs]
-        # buffered uniforms: row j of stream s is its proposal base[s] + j
-        self._buf = np.empty((len(self.rngs), 0, n))
-        self._base = [0] * len(self.rngs)
-        # per law id: the law (keeping its id), its inverse CDF, and the
-        # proposals tested and accepted so far, which size the windows
-        self._laws: dict = {}
+    n: int
+    delta: float
+    counts: np.ndarray
+    mass: np.ndarray
+    cum: np.ndarray
+    first: np.ndarray
 
-    def _window(self, active: list, width: int) -> np.ndarray:
-        """The uniforms of the next ``width`` proposals of each active
-        stream, shape (streams, width, n); refills every stream's buffer
-        with twice that many when one runs short."""
-        rel = [self.used[s] - self._base[s] for s in active]
-        if max(rel) + width > self._buf.shape[1]:
-            left = [self._buf.shape[1] - u + b
-                    for u, b in zip(self.used, self._base)]
-            buf = np.empty((len(self.rngs), max(2 * width, *left), self.n))
-            for s, g in enumerate(self.rngs):
-                buf[s, :left[s]] = self._buf[s, self._buf.shape[1] - left[s]:]
-                g.random(out=buf[s, left[s]:])
-            self._buf, self._base = buf, list(self.used)
-            rel = [0] * len(active)
-        if len(active) == 1:
-            return self._buf[active[0], rel[0]:rel[0] + width][None]
-        return self._buf[np.array(active)[:, None],
-                         np.array(rel)[:, None] + np.arange(width)]
+    @staticmethod
+    def build(matrix: np.ndarray, n: int, delta: float) -> "_CountBoxes":
+        if delta <= 0:
+            raise ValidationError("typicality needs delta > 0")
+        nb, na = matrix.shape
+        count = math.comb(n + na, na)
+        if count * matrix.size > CELL_BUDGET:
+            raise ResourceBudgetError(
+                f"count boxes of {na} symbols at blocklength {n} exceed the "
+                f"{CELL_BUDGET}-cell budget")
+        # stars and bars: |A| bars among n + |A| slots give every count
+        # vector of total <= n, lexicographic; then grouped by total
+        slots = itertools.combinations(range(n + na), na)
+        bars = np.fromiter(itertools.chain.from_iterable(slots), np.int64,
+                           count * na).reshape(count, na)
+        vecs = np.diff(bars, axis=1, prepend=-1) - 1
+        vecs = vecs[np.argsort(vecs.sum(axis=1), kind="stable")]
+        total = vecs.sum(axis=1)
+        dev = np.abs(vecs / n - matrix[:, None, :] * (total / n)[:, None])
+        box = ((dev <= delta) & ((vecs == 0) | (matrix[:, None, :] > 0))
+               ).all(axis=2)
+        log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
+        log_p = np.log(np.where(matrix > 0, matrix, 1.0))
+        mass = np.exp(np.where(box, log_fact[total] - log_fact[vecs].sum(axis=1)
+                               + log_p @ vecs.T, -np.inf))
+        # box entries b-major, then by total: ascending keys b*(n+1) + N
+        b, v = np.nonzero(box)
+        sums = np.add.reduceat(mass, np.searchsorted(total, np.arange(n + 1)),
+                               axis=1)
+        mass = mass[b, v] / sums[b, total[v]]
+        key = b * (n + 1) + total[v]
+        first = np.searchsorted(key, np.arange(nb * (n + 1) + 1))
+        run = np.concatenate([[0.0], np.cumsum(mass)])
+        below, top = run[first[key]], run[first[key + 1]]
+        return _CountBoxes(n, delta, vecs[v], mass,
+                           key + (run[1:] - below) / (top - below), first)
 
-    def sample(self, law, delta: float, count: int,
-               context=None) -> np.ndarray:
-        """The next ``count`` accepted proposals of every stream, shape
-        (streams, count, n): typical under a :class:`Dist` ``law``, or
-        under a :class:`Channel` given ``context``, a (streams, n) array of
-        one sequence per stream.  Each round tests one window of proposals
-        of every stream still short, sized from the acceptance seen so far.
-        Raises :class:`DegenerateTypicalityError` when a sequence finds no
-        typical proposal in ``_MAX_TRIES``."""
-        size, n = len(self.rngs), self.n
-        matrix, context, _ = _sequence_law(
-            law, n, context, None if context is None else size)
-        seen = self._laws.get(id(law))
-        if seen is None:
-            seen = self._laws[id(law)] = [law, _inverse_cdf(matrix), 0, 0]
-        cdf = seen[1]
-        out = np.empty((size * count, n), dtype=np.int64)
-        got = [0] * size
-        # proposals rejected since the stream's last accepted one
-        since = [0] * size
-        active = list(range(size)) if count > 0 else []
-        while active:
-            rate = (seen[3] + 1) / (seen[2] + 2)
-            need = count - min(got[s] for s in active)
-            width = min(math.ceil(1.25 * need / rate) + 4,
-                        max(_WINDOW_CELLS // (len(active) * n), 1))
-            if context.ndim == 1:
-                cdf_rows, rows_ctx = cdf[context], context
-            else:
-                ctx = context[active]
-                cdf_rows = cdf[ctx][:, None]
-                rows_ctx = (ctx[0] if len(active) == 1
-                            else np.repeat(ctx, width, axis=0))
-            seqs = (cdf_rows <= self._window(active, width)[..., None]).sum(
-                axis=3)
-            ok = _typical_rows(matrix, rows_ctx, seqs.reshape(-1, n),
-                               delta).reshape(len(active), width)
-            seen[2] += ok.size
-            rows, cols, slots, short = [], [], [], []
-            for i, (s, row) in enumerate(zip(active, ok.tolist())):
-                hits = [j for j, hit in enumerate(row) if hit]
-                seen[3] += len(hits)
-                kept = hits[:count - got[s]]
-                # the rejections before each kept proposal and, while the
-                # stream is short, after the last one
-                starts = [-1 - since[s]] + kept
-                ends = kept + [width] if got[s] + len(kept) < count else kept
-                if any(e - b > _MAX_TRIES for b, e in zip(starts, ends)):
-                    raise DegenerateTypicalityError(
-                        f"no {delta}-typical draw in {_MAX_TRIES} tries at "
-                        f"blocklength {n}")
-                rows += [i] * len(kept)
-                cols += kept
-                slots += range(s * count + got[s], s * count + got[s]
-                               + len(kept))
-                got[s] += len(kept)
-                if got[s] < count:
-                    since[s] = width - 1 - starts[-1]
-                    self.used[s] += width
-                    short.append(s)
-                else:
-                    self.used[s] += kept[-1] + 1
-            out[slots] = seqs[rows, cols]
-            active = short
-        return out.reshape(size, count, n)
+    def keys(self, contexts: np.ndarray) -> np.ndarray:
+        """Per row of ``contexts`` (shape (m, n)) and context symbol b, the
+        key b*(n+1) + N(b) of its box.  Raises
+        :class:`DegenerateTypicalityError` when a box is empty, that is when
+        the typical set given that row is empty."""
+        symbols = np.arange(len(self.first) // (self.n + 1))
+        keys = symbols * (self.n + 1) + (
+            contexts[:, None, :] == symbols[:, None]).sum(axis=2)
+        if (self.first[keys] == self.first[keys + 1]).any():
+            raise DegenerateTypicalityError(
+                f"empty {self.delta}-typical set at blocklength {self.n}")
+        return keys
 
-    def close(self) -> None:
-        """Leave each generator just after its last used proposal."""
-        for s, g in enumerate(self.rngs):
-            if self._base[s] + self._buf.shape[1] > self.used[s]:
-                g.bit_generator.state = self._start[s]
-                total = self.used[s] * self.n
-                for lo in range(0, total, _WINDOW_CELLS):
-                    g.random(min(_WINDOW_CELLS, total - lo))
+    def draw(self, contexts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """One sequence of the truncated typical law given each row of
+        ``contexts`` (shape (m, n)), from its row of ``uniforms`` (shape
+        (m, |B| + n)): one uniform per context symbol picks its count vector
+        by the group's cumulative mass, then n sort keys arrange the symbols
+        within that symbol's positions.  Each row depends only on its own
+        context and uniforms."""
+        keys = self.keys(contexts)
+        nb = keys.shape[1]
+        pick = np.minimum(
+            np.searchsorted(self.cum, keys + uniforms[:, :nb], side="right"),
+            self.first[keys + 1] - 1)
+        counts = self.counts[pick]
+        m, n = contexts.shape
+        # positions sorted by (context symbol, sort key) take, per context
+        # symbol, counts[a] copies of each symbol a in turn
+        order = np.lexsort((uniforms[:, nb:], contexts), axis=1)
+        symbols = np.repeat(np.tile(np.arange(counts.shape[2]), m * nb),
+                            counts.ravel()).reshape(m, n)
+        out = np.empty((m, n), dtype=np.int64)
+        out[np.arange(m)[:, None], order] = symbols
+        return out
 
 
 def sample_typical(law, n: int, delta: float, rng: np.random.Generator,
                    context=None) -> np.ndarray:
-    """Draw one sequence from the truncated typical law by rejection: the
-    one-stream, one-sequence case of :class:`ProposalStreams`, for callers
-    that need a single draw (codebooks draw through the streams).
-
-    Exact: i.i.d. proposals conditioned on acceptance follow the truncated
-    law.  Raises :class:`DegenerateTypicalityError` when no draw lands in the
-    typical set within ``_MAX_TRIES`` proposals.
+    """Draw one sequence from the truncated typical law: the one-row view of
+    :meth:`_CountBoxes.draw`, reading |B| + n uniforms from ``rng`` (|B| = 1
+    for a :class:`Dist`).  Exact: each count vector is drawn by its
+    multinomial mass within its box and arranged uniformly.  Raises
+    :class:`DegenerateTypicalityError` when the typical set is empty,
+    before any uniform is drawn.
     """
-    streams = ProposalStreams([rng], n)
-    try:
-        return streams.sample(law, delta, 1,
-                              None if context is None else [context])[0, 0]
-    finally:
-        streams.close()
+    matrix, context, _ = _sequence_law(law, n, context)
+    boxes = _CountBoxes.build(matrix, n, delta)
+    boxes.keys(context[None])
+    return boxes.draw(context[None], rng.random((1, len(matrix) + n)))[0]

@@ -4,11 +4,11 @@ against."""
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from wtmac import optimizer, probkit
+from wtmac import optimizer
 from wtmac.casestudy import coupled_input
 from wtmac.codesim import _channel_rows, joint_typicality_decode
 from wtmac.concentration import _check, _estimated_reference_check, _outside
@@ -28,15 +28,12 @@ from wtmac.probkit import (
     Dist,
     FactoredInput,
     WiretapMAC,
-    _draw,
-    _inverse_cdf,
     _sequence_law,
     _truncated_laws,
     _typical_rows,
     mutual_information,
     truncated_typical_dist,
     typical_mask,
-    typical_membership,
     zip_sequences,
 )
 from wtmac.conferencing import CONF_COEFFS, CONF_NAMES
@@ -595,58 +592,77 @@ def reference_search(mac, mode, cfg, profile=reference_info_profile):
     return cloud, cases, partial, evaluations
 
 
+def reference_box(matrix, n, delta, b, total):
+    """Every count vector of ``total`` in context symbol b's typicality box
+    at (n, delta), enumerated with itertools in lexicographic order and
+    leaving out counts on zero-mass symbols, with each vector's multinomial
+    mass normalized over the box: the reference for one group of
+    ``probkit._CountBoxes``."""
+    p = matrix[b]
+    vecs = [c for c in product(range(total + 1), repeat=len(p))
+            if sum(c) == total
+            and all(abs(ca / n - pa * (total / n)) <= delta
+                    for ca, pa in zip(c, p))
+            and all(ca == 0 or pa > 0 for ca, pa in zip(c, p))]
+    mass = [math.factorial(total) / math.prod(map(math.factorial, c))
+            * math.prod(pa ** ca for pa, ca in zip(p, c)) for c in vecs]
+    return vecs, [w / sum(mass) for w in mass]
+
+
+def reference_typical_row(matrix, context, delta, uniforms):
+    """One sequence of the truncated typical law of ``matrix`` given
+    ``context``, read from its |B| + n ``uniforms``, a context symbol at a
+    time: b's uniform picks the first box vector whose cumulative mass
+    exceeds it, and b's positions, in order of their sort keys
+    ``uniforms[|B| + i]``, take that vector's symbols in turn.  The
+    reference for ``probkit._CountBoxes.draw``."""
+    n, nb = len(context), len(matrix)
+    seq = np.empty(n, dtype=np.int64)
+    for b in range(nb):
+        positions = [i for i in range(n) if context[i] == b]
+        vecs, mass = reference_box(matrix, n, delta, b, len(positions))
+        if not vecs:
+            raise DegenerateTypicalityError(f"empty {delta}-typical set")
+        cum = np.cumsum(mass)
+        pick = min(int((cum / cum[-1] <= uniforms[b]).sum()), len(vecs) - 1)
+        symbols = [a for a, ca in enumerate(vecs[pick]) for _ in range(ca)]
+        for i, a in zip(sorted(positions, key=lambda i: uniforms[nb + i]),
+                        symbols):
+            seq[i] = a
+    return seq
+
+
 def reference_sample_typical(law, n, delta, rng, context=None):
-    """The rejection sampler drawing each symbol with its own
-    ``rng.choice``: the reference for ``probkit.sample_typical``'s
-    inverse-CDF draws."""
-    if context is None:
-        rows = [law.mass] * n
-    else:
-        rows = [law.matrix[b] for b in context]
-    for _ in range(100_000):
-        seq = np.array([rng.choice(len(p), p=p) for p in rows], dtype=np.int64)
-        if typical_membership(law, seq, delta, context):
-            return seq
-    raise DegenerateTypicalityError(f"no {delta}-typical draw")
-
-
-def reference_draw_typical(law, n, delta, rng, context=None):
-    """The per-proposal rejection loop: one inverse-CDF proposal and one
-    membership test at a time.  Returns the sequence and the proposals it
-    took: the reference for ``probkit.ProposalStreams``."""
-    matrix, rows, _ = _sequence_law(law, n, context)
-    cdf_rows = _inverse_cdf(matrix)[rows]
-    for tries in range(1, probkit._MAX_TRIES + 1):
-        seq = _draw(cdf_rows, rng)
-        if typical_membership(law, seq, delta, context):
-            return seq, tries
-    raise DegenerateTypicalityError(
-        f"no {delta}-typical draw in {probkit._MAX_TRIES} tries at "
-        f"blocklength {n}")
+    """One draw of the truncated typical law: every box the context needs
+    is checked before ``rng`` is read, then one row of |B| + n uniforms.
+    The reference for ``probkit.sample_typical``."""
+    matrix, context, _ = _sequence_law(law, n, context)
+    for b in range(len(matrix)):
+        if not reference_box(matrix, n, delta, b, int((context == b).sum()))[0]:
+            raise DegenerateTypicalityError(f"empty {delta}-typical set")
+    return reference_typical_row(matrix, context, delta,
+                                 rng.random(len(matrix) + n))
 
 
 def reference_codebook_family(chain, n, l_sizes, delta, seed,
                               k_sizes=(1, 1, 1)):
-    """One family drawn a sequence at a time from its seed's generator (a u,
-    then the x's and the y's under it), with the proposals drawn: the
-    reference for ``codesim.sample_codebook_families``."""
+    """One family drawn a sequence at a time from its seed's generator:
+    every u, then every x, then every y, each reading its own |B| + n
+    uniforms.  The reference for ``codesim.sample_codebook_families``."""
     (k0, k1, k2), (l0, l1, l2) = k_sizes, l_sizes
     rng = np.random.default_rng(seed)
     u = np.empty((k0, l0, n), dtype=np.int64)
     x = np.empty((k0, l0, k1, l1, n), dtype=np.int64)
     y = np.empty((k0, l0, k2, l2, n), dtype=np.int64)
-    proposals = 0
-    for a0 in range(k0):
-        for b0 in range(l0):
-            u[a0, b0], tries = reference_draw_typical(chain.p_u, n, delta, rng)
-            proposals += tries
-            for out, law in ((x, chain.x_given_u), (y, chain.y_given_u)):
-                for a in range(out.shape[2]):
-                    for b in range(out.shape[3]):
-                        out[a0, b0, a, b], tries = reference_draw_typical(
-                            law, n, delta, rng, u[a0, b0])
-                        proposals += tries
-    return u, x, y, proposals
+    for a0, b0 in product(range(k0), range(l0)):
+        u[a0, b0] = reference_typical_row(chain.p_u.mass[None, :],
+                                          np.zeros(n, dtype=np.int64), delta,
+                                          rng.random(1 + n))
+    for out, law in ((x, chain.x_given_u), (y, chain.y_given_u)):
+        for a0, b0, a, b in product(*map(range, out.shape[:4])):
+            out[a0, b0, a, b] = reference_typical_row(
+                law.matrix, u[a0, b0], delta, rng.random(len(law.matrix) + n))
+    return u, x, y
 
 
 def reference_codeword_pair(code, k, ls):
@@ -662,23 +678,29 @@ def reference_codeword_pair(code, k, ls):
 
 
 def reference_mc_error(code, trials=2000, seed=0):
-    """Monte Carlo error one trial at a time: draw an index tuple, draw each
-    output symbol with ``rng.choice`` and decode the output alone.  The
-    reference for ``average_error(mode="mc")``; returns the tuple and message
-    error fractions and the drawn outputs."""
+    """Monte Carlo error one trial at a time: every trial's index tuple, then
+    every output uniform, each in one call; per trial, each output symbol
+    is the count of its Bob row's normalized cumulative sums at or below
+    its uniform, and the output is decoded alone.  The reference for
+    ``average_error(mode="mc")``; returns the tuple and message error
+    fractions and the drawn outputs."""
     delta = code.delta
     mac = code.chain.mac
     matrix = mac.bob.matrix
     tuples = list(code.index_tuples())
     rng = np.random.default_rng(seed)
+    picks = rng.integers(0, len(tuples), size=trials)
+    draws = rng.random((trials, code.n_total))
     hits = msg_hits = 0
     outputs = []
-    for _ in range(trials):
-        k, ls = tuples[rng.integers(0, len(tuples))]
+    for pick, row in zip(picks, draws):
+        k, ls = tuples[pick]
         xseq, yseq = reference_codeword_pair(code, k, ls)
-        t_seq = np.array([rng.choice(matrix.shape[1],
-                                     p=matrix[xi * mac.y_alphabet.size + yi])
-                          for xi, yi in zip(xseq, yseq)], dtype=np.int64)
+        t_seq = []
+        for xi, yi, uniform in zip(xseq, yseq, row):
+            cdf = np.cumsum(matrix[xi * mac.y_alphabet.size + yi])
+            t_seq.append(int((cdf / cdf[-1] <= uniform).sum()))
+        t_seq = np.array(t_seq, dtype=np.int64)
         outputs.append(t_seq)
         out = joint_typicality_decode(code, delta, t_seq)
         hits += out != (k, ls)

@@ -10,7 +10,7 @@ import pytest
 from _support import WB_62, WE_62, constant_eve_mac, example62_input
 import wtmac
 from wtmac.cli import run
-from wtmac.codesim import CodeChain
+from wtmac.codesim import SAMPLER_VERSION, CodeChain
 from wtmac.probkit import WiretapMAC
 from wtmac.regions import alpha_bounds_case1
 
@@ -97,11 +97,13 @@ class TestDispatch:
                                   "--hc", "2.0", "--n", "4",
                                   "--delta", "0.3", "--slack", "0.25"])
         assert obj["leakage_bits"] <= 1e-9
+        assert obj["sampler_version"] == SAMPLER_VERSION
         obj = run_json(tmp_path, ["leakage", "--channel", str(ch),
                                   "--p", str(pp), "--case", "3",
                                   "--hc", "2.0", "--n", "4",
                                   "--delta", "0.3", "--slack", "0.25"])
         assert obj["chain_holds"] is True
+        assert obj["sampler_version"] == SAMPLER_VERSION
 
     def test_optimize(self, tmp_path):
         rng = np.random.default_rng(1)

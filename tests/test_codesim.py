@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -34,6 +33,7 @@ from _support import (
 from wtmac.codesim import (
     DEFAULT_SLACK,
     DEFAULT_TAIL_EXPONENT,
+    SAMPLER_VERSION,
     CodeChain,
     CodebookFamily,
     WiretapCode,
@@ -236,17 +236,15 @@ class TestSampling:
                                         k_sizes)
         assert [f.seed for f in fams] == seeds
         for fam, seed in zip(fams, seeds):
-            u, x, y, proposals = reference_codebook_family(
-                chain, n, l_sizes, delta, seed, k_sizes)
+            u, x, y = reference_codebook_family(chain, n, l_sizes, delta,
+                                                seed, k_sizes)
             assert np.array_equal(fam.u, u)
             assert np.array_equal(fam.x, x)
             assert np.array_equal(fam.y, y)
-            assert fam.proposals == proposals
         one = sample_codebook_family(chain, n, l_sizes, delta, seeds[-1],
                                      k_sizes)
         assert np.array_equal(one.x, fams[-1].x)
-        assert one.proposals == fams[-1].proposals
-        assert replace(one, proposals=0).to_csv() == one.to_csv()
+        assert one.to_csv() == fams[-1].to_csv()
 
 
 class TestBuild:
@@ -513,6 +511,19 @@ class TestReferenceDecode:
         return WiretapCode(CaseLabel.CASE1, 2.0, 0.45, 0.25, 0.6,
                            (fam1, fam2), (0.0, 0.0, 0.0))
 
+    def decodable_two_family(self):
+        """The first :meth:`two_family` code from seed 103 on whose exact
+        tuple error is at most 0.95, so that outputs decode and 300 Monte
+        Carlo trials see a decode (a miss on all has probability below
+        1e-6).  About 4 in 10 of these codes decode any output and 1 in 20
+        has an error at most 0.95 (seeds 0-299, under either sampler), so a
+        fixed seed's code pins the codebook stream."""
+        for seed in range(103, 703):
+            code = self.two_family(seed)
+            if average_error(code).tuple_error <= 0.95:
+                return code
+        raise AssertionError("no two-family code from seed 103 on decodes")
+
     def duplicate_tie(self, seed=105):
         chain = coupled_chain(self.noisy_mac(seed))
         fam = sample_codebook_family(chain, 5, (3, 1, 1), 0.3, seed=seed)
@@ -540,12 +551,12 @@ class TestReferenceDecode:
         assert any(d is not None for d in decoded)
 
     def test_two_family_time_sharing(self):
-        code = self.two_family()
-        decoded = self.assert_matches(code)
+        for code in (self.two_family(), self.decodable_two_family()):
+            decoded = self.assert_matches(code)
+            for t_seq in all_sequences(4, code.n_total)[::7]:
+                assert joint_typicality_decode(code, code.delta, t_seq) \
+                    == reference_decode(code, code.delta, t_seq)
         assert any(d is not None for d in decoded)
-        for t_seq in all_sequences(4, code.n_total)[::7]:
-            assert joint_typicality_decode(code, code.delta, t_seq) \
-                == reference_decode(code, code.delta, t_seq)
 
     def test_duplicate_codeword_tie(self):
         code = self.duplicate_tie()
@@ -667,8 +678,9 @@ class TestReferenceMonteCarlo:
                     == reference_decode(code, delta, t_seq)
 
     def test_two_family_code(self, monkeypatch):
-        est, _ = self.assert_matches(monkeypatch, self.codes.two_family(),
-                                     300, 114)
+        self.assert_matches(monkeypatch, self.codes.two_family(), 300, 114)
+        est, _ = self.assert_matches(
+            monkeypatch, self.codes.decodable_two_family(), 300, 114)
         assert 0.0 < est.tuple_error < 1.0
 
 
@@ -1090,9 +1102,11 @@ class TestConcentration:
         obj = concentration_report(fam, eps=0.3, resamples=15,
                                    seed=65).to_json_dict()
         assert obj["params"]["n"] == 4 and isinstance(obj["checks"], list)
-        # the fixed slack and tail exponent stay in every report's params
-        assert (obj["params"]["slack"], obj["params"]["tail_exponent"]) \
-            == (DEFAULT_SLACK, DEFAULT_TAIL_EXPONENT)
+        # the fixed slack, tail exponent and sampler version stay in every
+        # report's params
+        assert (obj["params"]["slack"], obj["params"]["tail_exponent"],
+                obj["params"]["sampler_version"]) \
+            == (DEFAULT_SLACK, DEFAULT_TAIL_EXPONENT, SAMPLER_VERSION)
 
 
 class TestConcentrationContract:

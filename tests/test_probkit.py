@@ -1,13 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from _support import (
     point_mass,
-    reference_draw_typical,
+    reference_box,
     reference_sample_typical,
+    reference_typical_row,
     sequence_index,
     sequence_mass,
     sequence_prob,
@@ -27,12 +31,14 @@ from wtmac.probkit import (
     AX_X,
     AX_Y,
     AX_Z,
+    CELL_BUDGET,
     Alphabet,
     Channel,
     Dist,
     FactoredInput,
-    ProposalStreams,
     WiretapMAC,
+    _CountBoxes,
+    _truncated_laws,
     _typical_rows,
     all_sequences,
     entropy,
@@ -369,6 +375,39 @@ class TestTruncatedTypical:
         assert typical_membership(d, seq, 0.15)
 
 
+def _drawn_matrix(data, nb, na):
+    """A stochastic (nb, na) matrix from hypothesis, some entries zero."""
+    rows = []
+    for _ in range(nb):
+        row = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 2.0, 3.7]),
+            min_size=na, max_size=na)))
+        if row.sum() == 0.0:
+            row[data.draw(st.integers(0, na - 1))] = 1.0
+        rows.append(row / row.sum())
+    return np.array(rows)
+
+
+def _box_law(boxes, matrix, ctx):
+    """The law of one draw given ``ctx`` over all sequences: per context
+    symbol b, the mass of b's count vector in its box over the vector's
+    multinomial coefficient (0 off the box)."""
+    n, (nb, na) = len(ctx), matrix.shape
+    group = {}
+    for key in range(len(boxes.first) - 1):
+        for i in range(boxes.first[key], boxes.first[key + 1]):
+            group[key, tuple(boxes.counts[i])] = boxes.mass[i]
+    law = []
+    for seq in all_sequences(na, n):
+        p = 1.0
+        for b in range(nb):
+            c = tuple(np.bincount(seq[ctx == b], minlength=na))
+            p *= group.get((b * (n + 1) + sum(c), c), 0.0) / (
+                math.factorial(sum(c)) / math.prod(map(math.factorial, c)))
+        law.append(p)
+    return np.array(law)
+
+
 def _zero_mass_laws(rng, size=3, contexts=3):
     """A Dist and a Channel whose symbol 1 (and one whole channel entry per
     row) carry no mass, plus a context that uses every channel row."""
@@ -464,11 +503,15 @@ class TestSequenceLawKernel:
                 assert seq.dtype == np.int64
             assert ours.bit_generator.state == ref.bit_generator.state
 
-    def test_sampler_gives_up(self, monkeypatch):
-        monkeypatch.setattr(probkit, "_MAX_TRIES", 5)
-        # n = 5, delta = 0.05: no count of a fair coin is typical
-        with pytest.raises(DegenerateTypicalityError, match="in 5 tries"):
-            sample_typical(Dist.uniform(2), 5, 0.05, np.random.default_rng(0))
+    def test_sampler_refuses_an_empty_box(self):
+        # n = 5, delta = 0.05: no count of a fair coin is typical, and the
+        # sampler says so before it reads the generator
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DegenerateTypicalityError,
+                           match="empty 0.05-typical set at blocklength 5"):
+            sample_typical(Dist.uniform(2), 5, 0.05, rng)
+        assert rng.bit_generator.state == state
 
     def test_per_row_contexts_match_row_by_row_calls(self, monkeypatch):
         # 4 x 3 cells and n = 7: a step of 50 // 12 = 4 rows, so 10 rows span
@@ -493,88 +536,112 @@ class TestSequenceLawKernel:
             if delta == 0.25:
                 assert whole.any() and not whole.all()
 
-    # one proposal per stream and round at the smallest window: sequences
-    # then span rounds and buffer refills
-    @pytest.mark.parametrize("window_cells", [None, 1])
+    # the whole stack in one kernel call, or one row per call
+    @pytest.mark.parametrize("rows_per_call", [None, 1])
     @pytest.mark.parametrize("conditional", [False, True])
-    def test_stacked_streams_match_per_stream_loops(self, monkeypatch,
-                                                    conditional, window_cells):
-        if window_cells:
-            monkeypatch.setattr(probkit, "_WINDOW_CELLS", window_cells)
+    def test_stacked_streams_match_per_stream_loops(self, conditional,
+                                                    rows_per_call):
         rng = np.random.default_rng(36)
         for trial in range(6):
             d, ch = _zero_mass_laws(rng)
+            matrix = ch.matrix if conditional else d.mass[None, :]
             n = int(rng.integers(3, 9))
             seeds = [int(s) for s in rng.integers(1 << 30, size=5)]
-            ours = [np.random.default_rng(s) for s in seeds]
-            refs = [np.random.default_rng(s) for s in seeds]
-            streams = ProposalStreams(ours, n)
+            boxes = _CountBoxes.build(matrix, n, 0.35)
+            streams = [np.random.default_rng(s) for s in seeds]
             for count in (1, 7, 2):
                 ctx = rng.integers(0, 3, size=(len(seeds), n))
-                got = (streams.sample(ch, 0.35, count, ctx) if conditional
-                       else streams.sample(d, 0.35, count))
-                assert got.shape == (len(seeds), count, n)
-                for s, ref in enumerate(refs):
-                    for i in range(count):
-                        want = (reference_draw_typical(ch, n, 0.35, ref, ctx[s])
-                                if conditional else
-                                reference_draw_typical(d, n, 0.35, ref))[0]
-                        assert np.array_equal(got[s, i], want)
-            streams.close()
-            for g, ref in zip(ours, refs):
-                assert g.bit_generator.state == ref.bit_generator.state
+                ctx = np.repeat(ctx if conditional else 0 * ctx, count, axis=0)
+                draws = np.concatenate([g.random((count, len(matrix) + n))
+                                        for g in streams])
+                got = (boxes.draw(ctx, draws) if rows_per_call is None
+                       else np.concatenate([boxes.draw(c[None], u[None])
+                                            for c, u in zip(ctx, draws)]))
+                assert got.shape == (len(seeds) * count, n)
+                for seq, c, u in zip(got, ctx, draws):
+                    assert np.array_equal(
+                        seq, reference_typical_row(matrix, c, 0.35, u))
 
-    @pytest.mark.parametrize("window_cells", [None, 1])
-    def test_max_tries_counts_the_proposals_of_one_sequence(self, monkeypatch,
-                                                            window_cells):
-        # at n = 5, delta = 0.05 only N(0) = 3 is typical (probability 0.35)
-        d = Dist.from_mass([0.6, 0.4])
-        seeds = range(8)
-        tries = []
-        for seed in seeds:
-            ref = np.random.default_rng(seed)
-            tries += [reference_draw_typical(d, 5, 0.05, ref)[1]
-                      for _ in range(3)]
-        most = max(tries)
-        firsts = [s for s in range(40) if reference_draw_typical(
-            d, 5, 0.05, np.random.default_rng(s))[1] == 1]
-        assert most > 1 and len(firsts) > 1
-        if window_cells:
-            monkeypatch.setattr(probkit, "_WINDOW_CELLS", window_cells)
-        monkeypatch.setattr(probkit, "_MAX_TRIES", most)
-        ProposalStreams([np.random.default_rng(s) for s in seeds], 5).sample(
-            d, 0.05, 3)
-        monkeypatch.setattr(probkit, "_MAX_TRIES", most - 1)
-        with pytest.raises(DegenerateTypicalityError,
-                           match=f"in {most - 1} tries at blocklength 5"):
-            ProposalStreams([np.random.default_rng(s) for s in seeds],
-                            5).sample(d, 0.05, 3)
-        # rejections in a window past a stream's last used proposal count
-        # for no sequence
-        monkeypatch.setattr(probkit, "_MAX_TRIES", 1)
-        got = ProposalStreams([np.random.default_rng(s) for s in firsts],
-                              5).sample(d, 0.05, 1)
-        assert got.shape == (len(firsts), 1, 5)
-
-    def test_stack_gives_up_on_one_degenerate_stream(self, monkeypatch):
+    def test_stack_gives_up_on_one_degenerate_stream(self):
         # X | U = 0 is a fair coin: under the all-zero context N(x, 0) would
         # have to sit in [2.25, 2.75] at n = 5, delta = 0.05, which holds no
         # integer; one U = 1 (whose X is always 0) moves it to [1.75, 2.25]
         ch = Channel.from_matrix([[0.5, 0.5], [1.0, 0.0]])
         fine, stuck = [0, 0, 1, 0, 0], [0, 0, 0, 0, 0]
-        monkeypatch.setattr(probkit, "_MAX_TRIES", 200)
-        streams = ProposalStreams(
-            [np.random.default_rng(s) for s in (1, 2, 3)], 5)
+        boxes = _CountBoxes.build(ch.matrix, 5, 0.05)
+        draws = np.random.default_rng(1).random((3, 2 + 5))
         with pytest.raises(DegenerateTypicalityError,
-                           match="no 0.05-typical draw in 200 tries"):
-            streams.sample(ch, 0.05, 4, [fine, stuck, fine])
-        ours = [np.random.default_rng(s) for s in (1, 3)]
-        got = ProposalStreams(ours, 5).sample(ch, 0.05, 4, [fine, fine])
-        for seed, seqs in zip((1, 3), got):
-            ref = np.random.default_rng(seed)
-            for seq in seqs:
-                want = reference_draw_typical(ch, 5, 0.05, ref, fine)[0]
-                assert np.array_equal(seq, want)
+                           match="empty 0.05-typical set at blocklength 5"):
+            boxes.draw(np.array([fine, stuck, fine]), draws)
+        got = boxes.draw(np.array([fine, fine]), draws[::2])
+        for seq, u in zip(got, draws[::2]):
+            assert np.array_equal(
+                seq, reference_typical_row(ch.matrix, fine, 0.05, u))
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_box_law_equals_truncated_laws(self, data):
+        # the law of one draw, per context symbol the box vector's mass
+        # over its multinomial coefficient, against the enumerated
+        # truncated law: same masses, same support, same refusals
+        nb, na = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, 6))
+        matrix = _drawn_matrix(data, nb, na)
+        delta = data.draw(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.3, 0.5]))
+        ctx = np.array(data.draw(st.lists(st.integers(0, nb - 1), min_size=n,
+                                          max_size=n)), dtype=np.int64)
+        boxes = _CountBoxes.build(matrix, n, delta)
+        try:
+            want = _truncated_laws(matrix, ctx[None], delta)[0]
+        except DegenerateTypicalityError:
+            with pytest.raises(DegenerateTypicalityError):
+                boxes.keys(ctx[None])
+            return
+        boxes.keys(ctx[None])
+        got = _box_law(boxes, matrix, ctx)
+        assert np.array_equal(got > 0.0, want > 0.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_box_vectors_are_the_typical_count_vectors(self, data):
+        nb, na = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, 6))
+        matrix = _drawn_matrix(data, nb, na)
+        delta = data.draw(st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.5]))
+        ctx = np.array(data.draw(st.lists(st.integers(0, nb - 1), min_size=n,
+                                          max_size=n)), dtype=np.int64)
+        boxes = _CountBoxes.build(matrix, n, delta)
+        seqs = all_sequences(na, n)
+        typical = seqs[typical_mask(Channel.from_matrix(matrix), delta, n, ctx)
+                       & (np.prod(matrix[ctx, seqs], axis=1) > 0.0)]
+        try:
+            keys = boxes.keys(ctx[None])[0]
+        except DegenerateTypicalityError:
+            assert len(typical) == 0
+            return
+        for b, key in enumerate(keys):
+            box = {tuple(c) for c in boxes.counts[boxes.first[key]:
+                                                   boxes.first[key + 1]]}
+            seen = {tuple(np.bincount(s[ctx == b], minlength=na))
+                    for s in typical}
+            assert box == seen
+            assert list(map(tuple, boxes.counts[boxes.first[key]:
+                                               boxes.first[key + 1]])) \
+                == reference_box(matrix, n, delta, b, int((ctx == b).sum()))[0]
+
+    def test_count_boxes_refuse_over_the_cell_budget(self):
+        # 9 symbols: C(n + 9, 9) vectors of 9 counts each, within the budget
+        # up to n = 14
+        assert math.comb(14 + 9, 9) * 9 <= CELL_BUDGET \
+            < math.comb(15 + 9, 9) * 9
+        with pytest.raises(ResourceBudgetError, match="count boxes"):
+            _CountBoxes.build(np.full((1, 9), 1 / 9), 15, 0.2)
+        with pytest.raises(ResourceBudgetError, match="count boxes"):
+            sample_typical(Dist.uniform(9), 15, 0.2, np.random.default_rng(0))
+        assert _CountBoxes.build(np.full((1, 9), 1 / 9), 6, 0.2).counts.shape[1] == 9
 
     @pytest.mark.parametrize("conditional", [False, True])
     def test_sampler_frequencies_follow_truncated_law(self, conditional):

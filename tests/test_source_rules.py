@@ -80,21 +80,25 @@ def test_library_names_no_scipy_optimize():
     assert not found, found
 
 
-def _bincount_calls(tree, owner=""):
-    """(innermost enclosing function, line) of every ``bincount`` call in
-    ``tree``, as ``np.bincount``, ``numpy.bincount`` or a bare name; the
-    function is "" at module level."""
+def _owned_calls(tree, name, owner=""):
+    """(innermost enclosing function, line) of every call of ``name`` in
+    ``tree``, as an attribute (``np.name``, ``rng.name``) or a bare name;
+    the function is "" at module level."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _bincount_calls(node, node.name)
+            yield from _owned_calls(node, name, node.name)
             continue
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(
                 func, "id", None)
-            if name == "bincount":
+            if called == name:
                 yield owner, node.lineno
-        yield from _bincount_calls(node, owner)
+        yield from _owned_calls(node, name, owner)
+
+
+def _bincount_calls(tree):
+    return _owned_calls(tree, "bincount")
 
 
 def test_bincount_detector():
@@ -120,6 +124,23 @@ def test_pair_counts_only_in_the_typicality_kernel():
              for path in sorted(root.glob("*.py"))
              for owner, line in _bincount_calls(ast.parse(path.read_text()))
              if (path.name, owner) != ("probkit.py", "_typical_rows")]
+    assert not found, found
+
+
+def test_sequence_uniforms_drawn_only_by_the_samplers():
+    # The sequence layer reads generators in three places: the codebook
+    # draw, the one-row sampler and the Monte Carlo error, each in one call
+    # per generator and kind; the count-box kernel takes uniforms, not
+    # generators.
+    root = Path(wtmac.__file__).parent
+    allowed = {("codesim.py", "sample_codebook_families"),
+               ("probkit.py", "sample_typical"),
+               ("codesim.py", "average_error")}
+    found = [f"{name}:{line} in {owner or 'module'}"
+             for name in ("probkit.py", "codesim.py", "concentration.py")
+             for owner, line in _owned_calls(
+                 ast.parse((root / name).read_text()), "random")
+             if (name, owner) not in allowed]
     assert not found, found
 
 
@@ -199,12 +220,15 @@ def test_empty_set_raise_detector():
 def test_one_truncated_law_kernel():
     # One kernel, probkit._truncated_laws, normalizes a truncated typical
     # law and refuses an empty typical set; truncated_typical_dist and the
-    # concentration workspace read its rows.
+    # concentration workspace read its rows.  The one other refusal is the
+    # sampler's count-box table, _CountBoxes.keys, which refuses a context
+    # whose box is empty before any uniform is read.
     root = Path(wtmac.__file__).parent
     found = [(path.name, owner)
              for path in sorted(root.glob("*.py"))
              for owner, _ in _empty_set_raises(ast.parse(path.read_text()))]
-    assert found == [("probkit.py", "_truncated_laws")], found
+    assert found == [("probkit.py", "_truncated_laws"),
+                     ("probkit.py", "keys")], found
 
 
 def _calls_outside(tree, name, owner, method):
