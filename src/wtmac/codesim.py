@@ -753,9 +753,11 @@ def exact_leakage(code: WiretapCode, w_e: None = None) -> float:
 
 
 def eve_map_error(code: WiretapCode) -> float:
-    """Exact average error of the eavesdropper's optimal decoder."""
+    """Exact average error of the eavesdropper's optimal decoder: per
+    output, the mass of every message but the most likely, summed and
+    averaged over the messages, so exactly 0 for a one-message code."""
     cond = code.eve_conditionals
-    return 1.0 - float(cond.max(axis=0).sum()) / cond.shape[0]
+    return float((cond.sum(axis=0) - cond.max(axis=0)).sum()) / cond.shape[0]
 
 
 def max_message_variation(code: WiretapCode) -> float:

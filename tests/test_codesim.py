@@ -1009,6 +1009,18 @@ class TestEveMapError:
                            (0.0, 0.0, 0.0))
         assert eve_map_error(code) <= 1e-12
 
+    def test_one_message_code_reads_exactly_zero(self):
+        # a one-message code leaves Eve nothing to guess: no rounding noise
+        # of a conditional row that sums to 1 -/+ 2^-52
+        for seed in range(6):
+            mac = random_mac(np.random.default_rng(seed), bob_quality=0.5)
+            fam = sample_codebook_family(coupled_chain(mac), 5, (3, 1, 1),
+                                         0.35, seed=seed)
+            code = WiretapCode(CaseLabel.CASE3, 1.5, 0.35, 0.25, None, (fam,),
+                               (0.0, 0.0, 0.0))
+            assert code.message_count == 1
+            assert eve_map_error(code) == 0.0
+
     def test_fano_consistency(self):
         rng = np.random.default_rng(44)
         for trial in range(8):
