@@ -109,6 +109,24 @@ class CodeChain:
                           Channel.identity(self.mac.y_alphabet.size), self.mac)
         return info_profile(p)
 
+    @cached_property
+    def _boxes(self) -> dict:
+        return {}
+
+    def count_boxes(self, which: int, n: int, delta: float) -> _CountBoxes:
+        """The count-box table at (n, delta) of the u law (``which`` 0), of
+        X|U (1) or of Y|U (2), built on first use and kept, like
+        :attr:`joint`; X|U and Y|U share one table when they are equal."""
+        if which == 2 and np.array_equal(self.x_given_u.matrix,
+                                         self.y_given_u.matrix):
+            which = 1
+        key = (which, n, delta)
+        if key not in self._boxes:
+            law = (self.p_u.mass[None, :], self.x_given_u.matrix,
+                   self.y_given_u.matrix)[which]
+            self._boxes[key] = _CountBoxes.build(law, n, delta)
+        return self._boxes[key]
+
 
 @dataclass(frozen=True)
 class CodebookFamily:
@@ -181,7 +199,9 @@ def sample_codebook_families(p, n: int, l_sizes: Sequence[int], delta: float,
     then per x and per y (message-major), |B| + n uniforms, where |B| is 1
     for u and |U| for x and y (:meth:`~wtmac.probkit._CountBoxes.draw`).
     The u's, x's and y's of every family are then drawn in one kernel call
-    each, so a family is the same drawn alone or with others.
+    each, from the chain's tables (:meth:`CodeChain.count_boxes`), so a
+    family is the same drawn alone or with others, on a fresh chain or on
+    one that has drawn before.  No seeds draw no family.
     """
     if n < 1:
         raise ValidationError(f"blocklength must be at least 1, got {n}")
@@ -192,23 +212,20 @@ def sample_codebook_families(p, n: int, l_sizes: Sequence[int], delta: float,
         raise ValidationError("codebook sizes must be positive")
     seeds = [int(s) for s in seeds]
     size = len(seeds)
-    laws = (chain.p_u.mass[None, :], chain.x_given_u.matrix,
-            chain.y_given_u.matrix)
+    if not size:
+        return []
     # per family: K0*L0 u rows, then K1*L1 x rows and K2*L2 y rows per u
     rows = [k0 * l0, k0 * l0 * k1 * l1, k0 * l0 * k2 * l2]
-    cuts = np.cumsum([r * (len(m) + n) for r, m in zip(rows, laws)])
+    contexts = (1, chain.p_u.alphabet.size, chain.p_u.alphabet.size)
+    cuts = np.cumsum([r * (b + n) for r, b in zip(rows, contexts)])
     draws = np.split(np.stack([np.random.default_rng(s).random(cuts[-1])
                                for s in seeds]), cuts[:-1], axis=1)
-    u = _CountBoxes.build(laws[0], n, delta).draw(
+    u = chain.count_boxes(0, n, delta).draw(
         np.zeros((size * rows[0], n), dtype=np.int64),
         draws[0].reshape(size * rows[0], -1))
-    # one table per distinct law: senders that share X|U share it
-    x_boxes = _CountBoxes.build(laws[1], n, delta)
-    y_boxes = (x_boxes if np.array_equal(laws[1], laws[2])
-               else _CountBoxes.build(laws[2], n, delta))
-    x, y = (boxes.draw(np.repeat(u, r // rows[0], axis=0),
-                       d.reshape(size * r, -1))
-            for boxes, r, d in zip((x_boxes, y_boxes), rows[1:], draws[1:]))
+    boxes = [chain.count_boxes(which, n, delta) for which in (1, 2)]
+    x, y = (b.draw(np.repeat(u, r // rows[0], axis=0), d.reshape(size * r, -1))
+            for b, r, d in zip(boxes, rows[1:], draws[1:]))
     u = u.reshape(size, k0, l0, n)
     x = x.reshape(size, k0, l0, k1, l1, n)
     y = y.reshape(size, k0, l0, k2, l2, n)

@@ -44,9 +44,13 @@ from .probkit import (
 )
 
 LN2 = math.log(2.0)
-# Cells of channel rows one workspace block holds: every benchmark shape fits
-# in one block, and criterion 7's 1000-resample report stays near 100 MB.
-ROW_BLOCK_CELLS = 1 << 20
+# Cells of channel rows one workspace block holds (1 MB of floats).  The
+# stacked (u, y) pass reads each block several times (cap mask, two masked
+# products per u); at 2^18 or 2^20 its blocks fall out of cache and the
+# criterion-7-shaped report ran about 30% slower, while at 2^17 the other
+# block loops run as fast as at 2^20 and criterion 7's 1000-resample report
+# peaks near 75 MB.
+ROW_BLOCK_CELLS = 1 << 17
 
 
 @dataclass
@@ -67,10 +71,19 @@ class LemmaCheck:
 
 @dataclass
 class ConcentrationReport:
+    """The checks of one report, and the work it did: the distinct shared
+    sequences u and (u, y) reference keys of a Case-1/2 report (0 in Case
+    3), and the channel-row blocks of any report.  The work counters depend
+    only on the inputs and ``ROW_BLOCK_CELLS``; they are not part of
+    :meth:`to_json_dict`."""
+
     checks: list
     params: dict
     partial: bool = False
     notes: tuple = ()
+    distinct_u: int = 0
+    uy_keys: int = 0
+    row_blocks: int = 0
 
     @property
     def passed(self) -> bool:
@@ -90,19 +103,21 @@ class _Workspace:
     """Exact reference measures for one chain: per (u, y), per u and Case 3.
 
     It holds no memo state: each report knows the keys it needs before it
-    starts and computes each reference once per distinct key.  Truncated
-    typical laws are rows of the one kernel,
+    starts and computes each reference once per distinct key, in one call
+    for all of them.  Truncated typical laws are rows of the one kernel,
     :func:`~wtmac.probkit._truncated_laws`, one table per law over many
-    contexts.  :meth:`uy_refs` gives the (u, y) references of many
-    ys given one u as arrays: the cut reference, its support f1, and the
-    typical-x average of the inner rows zeroed off E2 (the term of y), one
-    dot per y over channel rows built in :meth:`pair_blocks` blocks.
-    :meth:`u_ref` folds the terms of the typical ys given u, weighted by
-    p(y|u), in lexicographic y order.  The (u, y) support f1 lies inside the
-    typical output set given (y, u), so masking a row with f1 also masks it
-    with that set.  :meth:`theta_case3` builds one row per distinct typical
-    (x, y) pair.  Channel rows come only from stacked
-    :func:`~wtmac.codesim._channel_rows` calls.
+    contexts.  :meth:`uy_refs` gives the (u, y) references of every key of
+    a report as arrays: the cut reference, its support f1, and the
+    typical-x average of the inner rows zeroed off E2 (the term of y), over
+    channel rows built in :meth:`key_blocks` blocks of whole u-runs.
+    :meth:`u_refs` folds the terms of the typical ys given each u, weighted
+    by p(y|u), in lexicographic y order.  The (u, y) support f1 lies inside
+    the typical output set given (y, u), so masking a row with f1 also masks
+    it with that set.  :meth:`theta_case3` builds one row per distinct
+    typical (x, y) pair.  Channel rows come only from stacked
+    :func:`~wtmac.codesim._channel_rows` calls, through :meth:`rows`, which
+    counts them in ``row_blocks``; :meth:`uy_refs` counts the distinct us
+    and keys it is given.
     """
 
     def __init__(self, chain: CodeChain, n: int, delta: float, eps: float):
@@ -154,58 +169,96 @@ class _Workspace:
         self.t_z_plain = int(_typical_rows(*plain, delta).sum())
         big = 4 * self.ny * self.nx * self.nu * delta
         self.t_z_big_mask = _typical_rows(*plain, big)
+        self.distinct_u = self.uy_keys = self.row_blocks = 0
 
     # -- sequence-level pieces ------------------------------------------------
 
-    def uy_refs(self, useq, x_mass, ys):
-        """The (u, y) references given ``useq`` of the rows of ``ys``, each
-        cut to its support, those supports f1, and the typical-x averages of
-        the inner rows zeroed off E2 (the terms of :meth:`u_ref`), as three
-        (len(ys), |Z|^n) arrays; ``x_mass`` is the x law given ``useq``.
-        Per block of whole ys that fits ``ROW_BLOCK_CELLS`` cells: one
-        channel-row call over the typical xs times those ys (y-major) and
-        one typicality test of their output masks given (y, u), one context
-        per row; then one dot per y."""
-        ranks = np.flatnonzero(x_mass)
-        xs, probs = _sequences(ranks, self.nx, self.n), x_mass[ranks]
-        ctx, _ = zip_sequences(ys, np.broadcast_to(useq, ys.shape),
-                               [self.ny, self.nu])
-        theta = np.empty((len(ys), len(self.zs)))
+    def uy_refs(self, useqs, x_table, key_u, key_ys):
+        """The (u, y) references of every key, each cut to its support,
+        those supports f1, and the typical-x averages of the inner rows
+        zeroed off E2 (the terms of :meth:`u_refs`), as three
+        (len(key_u), |Z|^n) arrays.  Key i is the pair
+        (``useqs[key_u[i]]``, ``key_ys[i]``), ``key_u`` sorted; row j of
+        ``x_table`` is the x law given ``useqs[j]``.  Per
+        :meth:`key_blocks` block: one channel-row call over each key's
+        typical xs (key-major), one typicality test of the keys' output
+        masks given (y, u), one context per row, and one cap mask; then per
+        u in the block one batched product of its x masses with its rows for
+        the references and one for the terms.  A batched product is one dot
+        per key, so a key's result does not depend on its block."""
+        size = len(self.zs)
+        xs, probs = [], []
+        for x_mass in x_table:
+            ranks = np.flatnonzero(x_mass)
+            xs.append(_sequences(ranks, self.nx, self.n))
+            probs.append(x_mass[ranks])
+        ctx, _ = zip_sequences(key_ys, useqs[key_u], [self.ny, self.nu])
+        theta = np.empty((len(key_u), size))
         f1 = np.empty(theta.shape, dtype=bool)
         terms = np.empty(theta.shape)
-        for block, part in self.pair_blocks(len(ys), len(xs)):
-            count = len(ys[part])
-            rows = _channel_rows(self.we, np.tile(xs, (count, 1)),
-                                 np.repeat(ys[part], len(xs), axis=0), self.ny)
+        self.distinct_u += len(useqs)
+        self.uy_keys += len(key_u)
+        for block in self.key_blocks(_runs(key_u, len(useqs)),
+                                     [len(v) for v in xs]):
+            lo, hi = block[0][1].start, block[-1][1].stop
+            rows = self.rows(
+                np.concatenate([np.tile(xs[u], (part.stop - part.start, 1))
+                                for u, part in block]),
+                np.concatenate([np.repeat(key_ys[part], len(xs[u]), axis=0)
+                                for u, part in block]))
             zy = _typical_rows(self.z_given_yu.matrix,
-                               np.repeat(ctx[part], len(self.zs), axis=0),
-                               np.tile(self.zs, (count, 1)),
-                               2 * self.nx * self.delta).reshape(count, -1)
-            for i, zy_mask, y_rows in zip(range(len(ys))[part], zy,
-                                          rows.reshape(count, len(xs), -1)):
-                capped = y_rows <= self.cap
-                theta[i], f1[i] = _cut(probs @ (y_rows * (zy_mask & capped)),
-                                       zy_mask,
-                                       self.eps / max(int(zy_mask.sum()), 1))
-                terms[i] = probs @ (y_rows * (f1[i] & capped))
+                               np.repeat(ctx[lo:hi], size, axis=0),
+                               np.tile(self.zs, (hi - lo, 1)),
+                               2 * self.nx * self.delta).reshape(hi - lo, size)
+            capped = rows <= self.cap
+            first = 0
+            for u, part in block:
+                shape = (part.stop - part.start, len(xs[u]), size)
+                span = slice(first, first + shape[0] * shape[1])
+                first = span.stop
+                u_rows = rows[span].reshape(shape)
+                u_capped = capped[span].reshape(shape)
+                zy_masks = zy[part.start - lo:part.stop - lo]
+                floors = self.eps / np.maximum(zy_masks.sum(axis=1), 1)
+                theta[part], f1[part] = _cut(
+                    probs[u] @ (u_rows * (zy_masks[:, None] & u_capped)),
+                    zy_masks, floors[:, None])
+                terms[part] = probs[u] @ (u_rows * (f1[part, None] & u_capped))
         return theta, f1, terms
 
-    def u_ref(self, useq, y_probs, terms):
-        """Exact reference measure given u alone (pairs enumerated), cut to
-        its support, and that support: the :meth:`uy_refs` ``terms`` of the
-        typical ys given ``useq``, weighted by their masses ``y_probs`` and
-        summed in lexicographic y order."""
-        theta = np.zeros(len(self.zs))
-        for pyv, term in zip(y_probs, terms):
-            theta += pyv * term
-        zmask = _typical_rows(self.z_given_u.matrix, useq, self.zs,
-                              3 * self.ny * self.nx * self.delta)
-        return _cut(theta, zmask, self.eps / max(int(zmask.sum()), 1))
+    def u_refs(self, useqs, key_u, y_probs, terms):
+        """Exact reference measures given each u of ``useqs`` alone (pairs
+        enumerated), cut to their supports, and those supports, as two
+        (len(useqs), |Z|^n) arrays.  Row i of ``terms`` is the
+        :meth:`uy_refs` term of a typical y given ``useqs[key_u[i]]`` of
+        mass ``y_probs[i]``, ``key_u`` sorted and each u's ys lexicographic;
+        one sequential fold sums each u's weighted terms in that order.
+        The output masks given u come from one typicality test per block of
+        whole us that fits ``ROW_BLOCK_CELLS``."""
+        size = len(self.zs)
+        theta = np.add.reduceat(y_probs[:, None] * terms,
+                                np.searchsorted(key_u, np.arange(len(useqs))),
+                                axis=0)
+        zmask = np.empty((len(useqs), size), dtype=bool)
+        for _, part in self.pair_blocks(len(useqs), 1):
+            count = len(useqs[part])
+            zmask[part] = _typical_rows(
+                self.z_given_u.matrix, np.repeat(useqs[part], size, axis=0),
+                np.tile(self.zs, (count, 1)),
+                3 * self.ny * self.nx * self.delta).reshape(count, size)
+        floors = self.eps / np.maximum(zmask.sum(axis=1), 1)
+        return _cut(theta, zmask, floors[:, None])
+
+    def rows(self, xs, ys) -> np.ndarray:
+        """Channel rows of the pairs (``xs``, ``ys``): one block, counted in
+        ``row_blocks``."""
+        self.row_blocks += 1
+        return _channel_rows(self.we, xs, ys, self.ny)
 
     def outer_rows(self, xs, ys) -> np.ndarray:
         """Output rows of the pairs (``xs``, ``ys``), zeroed off E3:
         probability-capped, on the enlarged typical output set."""
-        rows = _channel_rows(self.we, xs, ys, self.ny)
+        rows = self.rows(xs, ys)
         return rows * (self.t_z_big_mask & (rows <= self.cap))
 
     def pair_blocks(self, groups: int, group: int) -> list:
@@ -216,6 +269,27 @@ class _Workspace:
         step = max(ROW_BLOCK_CELLS // (group * self.nz ** self.n), 1)
         return [(slice(lo * group, (lo + step) * group), slice(lo, lo + step))
                 for lo in range(0, groups, step)]
+
+    def key_blocks(self, runs: list, widths: list) -> list:
+        """Blocks of keys whose channel rows fit in ``ROW_BLOCK_CELLS``
+        cells, ``runs[u]`` being the slice of u's keys and ``widths[u]`` the
+        rows of each: whole runs join a block while they fit, and a run too
+        large for one block is split into parts that fit (at least one key
+        each).  Each block lists its (u, slice of keys) parts in key
+        order."""
+        blocks, cells = [], 0
+        for u, run in enumerate(runs):
+            per = widths[u] * len(self.zs)
+            step = max(ROW_BLOCK_CELLS // per, 1)
+            for lo in range(run.start, run.stop, step):
+                part = slice(lo, min(lo + step, run.stop))
+                need = (part.stop - lo) * per
+                if not blocks or cells + need > ROW_BLOCK_CELLS:
+                    blocks.append([])
+                    cells = 0
+                blocks[-1].append((u, part))
+                cells += need
+        return blocks
 
     def theta_case3(self):
         """Exact Case-3 reference measure (typical triples enumerated), cut
@@ -344,10 +418,13 @@ def concentration_report(family: CodebookFamily, eps: float, *,
                                     [seed + 7919 * i for i in range(resamples)])
 
     if l1 == 1 and l2 == 1:
-        return ConcentrationReport(_case3_checks(ws, fams, l0), params)
-    return ConcentrationReport(
-        _pair_checks(ws, fams), params,
-        notes=("outer reference measure estimated from the resamples",))
+        checks, notes = _case3_checks(ws, fams, l0), ()
+    else:
+        checks = _pair_checks(ws, fams)
+        notes = ("outer reference measure estimated from the resamples",)
+    return ConcentrationReport(checks, params, notes=notes,
+                               distinct_u=ws.distinct_u, uy_keys=ws.uy_keys,
+                               row_blocks=ws.row_blocks)
 
 
 def _pair_checks(ws: _Workspace, fams) -> list:
@@ -356,11 +433,12 @@ def _pair_checks(ws: _Workspace, fams) -> list:
     Each (family, shared index a) group holds l1 x l2 (x, y) pairs, b-major.
     One typicality test of all pairs gives the typical counts.  The x laws
     (and in Case 1 the y laws) given every distinct u come from one law
-    table each.  Sequences are keyed by integer ranks: per distinct u, one
-    :meth:`_Workspace.uy_refs` call computes the references of its distinct
-    partner ys, in Case 1 with every typical y given it, which
-    :meth:`_Workspace.u_ref` folds; the results are scattered to the groups
-    by index.  Rows come in blocks of whole groups that fit
+    table each.  Sequences are keyed by integer ranks: one
+    :meth:`_Workspace.uy_refs` call computes the references of every
+    distinct (u, y) key, a u with its partner ys and, in Case 1, every
+    typical y given it, whose terms one :meth:`_Workspace.u_refs` call
+    folds; the results are scattered to the groups by index.  Rows come in
+    blocks of whole groups that fit
     ``ROW_BLOCK_CELLS``; each group's means are axis reductions of its
     block, and its corridor test (width eps for Case-2 inner means, 3 eps
     for Case-1 pair means) feeds both its own check and the family means,
@@ -395,27 +473,20 @@ def _pair_checks(ws: _Workspace, fams) -> list:
         keys.append(typ_u * y_space + typ_y)
     keys, key_of = np.unique(np.concatenate(keys), return_inverse=True)
     key_u, key_y = np.divmod(keys, y_space)
-    key_ys = _sequences(key_y, ws.ny, n)
-    theta, f1, terms = (np.empty((len(keys), size), dtype=t)
-                        for t in (float, bool, float))
-    for useq, x_mass, part in zip(distinct, x_table,
-                                  _runs(key_u, len(distinct))):
-        theta[part], f1[part], terms[part] = ws.uy_refs(useq, x_mass,
-                                                        key_ys[part])
+    theta, f1, terms = ws.uy_refs(distinct, x_table, key_u,
+                                  _sequences(key_y, ws.ny, n))
     refs, f1 = (v[key_of[:groups * l2]].reshape(groups, l2, size)
                 for v in (theta, f1))
     if l2 > 1:
         # each u's typical ys, lexicographic within its run
-        typical, y_probs = key_of[groups * l2:], y_table[typ_u, typ_y]
-        ref_u, f2 = (np.array(v)[u_of] for v in zip(*(
-            ws.u_ref(useq, y_probs[part], terms[typical[part]])
-            for useq, part in zip(distinct, _runs(typ_u, len(distinct))))))
+        ref_u, f2 = (v[u_of] for v in ws.u_refs(
+            distinct, typ_u, y_table[typ_u, typ_y],
+            terms[key_of[groups * l2:]]))
     mean = np.empty((groups, size))
     out = np.empty((groups, size), dtype=bool)
     inner_fail = np.zeros(size, dtype=np.int64)
     for block, g in ws.pair_blocks(groups, l1 * l2):
-        rows = _channel_rows(ws.we, pair_x[block], pair_y[block], ws.ny)
-        rows = rows.reshape(-1, l1, l2, size)
+        rows = ws.rows(pair_x[block], pair_y[block]).reshape(-1, l1, l2, size)
         # zeroed off E2: probability-capped, on each partner's (u, y) support
         rows *= f1[g, None] & (rows <= ws.cap)
         means = rows.mean(axis=1)

@@ -727,6 +727,8 @@ class _CountBoxes:
     order; ``mass`` is its multinomial mass normalized over its group,
     ``cum`` its key plus its group's running mass (the group's last is
     key + 1 exactly), and key k's group is ``counts[first[k]:first[k+1]]``.
+    The arrays are read-only: a code chain keeps its tables and lends them
+    to every draw (:meth:`wtmac.codesim.CodeChain.count_boxes`).
     """
 
     n: int
@@ -735,6 +737,10 @@ class _CountBoxes:
     mass: np.ndarray
     cum: np.ndarray
     first: np.ndarray
+
+    def __post_init__(self):
+        for table in (self.counts, self.mass, self.cum, self.first):
+            table.setflags(write=False)
 
     @staticmethod
     def build(matrix: np.ndarray, n: int, delta: float) -> "_CountBoxes":

@@ -740,21 +740,25 @@ def reference_typical_given(ws, law, useq=None):
 
 def workspace_uy(ws, useq, ys):
     """The workspace's (u, y) references, supports and typical-x terms of
-    the rows of ``ys`` given ``useq``, as ``_pair_checks`` computes them,
-    from the x law given ``useq`` alone."""
-    x_mass = _truncated_laws(ws.chain.x_given_u.matrix, useq[None],
-                             ws.delta)[0]
-    return ws.uy_refs(useq, x_mass, ys)
+    the rows of ``ys`` given ``useq``: the one-u view of the stacked
+    ``_Workspace.uy_refs``, from the x law given ``useq`` alone."""
+    x_table = _truncated_laws(ws.chain.x_given_u.matrix, useq[None],
+                              ws.delta)
+    return ws.uy_refs(useq[None], x_table, np.zeros(len(ys), dtype=np.int64),
+                      ys)
 
 
 def workspace_u(ws, useq):
     """The workspace's per-u reference and its support, folded from the
-    terms of every typical y given ``useq`` (lexicographic)."""
+    terms of every typical y given ``useq`` (lexicographic): the one-u view
+    of the stacked ``_Workspace.u_refs``."""
     y_mass = _truncated_laws(ws.chain.y_given_u.matrix, useq[None],
                              ws.delta)[0]
     ranks = np.flatnonzero(y_mass)
     ys = np.stack(np.unravel_index(ranks, (ws.ny,) * ws.n), axis=1)
-    return ws.u_ref(useq, y_mass[ranks], workspace_uy(ws, useq, ys)[2])
+    theta, support = ws.u_refs(useq[None], np.zeros(len(ys), dtype=np.int64),
+                               y_mass[ranks], workspace_uy(ws, useq, ys)[2])
+    return theta[0], support[0]
 
 
 def reference_theta_uy(ws, useq, yseq):
@@ -846,7 +850,7 @@ def pair_mean(ws, fam, a):
 def reference_theta_u(ws, useq):
     """The per-u reference measure built from its own inner rows, one typical
     y at a time, before its cut, and the typical output mask given u: the
-    reference for ``_Workspace.u_ref``."""
+    reference for ``_Workspace.u_refs``."""
     xs, xp = reference_typical_given(ws, ws.chain.x_given_u, useq)
     ys, yp = reference_typical_given(ws, ws.chain.y_given_u, useq)
     theta = np.zeros(ws.nz ** ws.n)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -245,6 +246,56 @@ class TestSampling:
                                      k_sizes)
         assert np.array_equal(one.x, fams[-1].x)
         assert one.to_csv() == fams[-1].to_csv()
+
+    @staticmethod
+    def counted_builds(monkeypatch):
+        built = []
+        build = probkit._CountBoxes.build
+
+        def counted(matrix, n, delta):
+            built.append((matrix.tobytes(), n, delta))
+            return build(matrix, n, delta)
+
+        monkeypatch.setattr(probkit._CountBoxes, "build", staticmethod(counted))
+        return built
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_chain_builds_each_table_once(self, monkeypatch, coupled):
+        # draws on one chain build its u, x and y tables once per (n, delta),
+        # x and y one table when X|U = Y|U, and draw what a fresh chain
+        # draws; the tables are read-only
+        def make():
+            if coupled:
+                return coupled_chain(noiseless_bob_mac())
+            return TestConcentration().chain(seed=61)
+
+        chain = make()
+        built = self.counted_builds(monkeypatch)
+        draws = [((2, 2, 1), 0.35, 5), ((1, 3, 2), 0.35, 5),
+                 ((2, 1, 1), 0.4, 4), ((3, 1, 2), 0.35, 5)]
+        fams = [sample_codebook_families(chain, n, l_sizes, delta, [s, s + 1])
+                for s, (l_sizes, delta, n) in enumerate(draws)]
+        tables = 2 if coupled else 3
+        assert len(built) == 2 * tables
+        assert len(set(built)) == len(built)
+        for s, ((l_sizes, delta, n), got) in enumerate(zip(draws, fams)):
+            fresh = sample_codebook_families(make(), n, l_sizes, delta,
+                                             [s, s + 1])
+            for a, b in zip(got, fresh):
+                assert all(np.array_equal(v, w) for v, w in
+                           zip((a.u, a.x, a.y), (b.u, b.x, b.y)))
+        boxes = chain.count_boxes(1, 5, 0.35)
+        assert (chain.count_boxes(2, 5, 0.35) is boxes) == coupled
+        with pytest.raises(ValueError, match="read-only"):
+            boxes.cum[0] = 0.0
+
+    def test_no_seeds_draw_no_family(self, monkeypatch):
+        chain = coupled_chain(noiseless_bob_mac())
+        built = self.counted_builds(monkeypatch)
+        assert sample_codebook_families(chain, 4, (2, 1, 1), 0.3, []) == []
+        assert built == []
+        with pytest.raises(ValidationError, match="positive"):
+            sample_codebook_families(chain, 4, (0, 1, 1), 0.3, [])
 
 
 class TestBuild:
@@ -1360,8 +1411,9 @@ class TestWorkspaceReferences:
         assert not zy.all()
         self.check_inner_and_pair_rows(ws, fam)
 
-    # the ys one u's uy_refs call reads in _pair_checks: its partners
-    # (Case 2), or its partners and every typical y given it (Case 1)
+    # the ys of one u that the stacked uy_refs call reads in _pair_checks:
+    # its partners (Case 2), or its partners and every typical y given it
+    # (Case 1)
     def check_stacked_fill(self, chain, n, delta, fam):
         """Computes one u's ys at once and compares every row with the
         one-y call and the reference; returns the ys' typical output
@@ -1491,62 +1543,127 @@ class TestPairChecks:
                                      seed=59).to_json_dict()
                 == rep.to_json_dict())
 
+    @staticmethod
+    def counted_pass(monkeypatch, ws, fams):
+        """``_pair_checks`` with its calls counted: the uy_refs and u_refs
+        calls, each kernel call by the innermost of them it runs in
+        ("pass" outside both), and the blocks uy_refs reads."""
+        calls = Counter()
+        inside = ["pass"]
+        blocks = []
+        with monkeypatch.context() as patch:
+            for name in ("uy_refs", "u_refs"):
+                def method(self, *args, _method=getattr(_Workspace, name),
+                           _name=name):
+                    calls[_name] += 1
+                    inside.append(_name)
+                    try:
+                        return _method(self, *args)
+                    finally:
+                        inside.pop()
+                patch.setattr(_Workspace, name, method)
+
+            def key_blocks(self, *args, _method=_Workspace.key_blocks):
+                blocks.append(_method(self, *args))
+                return blocks[-1]
+
+            patch.setattr(_Workspace, "key_blocks", key_blocks)
+            for name in ("_truncated_laws", "_channel_rows", "_typical_rows"):
+                def kernel(*args, _kernel=getattr(concentration, name),
+                           _name=name):
+                    calls[inside[-1], _name] += 1
+                    return _kernel(*args)
+                patch.setattr(concentration, name, kernel)
+            return concentration._pair_checks(ws, fams), calls, blocks
+
     @pytest.mark.parametrize("l_sizes", [(2, 2, 2), (3, 2, 3), (3, 2, 1),
                                          (1, 4, 1)])
     def test_each_family_mean_computed_once(self, monkeypatch, l_sizes):
         # one stacked pass over all resamples: one truncated-law table per
-        # law read, one uy_refs call per distinct u (and in Case 1 one u_ref
-        # call), and outside them one typicality test and one channel-row
-        # call per cell-budget block of groups, at any resample count;
-        # blocks of one (family, shared index) each leave the checks
-        # unchanged
+        # law read, one uy_refs call and in Case 1 one u_refs call per
+        # report, and one channel-row call and one typicality test per
+        # block: per key block in uy_refs (one block at the default budget
+        # here), per block of groups outside it, and in u_refs one test per
+        # block of us; blocks of one key each, or blocks that split one u's
+        # keys, leave the checks unchanged
         chain = TestConcentration().chain(seed=131)
         n, delta = 4, 0.45
-
-        def counted_pass(ws, fams):
-            calls = dict.fromkeys(("uy_refs", "u_ref", "_truncated_laws",
-                                   "_channel_rows", "_typical_rows"), 0)
-            inside = []
-            with monkeypatch.context() as patch:
-                for name in ("uy_refs", "u_ref"):
-                    def method(self, *args, _method=getattr(_Workspace, name),
-                               _name=name):
-                        calls[_name] += 1
-                        inside.append(_name)
-                        try:
-                            return _method(self, *args)
-                        finally:
-                            inside.pop()
-                    patch.setattr(_Workspace, name, method)
-                for name in ("_truncated_laws", "_channel_rows",
-                             "_typical_rows"):
-                    def kernel(*args, _kernel=getattr(concentration, name),
-                               _name=name):
-                        calls[_name] += not inside
-                        return _kernel(*args)
-                    patch.setattr(concentration, name, kernel)
-                return concentration._pair_checks(ws, fams), calls
-
-        l0, _, l2 = l_sizes
+        l0, l1, l2 = l_sizes
+        size = chain.mac.z_alphabet.size ** n
         for resamples in (5, 50):
             ws = _Workspace(chain, n, delta, 0.3)
             fams = sample_codebook_families(chain, n, l_sizes, delta,
                                             [133 + 7919 * i
                                              for i in range(resamples)])
             first = concentration._pair_checks(ws, fams)
-            distinct = len({fam.u[0, a].tobytes() for fam in fams
-                            for a in range(l0)})
-            per_u = {"uy_refs": distinct, "u_ref": distinct if l2 > 1 else 0,
-                     "_truncated_laws": 1 + (l2 > 1)}
-            assert counted_pass(ws, fams) == (
-                first, {**per_u, "_channel_rows": 1, "_typical_rows": 1})
-            with monkeypatch.context() as patch:
-                patch.setattr(concentration, "ROW_BLOCK_CELLS", 1)
-                assert counted_pass(ws, fams) == (
-                    first, {**per_u, "_channel_rows": resamples * l0,
-                            "_typical_rows": 1})
-                cold = _Workspace(chain, n, delta, 0.3)
-                assert concentration._pair_checks(cold, fams) == first
+            us = np.unique(np.stack([fam.u[0] for fam in fams])
+                           .reshape(-1, n), axis=0)
+            widths = (probkit._truncated_laws(chain.x_given_u.matrix, us,
+                                              delta) > 0).sum(axis=1)
+            # 1 cell: one key per block; two of the widest keys: a u with
+            # three keys or more is split
+            for budget in (concentration.ROW_BLOCK_CELLS, 1,
+                           2 * size * int(widths.max())):
+                with monkeypatch.context() as patch:
+                    patch.setattr(concentration, "ROW_BLOCK_CELLS", budget)
+                    checks, calls, blocks = self.counted_pass(monkeypatch,
+                                                              ws, fams)
+                    groups = ws.pair_blocks(resamples * l0, l1 * l2)
+                    u_blocks = ws.pair_blocks(len(us), 1)
+                assert checks == first
+                [key_blocks] = blocks
+                keys = sum(part.stop - part.start
+                           for block in key_blocks for _, part in block)
+                want = {"uy_refs": 1,
+                        ("uy_refs", "_channel_rows"): len(key_blocks),
+                        ("uy_refs", "_typical_rows"): len(key_blocks),
+                        ("pass", "_truncated_laws"): 1 + (l2 > 1),
+                        ("pass", "_typical_rows"): 1,
+                        ("pass", "_channel_rows"): len(groups)}
+                if l2 > 1:
+                    want.update({"u_refs": 1,
+                                 ("u_refs", "_typical_rows"): len(u_blocks)})
+                assert calls == want
+                placed = [u for block in key_blocks for u, _ in block]
+                if budget == concentration.ROW_BLOCK_CELLS:
+                    assert len(key_blocks) == len(groups) == 1
+                elif budget == 1:
+                    assert len(key_blocks) == keys
+                    assert len(groups) == resamples * l0
+                elif resamples == 50:
+                    assert len(set(placed)) < len(placed) < keys
+            cold = _Workspace(chain, n, delta, 0.3)
+            assert concentration._pair_checks(cold, fams) == first
+
+    @pytest.mark.parametrize("l_sizes", [(2, 2, 2), (2, 2, 1), (3, 1, 1)])
+    def test_report_counts_its_work(self, monkeypatch, l_sizes):
+        # the report's work counters: the distinct us and (u, y) keys of
+        # its one uy_refs call (none in Case 3) and its channel-row calls;
+        # the same on every run and absent from the JSON form
+        chain = TestConcentration().chain(seed=57)
+        fam = sample_codebook_family(chain, 5, l_sizes, 0.35, seed=58)
+        given = []
+        rows = Counter()
+        uy_refs, channel_rows = _Workspace.uy_refs, concentration._channel_rows
+
+        def counted_refs(self, useqs, x_table, key_u, key_ys):
+            given.append((len(useqs), len(key_u)))
+            return uy_refs(self, useqs, x_table, key_u, key_ys)
+
+        def counted_rows(*args):
+            rows["calls"] += 1
+            return channel_rows(*args)
+
+        rep = concentration_report(fam, eps=0.3, resamples=7, seed=59)
+        monkeypatch.setattr(_Workspace, "uy_refs", counted_refs)
+        monkeypatch.setattr(concentration, "_channel_rows", counted_rows)
+        again = concentration_report(fam, eps=0.3, resamples=7, seed=59)
+        assert again == rep
+        assert (rep.distinct_u, rep.uy_keys) == (given[0] if given else (0, 0))
+        assert len(given) == (l_sizes != (3, 1, 1))
+        assert rep.row_blocks == rows["calls"] >= 1
+        assert not {"distinct_u", "uy_keys", "row_blocks"} & set(
+            rep.to_json_dict())
 
 
 class TestCase3Checks:

@@ -231,6 +231,92 @@ def test_one_truncated_law_kernel():
                      ("probkit.py", "keys")], found
 
 
+def _box_builds(tree, owner=""):
+    """(innermost enclosing function, line) of every ``_CountBoxes.build``
+    call in ``tree``; the function is "" at module level."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _box_builds(node, node.name)
+            continue
+        func = getattr(node, "func", None)
+        if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                and func.attr == "build" and "_CountBoxes" in (
+                    getattr(func.value, "id", None),
+                    getattr(func.value, "attr", None))):
+            yield owner, node.lineno
+        yield from _box_builds(node, owner)
+
+
+def test_box_build_detector():
+    code = ("_CountBoxes.build(m, 3, 0.1)\n"
+            "class C:\n"
+            "    def count_boxes(self):\n"
+            "        return _CountBoxes.build(m, 3, 0.1).draw(c, u)\n"
+            "    def plan(self):\n"
+            "        return _DecodePlan.build(self)\n"
+            "def f():\n"
+            "    return [probkit._CountBoxes.build(m, n, d) for n in ns]\n")
+    assert sorted(_box_builds(ast.parse(code))) == [
+        ("", 1), ("count_boxes", 4), ("f", 8)]
+
+
+def test_count_box_tables_built_by_the_chain_and_the_one_row_sampler():
+    # A code chain keeps its u, x and y tables per (n, delta)
+    # (CodeChain.count_boxes), and the codebook draws read them;
+    # sample_typical, the one-row view, builds its own per call.
+    root = Path(wtmac.__file__).parent
+    found = [(path.name, owner)
+             for path in sorted(root.glob("*.py"))
+             for owner, _ in _box_builds(ast.parse(path.read_text()))]
+    assert sorted(found) == [("codesim.py", "count_boxes"),
+                             ("probkit.py", "sample_typical")], found
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def _calls_in_loops(tree, names):
+    """Line of every call of a ``names`` attribute inside the body of a
+    loop or comprehension of ``tree`` (a for loop's iterable is outside
+    it)."""
+    for loop in ast.walk(tree):
+        if not isinstance(loop, LOOPS):
+            continue
+        if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            parts = loop.body + loop.orelse + (
+                [loop.test] if isinstance(loop, ast.While) else [])
+        else:
+            parts = [getattr(loop, "elt", None) or loop.key, *(
+                [loop.value] if isinstance(loop, ast.DictComp) else []),
+                *(cond for gen in loop.generators for cond in gen.ifs)]
+        yield from {line for part in parts for name in names
+                    for line in _method_calls(part, name)}
+
+
+def test_calls_in_loops_detector():
+    code = ("theta = ws.uy_refs(us, xt, ku, ys)\n"
+            "for part in ws.uy_refs(us, xt, ku, ys):\n"
+            "    ws.u_refs(us, ku, p, t)\n"
+            "refs = [ws.uy_refs(u, x, k, y) for u in us]\n"
+            "while ws.u_refs(us, ku, p, t) is None:\n"
+            "    pass\n"
+            "ref = ws.uy_refs(us, xt, ku, ys)[0] if us else None\n")
+    assert sorted(set(_calls_in_loops(ast.parse(code),
+                                      ("uy_refs", "u_refs")))) == [3, 4, 5]
+
+
+def test_concentration_references_in_one_call_per_report():
+    # _Workspace.uy_refs takes every (u, y) key of a report and
+    # _Workspace.u_refs every distinct u: neither is called once per key
+    # or per u in a loop.
+    path = Path(wtmac.__file__).parent / "concentration.py"
+    tree = ast.parse(path.read_text())
+    assert set(_method_calls(tree, "uy_refs"))
+    found = sorted(set(_calls_in_loops(tree, ("uy_refs", "u_refs"))))
+    assert not found, found
+
+
 def _calls_outside(tree, name, owner, method):
     """Line of every call of a ``name`` attribute in ``tree`` outside the
     method ``owner.method``."""
