@@ -21,13 +21,16 @@ from .probkit import (
     AX_X,
     AX_Y,
     AX_Z,
+    CELL_BUDGET,
     Dist,
     FactoredInput,
     WiretapMAC,
 )
 from .regions import (
+    SENDER_SWAP,
     AlphaBounds,
     CaseLabel,
+    _case1_interval,
     _columns,
     alpha_bounds_case1,
     classify_profile,
@@ -67,24 +70,35 @@ class GapPoint:
     d2_gap_dq2: float
 
 
-def _bias_rows(mac: WiretapMAC | None, q, r) -> tuple[tuple, np.ndarray, np.ndarray]:
+def _bias_rows(q, r) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The broadcast shape of q and r, and the laws (q, 1 - q), (r, 1 - r)
-    stacked one input per row; a MAC given must have binary inputs."""
-    if mac is not None and (mac.x_alphabet.size != 2 or mac.y_alphabet.size != 2):
-        raise ValidationError("independent binary inputs need |X| = |Y| = 2")
+    stacked one input per row."""
     q, r = np.broadcast_arrays(np.asarray(q, float), np.asarray(r, float))
     return (q.shape, np.stack([q.ravel(), 1.0 - q.ravel()], axis=1),
             np.stack([r.ravel(), 1.0 - r.ravel()], axis=1))
 
 
+# The 7 x 7 interior grid of independent inputs of the conferencing-helps test
+_GRID = _bias_rows(np.linspace(0.1, 0.9, 7)[:, None], np.linspace(0.1, 0.9, 7))
+
+
+def _independent_profiles(tensor: np.ndarray, px, py):
+    """Profile columns of independent inputs with laws px, py (one per row),
+    |U| = 1 and identity prefixes: one profile batch on a channel tensor
+    (..., 2, 2, T, Z), one for all inputs or a stack of one per input."""
+    if tensor.shape[-4:-2] != (2, 2):
+        raise ValidationError("independent binary inputs need |X| = |Y| = 2")
+    ident = np.broadcast_to(np.eye(2), (len(px), 2, 2))
+    return _columns(info_profiles(np.ones((len(px), 1)), px[:, None], py[:, None],
+                                  ident, ident, tensor).profiles)
+
+
 def independent_gaps(mac: WiretapMAC, q, r) -> np.ndarray:
     """Gap I(Z;XY) - I(T;XY) in bits at independent binary inputs
     P(X=0) = q, P(Y=0) = r, which broadcast against each other: one profile
-    batch with |U| = 1 and identity prefixes."""
-    shape, px, py = _bias_rows(mac, q, r)
-    ident = np.broadcast_to(np.eye(2), (len(px), 2, 2))
-    prof = _columns(info_profiles(np.ones((len(px), 1)), px[:, None], py[:, None],
-                                  ident, ident, mac.tensor).profiles)
+    batch."""
+    shape, px, py = _bias_rows(q, r)
+    prof = _independent_profiles(mac.tensor, px, py)
     return (prof.iz_v12 - prof.it_v12).reshape(shape)
 
 
@@ -105,13 +119,15 @@ def gap_curvatures(mac: WiretapMAC, q, r) -> tuple[np.ndarray, np.ndarray]:
     in r.  At an interior input P(o) = 0 forces dP(o)/dq = 0, so such a term
     contributes 0.
     """
-    return _curvatures(mac.tensor.sum(axis=3), mac.tensor.sum(axis=2),
-                       *_bias_rows(mac, q, r))
+    return _curvatures(mac.tensor, *_bias_rows(q, r))
 
 
-def _curvatures(w_t, w_z, shape, px, py) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gap_curvatures` from marginal channels w_t[x,y,t], w_z[x,y,z]."""
-    d2 = (_fisher_sums(w_t, px, py) - _fisher_sums(w_z, px, py)) / LN2
+def _curvatures(tensor, shape, px, py) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gap_curvatures` on a channel tensor (2, 2, T, Z)."""
+    if tensor.shape[:2] != (2, 2):
+        raise ValidationError("independent binary inputs need |X| = |Y| = 2")
+    d2 = (_fisher_sums(tensor.sum(axis=3), px, py)
+          - _fisher_sums(tensor.sum(axis=2), px, py)) / LN2
     return d2[:, 0].reshape(shape), d2[:, 1].reshape(shape)
 
 
@@ -178,6 +194,14 @@ def coupled_input(mac: WiretapMAC, p0: float) -> FactoredInput:
     return FactoredInput.coupled(Dist.from_mass([p0, 1.0 - p0]), mac)
 
 
+def _coupled_profiles(tensor: np.ndarray, p0s: np.ndarray):
+    """Profile columns of the coupled inputs x = y = U, one per bias
+    P(U=0) = p0: one profile batch."""
+    ident = np.broadcast_to(np.eye(2), (len(p0s), 2, 2))
+    return _columns(info_profiles(np.stack([p0s, 1.0 - p0s], axis=1), ident, ident,
+                                  ident, ident, tensor).profiles)
+
+
 def equal_input_witness(scan_points: int = 99) -> EqualInputWitness:
     """Coupled uniform inputs: the eavesdropper sees pure noise.
 
@@ -185,13 +209,9 @@ def equal_input_witness(scan_points: int = 99) -> EqualInputWitness:
     coupling bias confirming the uniform choice maximizes the legitimate
     rate.
     """
-    mac = discussion_channels()
     # One profile batch: the scanned biases, then the uniform coupling.
     p0s = np.append(np.linspace(0.0, 1.0, scan_points + 2)[1:-1], 0.5)
-    p_u = np.stack([p0s, 1.0 - p0s], axis=1)
-    ident = np.broadcast_to(np.eye(2), (p0s.size, 2, 2))
-    prof = _columns(info_profiles(p_u, ident, ident, ident, ident,
-                                  mac.tensor).profiles)
+    prof = _coupled_profiles(discussion_channels().tensor, p0s)
     *scanned, _ = zip(p0s.tolist(), prof.it_v12.tolist())
     # max keeps the first of tied maxima
     best_p0 = max(scanned, key=lambda point: point[1])[0]
@@ -299,62 +319,64 @@ class FoundChannel:
         return out
 
 
-def _needs_time_sharing(mac: WiretapMAC, q: float, r: float,
+def _needs_time_sharing(tensors: np.ndarray, q: np.ndarray, r: np.ndarray,
+                        tol: float) -> list[tuple[int, dict]]:
+    """(index, certificate) of each channel of a stack (N, 2, 2, 2, 2) whose
+    input (q, r) passes the common gate, the zero-randomness conditions and a
+    time-sharing interval strictly interior on one side under the first
+    sender assignment that allows it: one profile batch."""
+    common = _independent_profiles(tensors, *_bias_rows(q, r)[1:])
+    ok, cols = [], []
+    for cand in (common, common._make(common[i] for i in SENDER_SWAP)):
+        alpha0, alpha1, degenerate = _case1_interval(cand)
+        # each rejection is a comparison negated whole, so a NaN rejects nothing
+        ok.append(~((common.iz_v12 > common.it_v12) | (cand.iz_v1_u > cand.it_v1_v2u)
+                    | (cand.iz_v2_u > cand.it_v2_v1u) | degenerate | (alpha0 > alpha1))
+                  & ((alpha0 > tol) | (alpha1 < 1.0 - tol)))
+        cols.append((alpha0, alpha1, cand.iz_v1_u, cand.it_v1_v2u, cand.iz_v2_u,
+                     cand.it_v2_v1u, common.iz_v12, common.it_v12))
+    hits = np.flatnonzero(ok[0] | ok[1])
+    first = ok[0][hits]
+    return [(i, {"assignment": "first" if f else "second", "alpha0": a0, "alpha1": a1,
+                 "zero_randomness_conditions": [[z1, t1], [z2, t2]],
+                 "common_gate": [gz, gt]})
+            for i, f, a0, a1, z1, t1, z2, t2, gz, gt in zip(
+                hits.tolist(), first.tolist(),
+                *(np.where(first, a[hits], b[hits]).tolist() for a, b in zip(*cols)))]
+
+
+def _conferencing_helps(tensor: np.ndarray, rng: np.random.Generator,
                         tol: float) -> dict | None:
-    p = FactoredInput.independent(Dist.from_mass([q, 1 - q]),
-                                  Dist.from_mass([r, 1 - r]), mac)
-    prof = info_profile(p)
-    if prof.iz_v12 > prof.it_v12:
-        return None
-    for name, cand in (("first", prof), ("second", prof.swapped())):
-        if cand.iz_v1_u > cand.it_v1_v2u or cand.iz_v2_u > cand.it_v2_v1u:
-            continue  # zero-randomness conditions fail under this assignment
-        ab = alpha_bounds_case1(cand)
-        if ab.degenerate or ab.alpha0 > ab.alpha1:
-            continue
-        if ab.alpha0 > tol or ab.alpha1 < 1.0 - tol:
-            return {
-                "assignment": name,
-                "alpha0": float(ab.alpha0),
-                "alpha1": float(ab.alpha1),
-                "zero_randomness_conditions": [
-                    [float(cand.iz_v1_u), float(cand.it_v1_v2u)],
-                    [float(cand.iz_v2_u), float(cand.it_v2_v1u)],
-                ],
-                "common_gate": [float(prof.iz_v12), float(prof.it_v12)],
-            }
-    return None
-
-
-def _conferencing_helps(mac: WiretapMAC, rng: np.random.Generator,
-                        tol: float, grid: int = 7) -> dict | None:
     # the eavesdropper must beat every independent input, including ones fed
     # through per-sender auxiliaries: that is concavity of the information
     # gap in each input bias (mixtures never flip the sign), checked here by
     # the exact curvatures on an interior grid (first: they are cheap and
     # reject most channels), plus pointwise positivity of the gap itself...
-    qs = np.linspace(0.1, 0.9, grid)
-    d2_dq2, d2_dr2 = gap_curvatures(mac, qs[:, None], qs[None, :])
-    max_d2 = float(max(d2_dq2.max(), d2_dr2.max()))
+    shape, px, py = _GRID
+    max_d2 = float(max(d2.max() for d2 in _curvatures(tensor, shape, px, py)))
     if max_d2 >= -tol:
         return None
-    min_gap = float(independent_gaps(mac, qs[:, None], qs[None, :]).min())
+    prof = _independent_profiles(tensor, px, py)
+    min_gap = float((prof.iz_v12 - prof.it_v12).min())
     if min_gap < tol:
         return None
     # ... while some coupled input flips the sign
-    couplings = [0.5, 0.3, 0.7] + list(rng.uniform(0.1, 0.9, size=3))
-    for p0 in couplings:
-        prof = info_profile(coupled_input(mac, p0))
-        advantage = prof.it_v12 - prof.iz_v12
+    p0s = np.array([0.5, 0.3, 0.7, *rng.uniform(0.1, 0.9, size=3)])
+    prof = _coupled_profiles(tensor, p0s)
+    for p0, advantage in zip(p0s.tolist(), (prof.it_v12 - prof.iz_v12).tolist()):
         if advantage > tol:
-            return {
-                "independent_min_gap": min_gap,
-                "max_gap_curvature": max_d2,
-                "independent_grid": int(grid),
-                "coupling_p0": float(p0),
-                "coupled_advantage": float(advantage),
-            }
+            return {"independent_min_gap": min_gap, "max_gap_curvature": max_d2,
+                    "independent_grid": shape[0], "coupling_p0": p0,
+                    "coupled_advantage": advantage}
     return None
+
+
+def _draw(rng: np.random.Generator):
+    """One draw of the search: the channel tensor (2, 2, 2, 2), products of
+    rows uniform on the simplex as in ``WiretapMAC.from_marginals``, and q, r."""
+    rows_b, rows_e = (rng.dirichlet(np.ones(2), size=4) for _ in range(2))
+    return ((rows_b[:, :, None] * rows_e[:, None, :]).reshape(2, 2, 2, 2),
+            rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95))
 
 
 def bruteforce_search(budget: int, seed: int, predicate: str,
@@ -362,35 +384,29 @@ def bruteforce_search(budget: int, seed: int, predicate: str,
     """Randomly search 2x2 channel pairs for a structural predicate.
 
     ``needs-time-sharing``: the zero-randomness conditions hold but the
-    time-sharing interval is strictly interior on one side.
+    time-sharing interval is strictly interior on one side; draws are scored
+    in blocks of one profile batch within ``CELL_BUDGET``.
     ``conferencing-helps``: independent inputs never beat the eavesdropper
-    while some coupled input does.  Channel rows are uniform on the simplex,
-    input biases uniform on [0.05, 0.95]; deterministic under the seed.
-    A ``conferencing-helps`` channel is built only once its drawn marginals
-    pass the curvature test, which about 2% do.
+    while some coupled input does; a channel passing the curvature and gap
+    tests draws its coupling biases, so it is scored alone.  Deterministic
+    under the seed; a ``WiretapMAC`` is built per hit.
     """
     if predicate not in ("needs-time-sharing", "conferencing-helps"):
         raise ValidationError(f"unknown predicate {predicate!r}")
     rng = np.random.default_rng(seed)
-    qs = np.linspace(0.1, 0.9, 7)  # the curvature grid of _conferencing_helps
-    bias_rows = _bias_rows(None, qs[:, None], qs[None, :])
-    found = []
-    for _ in range(budget):
-        rows_b = rng.dirichlet(np.ones(2), size=4)
-        rows_e = rng.dirichlet(np.ones(2), size=4)
-        q = float(rng.uniform(0.05, 0.95))
-        r = float(rng.uniform(0.05, 0.95))
-        # the curvature test of _conferencing_helps on the drawn rows, before a
-        # channel is built; 1e-9 covers the last bits its marginals differ by
-        if predicate == "conferencing-helps" and max(map(np.max, _curvatures(
-                rows_b.reshape(2, 2, -1), rows_e.reshape(2, 2, -1),
-                *bias_rows))) >= -tol + 1e-9:
-            continue
-        mac = WiretapMAC.from_marginals(rows_b, rows_e)
-        if predicate == "needs-time-sharing":
-            cert = _needs_time_sharing(mac, q, r, tol)
-        else:
-            cert = _conferencing_helps(mac, rng, tol)
-        if cert is not None:
-            found.append(FoundChannel(mac, q, r, predicate, cert))
-    return found
+    hits = []
+    if predicate == "conferencing-helps":
+        for _ in range(budget):
+            tensor, q, r = _draw(rng)
+            if (cert := _conferencing_helps(tensor, rng, tol)) is not None:
+                hits.append((tensor, q, r, cert))
+    else:
+        block = max(CELL_BUDGET // 16, 1)  # a 16-cell tensor and law per draw
+        for lo in range(0, budget, block):
+            tensors, qs, rs = map(np.array, zip(*(
+                _draw(rng) for _ in range(min(block, budget - lo)))))
+            hits += [(tensors[i], qs[i], rs[i], cert)
+                     for i, cert in _needs_time_sharing(tensors, qs, rs, tol)]
+    return [FoundChannel(WiretapMAC.from_rows(t.reshape(4, 4), 2, 2, 2, 2),
+                         float(q), float(r), predicate, cert)
+            for t, q, r, cert in hits]

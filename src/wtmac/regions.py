@@ -34,17 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError, ResourceBudgetError, ValidationError
-from .probkit import (
-    ARITH_TOL,
-    AX_T,
-    AX_U,
-    AX_V1,
-    AX_V2,
-    AX_Z,
-    CELL_BUDGET,
-    FactoredInput,
-    JointDist,
-)
+from .probkit import ARITH_TOL, CELL_BUDGET, FactoredInput
 
 EQUALITY_TOL = 1e-12
 # Feasibility slack of a vertex candidate against every constraint.
@@ -214,28 +204,28 @@ def _profiles_of_laws(law: np.ndarray) -> ProfileBatch:
 def info_profiles(p_u: np.ndarray, v1_given_u: np.ndarray, v2_given_u: np.ndarray,
                   x_given_v1: np.ndarray, y_given_v2: np.ndarray,
                   tensor: np.ndarray) -> ProfileBatch:
-    """Information profiles of a batch of factored inputs on one channel.
+    """Information profiles of a batch of factored inputs.
 
     Takes stacked row-stochastic factors -- p_u (N, U), P(V1|U) (N, U, V1),
-    P(V2|U) (N, U, V2), P(X|V1) (N, V1, X), P(Y|V2) (N, V2, Y) -- and the
-    channel tensor (X, Y, T, Z).  Two pairwise contractions give the
-    (N, U, V1, V2, T, Z) law directly (no profile field reads X or Y), and
-    the 17 marginal entropies are taken once per batch.  Batches are cut
-    into chunks of at most ``CELL_BUDGET`` cells.
+    P(V2|U) (N, U, V2), P(X|V1) (N, V1, X), P(Y|V2) (N, V2, Y) -- and a
+    channel tensor (X, Y, T, Z), or a stack (N, X, Y, T, Z) of one per input,
+    which broadcasts.  Two pairwise contractions give the (N, U, V1, V2, T, Z)
+    law (no profile field reads X or Y), and the 17 marginal entropies are
+    taken once per batch, in chunks of at most ``CELL_BUDGET`` cells.
     """
     n, u, a = v1_given_u.shape
     b = v2_given_u.shape[2]
-    x, y, t, z = tensor.shape
+    x, y, t, z = tensor.shape[-4:]
     cells = max(u * a * b, a * y) * t * z
     if cells > CELL_BUDGET:
         raise ResourceBudgetError(f"input law would need {cells} cells")
     chunk = max(CELL_BUDGET // cells, 1)
-    flat = tensor.reshape(x, y * t * z)
+    flat = np.broadcast_to(tensor, (n, x, y, t, z)).reshape(n, x, y * t * z)
     parts = []
     for lo in range(0, max(n, 1), chunk):
         sl = slice(lo, lo + chunk)
         # P(T, Z | V1, V2): contract X, then Y.
-        w = np.matmul(x_given_v1[sl], flat).reshape(-1, a, y, t * z)
+        w = np.matmul(x_given_v1[sl], flat[sl]).reshape(-1, a, y, t * z)
         w = np.matmul(y_given_v2[sl][:, None], w)
         joint_uab = (p_u[sl][:, :, None, None] * v1_given_u[sl][:, :, :, None]
                      * v2_given_u[sl][:, :, None, :])
@@ -244,21 +234,10 @@ def info_profiles(p_u: np.ndarray, v1_given_u: np.ndarray, v2_given_u: np.ndarra
     return ProfileBatch(*(np.concatenate(field) for field in zip(*parts)))
 
 
-def _profile_batch(p: FactoredInput | JointDist) -> ProfileBatch:
-    """The kernel on a batch of one input; a joint is first marginalized to
-    (U, V1, V2, T, Z)."""
-    if isinstance(p, FactoredInput):
-        return info_profiles(p.p_u.mass[None], p.v1_given_u.matrix[None],
-                             p.v2_given_u.matrix[None], p.x_given_v1.matrix[None],
-                             p.y_given_v2.matrix[None], p.mac.tensor)
-    law = p.marginal_mass((AX_U, AX_V1, AX_V2, AX_T, AX_Z))
-    return _profiles_of_laws(law[None])
-
-
-def info_profile(p: FactoredInput | JointDist) -> InfoProfile:
-    """The information profile of one factored input (or its joint): the
-    batch kernel on one input, for the CLI, codes and single-input calls."""
-    return _profile_batch(p).profile(0)
+def info_profile(p: FactoredInput) -> InfoProfile:
+    """The information profile of one factored input (:func:`_resolve`, the
+    batch kernel on one input), for the CLI, codes and single-input calls."""
+    return _resolve(p)[0]
 
 
 @dataclass(frozen=True)
@@ -275,23 +254,26 @@ class AlphaBounds:
         return self.alpha0 - tol <= alpha <= self.alpha1 + tol
 
 
-def alpha_bounds_case1(prof: InfoProfile, tol: float = EQUALITY_TOL) -> AlphaBounds:
-    """Time-sharing interval for Case 1 (and Case 0).
-
-    Returns the degenerate flag when I(Z^V1|U) = I(Z^V1|V2U); the case region
-    is then achieved directly and carries no alpha parameter.  In the strict
-    branch, ``alpha0 <= alpha1`` holds exactly when the Case-1 compatibility
-    inequalities hold.
-    """
-    gap = prof.iz_v1_v2u - prof.iz_v1_u  # equals iz_v2_v1u - iz_v2_u
-    if abs(gap) <= tol:
-        return AlphaBounds(None, None, degenerate=True)
-    a0 = _pos((prof.it_v2_v1u - prof.iz_v2_v1u) / (prof.iz_v2_u - prof.iz_v2_v1u))
-    a1 = min((prof.it_v1_v2u - prof.iz_v1_u) / (prof.iz_v1_v2u - prof.iz_v1_u), 1.0)
-    return AlphaBounds(float(a0), a1)
+def _case1_interval(p: _Columns):
+    """(alpha0, alpha1, degenerate) of the Case-1 (and Case-0) time-sharing
+    interval on profile columns: degenerate where I(Z^V1|U) = I(Z^V1|V2U)
+    (ends not read), else ``alpha0 <= alpha1`` iff Case 1 is compatible."""
+    gap = p.iz_v1_v2u - p.iz_v1_u  # equals iz_v2_v1u - iz_v2_u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha0 = _pos((p.it_v2_v1u - p.iz_v2_v1u) / (p.iz_v2_u - p.iz_v2_v1u))
+        alpha1 = _first(np.less, (p.it_v1_v2u - p.iz_v1_u) / gap, 1.0)
+    return alpha0, alpha1, np.abs(gap) <= EQUALITY_TOL
 
 
-def _case2_interval(p: _Columns, hc: float, tol: float = EQUALITY_TOL):
+def alpha_bounds_case1(prof: InfoProfile) -> AlphaBounds:
+    """Time-sharing interval for Case 1 (and Case 0): :func:`_case1_interval`
+    on one profile (degenerate: achieved directly)."""
+    alpha0, alpha1, degenerate = _case1_interval(_columns(prof.array()))
+    return (AlphaBounds(None, None, degenerate=True) if degenerate
+            else AlphaBounds(float(alpha0), float(alpha1)))
+
+
+def _case2_interval(p: _Columns, hc: float):
     """(alpha0, alpha1, degenerate) of the Case-2 time-sharing interval on
     profile columns.  The formulas branch on the sign of I(Z^V1|V2U) -
     I(Z^V2|V1U); the equality branch is degenerate (its ends are not read)."""
@@ -307,14 +289,13 @@ def _case2_interval(p: _Columns, hc: float, tol: float = EQUALITY_TOL):
                           _first(np.greater, 1.0 - ratio_r2_b, sum_cap, 0.0))
         alpha1 = np.where(up, _first(np.less, ratio_r1_a, sum_cap, 1.0),
                           _first(np.less, (hc - p.iz_v1u) / (-diff), ratio_r1_a, 1.0))
-    return alpha0, alpha1, np.abs(diff) <= tol
+    return alpha0, alpha1, np.abs(diff) <= EQUALITY_TOL
 
 
-def alpha_bounds_case2(prof: InfoProfile, hc: float,
-                       tol: float = EQUALITY_TOL) -> AlphaBounds:
+def alpha_bounds_case2(prof: InfoProfile, hc: float) -> AlphaBounds:
     """Time-sharing interval for Case 2 at common-randomness bound ``hc``:
     :func:`_case2_interval` on one profile (degenerate: achieved directly)."""
-    alpha0, alpha1, degenerate = _case2_interval(_columns(prof.array()), hc, tol)
+    alpha0, alpha1, degenerate = _case2_interval(_columns(prof.array()), hc)
     return (AlphaBounds(None, None, degenerate=True) if degenerate
             else AlphaBounds(float(alpha0), float(alpha1)))
 
@@ -591,13 +572,16 @@ def _hull_vertices(points) -> np.ndarray:
     return pts[planes.any(axis=0) & ~inner]
 
 
-def _resolve(p_or_prof, u_independent=None):
-    """(profile, u-independence flag) of an input, from one kernel call; a
-    profile passes through with the flag given (False when None)."""
-    if isinstance(p_or_prof, FactoredInput):
-        batch = _profile_batch(p_or_prof)
-        return batch.profile(0), bool(batch.u_independent[0])
-    return p_or_prof, bool(u_independent)
+def _resolve(p, u_independent=None):
+    """(profile, u-independence flag) of a factored input, from one kernel
+    call on a batch of one; a profile passes through with the flag given
+    (False when None)."""
+    if isinstance(p, InfoProfile):
+        return p, bool(u_independent)
+    batch = info_profiles(p.p_u.mass[None], p.v1_given_u.matrix[None],
+                          p.v2_given_u.matrix[None], p.x_given_v1.matrix[None],
+                          p.y_given_v2.matrix[None], p.mac.tensor)
+    return batch.profile(0), bool(batch.u_independent[0])
 
 
 def _hull_rhs(r1, r2, r12, total, a, b, alpha0, alpha1):

@@ -46,6 +46,7 @@ from wtmac.regions import (
     _alpha_grid,
     _case1_bounds,
     _scores,
+    alpha_bounds_case1,
     classify_profile,
     info_profile,
     region_common,
@@ -1020,6 +1021,34 @@ def _entropy_gap(mac, q, r):
     prof = info_profile(FactoredInput.independent(Dist.from_mass([q, 1 - q]),
                                                   Dist.from_mass([r, 1 - r]), mac))
     return prof.iz_v12 - prof.it_v12
+
+
+def reference_needs_time_sharing(mac, q, r, tol):
+    """The needs-time-sharing predicate on one channel and input, one
+    profile at a time: the reference for ``casestudy._needs_time_sharing``."""
+    p = FactoredInput.independent(Dist.from_mass([q, 1 - q]),
+                                  Dist.from_mass([r, 1 - r]), mac)
+    prof = info_profile(p)
+    if prof.iz_v12 > prof.it_v12:
+        return None
+    for name, cand in (("first", prof), ("second", prof.swapped())):
+        if cand.iz_v1_u > cand.it_v1_v2u or cand.iz_v2_u > cand.it_v2_v1u:
+            continue  # zero-randomness conditions fail under this assignment
+        ab = alpha_bounds_case1(cand)
+        if ab.degenerate or ab.alpha0 > ab.alpha1:
+            continue
+        if ab.alpha0 > tol or ab.alpha1 < 1.0 - tol:
+            return {
+                "assignment": name,
+                "alpha0": float(ab.alpha0),
+                "alpha1": float(ab.alpha1),
+                "zero_randomness_conditions": [
+                    [float(cand.iz_v1_u), float(cand.it_v1_v2u)],
+                    [float(cand.iz_v2_u), float(cand.it_v2_v1u)],
+                ],
+                "common_gate": [float(prof.iz_v12), float(prof.it_v12)],
+            }
+    return None
 
 
 def reference_conferencing_helps(mac, rng, tol, grid=7, step=1e-3):

@@ -8,7 +8,9 @@ from _support import (
     eavesdropper_output_entropy,
     legitimate_output_entropy,
     reference_conferencing_helps,
+    reference_needs_time_sharing,
 )
+from wtmac import casestudy
 from wtmac.casestudy import (
     Q_EXAMPLE,
     _conferencing_helps,
@@ -268,6 +270,25 @@ class TestBruteforceSearch:
             assert cand.iz_v2_u <= cand.it_v2_v1u
             assert ab.alpha0 > 1e-3 or ab.alpha1 < 1 - 1e-3
 
+    @pytest.mark.parametrize("seed", [1, 3, 7, 11])
+    @pytest.mark.parametrize("budget", [0, 1, 60, 2000])
+    def test_needs_time_sharing_matches_the_per_channel_reference(self, seed, budget):
+        assert_replays_the_reference(budget, seed)
+
+    def test_needs_time_sharing_blocks_match_the_reference(self, monkeypatch):
+        # blocks of 7 channels: the budget spans 9 profile batches
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return needs_time_sharing(*args)
+
+        needs_time_sharing = casestudy._needs_time_sharing
+        monkeypatch.setattr(casestudy, "CELL_BUDGET", 7 * 16 + 15)
+        monkeypatch.setattr(casestudy, "_needs_time_sharing", counted)
+        assert_replays_the_reference(60, 11)
+        assert calls == [7] * 8 + [4]
+
     def test_conferencing_helps_on_scaled_search(self):
         # the additive example itself satisfies the predicate; random search
         # hits are rarer, so just check the predicate machinery end to end
@@ -280,7 +301,7 @@ class TestBruteforceSearch:
 
     def test_conferencing_helps_accepts_the_additive_pair(self):
         rng = np.random.default_rng(5)
-        cert = _conferencing_helps(discussion_channels(), rng, tol=1e-3)
+        cert = _conferencing_helps(discussion_channels().tensor, rng, tol=1e-3)
         assert cert is not None
         assert cert["coupled_advantage"] == pytest.approx(0.5, abs=1e-9)
         assert cert["max_gap_curvature"] < 0
@@ -319,3 +340,23 @@ class TestBruteforceSearch:
         if found:
             obj = found[0].to_json_dict()
             assert "rows" in obj and "certificate" in obj
+
+
+def assert_replays_the_reference(budget, seed, tol=1e-3):
+    """The search's hits, in order, equal a replay of its draws through the
+    per-channel reference, certificate fields compared with ==."""
+    found = bruteforce_search(budget, seed, "needs-time-sharing")
+    rng = np.random.default_rng(seed)
+    ref = []
+    for _ in range(budget):
+        rows_b = rng.dirichlet(np.ones(2), size=4)
+        rows_e = rng.dirichlet(np.ones(2), size=4)
+        q, r = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+        mac = WiretapMAC.from_marginals(rows_b, rows_e)
+        cert = reference_needs_time_sharing(mac, q, r, tol)
+        if cert is not None:
+            ref.append((mac, q, r, cert))
+    assert [(hit.q, hit.r, hit.certificate) for hit in found] == [
+        (q, r, cert) for _, q, r, cert in ref]
+    for hit, (mac, *_) in zip(found, ref):
+        assert np.array_equal(hit.mac.channel.matrix, mac.channel.matrix)

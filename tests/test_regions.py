@@ -265,9 +265,8 @@ class TestProfileKernel:
             assert abs(u_info - mutual_information(p.joint, {AX_U},
                                                    {AX_V1, AX_V2})) <= 1e-12
             assert u_ind == p.u_independent()
-            # the batch of one, from the input and from its joint
+            # the batch of one
             assert_profiles_close(info_profile(p), prof)
-            assert_profiles_close(info_profile(p.joint), prof)
 
     def test_u_independent_auxiliaries(self):
         # auxiliaries that ignore U carry no information about it
@@ -295,6 +294,23 @@ class TestProfileKernel:
         assert np.array_equal(chunked.profiles, whole.profiles)
         assert np.array_equal(chunked.u_info, whole.u_info)
         assert np.array_equal(chunked.u_independent, whole.u_independent)
+
+    @pytest.mark.parametrize("t, z", [(2, 3), (3, 2), (4, 4)])
+    def test_channel_stack_matches_one_tensor_calls(self, monkeypatch, t, z):
+        # one channel per input: the stacked call equals the one-tensor calls
+        # bit for bit, across a chunk boundary
+        rng = np.random.default_rng(43 + 10 * t + z)
+        macs = [random_mac(rng, x=3, t=t, z=z) for _ in range(7)]
+        factors = stacked_factors([random_factored(rng, mac, u=3, v2=3)
+                                   for mac in macs])[:-1]
+        stack = np.stack([mac.tensor for mac in macs])
+        monkeypatch.setattr(regions, "CELL_BUDGET", 3 * (3 * 2 * 3) * t * z)
+        whole = info_profiles(*factors, stack)
+        ones = [info_profiles(*(f[i:i + 1] for f in factors), mac.tensor)
+                for i, mac in enumerate(macs)]
+        for field, parts in zip(whole, zip(*ones)):
+            assert np.array_equal(field, np.concatenate(parts))
+        assert not whole.u_independent.all()
 
     def test_input_over_budget_refused(self, monkeypatch):
         rng = np.random.default_rng(42)

@@ -153,6 +153,24 @@ def _method_calls(tree, name):
             yield node.lineno
 
 
+def _name_calls(tree, name):
+    """Line of every call of the bare name ``name`` (``name(...)``) in
+    ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name):
+            yield node.lineno
+
+
+def test_name_call_detector():
+    code = ("info_profile(p)\n"
+            "regions.info_profile(p)\n"
+            "[info_profile(p) for p in ps]\n"
+            "info_profile\n"
+            "info_profiles(p)\n")
+    assert sorted(_name_calls(ast.parse(code), "info_profile")) == [1, 3]
+
+
 def test_method_call_detector():
     code = ("fam.codeword(k, l)\n"
             "code.families[0].codeword((0, 0, 0), l)[1]\n"
@@ -276,10 +294,10 @@ LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 
 
-def _calls_in_loops(tree, names):
-    """Line of every call of a ``names`` attribute inside the body of a
-    loop or comprehension of ``tree`` (a for loop's iterable is outside
-    it)."""
+def _calls_in_loops(tree, names, calls=_method_calls):
+    """Line of every call of a ``names`` attribute (of a bare name with
+    ``calls=_name_calls``) inside the body of a loop or comprehension of
+    ``tree`` (a for loop's iterable is outside it)."""
     for loop in ast.walk(tree):
         if not isinstance(loop, LOOPS):
             continue
@@ -291,7 +309,7 @@ def _calls_in_loops(tree, names):
                 [loop.value] if isinstance(loop, ast.DictComp) else []),
                 *(cond for gen in loop.generators for cond in gen.ifs)]
         yield from {line for part in parts for name in names
-                    for line in _method_calls(part, name)}
+                    for line in calls(part, name)}
 
 
 def test_calls_in_loops_detector():
@@ -304,6 +322,33 @@ def test_calls_in_loops_detector():
             "ref = ws.uy_refs(us, xt, ku, ys)[0] if us else None\n")
     assert sorted(set(_calls_in_loops(ast.parse(code),
                                       ("uy_refs", "u_refs")))) == [3, 4, 5]
+
+
+def test_name_calls_in_loops_detector():
+    tree = ast.parse("prof = info_profile(p)\n"
+                     "for p in ps:\n"
+                     "    info_profile(coupled_input(mac, p))\n"
+                     "gaps = [coupled_input(mac, p0) for p0 in p0s]\n"
+                     "for mac in macs:\n"
+                     "    FactoredInput.independent(px, py, mac)\n"
+                     "for prof in map(info_profile, ps):\n"
+                     "    regions.info_profile(prof)\n")
+    assert sorted(set(_calls_in_loops(tree, ("info_profile", "coupled_input"),
+                                      _name_calls))) == [3, 4]
+    assert sorted(set(_calls_in_loops(tree, ("independent",)))) == [6]
+
+
+def test_search_scores_no_input_at_a_time():
+    # casestudy scores its inputs in profile batches (the search's channel
+    # stacks, the coupling and grid batches): no one-input kernel call, and
+    # no one-input construction, inside a loop or comprehension body.
+    path = Path(wtmac.__file__).parent / "casestudy.py"
+    tree = ast.parse(path.read_text())
+    assert set(_name_calls(tree, "info_profile"))
+    found = sorted({*_calls_in_loops(tree, ("info_profile", "coupled_input"),
+                                     _name_calls),
+                    *_calls_in_loops(tree, ("independent",))})
+    assert not found, found
 
 
 def test_concentration_references_in_one_call_per_report():
