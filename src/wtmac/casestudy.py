@@ -21,7 +21,6 @@ from .probkit import (
     AX_X,
     AX_Y,
     AX_Z,
-    CELL_BUDGET,
     Dist,
     FactoredInput,
     WiretapMAC,
@@ -39,6 +38,9 @@ from .regions import (
 )
 
 LN2 = math.log(2.0)
+# Draws per profile batch of the needs-time-sharing search: the kernel holds
+# about 350 floats per draw, so a block is about 11 MB at any budget.
+_SEARCH_BLOCK = 1 << 12
 
 WB_EXAMPLE = np.array([[0.6178, 0.3822], [0.0624, 0.9376],
                        [0.9350, 0.0650], [0.2353, 0.7647]])
@@ -71,8 +73,7 @@ class GapPoint:
 
 
 def _bias_rows(q, r) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The broadcast shape of q and r, and the laws (q, 1 - q), (r, 1 - r)
-    stacked one input per row."""
+    """The broadcast shape of q and r, and their laws (q, 1-q), (r, 1-r) by row."""
     q, r = np.broadcast_arrays(np.asarray(q, float), np.asarray(r, float))
     return (q.shape, np.stack([q.ravel(), 1.0 - q.ravel()], axis=1),
             np.stack([r.ravel(), 1.0 - r.ravel()], axis=1))
@@ -82,23 +83,27 @@ def _bias_rows(q, r) -> tuple[tuple, np.ndarray, np.ndarray]:
 _GRID = _bias_rows(np.linspace(0.1, 0.9, 7)[:, None], np.linspace(0.1, 0.9, 7))
 
 
+def _binary_tensor(mac: WiretapMAC) -> np.ndarray:
+    """The channel tensor of a MAC with |X| = |Y| = 2."""
+    if mac.tensor.shape[:2] != (2, 2):
+        raise ValidationError("independent binary inputs need |X| = |Y| = 2")
+    return mac.tensor
+
+
 def _independent_profiles(tensor: np.ndarray, px, py):
     """Profile columns of independent inputs with laws px, py (one per row),
     |U| = 1 and identity prefixes: one profile batch on a channel tensor
     (..., 2, 2, T, Z), one for all inputs or a stack of one per input."""
-    if tensor.shape[-4:-2] != (2, 2):
-        raise ValidationError("independent binary inputs need |X| = |Y| = 2")
     ident = np.broadcast_to(np.eye(2), (len(px), 2, 2))
     return _columns(info_profiles(np.ones((len(px), 1)), px[:, None], py[:, None],
                                   ident, ident, tensor).profiles)
 
 
 def independent_gaps(mac: WiretapMAC, q, r) -> np.ndarray:
-    """Gap I(Z;XY) - I(T;XY) in bits at independent binary inputs
-    P(X=0) = q, P(Y=0) = r, which broadcast against each other: one profile
-    batch."""
+    """Gap I(Z;XY) - I(T;XY) in bits at independent binary inputs P(X=0) = q,
+    P(Y=0) = r, which broadcast against each other: one profile batch."""
     shape, px, py = _bias_rows(q, r)
-    prof = _independent_profiles(mac.tensor, px, py)
+    prof = _independent_profiles(_binary_tensor(mac), px, py)
     return (prof.iz_v12 - prof.it_v12).reshape(shape)
 
 
@@ -119,13 +124,11 @@ def gap_curvatures(mac: WiretapMAC, q, r) -> tuple[np.ndarray, np.ndarray]:
     in r.  At an interior input P(o) = 0 forces dP(o)/dq = 0, so such a term
     contributes 0.
     """
-    return _curvatures(mac.tensor, *_bias_rows(q, r))
+    return _curvatures(_binary_tensor(mac), *_bias_rows(q, r))
 
 
 def _curvatures(tensor, shape, px, py) -> tuple[np.ndarray, np.ndarray]:
     """:func:`gap_curvatures` on a channel tensor (2, 2, T, Z)."""
-    if tensor.shape[:2] != (2, 2):
-        raise ValidationError("independent binary inputs need |X| = |Y| = 2")
     d2 = (_fisher_sums(tensor.sum(axis=3), px, py)
           - _fisher_sums(tensor.sum(axis=2), px, py)) / LN2
     return d2[:, 0].reshape(shape), d2[:, 1].reshape(shape)
@@ -195,8 +198,7 @@ def coupled_input(mac: WiretapMAC, p0: float) -> FactoredInput:
 
 
 def _coupled_profiles(tensor: np.ndarray, p0s: np.ndarray):
-    """Profile columns of the coupled inputs x = y = U, one per bias
-    P(U=0) = p0: one profile batch."""
+    """Profile columns of the coupled inputs x = y = U, one per bias P(U=0) = p0."""
     ident = np.broadcast_to(np.eye(2), (len(p0s), 2, 2))
     return _columns(info_profiles(np.stack([p0s, 1.0 - p0s], axis=1), ident, ident,
                                   ident, ident, tensor).profiles)
@@ -385,7 +387,7 @@ def bruteforce_search(budget: int, seed: int, predicate: str,
 
     ``needs-time-sharing``: the zero-randomness conditions hold but the
     time-sharing interval is strictly interior on one side; draws are scored
-    in blocks of one profile batch within ``CELL_BUDGET``.
+    in blocks of ``_SEARCH_BLOCK``, one profile batch each.
     ``conferencing-helps``: independent inputs never beat the eavesdropper
     while some coupled input does; a channel passing the curvature and gap
     tests draws its coupling biases, so it is scored alone.  Deterministic
@@ -401,11 +403,10 @@ def bruteforce_search(budget: int, seed: int, predicate: str,
             if (cert := _conferencing_helps(tensor, rng, tol)) is not None:
                 hits.append((tensor, q, r, cert))
     else:
-        block = max(CELL_BUDGET // 16, 1)  # a 16-cell tensor and law per draw
-        for lo in range(0, budget, block):
+        for lo in range(0, budget, _SEARCH_BLOCK):
             tensors, qs, rs = map(np.array, zip(*(
-                _draw(rng) for _ in range(min(block, budget - lo)))))
-            hits += [(tensors[i], qs[i], rs[i], cert)
+                _draw(rng) for _ in range(min(_SEARCH_BLOCK, budget - lo)))))
+            hits += [(tensors[i].copy(), qs[i], rs[i], cert)  # not a view of the block
                      for i, cert in _needs_time_sharing(tensors, qs, rs, tol)]
     return [FoundChannel(WiretapMAC.from_rows(t.reshape(4, 4), 2, 2, 2, 2),
                          float(q), float(r), predicate, cert)

@@ -573,9 +573,8 @@ def _hull_vertices(points) -> np.ndarray:
 
 
 def _resolve(p, u_independent=None):
-    """(profile, u-independence flag) of a factored input, from one kernel
-    call on a batch of one; a profile passes through with the flag given
-    (False when None)."""
+    """(profile, u-independence flag) of a factored input, from the kernel on
+    a batch of one; a profile passes through with the flag given (or False)."""
     if isinstance(p, InfoProfile):
         return p, bool(u_independent)
     batch = info_profiles(p.p_u.mass[None], p.v1_given_u.matrix[None],

@@ -284,7 +284,7 @@ class TestBruteforceSearch:
             return needs_time_sharing(*args)
 
         needs_time_sharing = casestudy._needs_time_sharing
-        monkeypatch.setattr(casestudy, "CELL_BUDGET", 7 * 16 + 15)
+        monkeypatch.setattr(casestudy, "_SEARCH_BLOCK", 7)
         monkeypatch.setattr(casestudy, "_needs_time_sharing", counted)
         assert_replays_the_reference(60, 11)
         assert calls == [7] * 8 + [4]
